@@ -1,0 +1,78 @@
+"""Exception types shared across the package."""
+
+from __future__ import annotations
+
+
+class InvdelError(Exception):
+    """Base class for every error this package raises deliberately."""
+
+
+class UnsupportedExpression(InvdelError):
+    """Expression falls outside the closed term algebra (e.g. 1/(x+1))."""
+
+
+class SourceError(InvdelError):
+    """Parse failure, tagged with the byte offset where it happened."""
+
+    def __init__(self, offset: int, expected: str, found: str):
+        super().__init__(f"at offset {offset}: expected {expected}, found {found}")
+        self.offset = offset
+        self.expected = expected
+        self.found = found
+
+
+class DomainError(InvdelError):
+    """Numeric evaluation left the real domain (ln of a non-positive value, 0**-n)."""
+
+
+class UnboundVariable(InvdelError):
+    """Numeric evaluation met a variable with no value in the point mapping."""
+
+
+class NotIntegrable(InvdelError):
+    """A term has no antiderivative inside the supported term class."""
+
+    def __init__(self, message: str, term=None, variable: str | None = None):
+        super().__init__(message)
+        self.term = term
+        self.variable = variable
+
+
+class UnknownSystem(InvdelError):
+    """Requested builtin coordinate system does not exist."""
+
+
+class ValidationError(InvdelError):
+    """Structural validation failed (field arity, foreign variables, weights, ...)."""
+
+
+class NotSolenoidal(InvdelError):
+    """Vector potential requested for a field whose divergence is not zero."""
+
+    def __init__(self, message: str, residual=None):
+        super().__init__(message)
+        self.residual = residual
+
+
+class NotConservative(InvdelError):
+    """Scalar potential requested for a field whose curl is not zero."""
+
+    def __init__(self, message: str, residual=None):
+        super().__init__(message)
+        self.residual = residual
+
+
+class ConstructionFailed(InvdelError):
+    """Internal round-trip check rejected a constructed potential."""
+
+    def __init__(self, message: str, residual=None):
+        super().__init__(message)
+        self.residual = residual
+
+
+class BasePointSingular(InvdelError):
+    """Substituting the base point produced an undefined value."""
+
+
+class SamplingExhausted(InvdelError):
+    """Too many sample points fell outside the domain during verification."""
