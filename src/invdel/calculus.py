@@ -1,8 +1,15 @@
-"""Single-variable calculus on the closed term class.
+"""Single-variable calculus on canonical forms.
 
-``differentiate`` applies the usual rules on the tree and is total.
-``antidifferentiate`` works term by term on the canonical form and only
-accepts terms of the shape
+Every operator here canonicalizes its input once (a form is taken as it
+is) and returns a canonical form.
+
+``differentiate`` works term by term: the product rule over a term's atom
+powers, and the chain rule through each function atom whose argument
+contains the variable.  ``ln(u)`` differentiates to ``u'/u``, so it raises
+UnsupportedExpression when ``u`` has more than one term.
+
+``antidifferentiate`` works term by term too and only accepts terms of the
+shape
 
     coefficient * monomial * (at most one sin/cos/exp factor whose argument
     is linear in the integration variable with a rational slope)
@@ -23,23 +30,13 @@ from .errors import NotIntegrable
 from .expr import (
     CanonicalForm,
     Expression,
-    FunctionApplication,
     FunctionAtom,
-    IntegerPower,
-    Negation,
-    Product,
-    RationalConstant,
-    Sum,
     Term,
-    Variable,
-    ZERO,
-    ONE,
+    atom_power,
     canonicalize,
-    expression_of,
+    factors_contain,
     form_contains,
-    num,
-    product_of,
-    sum_of,
+    sum_forms,
 )
 from .parser import render
 
@@ -48,8 +45,8 @@ from .parser import render
 class SplitPair:
     """Terms containing the split variable (plus) and the rest (minus)."""
 
-    plus_part: Expression
-    minus_part: Expression
+    plus_part: CanonicalForm
+    minus_part: CanonicalForm
 
 
 def contains_variable(expression: Expression, name: str) -> bool:
@@ -63,84 +60,60 @@ def split_by_variable(expression: Expression, name: str) -> SplitPair:
 
     The two parts add back to the input canonically.
     """
-    form = canonicalize(expression)
-    plus = []
-    minus = []
-    for term in form.terms:
-        (plus if _term_contains(term, name) else minus).append(term)
-    return SplitPair(
-        plus_part=expression_of(CanonicalForm(tuple(plus))),
-        minus_part=expression_of(CanonicalForm(tuple(minus))),
-    )
+    plus: dict = {}
+    minus: dict = {}
+    for factors, coefficient in canonicalize(expression).items():
+        (plus if factors_contain(factors, name) else minus)[factors] = coefficient
+    return SplitPair(CanonicalForm(plus), CanonicalForm(minus))
 
 
-def _term_contains(term: Term, name: str) -> bool:
-    for atom, _ in term.factors:
-        if isinstance(atom, str):
-            if atom == name:
-                return True
-        elif form_contains(atom.argument, name):
-            return True
-    return False
-
-
-def differentiate(expression: Expression, name: str) -> Expression:
+def differentiate(expression: Expression, name: str) -> CanonicalForm:
     """Partial derivative with respect to the named variable."""
-    e = expression
-    if isinstance(e, RationalConstant):
-        return ZERO
-    if isinstance(e, Variable):
-        return ONE if e.name == name else ZERO
-    if isinstance(e, Negation):
-        inner = differentiate(e.child, name)
-        return ZERO if inner is ZERO else Negation(inner)
-    if isinstance(e, Sum):
-        return sum_of([differentiate(c, name) for c in e.children])
-    if isinstance(e, Product):
-        pieces = []
-        for i, child in enumerate(e.children):
-            d = differentiate(child, name)
-            if d is ZERO:
+    return _derivative(canonicalize(expression), name)
+
+
+def _derivative(form: CanonicalForm, name: str) -> CanonicalForm:
+    pieces = []
+    for factors, coefficient in form.items():
+        for i, (atom, e) in enumerate(factors):
+            if isinstance(atom, str):
+                if atom != name:
+                    continue
+                chain = None
+            elif form_contains(atom.argument, name):
+                chain = _outer_derivative(atom) * _derivative(atom.argument, name)
+            else:
                 continue
-            rest = list(e.children[:i]) + [d] + list(e.children[i + 1:])
-            pieces.append(product_of(rest))
-        return sum_of(pieces)
-    if isinstance(e, IntegerPower):
-        d = differentiate(e.base, name)
-        if d is ZERO:
-            return ZERO
-        parts: list[Expression] = [num(e.exponent)]
-        if e.exponent != 1:
-            parts.append(IntegerPower(e.base, e.exponent - 1))
-        parts.append(d)
-        return product_of(parts)
-    if isinstance(e, FunctionApplication):
-        d = differentiate(e.argument, name)
-        if d is ZERO:
-            return ZERO
-        if e.tag == "sin":
-            outer: Expression = FunctionApplication("cos", e.argument)
-        elif e.tag == "cos":
-            outer = Negation(FunctionApplication("sin", e.argument))
-        elif e.tag == "exp":
-            outer = e
-        else:  # ln; the reciprocal is materialized on canonicalization
-            outer = IntegerPower(e.argument, -1)
-        return product_of([outer, d])
-    raise TypeError(f"not an expression node: {e!r}")
+            lowered = ((atom, e - 1),) if e != 1 else ()
+            piece = CanonicalForm(
+                {factors[:i] + lowered + factors[i + 1:]: coefficient * e})
+            pieces.append(piece if chain is None else piece * chain)
+    return sum_forms(pieces)
 
 
-def antidifferentiate(expression: Expression, name: str) -> Expression:
+def _outer_derivative(atom: FunctionAtom) -> CanonicalForm:
+    """d tag(u)/du at u = the atom's argument."""
+    if atom.tag == "sin":
+        return atom_power(FunctionAtom("cos", atom.argument))
+    if atom.tag == "cos":
+        return -atom_power(FunctionAtom("sin", atom.argument))
+    if atom.tag == "exp":
+        return atom_power(atom)
+    return atom.argument ** -1
+
+
+def antidifferentiate(expression: Expression, name: str) -> CanonicalForm:
     """Antiderivative with zero integration constant.
 
     Raises NotIntegrable (carrying the offending term) when any canonical
-    term falls outside the supported class.
+    term falls outside the supported class; terms are tried in canonical
+    order, so the first offender is reported.
     """
     form = canonicalize(expression)
-    return sum_of([_integrate_term(t, name) for t in form.terms])
+    return sum_forms([_integrate_term(t, name) for t in form.terms])
 
 
-def _integrate_term(term: Term, name: str) -> Expression:
+def _integrate_term(term: Term, name: str) -> CanonicalForm:
     rest = []
     variable_exponent = 0
     carriers = []  # function atoms whose argument contains the variable
@@ -151,6 +124,7 @@ def _integrate_term(term: Term, name: str) -> Expression:
             carriers.append((atom, e))
         else:
             rest.append((atom, e))
+    rest = tuple(rest)
 
     if carriers:
         if variable_exponent or len(carriers) > 1:
@@ -162,57 +136,36 @@ def _integrate_term(term: Term, name: str) -> Expression:
         if slope is None:
             raise _not_integrable(term, name)
         coefficient = term.coefficient / slope
-        argument = expression_of(atom.argument)
         if atom.tag == "sin":
-            outer: Expression = FunctionApplication("cos", argument)
+            outer = FunctionAtom("cos", atom.argument)
             coefficient = -coefficient
         elif atom.tag == "cos":
-            outer = FunctionApplication("sin", argument)
+            outer = FunctionAtom("sin", atom.argument)
         else:
-            outer = FunctionApplication("exp", argument)
-        return _term_expression(coefficient, rest, outer)
+            outer = atom
+        return CanonicalForm({rest: coefficient}) * atom_power(outer)
 
     if variable_exponent == -1:
-        return _term_expression(
-            term.coefficient, rest, FunctionApplication("ln", Variable(name)))
+        log = FunctionAtom("ln", atom_power(name))
+        return CanonicalForm({rest: term.coefficient}) * atom_power(log)
     new_exponent = variable_exponent + 1
-    coefficient = term.coefficient / new_exponent
-    power: Expression = Variable(name)
-    if new_exponent != 1:
-        power = IntegerPower(power, new_exponent)
-    return _term_expression(coefficient, rest, power)
+    return (CanonicalForm({rest: term.coefficient / new_exponent})
+            * atom_power(name, new_exponent))
 
 
 def _linear_slope(argument: CanonicalForm, name: str) -> Fraction | None:
     """Rational slope of the variable when the argument is affine in it."""
-    carriers = [t for t in argument.terms if _term_contains(t, name)]
+    carriers = [(f, c) for f, c in argument.items() if factors_contain(f, name)]
     if len(carriers) != 1:
         return None
-    t = carriers[0]
-    if t.factors != ((name, 1),):
+    factors, coefficient = carriers[0]
+    if factors != ((name, 1),):
         return None
-    return t.coefficient
-
-
-def _term_expression(coefficient, factors, extra: Expression) -> Expression:
-    parts: list[Expression] = []
-    if coefficient != 1:
-        parts.append(num(coefficient))
-    for atom, e in factors:
-        ae = _atom_expr(atom)
-        parts.append(ae if e == 1 else IntegerPower(ae, e))
-    parts.append(extra)
-    return product_of(parts)
-
-
-def _atom_expr(atom) -> Expression:
-    if isinstance(atom, str):
-        return Variable(atom)
-    return FunctionApplication(atom.tag, expression_of(atom.argument))
+    return coefficient
 
 
 def _not_integrable(term: Term, name: str) -> NotIntegrable:
-    offender = expression_of(CanonicalForm((term,)))
+    offender = CanonicalForm({term.factors: term.coefficient})
     return NotIntegrable(
         f"term {render(offender)} has no antiderivative in {name} "
         "within the supported class",
@@ -227,7 +180,7 @@ def weighted_split_integral(
     int_var: str,
     w_plus: Union[int, Fraction],
     w_minus: Union[int, Fraction],
-) -> Expression:
+) -> CanonicalForm:
     """Split by one variable, integrate both parts in another, recombine.
 
     Returns w_plus * antiderivative(part containing split_var)
@@ -235,11 +188,6 @@ def weighted_split_integral(
     both antiderivatives taken with respect to int_var.
     """
     pair = split_by_variable(expression, split_var)
-    pieces = []
     plus = antidifferentiate(pair.plus_part, int_var)
-    if plus is not ZERO:
-        pieces.append(product_of([num(Fraction(w_plus)), plus]))
     minus = antidifferentiate(pair.minus_part, int_var)
-    if minus is not ZERO:
-        pieces.append(product_of([num(Fraction(w_minus)), minus]))
-    return sum_of(pieces)
+    return plus * Fraction(w_plus) + minus * Fraction(w_minus)

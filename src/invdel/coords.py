@@ -5,7 +5,8 @@ base point for path integrals and a box for numeric sampling.  The builtin
 boxes stay away from the h = 0 surfaces (the cylindrical axis, the spherical
 origin and polar axis), so every sampled point is regular.  Angular
 coordinates are treated as plain real variables: constructed potentials are
-valid on the local chart, not glued across the 2*pi seam.
+valid on the local chart, not glued across the 2*pi seam.  Scale factors
+are held as canonical forms, canonicalized once when the system is built.
 """
 
 from __future__ import annotations
@@ -16,14 +17,15 @@ from typing import Sequence, Union
 
 from .errors import UnknownSystem, ValidationError
 from .expr import (
+    ONE_FORM,
+    CanonicalForm,
     Expression,
-    ONE,
+    FunctionAtom,
     Variable,
+    atom_power,
     canonicalize,
     eval_numeric,
     free_variables,
-    product_of,
-    sin,
 )
 from .errors import DomainError, UnsupportedExpression
 from . import parser
@@ -34,7 +36,7 @@ class CoordinateSystem:
     """Names u1,u2,u3 with scale factors h1,h2,h3 and sampling defaults."""
 
     names: tuple[str, str, str]
-    scale_factors: tuple[Expression, Expression, Expression]
+    scale_factors: tuple[CanonicalForm, CanonicalForm, CanonicalForm]
     base_point: tuple[Fraction, Fraction, Fraction]
     sampling_box: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
     label: str = "custom"
@@ -50,16 +52,19 @@ class CoordinateSystem:
         if len(self.scale_factors) != 3:
             raise ValidationError("exactly three scale factors required")
         allowed = set(self.names)
+        forms = []
         for i, h in enumerate(self.scale_factors, start=1):
             foreign = free_variables(h) - allowed
             if foreign:
                 raise ValidationError(
                     f"h{i} references unknown variables: {', '.join(sorted(foreign))}")
             try:
-                if canonicalize(h).is_zero():
-                    raise ValidationError(f"h{i} is identically zero")
+                forms.append(canonicalize(h))
             except UnsupportedExpression as exc:
                 raise ValidationError(f"h{i} outside the term class: {exc}") from None
+            if forms[-1].is_zero():
+                raise ValidationError(f"h{i} is identically zero")
+        object.__setattr__(self, "scale_factors", tuple(forms))
         if len(self.base_point) != 3:
             raise ValidationError("base point needs three coordinates")
         try:
@@ -91,7 +96,7 @@ def builtin(name: str) -> CoordinateSystem:
     if name == "cartesian":
         return CoordinateSystem(
             names=("x", "y", "z"),
-            scale_factors=(ONE, ONE, ONE),
+            scale_factors=(ONE_FORM, ONE_FORM, ONE_FORM),
             base_point=(Fraction(0), Fraction(0), Fraction(0)),
             sampling_box=((-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0)),
             label="cartesian",
@@ -99,7 +104,7 @@ def builtin(name: str) -> CoordinateSystem:
     if name == "cylindrical":
         return CoordinateSystem(
             names=("rho", "phi", "z"),
-            scale_factors=(ONE, Variable("rho"), ONE),
+            scale_factors=(ONE_FORM, atom_power("rho"), ONE_FORM),
             base_point=(Fraction(1), Fraction(0), Fraction(0)),
             sampling_box=((0.5, 2.0), (0.1, 3.0), (-2.0, 2.0)),
             label="cylindrical",
@@ -108,9 +113,9 @@ def builtin(name: str) -> CoordinateSystem:
         return CoordinateSystem(
             names=("r", "theta", "phi"),
             scale_factors=(
-                ONE,
-                Variable("r"),
-                product_of([Variable("r"), sin(Variable("theta"))]),
+                ONE_FORM,
+                atom_power("r"),
+                atom_power("r") * atom_power(FunctionAtom("sin", atom_power("theta"))),
             ),
             base_point=(Fraction(1), Fraction(1), Fraction(0)),
             sampling_box=((0.5, 2.0), (0.1, 3.0), (0.1, 3.0)),

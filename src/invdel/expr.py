@@ -1,20 +1,30 @@
 """Exact symbolic expression kernel.
 
-Trees are built from rational constants, named variables, sums, products,
-integer powers and the four function tags sin/cos/exp/ln.  ``canonicalize``
-flattens a tree into a deterministic fully distributed sum of terms; canonical
-forms back equality tests, rendering and the contains-variable split used by
-the integral operators.  Coefficient arithmetic is exact everywhere; floats
-appear only inside ``eval_numeric``.
+Two kinds of value live here.  Expression trees are built from rational
+constants, named variables, sums, products, integer powers and the four
+function tags sin/cos/exp/ln; they are what ``parse`` and the public
+``+ - * ** /`` constructors build.  A ``CanonicalForm`` is the value every
+operator passes and returns: a fully distributed sum of terms held as a
+sparse map from factors (ordered atom powers) to exact coefficient, the
+distributed representation of Monagan and Pearce (CASC 2007).
+
+``canonicalize`` turns a tree into its form once and returns a form
+unchanged.  Forms are ``Expression`` leaves, so they may sit inside trees.
+They are closed under ``+ - *``, integer powers (negative ones only of
+single terms), substitution and numeric evaluation; ``calculus`` adds
+differentiation and antidifferentiation.  Equal forms have equal maps, and
+``terms`` lists them in one deterministic order, which rendering and the
+sort keys of function atoms use.  Coefficient arithmetic is exact
+everywhere; floats appear only inside ``eval_numeric``.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache, reduce
+from functools import cmp_to_key, reduce
 from typing import Iterable, Mapping, Union
 
 from .errors import DomainError, UnboundVariable, UnsupportedExpression
@@ -62,12 +72,7 @@ class Expression:
         return IntegerPower(self, exponent)
 
     def __truediv__(self, other):
-        if isinstance(other, RationalConstant):
-            other = other.value
-        if not isinstance(other, (int, Fraction)):
-            raise TypeError("can only divide by a rational constant; "
-                            "use reciprocal() for invertible expressions")
-        return Product((self, RationalConstant(Fraction(1, 1) / other)))
+        return Product((self, RationalConstant(_inverse_rational(other))))
 
 
 def _coerce(value) -> Expression:
@@ -76,6 +81,15 @@ def _coerce(value) -> Expression:
     if isinstance(value, (int, Fraction)):
         return RationalConstant(Fraction(value))
     raise TypeError(f"cannot interpret {value!r} as an expression")
+
+
+def _inverse_rational(divisor) -> Fraction:
+    if isinstance(divisor, RationalConstant):
+        divisor = divisor.value
+    if not isinstance(divisor, (int, Fraction)):
+        raise TypeError("can only divide by a rational constant; "
+                        "use reciprocal() for invertible expressions")
+    return Fraction(1, 1) / divisor
 
 
 @dataclass(frozen=True)
@@ -200,16 +214,25 @@ def _is_zero_literal(e: Expression) -> bool:
 
 # --- canonical form -------------------------------------------------------
 
+_ONE = Fraction(1)
+
+
 @dataclass(frozen=True)
 class FunctionAtom:
-    """Opaque function occurrence keyed by its canonicalized argument."""
+    """Opaque function occurrence keyed by its canonical argument.
+
+    ``key`` orders atoms inside a term; it is computed once, here.
+    """
 
     tag: str
     argument: "CanonicalForm"
+    key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "key", (self.tag, 1, _form_key(self.argument)))
 
 
 Atom = Union[str, FunctionAtom]
-Factors = "tuple[tuple[Atom, int], ...]"
 
 
 @dataclass(frozen=True)
@@ -220,31 +243,119 @@ class Term:
     factors: tuple
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Ordered, fully distributed sum of terms; () is the zero form."""
+class CanonicalForm(Expression):
+    """Fully distributed sum of terms; the empty map is the zero form.
 
-    terms: tuple
+    The map sends factors, a tuple of (atom, nonzero exponent) pairs in
+    ascending atom order, to a nonzero Fraction.  A form owns its map and
+    never changes it, so forms may share maps.  Arithmetic with ``+ - * **``
+    and division by a rational gives forms again.
+    """
+
+    __slots__ = ("_map", "_terms", "_hash")
+
+    def __init__(self, coefficients: dict):
+        self._map = coefficients
+        self._terms = None
+        self._hash = None
+
+    @property
+    def terms(self) -> tuple:
+        """The terms in canonical order (see ``_term_order``), sorted on
+        first use."""
+        if self._terms is None:
+            items = self._map.items()
+            if len(items) > 1:
+                items = sorted(items, key=_TERM_ORDER)
+            self._terms = tuple(Term(c, f) for f, c in items)
+        return self._terms
+
+    def items(self):
+        """(factors, coefficient) pairs in no particular order."""
+        return self._map.items()
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._map
 
-    def is_constant(self) -> bool:
-        return all(not t.factors for t in self.terms)
+    def __eq__(self, other):
+        if not isinstance(other, CanonicalForm):
+            return NotImplemented
+        return self._map == other._map
 
-    def constant_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        if len(self.terms) == 1 and not self.terms[0].factors:
-            return self.terms[0].coefficient
-        raise ValueError("canonical form is not a rational constant")
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(frozenset(self._map.items()))
+        return self._hash
+
+    def __repr__(self):
+        return f"CanonicalForm({self.terms!r})"
+
+    def __add__(self, other):
+        acc = dict(self._map)
+        _accumulate(acc, _map_of(other))
+        return CanonicalForm(acc)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        acc = dict(self._map)
+        _accumulate(acc, _negate(_map_of(other)))
+        return CanonicalForm(acc)
+
+    def __rsub__(self, other):
+        acc = dict(_map_of(other))
+        _accumulate(acc, _negate(self._map))
+        return CanonicalForm(acc)
+
+    def __mul__(self, other):
+        return CanonicalForm(_multiply(self._map, _map_of(other)))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return CanonicalForm(_negate(self._map))
+
+    def __pow__(self, exponent):
+        if not isinstance(exponent, int):
+            raise TypeError("exponent must be an integer")
+        return CanonicalForm(_power(self._map, exponent))
+
+    def __truediv__(self, other):
+        return self * _inverse_rational(other)
 
 
-@lru_cache(maxsize=None)
+ZERO_FORM = CanonicalForm({})
+ONE_FORM = CanonicalForm({(): _ONE})
+
+
+def atom_power(atom: Atom, exponent: int = 1) -> CanonicalForm:
+    """The single-term form atom**exponent with coefficient one; a variable
+    atom is its name."""
+    return CanonicalForm({((atom, exponent),): _ONE})
+
+
+def sum_forms(forms: Iterable[CanonicalForm]) -> CanonicalForm:
+    """Sum of any number of forms, accumulated in one map."""
+    acc: dict = {}
+    for form in forms:
+        _accumulate(acc, form._map)
+    return CanonicalForm(acc)
+
+
+def _map_of(value) -> dict:
+    if isinstance(value, CanonicalForm):
+        return value._map
+    if isinstance(value, (int, Fraction)):
+        return {(): Fraction(value)} if value else {}
+    if isinstance(value, Expression):
+        return _canon(value)
+    raise TypeError(f"cannot interpret {value!r} as an expression")
+
+
 def _atom_key(atom):
     if isinstance(atom, str):
         return (atom, 0, ())
-    return (atom.tag, 1, _form_key(atom.argument))
+    return atom.key
 
 
 def _form_key(form: CanonicalForm):
@@ -254,10 +365,10 @@ def _form_key(form: CanonicalForm):
     )
 
 
-def _term_order(t1: Term, t2: Term) -> int:
+def _term_order(item1, item2) -> int:
     # Descending lexicographic order on exponent vectors, atoms ascending:
     # x^2 sorts before the constant term, x*y*z before y^2.
-    f1, f2 = t1.factors, t2.factors
+    f1, f2 = item1[0], item2[0]
     for (a1, e1), (a2, e2) in zip(f1, f2):
         k1, k2 = _atom_key(a1), _atom_key(a2)
         if k1 != k2:
@@ -273,20 +384,26 @@ def _term_order(t1: Term, t2: Term) -> int:
     return 0
 
 
+_TERM_ORDER = cmp_to_key(_term_order)
+
+
 def _merge_factors(f1, f2):
+    if not f1:
+        return f2
+    if not f2:
+        return f1
     out = []
     i = j = 0
     while i < len(f1) and j < len(f2):
         a1, e1 = f1[i]
         a2, e2 = f2[j]
-        k1, k2 = _atom_key(a1), _atom_key(a2)
-        if k1 == k2:
+        if a1 == a2:
             e = e1 + e2
             if e:
                 out.append((a1, e))
             i += 1
             j += 1
-        elif k1 < k2:
+        elif _atom_key(a1) < _atom_key(a2):
             out.append((a1, e1))
             i += 1
         else:
@@ -297,33 +414,42 @@ def _merge_factors(f1, f2):
     return tuple(out)
 
 
+def _add_term(acc: dict, factors, coeff) -> None:
+    previous = acc.get(factors)
+    if previous is None:
+        acc[factors] = coeff
+        return
+    total = previous + coeff
+    if total:
+        acc[factors] = total
+    else:
+        del acc[factors]
+
+
 def _accumulate(acc: dict, extra: dict) -> None:
     for factors, coeff in extra.items():
-        total = acc.get(factors, Fraction(0)) + coeff
-        if total:
-            acc[factors] = total
-        else:
-            acc.pop(factors, None)
+        _add_term(acc, factors, coeff)
 
 
-def _scale(d: dict, k: Fraction) -> dict:
-    if not k:
-        return {}
-    return {f: c * k for f, c in d.items()}
+def _negate(d: dict) -> dict:
+    return {f: -c for f, c in d.items()}
+
+
+def _is_unit(d: dict) -> bool:
+    return len(d) == 1 and d.get(()) == 1
 
 
 def _multiply(d1: dict, d2: dict) -> dict:
     if not d1 or not d2:
         return {}
+    if _is_unit(d1):
+        return d2
+    if _is_unit(d2):
+        return d1
     acc: dict = {}
     for f1, c1 in d1.items():
         for f2, c2 in d2.items():
-            f = _merge_factors(f1, f2)
-            total = acc.get(f, Fraction(0)) + c1 * c2
-            if total:
-                acc[f] = total
-            else:
-                acc.pop(f, None)
+            _add_term(acc, _merge_factors(f1, f2), c1 * c2)
     return acc
 
 
@@ -340,7 +466,7 @@ def _invert(d: dict) -> dict:
 def _power(d: dict, n: int) -> dict:
     if n < 0:
         return _power(_invert(d), -n)
-    result = {(): Fraction(1)}
+    result = {(): _ONE}
     base = d
     while n:
         if n & 1:
@@ -352,12 +478,14 @@ def _power(d: dict, n: int) -> dict:
 
 
 def _canon(e: Expression) -> dict:
+    if isinstance(e, CanonicalForm):
+        return e._map
     if isinstance(e, RationalConstant):
         return {(): e.value} if e.value else {}
     if isinstance(e, Variable):
-        return {((e.name, 1),): Fraction(1)}
+        return {((e.name, 1),): _ONE}
     if isinstance(e, Negation):
-        return _scale(_canon(e.child), Fraction(-1))
+        return _negate(_canon(e.child))
     if isinstance(e, Sum):
         acc: dict = {}
         for child in e.children:
@@ -368,25 +496,22 @@ def _canon(e: Expression) -> dict:
     if isinstance(e, IntegerPower):
         return _power(_canon(e.base), e.exponent)
     if isinstance(e, FunctionApplication):
-        atom = FunctionAtom(e.tag, _finalize(_canon(e.argument)))
-        return {((atom, 1),): Fraction(1)}
+        atom = FunctionAtom(e.tag, CanonicalForm(_canon(e.argument)))
+        return {((atom, 1),): _ONE}
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _finalize(d: dict) -> CanonicalForm:
-    terms = [Term(c, f) for f, c in d.items() if c]
-    terms.sort(key=cmp_to_key(_term_order))
-    return CanonicalForm(tuple(terms))
-
-
 def canonicalize(expression: Expression) -> CanonicalForm:
-    """Flatten a tree into its canonical sum-of-terms form.
+    """The canonical form of an expression: a form is returned as it is, a
+    tree is flattened into its sum of terms.
 
-    Equal expressions produce identical forms; the zero expression produces
-    the empty form.  Raises UnsupportedExpression for reciprocals that the
-    term algebra cannot represent (negative powers of multi-term sums).
+    Equal expressions produce equal forms; the zero expression produces the
+    empty form.  Raises UnsupportedExpression for reciprocals that the term
+    algebra cannot represent (negative powers of multi-term sums).
     """
-    return _finalize(_canon(expression))
+    if isinstance(expression, CanonicalForm):
+        return expression
+    return CanonicalForm(_canon(expression))
 
 
 def equals(e1: Expression, e2: Expression) -> bool:
@@ -421,60 +546,65 @@ def _atom_expression(atom: Atom) -> Expression:
     return FunctionApplication(atom.tag, expression_of(atom.argument))
 
 
-def reciprocal(expression: Expression) -> Expression:
-    """1/expression as a tree, when the canonical form is a single term."""
-    form = canonicalize(expression)
-    inverted = _invert({t.factors: t.coefficient for t in form.terms})
-    return expression_of(_finalize(inverted))
+def reciprocal(expression: Expression) -> CanonicalForm:
+    """1/expression, when the canonical form is a single term."""
+    return CanonicalForm(_invert(canonicalize(expression)._map))
 
 
 def form_contains(form: CanonicalForm, name: str) -> bool:
     """True iff the variable occurs in any term, including function arguments."""
-    return any(_term_contains(t, name) for t in form.terms)
+    return any(factors_contain(f, name) for f in form._map)
 
 
-def _term_contains(term: Term, name: str) -> bool:
-    return any(_atom_contains(a, name) for a, _ in term.factors)
-
-
-def _atom_contains(atom: Atom, name: str) -> bool:
-    if isinstance(atom, str):
-        return atom == name
-    return form_contains(atom.argument, name)
+def factors_contain(factors, name: str) -> bool:
+    """True iff the variable occurs among a term's factors, including
+    function arguments."""
+    for atom, _ in factors:
+        if isinstance(atom, str):
+            if atom == name:
+                return True
+        elif form_contains(atom.argument, name):
+            return True
+    return False
 
 
 def form_has_variables(form: CanonicalForm) -> bool:
     """True iff any variable at all occurs in the form."""
-    for term in form.terms:
-        for atom, _ in term.factors:
+    for factors in form._map:
+        for atom, _ in factors:
             if isinstance(atom, str) or form_has_variables(atom.argument):
                 return True
     return False
 
 
-def substitute(expression: Expression, name: str, value) -> Expression:
+def substitute(expression: Expression, name: str, value) -> CanonicalForm:
     """Replace every occurrence of the variable, including inside function
     arguments.  The replacement may itself be any expression."""
-    value = _coerce(value)
+    return CanonicalForm(
+        _substitute(canonicalize(expression)._map, name, _map_of(value)))
 
-    def walk(e: Expression) -> Expression:
-        if isinstance(e, Variable):
-            return value if e.name == name else e
-        if isinstance(e, RationalConstant):
-            return e
-        if isinstance(e, Sum):
-            return Sum(tuple(walk(c) for c in e.children))
-        if isinstance(e, Product):
-            return Product(tuple(walk(c) for c in e.children))
-        if isinstance(e, IntegerPower):
-            return IntegerPower(walk(e.base), e.exponent)
-        if isinstance(e, Negation):
-            return Negation(walk(e.child))
-        if isinstance(e, FunctionApplication):
-            return FunctionApplication(e.tag, walk(e.argument))
-        raise TypeError(f"not an expression node: {e!r}")
 
-    return walk(expression)
+def _substitute(d: dict, name: str, value: dict) -> dict:
+    acc: dict = {}
+    for factors, coeff in d.items():
+        if not factors_contain(factors, name):
+            _add_term(acc, factors, coeff)
+            continue
+        kept = []
+        replaced = {(): coeff}
+        for atom, e in factors:
+            if isinstance(atom, str):
+                if atom == name:
+                    replaced = _multiply(replaced, _power(value, e))
+                    continue
+            elif form_contains(atom.argument, name):
+                inner = CanonicalForm(_substitute(atom.argument._map, name, value))
+                replaced = _multiply(
+                    replaced, {((FunctionAtom(atom.tag, inner), e),): _ONE})
+                continue
+            kept.append((atom, e))
+        _accumulate(acc, _multiply(replaced, {tuple(kept): _ONE}))
+    return acc
 
 
 def free_variables(expression: Expression) -> frozenset[str]:
@@ -492,6 +622,13 @@ def free_variables(expression: Expression) -> frozenset[str]:
             walk(e.child)
         elif isinstance(e, FunctionApplication):
             walk(e.argument)
+        elif isinstance(e, CanonicalForm):
+            for factors in e._map:
+                for atom, _ in factors:
+                    if isinstance(atom, str):
+                        names.add(atom)
+                    else:
+                        walk(atom.argument)
 
     walk(expression)
     return frozenset(names)
@@ -500,16 +637,17 @@ def free_variables(expression: Expression) -> frozenset[str]:
 def eval_numeric(expression: Expression, point: Mapping[str, float]) -> float:
     """Evaluate at a point (name -> number).  Exact up to float rounding.
 
-    Raises UnboundVariable for missing names and DomainError when the value
-    leaves the real domain (ln of a non-positive number, 0**-n, overflow).
+    A form gives bit for bit the value of its tree spelling
+    ``expression_of(form)``.  Raises UnboundVariable for missing names and
+    DomainError when the value leaves the real domain (ln of a non-positive
+    number, 0**-n, overflow).
     """
+    if isinstance(expression, CanonicalForm):
+        return _eval_form(expression, point)
     if isinstance(expression, RationalConstant):
         return float(expression.value)
     if isinstance(expression, Variable):
-        try:
-            return float(point[expression.name])
-        except KeyError:
-            raise UnboundVariable(expression.name) from None
+        return _eval_variable(expression.name, point)
     if isinstance(expression, Sum):
         return math.fsum(eval_numeric(c, point) for c in expression.children)
     if isinstance(expression, Product):
@@ -518,28 +656,62 @@ def eval_numeric(expression: Expression, point: Mapping[str, float]) -> float:
             result *= eval_numeric(c, point)
         return result
     if isinstance(expression, IntegerPower):
-        base = eval_numeric(expression.base, point)
-        try:
-            return base ** expression.exponent
-        except ZeroDivisionError:
-            raise DomainError("zero raised to a negative power") from None
-        except OverflowError:
-            raise DomainError("power overflow") from None
+        return _eval_power(eval_numeric(expression.base, point), expression.exponent)
     if isinstance(expression, Negation):
         return -eval_numeric(expression.child, point)
     if isinstance(expression, FunctionApplication):
-        arg = eval_numeric(expression.argument, point)
-        tag = expression.tag
-        if tag == "sin":
-            return math.sin(arg)
-        if tag == "cos":
-            return math.cos(arg)
-        if tag == "exp":
-            try:
-                return math.exp(arg)
-            except OverflowError:
-                raise DomainError("exp overflow") from None
-        if arg <= 0.0:
-            raise DomainError(f"ln of non-positive value {arg}")
-        return math.log(arg)
+        return _eval_function(expression.tag, eval_numeric(expression.argument, point))
     raise TypeError(f"not an expression node: {expression!r}")
+
+
+def _eval_form(form: CanonicalForm, point) -> float:
+    # The tree spelling is a Sum of term Products only when there are two
+    # or more terms, and fsum of a single value does not keep -0.0.
+    terms = form.terms
+    if len(terms) == 1:
+        return _eval_term(terms[0], point)
+    return math.fsum(_eval_term(t, point) for t in terms)
+
+
+def _eval_term(term: Term, point) -> float:
+    # The Product of the tree spelling starts from 1.0 and multiplies by
+    # the coefficient (when it is not 1) and then by each atom power.
+    result = float(term.coefficient)
+    for atom, e in term.factors:
+        if isinstance(atom, str):
+            value = _eval_variable(atom, point)
+        else:
+            value = _eval_function(atom.tag, _eval_form(atom.argument, point))
+        result *= value if e == 1 else _eval_power(value, e)
+    return result
+
+
+def _eval_variable(name: str, point) -> float:
+    try:
+        return float(point[name])
+    except KeyError:
+        raise UnboundVariable(name) from None
+
+
+def _eval_power(base: float, exponent: int) -> float:
+    try:
+        return base ** exponent
+    except ZeroDivisionError:
+        raise DomainError("zero raised to a negative power") from None
+    except OverflowError:
+        raise DomainError("power overflow") from None
+
+
+def _eval_function(tag: str, arg: float) -> float:
+    if tag == "sin":
+        return math.sin(arg)
+    if tag == "cos":
+        return math.cos(arg)
+    if tag == "exp":
+        try:
+            return math.exp(arg)
+        except OverflowError:
+            raise DomainError("exp overflow") from None
+    if arg <= 0.0:
+        raise DomainError(f"ln of non-positive value {arg}")
+    return math.log(arg)

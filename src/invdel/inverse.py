@@ -14,6 +14,9 @@ of returning a wrong potential.
 Inverse divergence spreads the integrated source over the components with
 weights summing to one.  Inverse gradient integrates A . dl along the
 three-segment axis-parallel path from a base point.
+
+Every step works on the canonical forms the fields hold and returns forms;
+the gates and the self-check read the forward operators' forms directly.
 """
 
 from __future__ import annotations
@@ -26,32 +29,23 @@ from .calculus import antidifferentiate, weighted_split_integral
 from .errors import (
     BasePointSingular,
     ConstructionFailed,
+    DomainError,
     NotConservative,
     NotSolenoidal,
     UnsupportedExpression,
     ValidationError,
 )
 from .expr import (
+    ZERO_FORM,
     CanonicalForm,
-    Expression,
     FunctionAtom,
-    Negation,
-    ZERO,
-    canonicalize,
     eval_numeric,
-    expression_of,
     form_has_variables,
-    num,
-    product_of,
     reciprocal,
     substitute,
-    sum_of,
 )
-from .errors import DomainError
 from .parser import render
-from .vecops import ScalarField, VectorField, curl, divergence, gradient
-
-_CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+from .vecops import CYCLES, ScalarField, VectorField, curl, divergence, gradient
 
 
 @dataclass(frozen=True)
@@ -107,11 +101,12 @@ class BasePoint:
             object.__setattr__(self, name, Fraction(getattr(self, name)))
 
 
-def curl_integrands(B: VectorField) -> tuple[Expression, Expression, Expression]:
+def curl_integrands(
+    B: VectorField,
+) -> tuple[CanonicalForm, CanonicalForm, CanonicalForm]:
     """The cyclic products c_i = h_j * h_k * B_i."""
     h = B.system.scale_factors
-    return tuple(
-        product_of([h[j], h[k], B.components[i]]) for i, j, k in _CYCLES)
+    return tuple(h[j] * h[k] * B.components[i] for i, j, k in CYCLES)
 
 
 def curl_potential_formula(
@@ -123,11 +118,10 @@ def curl_potential_formula(
     h = system.scale_factors
     c = curl_integrands(B)
     comps = []
-    for i, j, k in _CYCLES:
+    for i, j, k in CYCLES:
         first = weighted_split_integral(c[j], u[j], u[k], weights.w_plus, weights.w_minus)
         second = weighted_split_integral(c[k], u[k], u[j], weights.w_plus, weights.w_minus)
-        bracket = sum_of([first, Negation(second)])
-        comps.append(product_of([reciprocal(h[i]), bracket]))
+        comps.append(reciprocal(h[i]) * (first - second))
     return VectorField(tuple(comps), system, B.constants)
 
 
@@ -138,12 +132,10 @@ def inverse_curl(B: VectorField) -> VectorField:
     falls outside the term class, and ConstructionFailed if the recomputed
     curl does not match the input.
     """
-    residual = canonicalize(divergence(B))
+    residual = divergence(B)
     if not residual.is_zero():
         raise NotSolenoidal(
-            f"divergence residual {render(expression_of(residual))}",
-            residual=expression_of(residual),
-        )
+            f"divergence residual {render(residual)}", residual=residual)
     A = curl_potential_formula(B)
     _check_roundtrip(A, B)
     return A
@@ -151,23 +143,19 @@ def inverse_curl(B: VectorField) -> VectorField:
 
 def inverse_curl_unchecked(
     B: VectorField, weights: CurlWeights = DEFAULT_CURL_WEIGHTS
-) -> tuple[VectorField, Expression]:
+) -> tuple[VectorField, CanonicalForm]:
     """Formula result plus the divergence residual, skipping both gates."""
-    residual = expression_of(canonicalize(divergence(B)))
-    return curl_potential_formula(B, weights), residual
+    return curl_potential_formula(B, weights), divergence(B)
 
 
 def _check_roundtrip(A: VectorField, B: VectorField) -> None:
-    diffs = [
-        canonicalize(sum_of([got, Negation(expected)]))
-        for got, expected in zip(curl(A).components, B.components)
-    ]
+    diffs = tuple(
+        got - expected for got, expected in zip(curl(A).components, B.components))
     if any(not d.is_zero() for d in diffs):
-        mismatch = tuple(expression_of(d) for d in diffs)
         raise ConstructionFailed(
             "curl of the constructed potential does not reproduce the input; "
-            "residual (" + ", ".join(render(m) for m in mismatch) + ")",
-            residual=VectorField(mismatch, A.system, A.constants),
+            "residual (" + ", ".join(render(d) for d in diffs) + ")",
+            residual=VectorField(diffs, A.system, A.constants),
         )
 
 
@@ -183,15 +171,14 @@ def inverse_divergence(
     system = f.system
     u = system.names
     h = system.scale_factors
-    source = product_of([h[0], h[1], h[2], f.value])
-    comps: list[Expression] = []
-    for i, j, k in _CYCLES:
+    source = h[0] * h[1] * h[2] * f.value
+    comps = []
+    for i, j, k in CYCLES:
         if w[i] == 0:
-            comps.append(ZERO)
+            comps.append(ZERO_FORM)
             continue
         integral = antidifferentiate(source, u[i])
-        scale = reciprocal(product_of([h[j], h[k]]))
-        comps.append(product_of([num(w[i]), scale, integral]))
+        comps.append(reciprocal(h[j] * h[k]) * integral * w[i])
     return VectorField(tuple(comps), system, f.constants)
 
 
@@ -202,25 +189,21 @@ def inverse_gradient(A: VectorField, base: Optional[BasePoint] = None) -> Scalar
     u3 with u1 = a and u2 = b held, then in u2 with u1 = a held, then in u1,
     adding the free constant c0.  Gradient of the result reproduces A.
     """
-    system = A.system
-    curl_parts = [canonicalize(c) for c in curl(A).components]
-    if any(not part.is_zero() for part in curl_parts):
+    residual = curl(A)
+    if any(not part.is_zero() for part in residual.components):
         raise NotConservative(
             "curl residual ("
-            + ", ".join(render(expression_of(p)) for p in curl_parts) + ")",
-            residual=VectorField(
-                tuple(expression_of(p) for p in curl_parts), system, A.constants),
+            + ", ".join(render(p) for p in residual.components) + ")",
+            residual=residual,
         )
-    return _path_integral(A, base or BasePoint(*system.base_point))
+    return _path_integral(A, base or BasePoint(*A.system.base_point))
 
 
 def inverse_gradient_unchecked(
     A: VectorField, base: Optional[BasePoint] = None
 ) -> tuple[ScalarField, VectorField]:
     """Path integral plus the curl residual, skipping the gate."""
-    residual = VectorField(
-        tuple(expression_of(canonicalize(c)) for c in curl(A).components),
-        A.system, A.constants)
+    residual = curl(A)
     return _path_integral(A, base or BasePoint(*A.system.base_point)), residual
 
 
@@ -228,38 +211,35 @@ def _path_integral(A: VectorField, base: BasePoint) -> ScalarField:
     system = A.system
     u1, u2, u3 = system.names
     h = system.scale_factors
-    along = [product_of([h[i], A.components[i]]) for i in range(3)]
-    for e in along:
-        canonicalize(e)  # genuine Unsupported surfaces before any substitution
+    along = [h[i] * A.components[i] for i in range(3)]
 
-    g3 = substitute(substitute(along[2], u1, num(base.a)), u2, num(base.b))
-    _guard_regular(g3)
+    g3 = _at_base(along[2], ((u1, base.a), (u2, base.b)))
     segment3 = _definite(g3, u3, base.c)
 
-    g2 = substitute(along[1], u1, num(base.a))
-    _guard_regular(g2)
+    g2 = _at_base(along[1], ((u1, base.a),))
     segment2 = _definite(g2, u2, base.b)
 
     segment1 = _definite(along[0], u1, base.a)
 
-    value = sum_of([segment1, segment2, segment3, num(base.c0)])
+    value = segment1 + segment2 + segment3 + base.c0
     return ScalarField(value, system, A.constants)
 
 
-def _definite(integrand: Expression, name: str, lower: Fraction) -> Expression:
+def _definite(integrand: CanonicalForm, name: str, lower: Fraction) -> CanonicalForm:
     primitive = antidifferentiate(integrand, name)
-    at_lower = substitute(primitive, name, num(lower))
-    _guard_regular(at_lower)
-    return sum_of([primitive, Negation(at_lower)])
+    return primitive - _at_base(primitive, ((name, lower),))
 
 
-def _guard_regular(expression: Expression) -> None:
-    """Reject substituted expressions that are undefined at the base point."""
+def _at_base(form: CanonicalForm, fixed) -> CanonicalForm:
+    """The form with each (name, value) of ``fixed`` substituted in turn;
+    rejects results that are undefined at the base point."""
     try:
-        form = canonicalize(expression)
+        for name, value in fixed:
+            form = substitute(form, name, value)
     except UnsupportedExpression as exc:
         raise BasePointSingular(f"base point substitution: {exc}") from None
     _scan_form(form)
+    return form
 
 
 def _scan_form(form: CanonicalForm) -> None:
@@ -270,9 +250,8 @@ def _scan_form(form: CanonicalForm) -> None:
             _scan_form(atom.argument)
             if form_has_variables(atom.argument):
                 continue
-            inner = expression_of(atom.argument)
             try:
-                value = eval_numeric(inner, {})
+                value = eval_numeric(atom.argument, {})
             except DomainError as exc:
                 raise BasePointSingular(
                     f"base point substitution: {exc}") from None
@@ -289,8 +268,7 @@ def gauge_shift_curl(A: VectorField, f: ScalarField) -> VectorField:
     if f.system != A.system:
         raise ValidationError("gauge scalar lives in a different coordinate system")
     shift = gradient(f)
-    comps = tuple(
-        sum_of([a, s]) for a, s in zip(A.components, shift.components))
+    comps = tuple(a + s for a, s in zip(A.components, shift.components))
     return VectorField(comps, A.system, A.constants | f.constants)
 
 
@@ -299,6 +277,5 @@ def gauge_shift_div(A: VectorField, C: VectorField) -> VectorField:
     if C.system != A.system:
         raise ValidationError("gauge vector lives in a different coordinate system")
     shift = curl(C)
-    comps = tuple(
-        sum_of([a, s]) for a, s in zip(A.components, shift.components))
+    comps = tuple(a + s for a, s in zip(A.components, shift.components))
     return VectorField(comps, A.system, A.constants | C.constants)

@@ -8,7 +8,8 @@ Grammar (no implicit multiplication, '^' binds tighter than unary minus):
     atom   := integer | identifier | function '(' expr ')' | '(' expr ')'
 
 Division is accepted only when the divisor canonicalizes to a nonzero
-constant or a single invertible term.  ``render`` emits deterministic text in
+constant or a single invertible term; the tree then holds that reciprocal
+as a canonical form leaf.  ``render`` emits deterministic text in
 the same grammar; parsing it back gives a canonically equal expression, and
 distinct canonical forms render to distinct strings.
 """

@@ -6,9 +6,12 @@ With coordinates u1,u2,u3 and scale factors h1,h2,h3:
     div(A)    = (1/(h1*h2*h3)) * sum_i d(h_j*h_k*A_i)/du_i      (i,j,k cyclic)
     curl(A)_i = (1/(h_j*h_k)) * (d(h_k*A_k)/du_j - d(h_j*A_j)/du_k)
 
-Division by scale factors is realized as multiplication by the canonical
-reciprocal, which exists only for single-term factors; anything else raises
-UnsupportedExpression.
+Fields hold canonical forms: a component given as a tree is canonicalized
+once, when the field is built.  The operators combine those forms with
+form arithmetic and ``differentiate`` and return forms, so nothing is
+canonicalized twice.  Division by scale factors is multiplication by the
+canonical reciprocal, which exists only for single-term factors; anything
+else raises UnsupportedExpression.
 """
 
 from __future__ import annotations
@@ -18,16 +21,15 @@ from dataclasses import dataclass, field
 from .coords import CoordinateSystem
 from .errors import ValidationError
 from .expr import (
-    Expression,
-    Negation,
+    CanonicalForm,
+    canonicalize,
     free_variables,
-    product_of,
     reciprocal,
-    sum_of,
+    sum_forms,
 )
 from .calculus import differentiate
 
-_CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 def _check_variables(parts, system: CoordinateSystem, constants: frozenset):
@@ -42,51 +44,52 @@ def _check_variables(parts, system: CoordinateSystem, constants: frozenset):
 
 @dataclass(frozen=True)
 class VectorField:
-    """Three component expressions in a coordinate system's orthonormal frame."""
+    """Three components in a coordinate system's orthonormal frame, held as
+    canonical forms."""
 
-    components: tuple[Expression, Expression, Expression]
+    components: tuple[CanonicalForm, CanonicalForm, CanonicalForm]
     system: CoordinateSystem
     constants: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
         if len(self.components) != 3:
             raise ValidationError("a vector field needs exactly three components")
-        object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "constants", frozenset(self.constants))
         _check_variables(self.components, self.system, self.constants)
+        object.__setattr__(
+            self, "components", tuple(canonicalize(c) for c in self.components))
 
 
 @dataclass(frozen=True)
 class ScalarField:
-    value: Expression
+    """A scalar in a coordinate system, held as a canonical form."""
+
+    value: CanonicalForm
     system: CoordinateSystem
     constants: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
         object.__setattr__(self, "constants", frozenset(self.constants))
         _check_variables((self.value,), self.system, self.constants)
+        object.__setattr__(self, "value", canonicalize(self.value))
 
 
 def gradient(f: ScalarField) -> VectorField:
     """Component-wise (1/h_i) * df/du_i."""
     system = f.system
-    comps = []
-    for name, h in zip(system.names, system.scale_factors):
-        comps.append(product_of([reciprocal(h), differentiate(f.value, name)]))
-    return VectorField(tuple(comps), system, f.constants)
+    comps = tuple(
+        reciprocal(h) * differentiate(f.value, name)
+        for name, h in zip(system.names, system.scale_factors))
+    return VectorField(comps, system, f.constants)
 
 
-def divergence(A: VectorField) -> Expression:
+def divergence(A: VectorField) -> CanonicalForm:
     """Scalar divergence; exact, with the 1/(h1*h2*h3) factor expanded."""
-    system = A.system
-    h = system.scale_factors
+    h = A.system.scale_factors
     u = A.system.names
-    pieces = []
-    for i, j, k in _CYCLES:
-        flux = product_of([h[j], h[k], A.components[i]])
-        pieces.append(differentiate(flux, u[i]))
-    scale = reciprocal(product_of(list(h)))
-    return product_of([scale, sum_of(pieces)])
+    flux = sum_forms(
+        differentiate(h[j] * h[k] * A.components[i], u[i]) for i, j, k in CYCLES)
+    return reciprocal(h[0] * h[1] * h[2]) * flux
 
 
 def curl(A: VectorField) -> VectorField:
@@ -95,9 +98,8 @@ def curl(A: VectorField) -> VectorField:
     h = system.scale_factors
     u = system.names
     comps = []
-    for i, j, k in _CYCLES:
-        upper = differentiate(product_of([h[k], A.components[k]]), u[j])
-        lower = differentiate(product_of([h[j], A.components[j]]), u[k])
-        scale = reciprocal(product_of([h[j], h[k]]))
-        comps.append(product_of([scale, sum_of([upper, Negation(lower)])]))
+    for i, j, k in CYCLES:
+        upper = differentiate(h[k] * A.components[k], u[j])
+        lower = differentiate(h[j] * A.components[j], u[k])
+        comps.append(reciprocal(h[j] * h[k]) * (upper - lower))
     return VectorField(tuple(comps), system, A.constants)

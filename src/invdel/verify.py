@@ -1,11 +1,12 @@
 """Round-trip verification: symbolic residuals plus seeded numeric sampling.
 
-The symbolic channel canonicalizes forward(inverse(input)) - input.  The
-numeric channel evaluates that canonical residual at seeded points of the
-system's sampling box, using the input's magnitude at each point as the
-relative scale, so a symbolically exact result reports an error of exactly
-zero.  Points where evaluation leaves the real domain are resampled, up to
-ten times the requested sample count.
+The symbolic channel subtracts the input's canonical form from the forward
+operator's form of the inverse result.  The numeric channel evaluates that
+canonical residual at seeded points of the system's sampling box, using the
+input's magnitude at each point as the relative scale, so a symbolically
+exact result reports an error of exactly zero.  Points where evaluation
+leaves the real domain are resampled, up to ten times the requested sample
+count.
 """
 
 from __future__ import annotations
@@ -15,14 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import DomainError, SamplingExhausted, ValidationError
-from .expr import (
-    Expression,
-    Negation,
-    canonicalize,
-    eval_numeric,
-    expression_of,
-    sum_of,
-)
+from .expr import CanonicalForm, eval_numeric
 from .inverse import (
     BasePoint,
     DivergenceWeights,
@@ -45,7 +39,7 @@ class VerificationReport:
 
     kind: str
     symbolic_equal: bool
-    residual: Union[VectorField, Expression]
+    residual: Union[VectorField, CanonicalForm]
     sample_count: int
     max_abs_error: float
     max_rel_error: float
@@ -74,11 +68,11 @@ class VerificationReport:
 
 
 def is_solenoidal(B: VectorField) -> bool:
-    return canonicalize(divergence(B)).is_zero()
+    return divergence(B).is_zero()
 
 
 def is_conservative(A: VectorField) -> bool:
-    return all(canonicalize(c).is_zero() for c in curl(A).components)
+    return all(c.is_zero() for c in curl(A).components)
 
 
 def roundtrip_report(
@@ -116,16 +110,13 @@ def roundtrip_report(
         forward = list(gradient(result).components)
         reference = list(field.components)
 
-    residual_forms = [
-        canonicalize(sum_of([f, Negation(r)])) for f, r in zip(forward, reference)
-    ]
+    residual_forms = tuple(f - r for f, r in zip(forward, reference))
     symbolic_equal = all(form.is_zero() for form in residual_forms)
-    residual_exprs = tuple(expression_of(form) for form in residual_forms)
-    residual: Union[VectorField, Expression]
+    residual: Union[VectorField, CanonicalForm]
     if kind == "inv_div":
-        residual = residual_exprs[0]
+        residual = residual_forms[0]
     else:
-        residual = VectorField(residual_exprs, system, getattr(field, "constants", frozenset()))
+        residual = VectorField(residual_forms, system, getattr(field, "constants", frozenset()))
 
     rng = random.Random(seed)
     box = system.sampling_box
@@ -140,7 +131,7 @@ def roundtrip_report(
         try:
             pairs = [
                 (eval_numeric(res, point), eval_numeric(ref, point))
-                for res, ref in zip(residual_exprs, reference)
+                for res, ref in zip(residual_forms, reference)
             ]
         except DomainError:
             resamples += 1
