@@ -577,28 +577,34 @@ def form_has_variables(form: CanonicalForm) -> bool:
     return False
 
 
-def substitute(expression: Expression, name: str, value) -> CanonicalForm:
+def substitute(expression: Expression, name, value=None) -> CanonicalForm:
     """Replace every occurrence of the variable, including inside function
-    arguments.  The replacement may itself be any expression."""
-    return CanonicalForm(
-        _substitute(canonicalize(expression)._map, name, _map_of(value)))
+    arguments.  The replacement may itself be any expression.
+
+    ``name`` may instead map several variables to their replacements.  They
+    are substituted simultaneously, so a reciprocal of zero raises
+    UnsupportedExpression even in a term that another replacement zeroes.
+    """
+    values = name if isinstance(name, Mapping) else {name: value}
+    return CanonicalForm(_substitute(
+        canonicalize(expression)._map, {n: _map_of(v) for n, v in values.items()}))
 
 
-def _substitute(d: dict, name: str, value: dict) -> dict:
+def _substitute(d: dict, values: dict) -> dict:
     acc: dict = {}
     for factors, coeff in d.items():
-        if not factors_contain(factors, name):
+        if not any(factors_contain(factors, name) for name in values):
             _add_term(acc, factors, coeff)
             continue
         kept = []
         replaced = {(): coeff}
         for atom, e in factors:
             if isinstance(atom, str):
-                if atom == name:
-                    replaced = _multiply(replaced, _power(value, e))
+                if atom in values:
+                    replaced = _multiply(replaced, _power(values[atom], e))
                     continue
-            elif form_contains(atom.argument, name):
-                inner = CanonicalForm(_substitute(atom.argument._map, name, value))
+            elif any(form_contains(atom.argument, name) for name in values):
+                inner = CanonicalForm(_substitute(atom.argument._map, values))
                 replaced = _multiply(
                     replaced, {((FunctionAtom(atom.tag, inner), e),): _ONE})
                 continue

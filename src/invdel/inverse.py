@@ -213,10 +213,10 @@ def _path_integral(A: VectorField, base: BasePoint) -> ScalarField:
     h = system.scale_factors
     along = [h[i] * A.components[i] for i in range(3)]
 
-    g3 = _at_base(along[2], ((u1, base.a), (u2, base.b)))
+    g3 = _at_base(along[2], {u1: base.a, u2: base.b})
     segment3 = _definite(g3, u3, base.c)
 
-    g2 = _at_base(along[1], ((u1, base.a),))
+    g2 = _at_base(along[1], {u1: base.a})
     segment2 = _definite(g2, u2, base.b)
 
     segment1 = _definite(along[0], u1, base.a)
@@ -227,15 +227,14 @@ def _path_integral(A: VectorField, base: BasePoint) -> ScalarField:
 
 def _definite(integrand: CanonicalForm, name: str, lower: Fraction) -> CanonicalForm:
     primitive = antidifferentiate(integrand, name)
-    return primitive - _at_base(primitive, ((name, lower),))
+    return primitive - _at_base(primitive, {name: lower})
 
 
-def _at_base(form: CanonicalForm, fixed) -> CanonicalForm:
-    """The form with each (name, value) of ``fixed`` substituted in turn;
-    rejects results that are undefined at the base point."""
+def _at_base(form: CanonicalForm, values: dict) -> CanonicalForm:
+    """The form with the base point's ``values`` substituted; rejects
+    results that are undefined there."""
     try:
-        for name, value in fixed:
-            form = substitute(form, name, value)
+        form = substitute(form, values)
     except UnsupportedExpression as exc:
         raise BasePointSingular(f"base point substitution: {exc}") from None
     _scan_form(form)

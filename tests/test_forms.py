@@ -6,17 +6,24 @@ from fractions import Fraction
 import pytest
 
 from invdel import (
+    BasePoint,
+    BasePointSingular,
     UnsupportedExpression,
+    VectorField,
+    builtin,
     canonicalize,
     cos,
     differentiate,
+    equals,
     eval_numeric,
     exp,
+    inverse_gradient_unchecked,
     ln,
     num,
     parse,
     render,
     sin,
+    substitute,
     var,
 )
 from invdel import cli, expr
@@ -115,6 +122,23 @@ def test_derivative_of_log_of_a_sum_is_unsupported():
         render(differentiate(parse("ln(x+1)"), "x"))
     assert str(info.value) == (
         "reciprocal of a multi-term expression is outside the term algebra")
+
+
+def test_substitution_of_several_variables_is_simultaneous():
+    form = parse("x^2*y^-1 + z")
+    assert equals(substitute(form, {"x": 2, "y": 4}), parse("1 + z"))
+    with pytest.raises(UnsupportedExpression, match="reciprocal of zero"):
+        substitute(form, {"x": 0, "y": 0})
+
+
+def test_base_point_singularity_in_a_term_the_path_zeroes():
+    # At the base point x = y = 0 the term x^2/y is 0/0, even though
+    # substituting x first would drop the term.
+    field = VectorField(
+        tuple(parse(t) for t in ("9/4", "-5*z^3 - 3/4", "-9/2*x^2 - 2*x^2*y^-1 - 4")),
+        builtin("cartesian"))
+    with pytest.raises(BasePointSingular, match="reciprocal of zero"):
+        inverse_gradient_unchecked(field, BasePoint(0, 0, 0))
 
 
 GOLDEN_B = ("x*y*z + y^2", "x*z + y", "-z - y*z^2/2")
