@@ -577,15 +577,19 @@ def form_has_variables(form: CanonicalForm) -> bool:
     return False
 
 
-def substitute(expression: Expression, name, value=None) -> CanonicalForm:
+def substitute(expression: Expression, name: str, value) -> CanonicalForm:
     """Replace every occurrence of the variable, including inside function
-    arguments.  The replacement may itself be any expression.
+    arguments.  The replacement may itself be any expression."""
+    return CanonicalForm(_substitute(
+        canonicalize(expression)._map, {name: _map_of(value)}))
 
-    ``name`` may instead map several variables to their replacements.  They
-    are substituted simultaneously, so a reciprocal of zero raises
+
+def substitute_all(expression: Expression, values: Mapping) -> CanonicalForm:
+    """Replace several variables, mapped to their replacements, at once.
+
+    The replacements are simultaneous, so a reciprocal of zero raises
     UnsupportedExpression even in a term that another replacement zeroes.
     """
-    values = name if isinstance(name, Mapping) else {name: value}
     return CanonicalForm(_substitute(
         canonicalize(expression)._map, {n: _map_of(v) for n, v in values.items()}))
 

@@ -43,6 +43,7 @@ from .expr import (
     form_has_variables,
     reciprocal,
     substitute,
+    substitute_all,
 )
 from .parser import render
 from .vecops import CYCLES, ScalarField, VectorField, curl, divergence, gradient
@@ -232,9 +233,14 @@ def _definite(integrand: CanonicalForm, name: str, lower: Fraction) -> Canonical
 
 def _at_base(form: CanonicalForm, values: dict) -> CanonicalForm:
     """The form with the base point's ``values`` substituted; rejects
-    results that are undefined there."""
+    results that are undefined there.  Several values are substituted at
+    once, so a singular term is seen even where another value zeroes it."""
     try:
-        form = substitute(form, values)
+        if len(values) == 1:
+            [(name, value)] = values.items()
+            form = substitute(form, name, value)
+        else:
+            form = substitute_all(form, values)
     except UnsupportedExpression as exc:
         raise BasePointSingular(f"base point substitution: {exc}") from None
     _scan_form(form)

@@ -104,6 +104,17 @@ def test_custom_rejects_scale_factor_vanishing_at_base():
                ((0.5, 1), (-1, 1), (-1, 1)))
 
 
+def test_custom_scale_factor_is_judged_by_its_canonical_form():
+    # u*u^-1 is 1 and u^2*u^-1 is u, so at u = 0 the first is regular and
+    # the second vanishes, however they are spelled.
+    s = custom(("u", "v", "w"), ("1", "u*u^-1", "1"), (0, 0, 0),
+               ((0.5, 1), (-1, 1), (-1, 1)))
+    assert render(s.scale_factors[1]) == "1"
+    with pytest.raises(ValidationError, match="h2 vanishes at the base point"):
+        custom(("u", "v", "w"), ("1", "u^2*u^-1", "1"), (0, 0, 0),
+               ((0.5, 1), (-1, 1), (-1, 1)))
+
+
 def test_custom_rejects_bad_base_point():
     with pytest.raises(ValidationError):
         custom(("u", "v", "w"), ("1", "1", "1"), (0, 0),

@@ -23,7 +23,7 @@ from invdel import (
     parse,
     render,
     sin,
-    substitute,
+    substitute_all,
     var,
 )
 from invdel import cli, expr
@@ -126,9 +126,9 @@ def test_derivative_of_log_of_a_sum_is_unsupported():
 
 def test_substitution_of_several_variables_is_simultaneous():
     form = parse("x^2*y^-1 + z")
-    assert equals(substitute(form, {"x": 2, "y": 4}), parse("1 + z"))
+    assert equals(substitute_all(form, {"x": 2, "y": 4}), parse("1 + z"))
     with pytest.raises(UnsupportedExpression, match="reciprocal of zero"):
-        substitute(form, {"x": 0, "y": 0})
+        substitute_all(form, {"x": 0, "y": 0})
 
 
 def test_base_point_singularity_in_a_term_the_path_zeroes():
