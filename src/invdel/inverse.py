@@ -234,7 +234,8 @@ def _definite(integrand: CanonicalForm, name: str, lower: Fraction) -> Canonical
 def _at_base(form: CanonicalForm, values: dict) -> CanonicalForm:
     """The form with the base point's ``values`` substituted; rejects
     results that are undefined there.  Several values are substituted at
-    once, so a singular term is seen even where another value zeroes it."""
+    once, so a singular term is seen even where another value zeroes it.
+    A single value goes through ``substitute``, the public entry point."""
     try:
         if len(values) == 1:
             [(name, value)] = values.items()

@@ -23,12 +23,11 @@ from invdel import (
     parse,
     render,
     sin,
-    substitute_all,
     var,
 )
 from invdel import cli, expr
 from invdel.errors import InvdelError
-from invdel.expr import CanonicalForm, expression_of
+from invdel.expr import CanonicalForm, expression_of, substitute_all
 
 NAMES = ("x", "y", "z")
 
