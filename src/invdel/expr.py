@@ -25,6 +25,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key, reduce
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .errors import DomainError, UnboundVariable, UnsupportedExpression
@@ -653,7 +654,7 @@ def eval_numeric(expression: Expression, point: Mapping[str, float]) -> float:
     number, 0**-n, overflow).
     """
     if isinstance(expression, CanonicalForm):
-        return _eval_form(expression, point)
+        return run_plan(numeric_plan(expression, {}), (), point)
     if isinstance(expression, RationalConstant):
         return float(expression.value)
     if isinstance(expression, Variable):
@@ -674,26 +675,38 @@ def eval_numeric(expression: Expression, point: Mapping[str, float]) -> float:
     raise TypeError(f"not an expression node: {expression!r}")
 
 
-def _eval_form(form: CanonicalForm, point) -> float:
-    # The tree spelling is a Sum of term Products only when there are two
-    # or more terms, and fsum of a single value does not keep -0.0.
-    terms = form.terms
-    if len(terms) == 1:
-        return _eval_term(terms[0], point)
-    return math.fsum(_eval_term(t, point) for t in terms)
+def numeric_plan(form: CanonicalForm, slots: Mapping[str, int]) -> tuple:
+    """The form laid out for ``run_plan``: a (float coefficient, factors) pair
+    per term, in canonical order.  A factor pairs its exponent with a variable's
+    index in ``slots`` (or its name if it has none) or with (tag, argument plan)."""
+    plan = []
+    for term in form.terms:
+        factors = []
+        for atom, e in term.factors:
+            if atom.__class__ is str:
+                factors.append((slots.get(atom, atom), e))
+            else:
+                factors.append(((atom.tag, numeric_plan(atom.argument, slots)), e))
+        plan.append((float(term.coefficient), tuple(factors)))
+    return tuple(plan)
 
 
-def _eval_term(term: Term, point) -> float:
-    # The Product of the tree spelling starts from 1.0 and multiplies by
-    # the coefficient (when it is not 1) and then by each atom power.
-    result = float(term.coefficient)
-    for atom, e in term.factors:
-        if isinstance(atom, str):
-            value = _eval_variable(atom, point)
-        else:
-            value = _eval_function(atom.tag, _eval_form(atom.argument, point))
-        result *= value if e == 1 else _eval_power(value, e)
-    return result
+def run_plan(plan: tuple, values, point: Mapping[str, float] = MappingProxyType({})) -> float:
+    """Evaluate a plan, indexed variables from ``values`` and named ones from
+    ``point``.  Bit for bit the tree spelling's value: a Product starts from the
+    coefficient, and a Sum (fsum, which loses -0.0) needs two or more terms."""
+    out = []
+    for result, factors in plan:
+        for atom, e in factors:
+            if atom.__class__ is int:
+                value = values[atom]
+            elif atom.__class__ is str:
+                value = _eval_variable(atom, point)
+            else:
+                value = _eval_function(atom[0], run_plan(atom[1], values, point))
+            result *= value if e == 1 else _eval_power(value, e)
+        out.append(result)
+    return out[0] if len(out) == 1 else math.fsum(out)
 
 
 def _eval_variable(name: str, point) -> float:

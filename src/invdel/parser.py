@@ -39,6 +39,11 @@ from .expr import (
 _OPERATORS = "+-*/^()"
 _SPACE = " \t\r\n\f\v"
 
+# Deepest parenthesis nesting ``parse`` accepts, function calls included.
+# Parsing and the later walks over trees and forms recurse per level, so
+# this keeps deep input a SourceError rather than a RecursionError.
+MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -87,6 +92,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -161,17 +167,23 @@ class _Parser:
         if token.kind == "name":
             self.advance()
             if token.text in FUNCTION_TAGS:
-                self.expect("(", "'(' after function name")
-                inner = self.expression()
-                self.expect(")", "')'")
-                return FunctionApplication(token.text, inner)
+                opening = self.expect("(", "'(' after function name")
+                return FunctionApplication(token.text, self.group(opening))
             return Variable(token.text)
         if token.kind == "(":
-            self.advance()
-            inner = self.expression()
-            self.expect(")", "')'")
-            return inner
+            return self.group(self.advance())
         raise SourceError(token.offset, "an expression", _describe(token))
+
+    def group(self, opening: _Token) -> Expression:
+        """The expression inside the parenthesis ``opening`` up to its ')'."""
+        if self.depth == MAX_NESTING:
+            raise SourceError(opening.offset,
+                              f"at most {MAX_NESTING} nested parentheses", "'('")
+        self.depth += 1
+        inner = self.expression()
+        self.expect(")", "')'")
+        self.depth -= 1
+        return inner
 
 
 def parse(text: str) -> Expression:

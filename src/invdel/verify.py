@@ -1,12 +1,13 @@
 """Round-trip verification: symbolic residuals plus seeded numeric sampling.
 
 The symbolic channel subtracts the input's canonical form from the forward
-operator's form of the inverse result.  The numeric channel evaluates that
-canonical residual at seeded points of the system's sampling box, using the
-input's magnitude at each point as the relative scale, so a symbolically
-exact result reports an error of exactly zero.  Points where evaluation
-leaves the real domain are resampled, up to ten times the requested sample
-count.
+operator's form of the inverse result.  The numeric channel lays out each
+residual and input component once per report as a flat numeric plan
+(``expr.numeric_plan``) and runs the plans at seeded points of the system's
+sampling box, using the input's magnitude at each point as the relative
+scale, so a symbolically exact result reports an error of exactly zero.
+Points where evaluation leaves the real domain are resampled, up to ten
+times the requested sample count.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import DomainError, SamplingExhausted, ValidationError
-from .expr import CanonicalForm, eval_numeric
+from .expr import CanonicalForm, numeric_plan, run_plan
 from .inverse import (
     BasePoint,
     DivergenceWeights,
@@ -120,19 +121,24 @@ def roundtrip_report(
 
     rng = random.Random(seed)
     box = system.sampling_box
-    names = system.names
+    slots = {name: i for i, name in enumerate(system.names)}
+    plans = [(numeric_plan(res, slots), numeric_plan(ref, slots))
+             for res, ref in zip(residual_forms, reference)]
     max_abs = 0.0
     max_rel = 0.0
     within = True
     resamples = 0
     collected = 0
     while collected < samples:
-        point = {n: rng.uniform(lo, hi) for n, (lo, hi) in zip(names, box)}
+        values = [rng.uniform(lo, hi) for lo, hi in box]
+        pairs = []
         try:
-            pairs = [
-                (eval_numeric(res, point), eval_numeric(ref, point))
-                for res, ref in zip(residual_forms, reference)
-            ]
+            for res, ref in plans:
+                # A zero residual adds nothing, but its reference may leave the domain.
+                if res:
+                    pairs.append((run_plan(res, values), run_plan(ref, values)))
+                else:
+                    run_plan(ref, values)
         except DomainError:
             resamples += 1
             if resamples > 10 * samples:

@@ -1,6 +1,12 @@
 """End-to-end command-line tests driven through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from invdel import equals, parse
 from invdel.cli import main
@@ -183,3 +189,15 @@ def test_coords_file_with_missing_key_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "div", "u", "v", "w", "--coords-file", str(path))
     assert code == 2
     assert "missing keys" in err
+
+
+@pytest.mark.parametrize("command", ["curl", "inv-curl"])
+def test_deep_nesting_exits_2_without_a_traceback(command):
+    deep = "(" * 2000 + "x" + ")" * 2000
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "invdel.cli", command, deep, "0", "0"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert "SourceError: at offset 100" in done.stderr

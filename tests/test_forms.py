@@ -183,3 +183,24 @@ def test_golden_inverse_curl_canonicalizes_each_parsed_tree_once(monkeypatch, ca
     assert len(parsed) == 3
     assert sorted(map(id, elsewhere)) == sorted(map(id, parsed))
     assert len({id(t) for t in in_parse}) == len(in_parse) == 1
+
+
+ERROR_PATH = [
+    ("x^-1", {"x": 0.0}, "DomainError: zero raised to a negative power"),
+    ("x^400*y", {"x": 10.0, "y": 1.0}, "DomainError: power overflow"),
+    ("exp(x) + y", {"x": 1000.0, "y": 1.0}, "DomainError: exp overflow"),
+    ("ln(x - 1)*y", {"x": 0.5, "y": 1.0}, "DomainError: ln of non-positive value -0.5"),
+    ("sin(ln(x))", {"x": 0.0}, "DomainError: ln of non-positive value 0.0"),
+    ("x + y", {"x": 1.0}, "UnboundVariable: y"),
+    # One term skips fsum, so the sign of a negative zero survives.
+    ("-x", {"x": 0.0}, (-0.0).hex()),
+    ("-x*y^2", {"x": 0.0, "y": 3.0}, (-0.0).hex()),
+    ("-x + y", {"x": 0.0, "y": 0.0}, (0.0).hex()),
+]
+
+
+@pytest.mark.parametrize("source,point,expected", ERROR_PATH)
+def test_form_evaluation_keeps_error_messages_and_negative_zero(source, point, expected):
+    form = canonicalize(parse(source))
+    assert outcome(form, point) == expected
+    assert outcome(expression_of(form), point) == expected

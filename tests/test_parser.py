@@ -12,6 +12,7 @@ from invdel.expr import (
     Variable,
     canonicalize,
 )
+from invdel.parser import MAX_NESTING
 
 from _support import random_polynomial
 
@@ -120,3 +121,21 @@ def test_rendering_is_injective_on_canonical_forms():
 def test_identifiers_with_underscores_and_digits():
     tree = parse("u_1^2 + v2")
     assert render(tree) == "u_1^2 + v2"
+
+
+def test_nesting_up_to_the_limit_parses():
+    assert MAX_NESTING == 100
+    assert parse("(" * 100 + "x" + ")" * 100) == parse("x")
+    assert render(parse("sin(" * 50 + "(" * 50 + "x" + ")" * 100)) == (
+        "sin(" * 50 + "x" + ")" * 50)
+
+
+def test_nesting_past_the_limit_is_a_source_error_at_the_first_paren_beyond():
+    with pytest.raises(SourceError) as info:
+        parse("(" * 2000 + "x" + ")" * 2000)
+    assert info.value.offset == 100
+    with pytest.raises(SourceError) as info:
+        parse("1 + " + "exp(" * 101 + "x" + ")" * 101)
+    assert info.value.offset == 4 + 4 * 100 + 3
+    assert str(info.value) == (
+        "at offset 407: expected at most 100 nested parentheses, found '('")

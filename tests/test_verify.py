@@ -12,12 +12,15 @@ from invdel import (
     builtin,
     curl,
     gradient,
+    inverse_curl,
     inverse_divergence,
+    inverse_gradient,
     is_conservative,
     is_solenoidal,
     parse,
     roundtrip_report,
 )
+from invdel import verify
 
 from _support import random_scalar, random_vector
 
@@ -128,3 +131,112 @@ def test_random_round_trips_stay_within_tolerance():
                                       seed=rng.randint(0, 10**6))
             assert report.symbolic_equal
             assert report.within_tolerance
+
+
+def _perturbed(field, *extra):
+    """The field with parsed text added to its components ("0" keeps one)."""
+    return VectorField(tuple(c + parse(t) for c, t in zip(field.components, extra)),
+                       field.system, field.constants)
+
+
+def _div_bad():
+    f = ScalarField(parse("3"), CARTESIAN)
+    return f, _perturbed(inverse_divergence(f), "x^2", "0", "0")
+
+
+def _div_cylindrical():
+    f = ScalarField(parse("rho*sin(phi) + exp(z)"), builtin("cylindrical"))
+    return f, _perturbed(inverse_divergence(f), "0", "cos(rho*z)/3", "-exp(z)*phi/7")
+
+
+def _curl_cartesian():
+    B = vec(CARTESIAN, "x*y*z + y^2", "x*z + y", "-z - y*z^2/2")
+    return B, _perturbed(inverse_curl(B), "sin(x*y)/3", "-exp(z)*x^2", "0")
+
+
+def _curl_spherical():
+    B = vec(SPHERICAL, "0", "0", "r")
+    return B, _perturbed(inverse_curl(B), "0", "r*theta", "ln(r)")
+
+
+def _grad(extra):
+    def build():
+        A = vec(CARTESIAN, "2*x*y", "x^2", "1")
+        return A, ScalarField(inverse_gradient(A).value + parse(extra), CARTESIAN)
+    return build
+
+
+def _ln_against_filler():
+    filler = inverse_divergence(ScalarField(parse("1"), CARTESIAN))
+    return ScalarField(parse("ln(x)"), CARTESIAN), filler
+
+
+# Reports whose residual is not zero, with the bits the form interpreter
+# that evaluated each form afresh at every point gave: max_abs_error.hex(),
+# max_rel_error.hex(), resample_count, within_tolerance.
+NONEXACT_REPORTS = [
+    ("inv_div", _div_bad, 10, 42,
+     "0x1.e4d3c138291f4p+1", "0x1.4337d62570bf8p+0", 0, False),
+    ("inv_div", _div_cylindrical, 50, 5,
+     "0x1.c0a2fb9f5e740p+0", "0x1.a52e117e61e7ep-2", 0, False),
+    ("inv_curl", _curl_cartesian, 100, 11,
+     "0x1.6f4a3ea2f9f1ap+4", "0x1.5629a03fdaa9ep+4", 0, False),
+    ("inv_curl", _curl_spherical, 40, 3,
+     "0x1.7e622412e02bdp+2", "0x1.7e622412e02bdp+2", 0, False),
+    ("inv_grad", _grad("sin(x)*y/5 - z^3"), 100, 9,
+     "0x1.758e6d35e16dcp+3", "0x1.758e6d35e16dcp+3", 0, False),
+    ("inv_grad", _grad("x*y*z/100000000000000"), 30, 2,
+     "0x1.4077edada11a0p-45", "0x1.4077edada11a0p-45", 0, True),
+    ("inv_div", _ln_against_filler, 20, 42,
+     "0x1.111d2aa542355p+2", "0x1.da3a01d6d15ccp+0", 15, False),
+]
+
+
+@pytest.mark.parametrize("kind,build,samples,seed,abs_hex,rel_hex,resamples,within",
+                         NONEXACT_REPORTS)
+def test_nonexact_reports_keep_their_bits(kind, build, samples, seed, abs_hex, rel_hex,
+                                          resamples, within):
+    field, result = build()
+    report = roundtrip_report(kind, field, result=result, samples=samples, seed=seed)
+    assert not report.symbolic_equal
+    assert (report.max_abs_error.hex(), report.max_rel_error.hex(),
+            report.resample_count, report.within_tolerance) == (
+        abs_hex, rel_hex, resamples, within)
+
+
+def test_zero_residual_still_resamples_where_the_input_leaves_the_domain():
+    f = ScalarField(parse("ln(x)"), CARTESIAN)
+    exact = VectorField((parse("x*ln(x) - x"), parse("0"), parse("0")), CARTESIAN)
+    report = roundtrip_report("inv_div", f, result=exact, samples=40, seed=3)
+    assert report.symbolic_equal and report.within_tolerance
+    assert report.max_abs_error == 0.0
+    assert report.resample_count == 39
+
+
+@pytest.mark.parametrize("perturb", [False, True])
+def test_each_form_is_laid_out_once_per_report(monkeypatch, perturb):
+    """Counts outermost plan layouts and plan runs (recursion into function
+    arguments stays inside expr) while a 100-sample inverse-curl report
+    runs: one layout per residual and reference component, and one run per
+    component and point, with zero residuals not run."""
+    counts = {"layout": 0, "run": 0}
+    layout, run = verify.numeric_plan, verify.run_plan
+
+    def counting_layout(form, slots):
+        counts["layout"] += 1
+        return layout(form, slots)
+
+    def counting_run(plan, values):
+        counts["run"] += 1
+        return run(plan, values)
+
+    monkeypatch.setattr(verify, "numeric_plan", counting_layout)
+    monkeypatch.setattr(verify, "run_plan", counting_run)
+    B, result = _curl_cartesian()
+    if not perturb:
+        result = inverse_curl(B)
+    report = roundtrip_report("inv_curl", B, result=result, samples=100)
+    nonzero = sum(not c.is_zero() for c in report.residual.components)
+    assert nonzero == (2 if perturb else 0)
+    assert report.resample_count == 0
+    assert counts == {"layout": 6, "run": 100 * (3 + nonzero)}
