@@ -6,7 +6,8 @@ boxes stay away from the h = 0 surfaces (the cylindrical axis, the spherical
 origin and polar axis), so every sampled point is regular.  Angular
 coordinates are treated as plain real variables: constructed potentials are
 valid on the local chart, not glued across the 2*pi seam.  Scale factors
-are held as canonical forms, canonicalized once when the system is built.
+are held as canonical forms, canonicalized once when the system is built;
+the builtin systems are built and validated once, when the module loads.
 """
 
 from __future__ import annotations
@@ -91,26 +92,24 @@ class CoordinateSystem:
                 raise ValidationError(f"h{i} vanishes at the base point")
 
 
-def builtin(name: str) -> CoordinateSystem:
-    """One of cartesian, cylindrical, spherical."""
-    if name == "cartesian":
-        return CoordinateSystem(
+# ``builtin`` hands out these shared instances, which are immutable.
+_BUILTIN = {
+    system.label: system for system in (
+        CoordinateSystem(
             names=("x", "y", "z"),
             scale_factors=(ONE_FORM, ONE_FORM, ONE_FORM),
             base_point=(Fraction(0), Fraction(0), Fraction(0)),
             sampling_box=((-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0)),
             label="cartesian",
-        )
-    if name == "cylindrical":
-        return CoordinateSystem(
+        ),
+        CoordinateSystem(
             names=("rho", "phi", "z"),
             scale_factors=(ONE_FORM, atom_power("rho"), ONE_FORM),
             base_point=(Fraction(1), Fraction(0), Fraction(0)),
             sampling_box=((0.5, 2.0), (0.1, 3.0), (-2.0, 2.0)),
             label="cylindrical",
-        )
-    if name == "spherical":
-        return CoordinateSystem(
+        ),
+        CoordinateSystem(
             names=("r", "theta", "phi"),
             scale_factors=(
                 ONE_FORM,
@@ -120,11 +119,19 @@ def builtin(name: str) -> CoordinateSystem:
             base_point=(Fraction(1), Fraction(1), Fraction(0)),
             sampling_box=((0.5, 2.0), (0.1, 3.0), (0.1, 3.0)),
             label="spherical",
-        )
+        ),
+    )
+}
+
+BUILTIN_NAMES = tuple(_BUILTIN)
+
+
+def builtin(name: str) -> CoordinateSystem:
+    """One of cartesian, cylindrical, spherical: the shared instance built
+    and validated at import."""
+    if name in BUILTIN_NAMES:
+        return _BUILTIN[name]
     raise UnknownSystem(f"no builtin coordinate system named {name!r}")
-
-
-BUILTIN_NAMES = ("cartesian", "cylindrical", "spherical")
 
 
 def custom(

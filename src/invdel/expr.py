@@ -217,6 +217,12 @@ def _is_zero_literal(e: Expression) -> bool:
 
 _ONE = Fraction(1)
 
+# Most term pairs one product of two expanded forms may multiply out.  Past
+# it the product raises UnsupportedExpression before any pair is formed, so
+# a blow-up such as (x+y+z+1)^60 ends at once; the parser bounds nesting
+# depth the same way (``parser.MAX_NESTING``).
+MAX_PRODUCT_PAIRS = 100_000
+
 
 @dataclass(frozen=True)
 class FunctionAtom:
@@ -404,7 +410,8 @@ def _merge_factors(f1, f2):
                 out.append((a1, e))
             i += 1
             j += 1
-        elif _atom_key(a1) < _atom_key(a2):
+        elif (a1 < a2 if a1.__class__ is str and a2.__class__ is str
+              else _atom_key(a1) < _atom_key(a2)):
             out.append((a1, e1))
             i += 1
         else:
@@ -441,16 +448,27 @@ def _is_unit(d: dict) -> bool:
 
 
 def _multiply(d1: dict, d2: dict) -> dict:
+    # Most products are of two single terms, and most coefficient products
+    # have a factor 1: both skip the general loop and Fraction arithmetic.
     if not d1 or not d2:
         return {}
+    if len(d1) == 1 and len(d2) == 1:
+        (f1, c1), = d1.items()
+        (f2, c2), = d2.items()
+        return {_merge_factors(f1, f2): c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2}
     if _is_unit(d1):
         return d2
     if _is_unit(d2):
         return d1
+    if len(d1) * len(d2) > MAX_PRODUCT_PAIRS:
+        raise UnsupportedExpression(
+            f"expanding a product of {len(d1)} by {len(d2)} terms exceeds "
+            f"the budget of {MAX_PRODUCT_PAIRS} term pairs")
     acc: dict = {}
     for f1, c1 in d1.items():
         for f2, c2 in d2.items():
-            _add_term(acc, _merge_factors(f1, f2), c1 * c2)
+            _add_term(acc, _merge_factors(f1, f2),
+                      c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2)
     return acc
 
 
@@ -493,13 +511,38 @@ def _canon(e: Expression) -> dict:
             _accumulate(acc, _canon(child))
         return acc
     if isinstance(e, Product):
-        return reduce(_multiply, (_canon(c) for c in e.children))
+        return _canon_product(e.children)
     if isinstance(e, IntegerPower):
         return _power(_canon(e.base), e.exponent)
     if isinstance(e, FunctionApplication):
         atom = FunctionAtom(e.tag, CanonicalForm(_canon(e.argument)))
         return {((atom, 1),): _ONE}
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _canon_product(children: tuple) -> dict:
+    # While the children are single terms, fold their coefficients and merge
+    # their factors in one pass; a variable, a nonzero constant or a power of
+    # a variable is read off the node without flattening it.  From the first
+    # child that is not one term on, the rest is multiplied out in general.
+    coeff, factors = _ONE, ()
+    for i, child in enumerate(children):
+        cls = child.__class__
+        if cls is Variable:
+            f, c = ((child.name, 1),), _ONE
+        elif cls is RationalConstant and child.value:
+            f, c = (), child.value
+        elif cls is IntegerPower and child.base.__class__ is Variable:
+            f, c = ((child.base.name, child.exponent),), _ONE
+        else:
+            d = _canon(child)
+            if len(d) != 1:
+                rest = reduce(_multiply, map(_canon, children[i + 1:]), d)
+                return _multiply({factors: coeff}, rest)
+            (f, c), = d.items()
+        factors = _merge_factors(factors, f)
+        coeff = c if coeff == 1 else coeff if c == 1 else coeff * c
+    return {factors: coeff}
 
 
 def canonicalize(expression: Expression) -> CanonicalForm:
@@ -656,7 +699,7 @@ def eval_numeric(expression: Expression, point: Mapping[str, float]) -> float:
     if isinstance(expression, CanonicalForm):
         return run_plan(numeric_plan(expression, {}), (), point)
     if isinstance(expression, RationalConstant):
-        return float(expression.value)
+        return _coefficient_float(expression.value)
     if isinstance(expression, Variable):
         return _eval_variable(expression.name, point)
     if isinstance(expression, Sum):
@@ -687,7 +730,7 @@ def numeric_plan(form: CanonicalForm, slots: Mapping[str, int]) -> tuple:
                 factors.append((slots.get(atom, atom), e))
             else:
                 factors.append(((atom.tag, numeric_plan(atom.argument, slots)), e))
-        plan.append((float(term.coefficient), tuple(factors)))
+        plan.append((_coefficient_float(term.coefficient), tuple(factors)))
     return tuple(plan)
 
 
@@ -707,6 +750,13 @@ def run_plan(plan: tuple, values, point: Mapping[str, float] = MappingProxyType(
             result *= value if e == 1 else _eval_power(value, e)
         out.append(result)
     return out[0] if len(out) == 1 else math.fsum(out)
+
+
+def _coefficient_float(value: Fraction) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError("coefficient overflow") from None
 
 
 def _eval_variable(name: str, point) -> float:

@@ -37,6 +37,7 @@ from .expr import (
 )
 
 _OPERATORS = "+-*/^()"
+_DIGITS = "0123456789"  # ASCII only: str.isdigit also accepts '²' and the like
 _SPACE = " \t\r\n\f\v"
 
 # Deepest parenthesis nesting ``parse`` accepts, function calls included.
@@ -67,9 +68,9 @@ def _tokenize(text: str) -> list[_Token]:
         if ch in _SPACE:
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             tokens.append(_Token("number", text[start:i], start))
             continue

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -201,3 +202,38 @@ def test_deep_nesting_exits_2_without_a_traceback(command):
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert "SourceError: at offset 100" in done.stderr
+
+
+def run_cli(*argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "invdel.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("argv,offset", [
+    (["inv-div", "²"], 0),
+    (["curl", "x^²", "0", "0"], 2),
+    (["inv-div", "x + ٣"], 4),
+])
+def test_non_ascii_digits_exit_2_without_a_traceback(argv, offset):
+    done = run_cli(*argv)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert f"SourceError: at offset {offset}: expected a token" in done.stderr
+
+
+def test_coefficient_beyond_the_float_range_exits_1_without_a_traceback():
+    done = run_cli("verify", "inv-div", "7" * 400 + "*x")
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr == "error: DomainError: coefficient overflow\n"
+
+
+def test_expansion_past_the_budget_exits_4_promptly():
+    started = time.monotonic()
+    done = run_cli("grad", "(x+y+z+1)^60")
+    assert time.monotonic() - started < 5
+    assert done.returncode == 4
+    assert "Traceback" not in done.stderr
+    assert "exceeds the budget of 100000 term pairs" in done.stderr

@@ -1,12 +1,14 @@
 """Builtin coordinate systems and custom-system validation."""
 
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 
 from invdel import (
     BUILTIN_NAMES,
+    CoordinateSystem,
     UnknownSystem,
     ValidationError,
     builtin,
@@ -47,6 +49,29 @@ def test_spherical_definition():
 def test_unknown_builtin():
     with pytest.raises(UnknownSystem):
         builtin("polar")
+
+
+@pytest.mark.parametrize("name", [["x"], None, "Cartesian"])
+def test_unknown_builtin_names_of_any_type(name):
+    with pytest.raises(UnknownSystem):
+        builtin(name)
+
+
+def test_builtin_systems_are_built_once(monkeypatch):
+    """After import, builtin() validates nothing and hands out one shared
+    system per name."""
+    first = {name: builtin(name) for name in BUILTIN_NAMES}
+    validations = []
+    validate = CoordinateSystem.__post_init__
+    monkeypatch.setattr(CoordinateSystem, "__post_init__",
+                        lambda self: validations.append(self) or validate(self))
+    for _ in range(3):
+        for name in BUILTIN_NAMES:
+            assert builtin(name) is first[name]
+            assert builtin(name).label == name
+    assert validations == []
+    with pytest.raises(FrozenInstanceError):
+        first["cartesian"].label = "custom"
 
 
 def test_scale_factors_positive_over_box():

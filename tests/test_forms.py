@@ -27,7 +27,7 @@ from invdel import (
 )
 from invdel import cli, expr
 from invdel.errors import InvdelError
-from invdel.expr import CanonicalForm, expression_of, substitute_all
+from invdel.expr import CanonicalForm, Product, expression_of, substitute_all
 
 NAMES = ("x", "y", "z")
 
@@ -204,3 +204,93 @@ def test_form_evaluation_keeps_error_messages_and_negative_zero(source, point, e
     form = canonicalize(parse(source))
     assert outcome(form, point) == expected
     assert outcome(expression_of(form), point) == expected
+
+
+def reference_merge(f1, f2):
+    """Factors of a product of two terms, merged by summing exponents and
+    sorting on the atom keys, without the kernel's merge."""
+    powers = {}
+    for atom, e in f1 + f2:
+        powers[atom] = powers.get(atom, 0) + e
+    return tuple(sorted(((a, e) for a, e in powers.items() if e),
+                        key=lambda pair: expr._atom_key(pair[0])))
+
+
+def reference_multiply(d1, d2):
+    """Every pair multiplied and accumulated, with no fast path."""
+    acc = {}
+    for f1, c1 in d1.items():
+        for f2, c2 in d2.items():
+            factors = reference_merge(f1, f2)
+            acc[factors] = acc.get(factors, 0) + c1 * c2
+    return {f: c for f, c in acc.items() if c}
+
+
+def single_terms(rng, count):
+    """Single-term maps from the seeded random forms, each term now and then
+    followed by its reciprocal, so that exponents cancel."""
+    terms = []
+    while len(terms) < count:
+        for factors, coeff in random_form(rng).items():
+            terms.append({factors: coeff})
+            if rng.random() < 0.3:
+                terms.append({tuple((a, -e) for a, e in factors): 1 / coeff})
+    return terms
+
+
+def test_single_term_products_match_the_general_product():
+    rng = random.Random(20260404)
+    terms = single_terms(rng, 600)
+    cancelled = 0
+    for d1, d2 in zip(terms, terms[1:]):
+        got = expr._multiply(d1, d2)
+        assert got == reference_multiply(d1, d2)
+        cancelled += got == {(): 1}
+    # A term times its reciprocal cancels every exponent.
+    assert cancelled > 50
+    for _ in range(200):
+        f1, f2 = random_form(rng), random_form(rng)
+        assert (f1 * f2)._map == reference_multiply(f1._map, f2._map)
+
+
+def test_products_of_one_term_children_fold_like_the_general_product():
+    rng = random.Random(20260405)
+    terms = single_terms(rng, 800)
+    for start in range(0, 800, 4):
+        chosen = terms[start:start + rng.randint(2, 5)]
+        children = [expression_of(CanonicalForm(d)) for d in chosen]
+        if rng.random() < 0.3:
+            # A sum among the children, or a zero, leaves the one-term path.
+            children.insert(rng.randrange(len(children) + 1),
+                            rng.choice((parse("x + 2*y"), num(0), num(1))))
+        if len(children) < 2:
+            continue
+        want = {(): Fraction(1)}
+        for child in children:
+            want = reference_multiply(want, canonicalize(child)._map)
+        assert canonicalize(Product(tuple(children)))._map == want
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("x*x^-1", "1"),
+    ("3*x^2*y*x^-2*z", "3*y*z"),
+    ("2*x*sin(y)*x^-1*sin(y)^-1/2", "1"),
+    ("x*(x + 1)*x^-1", "x + 1"),
+    ("0*(x + y)*x", "0"),
+])
+def test_cancelling_products_render(source, expected):
+    assert render(parse(source)) == expected
+
+
+def test_product_past_the_expansion_budget_is_unsupported():
+    assert expr.MAX_PRODUCT_PAIRS == 100_000
+    # 317 * 317 term pairs are past the budget, 316 * 316 are not.
+    with pytest.raises(UnsupportedExpression, match="budget of 100000 term pairs"):
+        canonicalize(parse("(x+1)^316*(y+1)^316"))
+    assert len(canonicalize(parse("(x+1)^315*(y+1)^315"))._map) == 316 * 316
+
+
+def test_coefficient_beyond_the_float_range_is_a_domain_error():
+    form = canonicalize(parse("7" * 400 + "*x"))
+    for value in (form, expression_of(form)):
+        assert outcome(value, {"x": 1.0}) == "DomainError: coefficient overflow"

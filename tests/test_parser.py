@@ -139,3 +139,10 @@ def test_nesting_past_the_limit_is_a_source_error_at_the_first_paren_beyond():
     assert info.value.offset == 4 + 4 * 100 + 3
     assert str(info.value) == (
         "at offset 407: expected at most 100 nested parentheses, found '('")
+
+
+@pytest.mark.parametrize("text,offset", [("²", 0), ("x^²", 2), ("2*x + ٣", 6), ("x1²", 2)])
+def test_only_ascii_digits_are_numbers(text, offset):
+    with pytest.raises(SourceError) as info:
+        parse(text)
+    assert info.value.offset == offset
