@@ -2,18 +2,20 @@
 
 Two kinds of value live here.  Expression trees are built from rational
 constants, named variables, sums, products, integer powers and the four
-function tags sin/cos/exp/ln; they are what ``parse`` and the public
-``+ - * ** /`` constructors build.  A ``CanonicalForm`` is the value every
-operator passes and returns: a fully distributed sum of terms held as a
-sparse map from factors (ordered atom powers) to exact coefficient, the
-distributed representation of Monagan and Pearce (CASC 2007).
+function tags sin/cos/exp/ln; only the public constructors (``var``, ``num``,
+``sin`` ... and ``+ - * ** /``) build them.  A ``CanonicalForm`` is the value
+``parse`` returns and every operator passes and returns: a fully distributed
+sum of terms held as a sparse map from factors (ordered atom powers) to exact
+coefficient, the distributed representation of Monagan and Pearce (CASC 2007).
 
 ``canonicalize`` turns a tree into its form once and returns a form
 unchanged.  Forms are ``Expression`` leaves, so they may sit inside trees.
 They are closed under ``+ - *``, integer powers (negative ones only of
 single terms), substitution and numeric evaluation; ``calculus`` adds
-differentiation and antidifferentiation.  Equal forms have equal maps, and
-``terms`` lists them in one deterministic order, which rendering and the
+differentiation and antidifferentiation.  The parser builds its maps with
+the same kernel helpers that flatten trees (``_fold_product``, ``_power``,
+``_invert``), so text and tree give equal maps.  Equal forms have equal maps,
+and ``terms`` lists them in one deterministic order, which rendering and the
 sort keys of function atoms use.  Coefficient arithmetic is exact
 everywhere; floats appear only inside ``eval_numeric``.
 """
@@ -485,6 +487,12 @@ def _invert(d: dict) -> dict:
 def _power(d: dict, n: int) -> dict:
     if n < 0:
         return _power(_invert(d), -n)
+    if n == 0:
+        return {(): _ONE}
+    if len(d) == 1:
+        # A power of one term scales its exponents, none of which is zero.
+        (factors, coeff), = d.items()
+        return {tuple((a, e * n) for a, e in factors): coeff if coeff == 1 else coeff ** n}
     result = {(): _ONE}
     base = d
     while n:
@@ -497,49 +505,44 @@ def _power(d: dict, n: int) -> dict:
 
 
 def _canon(e: Expression) -> dict:
-    if isinstance(e, CanonicalForm):
-        return e._map
-    if isinstance(e, RationalConstant):
-        return {(): e.value} if e.value else {}
+    # Constructor trees are mostly products of constants and powers of
+    # variables, so those are tested first and a variable's power is read off
+    # the node.
     if isinstance(e, Variable):
         return {((e.name, 1),): _ONE}
-    if isinstance(e, Negation):
-        return _negate(_canon(e.child))
+    if isinstance(e, RationalConstant):
+        return {(): e.value} if e.value else {}
+    if isinstance(e, IntegerPower):
+        if isinstance(e.base, Variable):
+            return {((e.base.name, e.exponent),): _ONE}
+        return _power(_canon(e.base), e.exponent)
+    if isinstance(e, Product):
+        return _fold_product(map(_canon, e.children))
     if isinstance(e, Sum):
         acc: dict = {}
         for child in e.children:
             _accumulate(acc, _canon(child))
         return acc
-    if isinstance(e, Product):
-        return _canon_product(e.children)
-    if isinstance(e, IntegerPower):
-        return _power(_canon(e.base), e.exponent)
+    if isinstance(e, Negation):
+        return _negate(_canon(e.child))
+    if isinstance(e, CanonicalForm):
+        return e._map
     if isinstance(e, FunctionApplication):
         atom = FunctionAtom(e.tag, CanonicalForm(_canon(e.argument)))
         return {((atom, 1),): _ONE}
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _canon_product(children: tuple) -> dict:
-    # While the children are single terms, fold their coefficients and merge
-    # their factors in one pass; a variable, a nonzero constant or a power of
-    # a variable is read off the node without flattening it.  From the first
-    # child that is not one term on, the rest is multiplied out in general.
+def _fold_product(maps) -> dict:
+    """Product of the maps an iterator yields, taken in order.  While they are
+    single terms, their coefficients fold and their factors merge in one pass;
+    from the first map that is not one term on, the rest is multiplied out in
+    general.  The iterator is consumed in full either way."""
     coeff, factors = _ONE, ()
-    for i, child in enumerate(children):
-        cls = child.__class__
-        if cls is Variable:
-            f, c = ((child.name, 1),), _ONE
-        elif cls is RationalConstant and child.value:
-            f, c = (), child.value
-        elif cls is IntegerPower and child.base.__class__ is Variable:
-            f, c = ((child.base.name, child.exponent),), _ONE
-        else:
-            d = _canon(child)
-            if len(d) != 1:
-                rest = reduce(_multiply, map(_canon, children[i + 1:]), d)
-                return _multiply({factors: coeff}, rest)
-            (f, c), = d.items()
+    for d in maps:
+        if len(d) != 1:
+            return _multiply({factors: coeff}, reduce(_multiply, maps, d))
+        (f, c), = d.items()
         factors = _merge_factors(factors, f)
         coeff = c if coeff == 1 else coeff if c == 1 else coeff * c
     return {factors: coeff}

@@ -7,179 +7,170 @@ Grammar (no implicit multiplication, '^' binds tighter than unary minus):
     factor := ('-')* atom ('^' signed-integer)?
     atom   := integer | identifier | function '(' expr ')' | '(' expr ')'
 
-Division is accepted only when the divisor canonicalizes to a nonzero
-constant or a single invertible term; the tree then holds that reciprocal
-as a canonical form leaf.  ``render`` emits deterministic text in
-the same grammar; parsing it back gives a canonically equal expression, and
-distinct canonical forms render to distinct strings.
+``parse`` builds the canonical form directly: each production returns the
+sparse coefficient map of what it read, so no tree is built and nothing is
+flattened later.  Division is accepted only when the divisor is a nonzero
+constant or a single invertible term.  ``render`` emits deterministic text in
+the same grammar; parsing it back gives an equal form, and distinct canonical
+forms render to distinct strings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import re
 from fractions import Fraction
 
 from .errors import SourceError, UnsupportedExpression
 from .expr import (
+    _ONE,
     FUNCTION_TAGS,
     CanonicalForm,
     Expression,
-    FunctionApplication,
-    IntegerPower,
-    Negation,
-    ONE,
-    Product,
-    RationalConstant,
-    Sum,
-    Variable,
+    FunctionAtom,
+    _accumulate,
+    _fold_product,
+    _invert,
+    _negate,
+    _power,
     canonicalize,
-    reciprocal,
 )
 
-_OPERATORS = "+-*/^()"
-_DIGITS = "0123456789"  # ASCII only: str.isdigit also accepts '²' and the like
-_SPACE = " \t\r\n\f\v"
+# One token per match: an ASCII integer, an identifier, an operator, a run of
+# the six ASCII space characters (skipped) or any other single character (an
+# error).  The classes are spelled out: \d and \s would also accept non-ASCII
+# digits such as '²' and Unicode spaces.
+_TOKEN_RE = re.compile(
+    r"(?P<number>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
+    r"|(?P<space>[ \t\r\n\f\v]+)|(?P<bad>.)", re.DOTALL)
 
 # Deepest parenthesis nesting ``parse`` accepts, function calls included.
-# Parsing and the later walks over trees and forms recurse per level, so
-# this keeps deep input a SourceError rather than a RecursionError.
+# Parsing and the later walks over forms recurse per level, so this keeps
+# deep input a SourceError rather than a RecursionError.
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "name" | one of _OPERATORS | "end"
-    text: str
-    offset: int
-
-
-def _describe(token: _Token) -> str:
-    if token.kind == "end":
-        return "end of input"
-    return f"'{token.text}'"
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in _SPACE:
-            i += 1
+def _tokenize(text: str) -> list[tuple]:
+    """(kind, text, offset) tuples; kind is "number", "name", the operator
+    character itself or, last, "end".  The whole text is read first, so a
+    bad character is reported before any grammar error."""
+    tokens = []
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "space":
             continue
-        if ch in _DIGITS:
-            start = i
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            tokens.append(_Token("number", text[start:i], start))
-            continue
-        if ch.isalpha() and ch.isascii():
-            start = i
-            while i < n and (text[i].isascii() and (text[i].isalnum() or text[i] == "_")):
-                i += 1
-            tokens.append(_Token("name", text[start:i], start))
-            continue
-        if ch in _OPERATORS:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise SourceError(i, "a token", f"character {ch!r}")
-    tokens.append(_Token("end", "", n))
+        if kind == "bad":
+            raise SourceError(match.start(), "a token", f"character {match.group()!r}")
+        token = match.group()
+        tokens.append((token if kind == "op" else kind, token, match.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
+def _describe(token: tuple) -> str:
+    return "end of input" if token[0] == "end" else f"'{token[1]}'"
+
+
+def _integer(token: tuple) -> int:
+    try:
+        return int(token[1])
+    except ValueError:  # past the interpreter's limit on integer digits
+        raise SourceError(token[2], "an integer within the interpreter's digit limit",
+                          f"a {len(token[1])}-digit integer") from None
+
+
 class _Parser:
+    """Recursive descent over the token list; every production returns the
+    coefficient map of what it read, a new map the parser may still change."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        # Offset of the innermost '/' whose divisor is being read; an
+        # UnsupportedExpression raised inside it is reported as that division's.
+        self.division = None
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
+    def expect(self, kind: str, expected: str) -> tuple:
         token = self.tokens[self.pos]
+        if token[0] != kind:
+            raise SourceError(token[2], expected, _describe(token))
         self.pos += 1
         return token
 
-    def expect(self, kind: str, expected: str) -> _Token:
-        token = self.peek()
-        if token.kind != kind:
-            raise SourceError(token.offset, expected, _describe(token))
-        return self.advance()
+    def expression(self) -> dict:
+        acc = self.term()
+        kind = self.tokens[self.pos][0]
+        while kind == "+" or kind == "-":
+            self.pos += 1
+            term = self.term()
+            _accumulate(acc, term if kind == "+" else _negate(term))
+            kind = self.tokens[self.pos][0]
+        return acc
 
-    def expression(self) -> Expression:
-        children = [self.term()]
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            t = self.term()
-            children.append(t if op.kind == "+" else Negation(t))
-        if len(children) == 1:
-            return children[0]
-        return Sum(tuple(children))
+    def term(self) -> dict:
+        first = self.factor()
+        if self.tokens[self.pos][0] not in ("*", "/"):
+            return first
+        return _fold_product(self._factors(first))
 
-    def term(self) -> Expression:
-        children = [self.factor()]
-        while self.peek().kind in ("*", "/"):
-            op = self.advance()
-            f = self.factor()
-            if op.kind == "*":
-                children.append(f)
+    def _factors(self, first: dict):
+        yield first
+        while True:
+            kind, _, offset = self.tokens[self.pos]
+            if kind == "*":
+                self.pos += 1
+                yield self.factor()
+            elif kind == "/":
+                self.pos += 1
+                outer, self.division = self.division, offset
+                inverse = _invert(self.factor())
+                self.division = outer
+                yield inverse
             else:
-                children.append(self._reciprocal_of(f, op.offset))
-        if len(children) == 1:
-            return children[0]
-        return Product(tuple(children))
+                return
 
-    def _reciprocal_of(self, divisor: Expression, offset: int) -> Expression:
-        try:
-            return reciprocal(divisor)
-        except UnsupportedExpression as exc:
-            raise UnsupportedExpression(f"division at offset {offset}: {exc}") from None
-
-    def factor(self) -> Expression:
+    def factor(self) -> dict:
         negations = 0
-        while self.peek().kind == "-":
-            self.advance()
+        while self.tokens[self.pos][0] == "-":
+            self.pos += 1
             negations += 1
-        node = self.atom()
-        if self.peek().kind == "^":
-            self.advance()
-            exponent = self.signed_integer()
-            node = IntegerPower(node, exponent) if exponent else ONE
-        for _ in range(negations):
-            node = Negation(node)
-        return node
+        d = self.atom()
+        if self.tokens[self.pos][0] == "^":
+            self.pos += 1
+            d = _power(d, self.signed_integer())
+        return _negate(d) if negations & 1 else d
 
     def signed_integer(self) -> int:
         sign = 1
-        if self.peek().kind == "-":
-            self.advance()
+        if self.tokens[self.pos][0] == "-":
+            self.pos += 1
             sign = -1
-        token = self.expect("number", "an integer exponent")
-        return sign * int(token.text)
+        return sign * _integer(self.expect("number", "an integer exponent"))
 
-    def atom(self) -> Expression:
-        token = self.peek()
-        if token.kind == "number":
-            self.advance()
-            return RationalConstant(Fraction(int(token.text)))
-        if token.kind == "name":
-            self.advance()
-            if token.text in FUNCTION_TAGS:
+    def atom(self) -> dict:
+        token = self.tokens[self.pos]
+        kind, text, offset = token
+        if kind == "number":
+            self.pos += 1
+            value = _integer(token)
+            return {(): Fraction(value)} if value else {}
+        if kind == "name":
+            self.pos += 1
+            if text in FUNCTION_TAGS:
                 opening = self.expect("(", "'(' after function name")
-                return FunctionApplication(token.text, self.group(opening))
-            return Variable(token.text)
-        if token.kind == "(":
-            return self.group(self.advance())
-        raise SourceError(token.offset, "an expression", _describe(token))
+                argument = CanonicalForm(self.group(opening[2]))
+                return {((FunctionAtom(text, argument), 1),): _ONE}
+            return {((text, 1),): _ONE}
+        if kind == "(":
+            self.pos += 1
+            return self.group(offset)
+        raise SourceError(offset, "an expression", _describe(token))
 
-    def group(self, opening: _Token) -> Expression:
-        """The expression inside the parenthesis ``opening`` up to its ')'."""
+    def group(self, offset: int) -> dict:
+        """The expression inside the parenthesis at ``offset`` up to its ')'."""
         if self.depth == MAX_NESTING:
-            raise SourceError(opening.offset,
-                              f"at most {MAX_NESTING} nested parentheses", "'('")
+            raise SourceError(offset, f"at most {MAX_NESTING} nested parentheses", "'('")
         self.depth += 1
         inner = self.expression()
         self.expect(")", "')'")
@@ -187,14 +178,19 @@ class _Parser:
         return inner
 
 
-def parse(text: str) -> Expression:
-    """Parse source text into an expression tree (structure preserved)."""
+def parse(text: str) -> CanonicalForm:
+    """Parse source text into its canonical form."""
     parser = _Parser(text)
-    result = parser.expression()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise SourceError(trailing.offset, "end of input", _describe(trailing))
-    return result
+    try:
+        result = parser.expression()
+    except UnsupportedExpression as exc:
+        if parser.division is None:
+            raise
+        raise UnsupportedExpression(f"division at offset {parser.division}: {exc}") from None
+    trailing = parser.tokens[parser.pos]
+    if trailing[0] != "end":
+        raise SourceError(trailing[2], "end of input", _describe(trailing))
+    return CanonicalForm(result)
 
 
 def render(expression: Expression) -> str:
@@ -223,13 +219,25 @@ def _render_term(coefficient: Fraction, factors) -> str:
     bits = []
     for atom, e in factors:
         text = _render_atom(atom)
-        bits.append(text if e == 1 else f"{text}^{e}")
+        bits.append(text if e == 1 else f"{text}^{_digits(e)}")
     if coefficient.numerator != 1 or not bits:
-        bits.insert(0, str(coefficient.numerator))
+        bits.insert(0, _digits(coefficient.numerator))
     out = "*".join(bits)
     if coefficient.denominator != 1:
-        out += f"/{coefficient.denominator}"
+        out += f"/{_digits(coefficient.denominator)}"
     return out
+
+
+_LOG10_2 = math.log10(2)
+
+
+def _digits(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # past the interpreter's limit on integer digits
+        raise UnsupportedExpression(
+            f"rendering a number of about {int(abs(n).bit_length() * _LOG10_2) + 1} "
+            "digits exceeds the interpreter's digit limit") from None
 
 
 def _render_atom(atom) -> str:

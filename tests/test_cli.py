@@ -237,3 +237,36 @@ def test_expansion_past_the_budget_exits_4_promptly():
     assert done.returncode == 4
     assert "Traceback" not in done.stderr
     assert "exceeds the budget of 100000 term pairs" in done.stderr
+
+
+@pytest.mark.parametrize("argv,offset", [
+    (["inv-div", "7" * 5000 + "*x"], 0),
+    (["curl", "x^" + "7" * 5000, "0", "0"], 2),
+])
+def test_integer_past_the_digit_limit_exits_2_without_a_traceback(argv, offset):
+    done = run_cli(*argv)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr == (
+        f"error: SourceError: at offset {offset}: expected an integer within the "
+        "interpreter's digit limit, found a 5000-digit integer\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_coefficient_past_the_digit_limit_exits_4_without_a_traceback(fmt):
+    done = run_cli("grad", "--format", fmt, "(2*x)^20000")
+    assert done.returncode == 4
+    assert "Traceback" not in done.stderr
+    error = ("UnsupportedExpression: rendering a number of about 6026 digits "
+             "exceeds the interpreter's digit limit")
+    if fmt == "json":
+        assert json.loads(done.stdout)["error"] == error
+    else:
+        assert done.stderr == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("text", ["x + q - q", "x + 0*q", "x*q^0"])
+def test_foreign_variable_that_cancels_is_accepted(capsys, text):
+    # Fields are checked on the parsed canonical form, in which q is gone.
+    code, out, err = run(capsys, "grad", text)
+    assert (code, out, err) == (0, "e1: 1\ne2: 0\ne3: 0\n", "")

@@ -148,32 +148,22 @@ GOLDEN_OUT = (
 )
 
 
-def test_golden_inverse_curl_canonicalizes_each_parsed_tree_once(monkeypatch, capsys):
-    """Counts tree canonicalizations (outermost calls of the tree flattener)
-    during the README's inv-curl example: the only trees are the parsed
-    inputs and, inside parsing, the divisors; each is flattened once."""
-    parsed, in_parse, elsewhere = [], [], []
-    state = {"depth": 0, "parsing": False}
+def test_golden_inverse_curl_flattens_no_tree(monkeypatch, capsys):
+    """During the README's inv-curl example the parser hands over canonical
+    forms, and no tree is flattened anywhere: the tree flattener
+    ``expr._canon`` is never entered."""
+    parsed, flattened = [], []
     flatten = expr._canon
     original_parse = cli.parse
 
     def counting_flatten(tree):
-        if state["depth"] == 0:
-            (in_parse if state["parsing"] else elsewhere).append(tree)
-        state["depth"] += 1
-        try:
-            return flatten(tree)
-        finally:
-            state["depth"] -= 1
+        flattened.append(tree)
+        return flatten(tree)
 
     def recording_parse(text):
-        state["parsing"] = True
-        try:
-            tree = original_parse(text)
-        finally:
-            state["parsing"] = False
-        parsed.append(tree)
-        return tree
+        value = original_parse(text)
+        parsed.append(value)
+        return value
 
     monkeypatch.setattr(expr, "_canon", counting_flatten)
     monkeypatch.setattr(cli, "parse", recording_parse)
@@ -181,8 +171,8 @@ def test_golden_inverse_curl_canonicalizes_each_parsed_tree_once(monkeypatch, ca
     assert capsys.readouterr().out == GOLDEN_OUT
 
     assert len(parsed) == 3
-    assert sorted(map(id, elsewhere)) == sorted(map(id, parsed))
-    assert len({id(t) for t in in_parse}) == len(in_parse) == 1
+    assert all(isinstance(value, CanonicalForm) for value in parsed)
+    assert flattened == []
 
 
 ERROR_PATH = [

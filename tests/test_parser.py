@@ -1,32 +1,36 @@
 """Grammar, round-trip and rendering tests for the expression parser."""
 
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
-from invdel import SourceError, UnsupportedExpression, equals, parse, render
-from invdel.expr import (
-    IntegerPower,
-    Product,
-    Sum,
-    Variable,
-    canonicalize,
+from invdel import (
+    SourceError,
+    UnsupportedExpression,
+    cos,
+    equals,
+    exp,
+    ln,
+    num,
+    parse,
+    render,
+    sin,
+    var,
 )
+from invdel.expr import CanonicalForm, Term, canonicalize
 from invdel.parser import MAX_NESTING
 
-from _support import random_polynomial
+from _support import random_polynomial, spell
 
 
-def test_parse_tree_shape():
-    tree = parse("x*y*z + y^2")
-    assert isinstance(tree, Sum)
-    product, power = tree.children
-    assert isinstance(product, Product)
-    assert [c.name for c in product.children] == ["x", "y", "z"]
-    assert isinstance(power, IntegerPower)
-    assert isinstance(power.base, Variable)
-    assert power.base.name == "y"
-    assert power.exponent == 2
+def test_parse_returns_the_canonical_form():
+    form = parse("x*y*z + y^2")
+    assert isinstance(form, CanonicalForm)
+    one = Fraction(1)
+    assert form.terms == (Term(one, (("x", 1), ("y", 1), ("z", 1))), Term(one, (("y", 2),)))
+    assert canonicalize(form) is form
 
 
 def test_power_binds_tighter_than_unary_minus():
@@ -146,3 +150,173 @@ def test_only_ascii_digits_are_numbers(text, offset):
     with pytest.raises(SourceError) as info:
         parse(text)
     assert info.value.offset == offset
+
+
+# (text, error type, offset, message), as the parser that built trees gave
+# them; a SourceError's offset is its own, any other error has None.
+PARSE_ERRORS = [
+    ("", "SourceError", 0, "at offset 0: expected an expression, found end of input"),
+    ("x +", "SourceError", 3, "at offset 3: expected an expression, found end of input"),
+    ("(x", "SourceError", 2, "at offset 2: expected ')', found end of input"),
+    ("x)", "SourceError", 1, "at offset 1: expected end of input, found ')'"),
+    ("x^", "SourceError", 2, "at offset 2: expected an integer exponent, found end of input"),
+    ("x^y", "SourceError", 2, "at offset 2: expected an integer exponent, found 'y'"),
+    ("2x", "SourceError", 1, "at offset 1: expected end of input, found 'x'"),
+    ("x**2", "SourceError", 2, "at offset 2: expected an expression, found '*'"),
+    ("@", "SourceError", 0, "at offset 0: expected a token, found character '@'"),
+    ("x//y", "SourceError", 2, "at offset 2: expected an expression, found '/'"),
+    ("()", "SourceError", 1, "at offset 1: expected an expression, found ')'"),
+    ("²", "SourceError", 0, "at offset 0: expected a token, found character '²'"),
+    ("x^²", "SourceError", 2, "at offset 2: expected a token, found character '²'"),
+    ("_x", "SourceError", 0, "at offset 0: expected a token, found character '_'"),
+    # Only the six ASCII space characters separate tokens.
+    ("x +\xa0y", "SourceError", 3, "at offset 3: expected a token, found character '\\xa0'"),
+    ("x\u2003", "SourceError", 1, "at offset 1: expected a token, found character '\\u2003'"),
+    # The bad character is reported before the missing ')'.
+    ("x + (y $", "SourceError", 7, "at offset 7: expected a token, found character '$'"),
+    ("sin", "SourceError", 3, "at offset 3: expected '(' after function name, found end of input"),
+    ("sin x", "SourceError", 4, "at offset 4: expected '(' after function name, found 'x'"),
+    ("sin(x", "SourceError", 5, "at offset 5: expected ')', found end of input"),
+    ("x*y -", "SourceError", 5, "at offset 5: expected an expression, found end of input"),
+    ("x^--2", "SourceError", 3, "at offset 3: expected an integer exponent, found '-'"),
+    ("x^2^3", "SourceError", 3, "at offset 3: expected end of input, found '^'"),
+    ("(" * 101 + "x" + ")" * 101, "SourceError", 100,
+     "at offset 100: expected at most 100 nested parentheses, found '('"),
+    ("cos(" * 101 + "x" + ")" * 101, "SourceError", 403,
+     "at offset 403: expected at most 100 nested parentheses, found '('"),
+    ("x/(y+1)", "UnsupportedExpression", None,
+     "division at offset 1: reciprocal of a multi-term expression is outside the term algebra"),
+    ("1/(x - x)", "UnsupportedExpression", None, "division at offset 1: reciprocal of zero"),
+    ("x/0", "UnsupportedExpression", None, "division at offset 1: reciprocal of zero"),
+    ("x/(y/(z+1))", "UnsupportedExpression", None,
+     "division at offset 4: reciprocal of a multi-term expression is outside the term algebra"),
+    ("1/(x + y/(z - z))", "UnsupportedExpression", None,
+     "division at offset 8: reciprocal of zero"),
+    ("1/((x+1)^-1)", "UnsupportedExpression", None,
+     "division at offset 1: reciprocal of a multi-term expression is outside the term algebra"),
+    ("2*y/sin((x+1)^-1)", "UnsupportedExpression", None,
+     "division at offset 3: reciprocal of a multi-term expression is outside the term algebra"),
+    ("1/(y/((x+1)^-1))", "UnsupportedExpression", None,
+     "division at offset 4: reciprocal of a multi-term expression is outside the term algebra"),
+]
+
+
+@pytest.mark.parametrize("text,kind,offset,message", PARSE_ERRORS)
+def test_parse_errors_keep_their_type_offset_and_message(text, kind, offset, message):
+    with pytest.raises((SourceError, UnsupportedExpression)) as info:
+        parse(text)
+    assert type(info.value).__name__ == kind
+    assert getattr(info.value, "offset", None) == offset
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text,message", [
+    ("x/y + (x+1)^-1", "reciprocal of a multi-term expression is outside the term algebra"),
+    ("1/x*(0)^-2", "reciprocal of zero"),
+])
+def test_errors_outside_a_divisor_are_not_reported_as_a_division(text, message):
+    # As canonicalizing the parsed tree reported them, with no division offset.
+    with pytest.raises(UnsupportedExpression) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("7" * 5000 + "*x", 0),
+    ("x + 2^" + "3" * 5000, 6),
+    ("x^-" + "1" * 5000, 3),
+])
+def test_integer_past_the_digit_limit_is_a_source_error(text, offset):
+    with pytest.raises(SourceError) as info:
+        parse(text)
+    assert info.value.offset == offset
+    assert str(info.value) == (
+        f"at offset {offset}: expected an integer within the interpreter's digit "
+        "limit, found a 5000-digit integer")
+
+
+def test_coefficient_past_the_digit_limit_is_unsupported_when_rendered():
+    form = parse("(2*x)^20000")
+    with pytest.raises(UnsupportedExpression, match="about 6021 digits"):
+        render(form)
+    with pytest.raises(UnsupportedExpression):
+        render(parse("x/3^10000"))
+    with pytest.raises(UnsupportedExpression):
+        render(parse("(x^" + "9" * 3000 + ")^" + "9" * 3000))
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("--x", "x"),
+    ("---x^2", "-x^2"),
+    ("x*--y", "x*y"),
+    ("2 - -x", "x + 2"),
+    ("-(-x)^3", "x^3"),
+])
+def test_repeated_unary_minus(source, expected):
+    assert render(parse(source)) == expected
+
+
+FUNCTIONS = (sin, cos, exp, ln)
+
+
+def random_single_term(rng, depth):
+    """A tree whose canonical form is one nonzero term."""
+    tree = num(Fraction(rng.choice((1, -1)) * rng.randint(1, 6), rng.randint(1, 4)))
+    for _ in range(rng.randint(1, 3)):
+        roll = rng.random()
+        if roll < 0.4:
+            part = var(rng.choice(("x", "y", "z")))
+        elif roll < 0.7:
+            part = var(rng.choice(("x", "y", "z"))) ** rng.choice((-2, -1, 2, 3))
+        else:
+            part = rng.choice(FUNCTIONS)(random_tree(rng, depth - 1))
+        tree = tree * part if rng.random() < 0.7 else part * tree
+    return tree
+
+
+def random_tree(rng, depth):
+    """A public-constructor tree whose canonical form exists: sums,
+    negations, nested products with now and then a zero factor, positive
+    powers, negative powers of single terms, division by constants and by
+    single terms, and function arguments."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.2:
+        return rng.choice((var("x"), var("y"), var("z"), num(rng.randint(-4, 4))))
+    if roll < 0.35:
+        tree = random_tree(rng, depth - 1)
+        for _ in range(rng.randint(1, 2)):
+            other = random_tree(rng, depth - 1)
+            tree = tree + other if rng.random() < 0.5 else tree - other
+        return tree
+    if roll < 0.42:
+        return -random_tree(rng, depth - 1)
+    if roll < 0.57:
+        tree = random_tree(rng, depth - 1) * random_tree(rng, depth - 1)
+        if rng.random() < 0.5:
+            tree = tree * (num(0) if rng.random() < 0.2 else random_tree(rng, depth - 1))
+        return tree
+    if roll < 0.65:
+        return random_tree(rng, depth - 1) ** rng.randint(0, 3)
+    if roll < 0.72:
+        return random_single_term(rng, depth - 1) ** rng.choice((-3, -2, -1))
+    if roll < 0.8:
+        return random_tree(rng, depth - 1) / rng.choice((2, 3, Fraction(4, 3), -5))
+    if roll < 0.9:
+        return random_tree(rng, depth - 1) * random_single_term(rng, depth - 1) ** -rng.randint(1, 2)
+    return rng.choice(FUNCTIONS)(random_tree(rng, depth - 1))
+
+
+def test_parsed_spelling_equals_the_canonicalized_tree():
+    rng = random.Random(20260505)
+    texts = []
+    for _ in range(400):
+        tree = random_tree(rng, 4)
+        text = spell(tree)
+        form = parse(text)
+        assert form._map == canonicalize(tree)._map, text
+        assert render(form) == render(tree)
+        texts.append(text)
+    # The spellings reach every construct the grammar has.
+    for piece in ("+", "(-", "*", ")^-", "/(", "sin(", "cos(", "exp(", "ln(", "*(0)"):
+        assert sum(piece in text for text in texts) >= 10, piece
+    assert sum(re.search(r"\)/[0-9]", text) is not None for text in texts) >= 10
