@@ -22,7 +22,6 @@ gives back the integrand exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -30,6 +29,7 @@ from .errors import NotIntegrable
 from .expr import (
     CanonicalForm,
     Expression,
+    Frozen,
     FunctionAtom,
     Term,
     atom_power,
@@ -41,12 +41,13 @@ from .expr import (
 from .parser import render
 
 
-@dataclass(frozen=True)
-class SplitPair:
+class SplitPair(Frozen):
     """Terms containing the split variable (plus) and the rest (minus)."""
 
-    plus_part: CanonicalForm
-    minus_part: CanonicalForm
+    __slots__ = ("plus_part", "minus_part")
+
+    def __init__(self, plus_part: CanonicalForm, minus_part: CanonicalForm):
+        self._init(plus_part, minus_part)
 
 
 def contains_variable(expression: Expression, name: str) -> bool:

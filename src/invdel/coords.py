@@ -12,7 +12,6 @@ the builtin systems are built and validated once, when the module loads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -21,6 +20,7 @@ from .expr import (
     ONE_FORM,
     CanonicalForm,
     Expression,
+    Frozen,
     FunctionAtom,
     Variable,
     atom_power,
@@ -32,15 +32,21 @@ from .errors import DomainError, UnsupportedExpression
 from . import parser
 
 
-@dataclass(frozen=True)
-class CoordinateSystem:
+class CoordinateSystem(Frozen):
     """Names u1,u2,u3 with scale factors h1,h2,h3 and sampling defaults."""
 
-    names: tuple[str, str, str]
-    scale_factors: tuple[CanonicalForm, CanonicalForm, CanonicalForm]
-    base_point: tuple[Fraction, Fraction, Fraction]
-    sampling_box: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
-    label: str = "custom"
+    __slots__ = ("names", "scale_factors", "base_point", "sampling_box", "label")
+
+    def __init__(
+        self,
+        names: tuple[str, str, str],
+        scale_factors: tuple[CanonicalForm, CanonicalForm, CanonicalForm],
+        base_point: tuple[Fraction, Fraction, Fraction],
+        sampling_box: tuple[tuple[float, float], tuple[float, float], tuple[float, float]],
+        label: str = "custom",
+    ):
+        self._init(names, scale_factors, base_point, sampling_box, label)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.names) != 3 or len(set(self.names)) != 3:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key, reduce
 from types import MappingProxyType
@@ -39,12 +38,56 @@ _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 RationalLike = Union[int, Fraction]
 
 
+_set = object.__setattr__
+
+
+class Frozen:
+    """Immutable value: field-wise ``==`` within one class, hash and a
+    ``Name(field=value, ...)`` repr over its ``__slots__``, which ``__init__``
+    fills through ``object.__setattr__``.  Assigning or deleting a field raises
+    the standard ``FrozenInstanceError``, whose module is imported only then."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 class Expression:
     """Base class for immutable expression tree nodes.
 
     Operators build new trees without simplifying; ``==`` is structural.
     Use ``equals`` for mathematical equality.
     """
+
+    __slots__ = ()
 
     def __add__(self, other):
         return Sum((self, _coerce(other)))
@@ -95,69 +138,67 @@ def _inverse_rational(divisor) -> Fraction:
     return Fraction(1, 1) / divisor
 
 
-@dataclass(frozen=True)
-class RationalConstant(Expression):
+class RationalConstant(Expression, Frozen):
     """Exact rational literal; Fraction keeps it in lowest terms."""
 
-    value: Fraction
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
-
-
-@dataclass(frozen=True)
-class Variable(Expression):
-    name: str
-
-    def __post_init__(self):
-        if not _IDENT_RE.match(self.name):
-            raise ValueError(f"invalid variable name {self.name!r}")
-        if self.name in FUNCTION_TAGS:
-            raise ValueError(f"{self.name!r} is a reserved function name")
+    def __init__(self, value: Fraction):
+        _set(self, "value", value if isinstance(value, Fraction) else Fraction(value))
 
 
-@dataclass(frozen=True)
-class Sum(Expression):
-    children: tuple[Expression, ...]
+class Variable(Expression, Frozen):
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if len(self.children) < 2:
+    def __init__(self, name: str):
+        if not _IDENT_RE.match(name):
+            raise ValueError(f"invalid variable name {name!r}")
+        if name in FUNCTION_TAGS:
+            raise ValueError(f"{name!r} is a reserved function name")
+        _set(self, "name", name)
+
+
+class Sum(Expression, Frozen):
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple[Expression, ...]):
+        if len(children) < 2:
             raise ValueError("Sum needs at least two children")
+        _set(self, "children", children)
 
 
-@dataclass(frozen=True)
-class Product(Expression):
-    children: tuple[Expression, ...]
+class Product(Expression, Frozen):
+    __slots__ = ("children",)
 
-    def __post_init__(self):
-        if len(self.children) < 2:
+    def __init__(self, children: tuple[Expression, ...]):
+        if len(children) < 2:
             raise ValueError("Product needs at least two children")
+        _set(self, "children", children)
 
 
-@dataclass(frozen=True)
-class IntegerPower(Expression):
-    base: Expression
-    exponent: int
+class IntegerPower(Expression, Frozen):
+    __slots__ = ("base", "exponent")
 
-    def __post_init__(self):
-        if not isinstance(self.exponent, int) or self.exponent == 0:
+    def __init__(self, base: Expression, exponent: int):
+        if not isinstance(exponent, int) or exponent == 0:
             raise ValueError("exponent must be a nonzero integer")
+        self._init(base, exponent)
 
 
-@dataclass(frozen=True)
-class FunctionApplication(Expression):
-    tag: str
-    argument: Expression
+class FunctionApplication(Expression, Frozen):
+    __slots__ = ("tag", "argument")
 
-    def __post_init__(self):
-        if self.tag not in FUNCTION_TAGS:
-            raise ValueError(f"unknown function tag {self.tag!r}")
+    def __init__(self, tag: str, argument: Expression):
+        if tag not in FUNCTION_TAGS:
+            raise ValueError(f"unknown function tag {tag!r}")
+        self._init(tag, argument)
 
 
-@dataclass(frozen=True)
-class Negation(Expression):
-    child: Expression
+class Negation(Expression, Frozen):
+    __slots__ = ("child",)
+
+    def __init__(self, child: Expression):
+        _set(self, "child", child)
 
 
 ZERO = RationalConstant(Fraction(0))
@@ -225,31 +266,53 @@ _ONE = Fraction(1)
 # depth the same way (``parser.MAX_NESTING``).
 MAX_PRODUCT_PAIRS = 100_000
 
+# Most decimal digits a power of one coefficient may reach, estimated from
+# its base and exponent before it is computed, so 3^10000000 ends at once.
+# It sits above the interpreter's 4300-digit limit, which rendering meets.
+MAX_POWER_DIGITS = 10_000
 
-@dataclass(frozen=True)
-class FunctionAtom:
+
+class FunctionAtom(Frozen):
     """Opaque function occurrence keyed by its canonical argument.
 
-    ``key`` orders atoms inside a term; it is computed once, here.
+    ``key`` orders atoms inside a term; it is computed once, here, and left
+    out of ``==``, hash and repr.  Atoms sit in the factor tuples that key
+    every coefficient map, so those three are spelled out for speed.
     """
 
-    tag: str
-    argument: "CanonicalForm"
-    key: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("tag", "argument", "key")
 
-    def __post_init__(self):
-        object.__setattr__(self, "key", (self.tag, 1, _form_key(self.argument)))
+    def __init__(self, tag: str, argument: "CanonicalForm"):
+        _set(self, "tag", tag)
+        _set(self, "argument", argument)
+        _set(self, "key", (tag, 1, _form_key(argument)))
+
+    def _values(self) -> tuple:
+        return (self.tag, self.argument)
+
+    def __eq__(self, other):
+        if other.__class__ is not FunctionAtom:
+            return NotImplemented
+        return (self.tag, self.argument) == (other.tag, other.argument)
+
+    def __hash__(self):
+        return hash((self.tag, self.argument))
+
+    def __repr__(self):
+        return f"FunctionAtom(tag={self.tag!r}, argument={self.argument!r})"
 
 
 Atom = Union[str, FunctionAtom]
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Frozen):
     """One canonical term: exact coefficient times ordered atom powers."""
 
-    coefficient: Fraction
-    factors: tuple
+    __slots__ = ("coefficient", "factors")
+
+    def __init__(self, coefficient: Fraction, factors: tuple):
+        _set(self, "coefficient", coefficient)
+        _set(self, "factors", factors)
 
 
 class CanonicalForm(Expression):
@@ -492,7 +555,14 @@ def _power(d: dict, n: int) -> dict:
     if len(d) == 1:
         # A power of one term scales its exponents, none of which is zero.
         (factors, coeff), = d.items()
-        return {tuple((a, e * n) for a, e in factors): coeff if coeff == 1 else coeff ** n}
+        if coeff != 1:
+            size = max(abs(coeff.numerator), coeff.denominator)
+            if size > 1 and n > MAX_POWER_DIGITS / math.log10(size):
+                raise UnsupportedExpression(
+                    f"a coefficient power of more than {MAX_POWER_DIGITS} digits "
+                    "exceeds the budget")
+            coeff **= n
+        return {tuple((a, e * n) for a, e in factors): coeff}
     result = {(): _ONE}
     base = d
     while n:

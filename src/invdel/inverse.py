@@ -21,7 +21,6 @@ the gates and the self-check read the forward operators' forms directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -38,6 +37,7 @@ from .errors import (
 from .expr import (
     ZERO_FORM,
     CanonicalForm,
+    Frozen,
     FunctionAtom,
     eval_numeric,
     form_has_variables,
@@ -49,32 +49,25 @@ from .parser import render
 from .vecops import CYCLES, ScalarField, VectorField, curl, divergence, gradient
 
 
-@dataclass(frozen=True)
-class CurlWeights:
+class CurlWeights(Frozen):
     """Split-integral weights; only (1/3, 1/2) yields an exact preimage."""
 
-    w_plus: Fraction
-    w_minus: Fraction
+    __slots__ = ("w_plus", "w_minus")
 
-    def __post_init__(self):
-        object.__setattr__(self, "w_plus", Fraction(self.w_plus))
-        object.__setattr__(self, "w_minus", Fraction(self.w_minus))
+    def __init__(self, w_plus: Fraction, w_minus: Fraction):
+        self._init(Fraction(w_plus), Fraction(w_minus))
 
 
 DEFAULT_CURL_WEIGHTS = CurlWeights(Fraction(1, 3), Fraction(1, 2))
 
 
-@dataclass(frozen=True)
-class DivergenceWeights:
+class DivergenceWeights(Frozen):
     """Per-component shares of the integrated source; they must sum to 1."""
 
-    k1: Fraction
-    k2: Fraction
-    k3: Fraction
+    __slots__ = ("k1", "k2", "k3")
 
-    def __post_init__(self):
-        for name in ("k1", "k2", "k3"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, k1: Fraction, k2: Fraction, k3: Fraction):
+        self._init(Fraction(k1), Fraction(k2), Fraction(k3))
         if self.k1 + self.k2 + self.k3 != 1:
             raise ValidationError(
                 f"divergence weights must sum to 1, got {self.k1} + {self.k2} + {self.k3}")
@@ -88,18 +81,13 @@ class DivergenceWeights:
         return (self.k1, self.k2, self.k3)
 
 
-@dataclass(frozen=True)
-class BasePoint:
+class BasePoint(Frozen):
     """Lower corner (a, b, c) of the integration path plus the free constant."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    c0: Fraction = Fraction(0)
+    __slots__ = ("a", "b", "c", "c0")
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "c0"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, a: Fraction, b: Fraction, c: Fraction, c0: Fraction = 0):
+        self._init(Fraction(a), Fraction(b), Fraction(c), Fraction(c0))
 
 
 def curl_integrands(

@@ -16,12 +16,11 @@ else raises UnsupportedExpression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .coords import CoordinateSystem
 from .errors import ValidationError
 from .expr import (
     CanonicalForm,
+    Frozen,
     canonicalize,
     free_variables,
     reciprocal,
@@ -42,36 +41,31 @@ def _check_variables(parts, system: CoordinateSystem, constants: frozenset):
                 + ", ".join(sorted(foreign)))
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(Frozen):
     """Three components in a coordinate system's orthonormal frame, held as
     canonical forms."""
 
-    components: tuple[CanonicalForm, CanonicalForm, CanonicalForm]
-    system: CoordinateSystem
-    constants: frozenset = field(default_factory=frozenset)
+    __slots__ = ("components", "system", "constants")
 
-    def __post_init__(self):
-        if len(self.components) != 3:
+    def __init__(self, components: tuple[CanonicalForm, CanonicalForm, CanonicalForm],
+                 system: CoordinateSystem, constants: frozenset = frozenset()):
+        if len(components) != 3:
             raise ValidationError("a vector field needs exactly three components")
-        object.__setattr__(self, "constants", frozenset(self.constants))
-        _check_variables(self.components, self.system, self.constants)
-        object.__setattr__(
-            self, "components", tuple(canonicalize(c) for c in self.components))
+        constants = frozenset(constants)
+        _check_variables(components, system, constants)
+        self._init(tuple(canonicalize(c) for c in components), system, constants)
 
 
-@dataclass(frozen=True)
-class ScalarField:
+class ScalarField(Frozen):
     """A scalar in a coordinate system, held as a canonical form."""
 
-    value: CanonicalForm
-    system: CoordinateSystem
-    constants: frozenset = field(default_factory=frozenset)
+    __slots__ = ("value", "system", "constants")
 
-    def __post_init__(self):
-        object.__setattr__(self, "constants", frozenset(self.constants))
-        _check_variables((self.value,), self.system, self.constants)
-        object.__setattr__(self, "value", canonicalize(self.value))
+    def __init__(self, value: CanonicalForm, system: CoordinateSystem,
+                 constants: frozenset = frozenset()):
+        constants = frozenset(constants)
+        _check_variables((value,), system, constants)
+        self._init(canonicalize(value), system, constants)
 
 
 def gradient(f: ScalarField) -> VectorField:

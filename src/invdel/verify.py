@@ -13,11 +13,10 @@ times the requested sample count.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import DomainError, SamplingExhausted, ValidationError
-from .expr import CanonicalForm, numeric_plan, run_plan
+from .expr import CanonicalForm, Frozen, numeric_plan, run_plan
 from .inverse import (
     BasePoint,
     DivergenceWeights,
@@ -34,20 +33,20 @@ ABSOLUTE_FLOOR = 1e-12
 KINDS = ("inv_curl", "inv_div", "inv_grad")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of one round-trip check."""
+class VerificationReport(Frozen):
+    """Outcome of one round-trip check; ``residual`` is a VectorField, or a
+    CanonicalForm for ``inv_div``."""
 
-    kind: str
-    symbolic_equal: bool
-    residual: Union[VectorField, CanonicalForm]
-    sample_count: int
-    max_abs_error: float
-    max_rel_error: float
-    rng_seed: int
-    sampling_box: tuple
-    resample_count: int
-    within_tolerance: bool
+    __slots__ = ("kind", "symbolic_equal", "residual", "sample_count", "max_abs_error",
+                 "max_rel_error", "rng_seed", "sampling_box", "resample_count",
+                 "within_tolerance")
+
+    def __init__(self, kind: str, symbolic_equal: bool, residual, sample_count: int,
+                 max_abs_error: float, max_rel_error: float, rng_seed: int,
+                 sampling_box: tuple, resample_count: int, within_tolerance: bool):
+        self._init(kind, symbolic_equal, residual, sample_count, max_abs_error,
+                   max_rel_error, rng_seed, sampling_box, resample_count,
+                   within_tolerance)
 
     def to_dict(self) -> dict:
         if isinstance(self.residual, VectorField):

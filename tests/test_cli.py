@@ -270,3 +270,41 @@ def test_foreign_variable_that_cancels_is_accepted(capsys, text):
     # Fields are checked on the parsed canonical form, in which q is gone.
     code, out, err = run(capsys, "grad", text)
     assert (code, out, err) == (0, "e1: 1\ne2: 0\ne3: 0\n", "")
+
+
+@pytest.mark.parametrize("command", ["grad", "inv-div"])
+@pytest.mark.parametrize("text", ["3^10000000", "x*(7/3)^3000000"])
+def test_coefficient_power_past_the_budget_exits_4_promptly(command, text):
+    started = time.monotonic()
+    done = run_cli(command, text)
+    assert time.monotonic() - started < 1
+    assert done.returncode == 4
+    assert "Traceback" not in done.stderr
+    assert done.stderr == ("error: UnsupportedExpression: a coefficient power of "
+                           "more than 10000 digits exceeds the budget\n")
+
+
+@pytest.mark.parametrize("kind,args", [
+    ("inv-curl", GOLDEN_B),
+    ("inv-div", ["4*rho", "--coords", "cylindrical", "--weights", "1,0,0"]),
+    ("inv-grad", ["2*x*y", "x^2", "1", "--base", "1,0,0", "--c0", "5", "--samples", "7"]),
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_matches_the_inverse_command_with_verify(capsys, kind, args, fmt):
+    via_verify = run(capsys, "verify", kind, *args, "--format", fmt)
+    direct = run(capsys, kind, *args, "--format", fmt, "--verify")
+    assert via_verify[0] == 0 and via_verify[2] == ""
+    if fmt == "text":
+        assert via_verify == direct
+    else:
+        assert json.loads(via_verify[1]) == dict(json.loads(direct[1]), command="verify")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["inv-div", "3", "4"], "verify inv-div takes one scalar expression"),
+    (["inv-curl", "x", "y"], "verify inv-curl takes three component expressions"),
+    (["inv-grad", "x"], "verify inv-grad takes three component expressions"),
+])
+def test_verify_arity_messages(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out, err) == (2, "", f"error: ValidationError: {message}\n")

@@ -284,3 +284,26 @@ def test_coefficient_beyond_the_float_range_is_a_domain_error():
     form = canonicalize(parse("7" * 400 + "*x"))
     for value in (form, expression_of(form)):
         assert outcome(value, {"x": 1.0}) == "DomainError: coefficient overflow"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: parse("3^10000000"),
+    lambda: parse("x*(7/3)^3000000"),
+    lambda: parse("(2*x)^-10000000"),
+    lambda: parse("x/10^10001"),
+    lambda: parse("2^" + "9" * 400),
+    lambda: parse("((2*x)^9000)^9000"),
+    lambda: canonicalize(num(3) ** 10_000_000),
+    lambda: parse("3*x") ** 10_000_000,
+])
+def test_coefficient_power_past_the_digit_budget_is_unsupported(build):
+    assert expr.MAX_POWER_DIGITS == 10_000
+    with pytest.raises(UnsupportedExpression, match="more than 10000 digits exceeds the budget"):
+        build()
+
+
+def test_coefficient_power_within_the_digit_budget_is_computed():
+    assert parse("x/10^10000") == parse("x") * Fraction(1, 10 ** 10000)
+    assert parse("(2*x)^20000") == CanonicalForm({(("x", 20000),): Fraction(2 ** 20000)})
+    # A unit coefficient raises nothing, whatever the exponent.
+    assert parse("(-x)^10000001") == parse("-x^10000001")

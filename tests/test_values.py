@@ -1,0 +1,184 @@
+"""Value classes: immutable, field-wise equality and hash, pinned reprs, and an
+import path that leaves dataclasses, inspect and json unloaded."""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from invdel import (
+    BasePoint,
+    CurlWeights,
+    DivergenceWeights,
+    ScalarField,
+    SplitPair,
+    VectorField,
+    builtin,
+    num,
+    parse,
+    roundtrip_report,
+    sin,
+    var,
+)
+from invdel.expr import (
+    FunctionApplication,
+    FunctionAtom,
+    IntegerPower,
+    Negation,
+    Product,
+    RationalConstant,
+    Sum,
+    Term,
+    Variable,
+)
+
+x, y = var("x"), var("y")
+CARTESIAN = builtin("cartesian")
+
+
+def _report():
+    return roundtrip_report("inv_div", ScalarField(parse("x"), CARTESIAN), samples=3)
+
+
+# One builder per value class, so each call gives a new, equal instance.
+BUILDERS = {
+    "RationalConstant": lambda: RationalConstant(Fraction(3, 4)),
+    "Variable": lambda: Variable("x"),
+    "Sum": lambda: Sum((x, num(1))),
+    "Product": lambda: Product((num(2), x)),
+    "IntegerPower": lambda: IntegerPower(x, 3),
+    "FunctionApplication": lambda: FunctionApplication("sin", x),
+    "Negation": lambda: Negation(x),
+    "FunctionAtom": lambda: FunctionAtom("sin", parse("2*x")),
+    "Term": lambda: Term(Fraction(1, 2), (("x", 1),)),
+    "SplitPair": lambda: SplitPair(parse("x"), parse("y")),
+    "CoordinateSystem": lambda: builtin("cylindrical"),
+    "VectorField": lambda: VectorField((parse("x"), parse("y"), parse("0")), CARTESIAN),
+    "ScalarField": lambda: ScalarField(parse("x*y"), CARTESIAN),
+    "CurlWeights": lambda: CurlWeights(Fraction(1, 3), Fraction(1, 2)),
+    "DivergenceWeights": lambda: DivergenceWeights.symmetric(),
+    "BasePoint": lambda: BasePoint(1, 2, 3),
+    "VerificationReport": _report,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_fields_cannot_be_assigned_or_deleted(name):
+    value = BUILDERS[name]()
+    field = type(value).__slots__[0]
+    with pytest.raises(FrozenInstanceError):
+        setattr(value, field, None)
+    with pytest.raises(FrozenInstanceError):
+        delattr(value, field)
+    with pytest.raises(FrozenInstanceError):
+        value.not_a_field = 1
+    assert not hasattr(value, "__dict__")
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_equal_fields_give_equal_values_and_hashes(name):
+    first, second = BUILDERS[name](), BUILDERS[name]()
+    assert type(first).__name__ == name
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+    assert first != object()
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_copy_and_pickle_give_equal_values(name):
+    value = BUILDERS[name]()
+    assert copy.copy(value) == value
+    assert copy.deepcopy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_different_fields_or_classes_are_unequal():
+    assert Sum((x, y)) != Product((x, y))
+    assert Sum((x, y)) != Sum((y, x))
+    assert CurlWeights(1, 2) != CurlWeights(2, 1)
+    assert BasePoint(0, 0, 0) != BasePoint(0, 0, 0, 1)
+    assert ScalarField(parse("1"), CARTESIAN) != ScalarField(parse("1"), builtin("spherical"))
+    assert VectorField((parse("x"), parse("0"), parse("0")), CARTESIAN) != \
+        VectorField((parse("x"), parse("0"), parse("0")), CARTESIAN, {"a"})
+
+
+def test_function_atom_equality_ignores_its_key():
+    first = FunctionAtom("cos", parse("x + 1"))
+    second = FunctionAtom("cos", parse("1 + x"))
+    assert first.key == second.key and first.key is not second.key
+    assert first == second and hash(first) == hash(second)
+    assert first != FunctionAtom("sin", parse("x + 1"))
+    assert first != "cos"
+    assert "key" not in repr(first)
+
+
+def test_defaults():
+    assert BasePoint(1, 2, 3).c0 == 0
+    assert ScalarField(parse("x"), CARTESIAN).constants == frozenset()
+    assert VectorField((parse("x"), parse("y"), parse("z")), CARTESIAN).constants == frozenset()
+    assert CurlWeights(1, 2).w_plus == Fraction(1)
+
+
+@pytest.mark.parametrize("value,expected", [
+    (num(3, 4), "RationalConstant(value=Fraction(3, 4))"),
+    (x + 1, "Sum(children=(Variable(name='x'), RationalConstant(value=Fraction(1, 1))))"),
+    (2 * x, "Product(children=(RationalConstant(value=Fraction(2, 1)), Variable(name='x')))"),
+    (x ** 3, "IntegerPower(base=Variable(name='x'), exponent=3)"),
+    (sin(x), "FunctionApplication(tag='sin', argument=Variable(name='x'))"),
+    (-x, "Negation(child=Variable(name='x'))"),
+    (FunctionAtom("sin", parse("2*x")),
+     "FunctionAtom(tag='sin', argument=CanonicalForm((Term(coefficient=Fraction(2, 1), "
+     "factors=(('x', 1),)),)))"),
+    (parse("3*x^2*sin(y)").terms[0],
+     "Term(coefficient=Fraction(3, 1), factors=((FunctionAtom(tag='sin', "
+     "argument=CanonicalForm((Term(coefficient=Fraction(1, 1), factors=(('y', 1),)),))), 1), "
+     "('x', 2)))"),
+    (SplitPair(parse("x"), parse("0")),
+     "SplitPair(plus_part=CanonicalForm((Term(coefficient=Fraction(1, 1), "
+     "factors=(('x', 1),)),)), minus_part=CanonicalForm(()))"),
+    (CurlWeights(Fraction(1, 3), Fraction(1, 2)),
+     "CurlWeights(w_plus=Fraction(1, 3), w_minus=Fraction(1, 2))"),
+    (DivergenceWeights.symmetric(),
+     "DivergenceWeights(k1=Fraction(1, 3), k2=Fraction(1, 3), k3=Fraction(1, 3))"),
+    (BasePoint(1, 2, 3),
+     "BasePoint(a=Fraction(1, 1), b=Fraction(2, 1), c=Fraction(3, 1), c0=Fraction(0, 1))"),
+    (builtin("cartesian"),
+     "CoordinateSystem(names=('x', 'y', 'z'), scale_factors=("
+     + ", ".join(["CanonicalForm((Term(coefficient=Fraction(1, 1), factors=()),))"] * 3)
+     + "), base_point=(Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)), "
+     "sampling_box=((-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0)), label='cartesian')"),
+    (ScalarField(parse("x"), CARTESIAN, {"a"}),
+     "ScalarField(value=CanonicalForm((Term(coefficient=Fraction(1, 1), "
+     "factors=(('x', 1),)),)), system=" + repr(CARTESIAN) + ", constants=frozenset({'a'}))"),
+    (VectorField((parse("x"), parse("0"), parse("0")), CARTESIAN),
+     "VectorField(components=(CanonicalForm((Term(coefficient=Fraction(1, 1), "
+     "factors=(('x', 1),)),)), CanonicalForm(()), CanonicalForm(())), system="
+     + repr(CARTESIAN) + ", constants=frozenset())"),
+])
+def test_repr_is_pinned(value, expected):
+    assert repr(value) == expected
+
+
+def test_report_repr_is_pinned():
+    assert repr(_report()) == (
+        "VerificationReport(kind='inv_div', symbolic_equal=True, "
+        "residual=CanonicalForm(()), sample_count=3, max_abs_error=0.0, "
+        "max_rel_error=0.0, rng_seed=42, sampling_box=((-2.0, 2.0), (-2.0, 2.0), "
+        "(-2.0, 2.0)), resample_count=0, within_tolerance=True)")
+
+
+def test_cli_import_leaves_dataclasses_inspect_and_json_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, invdel.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
