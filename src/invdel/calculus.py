@@ -1,7 +1,6 @@
 """Single-variable calculus on canonical forms.
 
-Every operator here canonicalizes its input once (a form is taken as it
-is) and returns a canonical form.
+Every operator here takes and returns canonical forms.
 
 ``differentiate`` works term by term: the product rule over a term's atom
 powers, and the chain rule through each function atom whose argument

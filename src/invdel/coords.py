@@ -6,8 +6,8 @@ boxes stay away from the h = 0 surfaces (the cylindrical axis, the spherical
 origin and polar axis), so every sampled point is regular.  Angular
 coordinates are treated as plain real variables: constructed potentials are
 valid on the local chart, not glued across the 2*pi seam.  Scale factors
-are held as canonical forms, canonicalized once when the system is built;
-the builtin systems are built and validated once, when the module loads.
+are held as canonical forms; the builtin systems are built and validated
+once, when the module loads.
 """
 
 from __future__ import annotations
@@ -15,20 +15,19 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import UnknownSystem, ValidationError
+from .errors import DomainError, UnknownSystem, ValidationError
 from .expr import (
     ONE_FORM,
     CanonicalForm,
     Expression,
     Frozen,
     FunctionAtom,
-    Variable,
     atom_power,
     canonicalize,
+    check_variable_name,
     eval_numeric,
     free_variables,
 )
-from .errors import DomainError, UnsupportedExpression
 from . import parser
 
 
@@ -53,7 +52,7 @@ class CoordinateSystem(Frozen):
             raise ValidationError("exactly three distinct coordinate names required")
         for name in self.names:
             try:
-                Variable(name)
+                check_variable_name(name)
             except ValueError as exc:
                 raise ValidationError(str(exc)) from None
         if len(self.scale_factors) != 3:
@@ -65,10 +64,7 @@ class CoordinateSystem(Frozen):
             if foreign:
                 raise ValidationError(
                     f"h{i} references unknown variables: {', '.join(sorted(foreign))}")
-            try:
-                forms.append(canonicalize(h))
-            except UnsupportedExpression as exc:
-                raise ValidationError(f"h{i} outside the term class: {exc}") from None
+            forms.append(canonicalize(h))
             if forms[-1].is_zero():
                 raise ValidationError(f"h{i} is identically zero")
         object.__setattr__(self, "scale_factors", tuple(forms))

@@ -1,23 +1,21 @@
 """Exact symbolic expression kernel.
 
-Two kinds of value live here.  Expression trees are built from rational
-constants, named variables, sums, products, integer powers and the four
-function tags sin/cos/exp/ln; only the public constructors (``var``, ``num``,
-``sin`` ... and ``+ - * ** /``) build them.  A ``CanonicalForm`` is the value
-``parse`` returns and every operator passes and returns: a fully distributed
-sum of terms held as a sparse map from factors (ordered atom powers) to exact
-coefficient, the distributed representation of Monagan and Pearce (CASC 2007).
+One kind of value lives here.  A ``CanonicalForm`` is a fully distributed
+sum of terms held as a sparse map from factors (ordered powers of variables
+and of sin/cos/exp/ln atoms) to exact coefficient, the distributed
+representation of Monagan and Pearce (CASC 2007); ``Expression`` is its
+other name.  The public constructors (``var``, ``num``, ``sin`` ... and
+``+ - * ** /``) build forms, ``parse`` returns them, and every operator
+passes and returns them.
 
-``canonicalize`` turns a tree into its form once and returns a form
-unchanged.  Forms are ``Expression`` leaves, so they may sit inside trees.
-They are closed under ``+ - *``, integer powers (negative ones only of
+Forms are closed under ``+ - *``, integer powers (negative ones only of
 single terms), substitution and numeric evaluation; ``calculus`` adds
 differentiation and antidifferentiation.  The parser builds its maps with
-the same kernel helpers that flatten trees (``_fold_product``, ``_power``,
-``_invert``), so text and tree give equal maps.  Equal forms have equal maps,
-and ``terms`` lists them in one deterministic order, which rendering and the
-sort keys of function atoms use.  Coefficient arithmetic is exact
-everywhere; floats appear only inside ``eval_numeric``.
+the same kernel helpers the constructors use (``_fold_product``,
+``_power``, ``_invert``), so text and constructors give equal maps.  Equal
+forms have equal maps, and ``terms`` lists them in one deterministic order,
+which rendering and the sort keys of function atoms use.  Coefficient
+arithmetic is exact everywhere; floats appear only inside ``eval_numeric``.
 """
 
 from __future__ import annotations
@@ -80,180 +78,22 @@ class Frozen:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-class Expression:
-    """Base class for immutable expression tree nodes.
-
-    Operators build new trees without simplifying; ``==`` is structural.
-    Use ``equals`` for mathematical equality.
-    """
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        return Sum((self, _coerce(other)))
-
-    def __radd__(self, other):
-        return Sum((_coerce(other), self))
-
-    def __sub__(self, other):
-        return Sum((self, Negation(_coerce(other))))
-
-    def __rsub__(self, other):
-        return Sum((_coerce(other), Negation(self)))
-
-    def __mul__(self, other):
-        return Product((self, _coerce(other)))
-
-    def __rmul__(self, other):
-        return Product((_coerce(other), self))
-
-    def __neg__(self):
-        return Negation(self)
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int):
-            raise TypeError("exponent must be an integer")
-        if exponent == 0:
-            return ONE
-        return IntegerPower(self, exponent)
-
-    def __truediv__(self, other):
-        return Product((self, RationalConstant(_inverse_rational(other))))
-
-
-def _coerce(value) -> Expression:
-    if isinstance(value, Expression):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return RationalConstant(Fraction(value))
-    raise TypeError(f"cannot interpret {value!r} as an expression")
+def check_variable_name(name: str) -> None:
+    """Raise ValueError unless ``name`` is an identifier other than a
+    function tag."""
+    if not _IDENT_RE.match(name):
+        raise ValueError(f"invalid variable name {name!r}")
+    if name in FUNCTION_TAGS:
+        raise ValueError(f"{name!r} is a reserved function name")
 
 
 def _inverse_rational(divisor) -> Fraction:
-    if isinstance(divisor, RationalConstant):
-        divisor = divisor.value
+    if isinstance(divisor, CanonicalForm) and divisor._map.keys() <= {()}:
+        divisor = divisor._map.get((), 0)
     if not isinstance(divisor, (int, Fraction)):
         raise TypeError("can only divide by a rational constant; "
                         "use reciprocal() for invertible expressions")
     return Fraction(1, 1) / divisor
-
-
-class RationalConstant(Expression, Frozen):
-    """Exact rational literal; Fraction keeps it in lowest terms."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Fraction):
-        _set(self, "value", value if isinstance(value, Fraction) else Fraction(value))
-
-
-class Variable(Expression, Frozen):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        if not _IDENT_RE.match(name):
-            raise ValueError(f"invalid variable name {name!r}")
-        if name in FUNCTION_TAGS:
-            raise ValueError(f"{name!r} is a reserved function name")
-        _set(self, "name", name)
-
-
-class Sum(Expression, Frozen):
-    __slots__ = ("children",)
-
-    def __init__(self, children: tuple[Expression, ...]):
-        if len(children) < 2:
-            raise ValueError("Sum needs at least two children")
-        _set(self, "children", children)
-
-
-class Product(Expression, Frozen):
-    __slots__ = ("children",)
-
-    def __init__(self, children: tuple[Expression, ...]):
-        if len(children) < 2:
-            raise ValueError("Product needs at least two children")
-        _set(self, "children", children)
-
-
-class IntegerPower(Expression, Frozen):
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base: Expression, exponent: int):
-        if not isinstance(exponent, int) or exponent == 0:
-            raise ValueError("exponent must be a nonzero integer")
-        self._init(base, exponent)
-
-
-class FunctionApplication(Expression, Frozen):
-    __slots__ = ("tag", "argument")
-
-    def __init__(self, tag: str, argument: Expression):
-        if tag not in FUNCTION_TAGS:
-            raise ValueError(f"unknown function tag {tag!r}")
-        self._init(tag, argument)
-
-
-class Negation(Expression, Frozen):
-    __slots__ = ("child",)
-
-    def __init__(self, child: Expression):
-        _set(self, "child", child)
-
-
-ZERO = RationalConstant(Fraction(0))
-ONE = RationalConstant(Fraction(1))
-
-
-def var(name: str) -> Variable:
-    return Variable(name)
-
-
-def num(numerator: RationalLike, denominator: int = 1) -> RationalConstant:
-    return RationalConstant(Fraction(numerator, denominator))
-
-
-def sin(argument) -> FunctionApplication:
-    return FunctionApplication("sin", _coerce(argument))
-
-
-def cos(argument) -> FunctionApplication:
-    return FunctionApplication("cos", _coerce(argument))
-
-
-def exp(argument) -> FunctionApplication:
-    return FunctionApplication("exp", _coerce(argument))
-
-
-def ln(argument) -> FunctionApplication:
-    return FunctionApplication("ln", _coerce(argument))
-
-
-def sum_of(parts: Iterable[Expression]) -> Expression:
-    """Sum of any number of expressions; empty -> 0, singleton -> the part."""
-    kept = [p for p in parts if not _is_zero_literal(p)]
-    if not kept:
-        return ZERO
-    if len(kept) == 1:
-        return kept[0]
-    return Sum(tuple(kept))
-
-
-def product_of(parts: Iterable[Expression]) -> Expression:
-    """Product of any number of expressions; empty -> 1, singleton -> the part."""
-    parts = list(parts)
-    if any(_is_zero_literal(p) for p in parts):
-        return ZERO
-    kept = [p for p in parts if not (isinstance(p, RationalConstant) and p.value == 1)]
-    if not kept:
-        return ONE
-    if len(kept) == 1:
-        return kept[0]
-    return Product(tuple(kept))
-
-
-def _is_zero_literal(e: Expression) -> bool:
-    return isinstance(e, RationalConstant) and e.value == 0
 
 
 # --- canonical form -------------------------------------------------------
@@ -266,9 +106,10 @@ _ONE = Fraction(1)
 # depth the same way (``parser.MAX_NESTING``).
 MAX_PRODUCT_PAIRS = 100_000
 
-# Most decimal digits a power of one coefficient may reach, estimated from
-# its base and exponent before it is computed, so 3^10000000 ends at once.
-# It sits above the interpreter's 4300-digit limit, which rendering meets.
+# Most decimal digits a power of one coefficient, or a product of two inside
+# an expansion, may reach, estimated before it is computed, so 3^10000000
+# and (2^9000*x + 1)^300 end at once.  It sits above the interpreter's
+# 4300-digit limit, which rendering meets.
 MAX_POWER_DIGITS = 10_000
 
 
@@ -315,13 +156,14 @@ class Term(Frozen):
         _set(self, "factors", factors)
 
 
-class CanonicalForm(Expression):
+class CanonicalForm:
     """Fully distributed sum of terms; the empty map is the zero form.
 
     The map sends factors, a tuple of (atom, nonzero exponent) pairs in
     ascending atom order, to a nonzero Fraction.  A form owns its map and
     never changes it, so forms may share maps.  Arithmetic with ``+ - * **``
-    and division by a rational gives forms again.
+    and division by a rational gives forms again; ``==`` and hash compare
+    the maps, so they are mathematical equality.
     """
 
     __slots__ = ("_map", "_terms", "_hash")
@@ -362,6 +204,11 @@ class CanonicalForm(Expression):
     def __repr__(self):
         return f"CanonicalForm({self.terms!r})"
 
+    def __reduce__(self):
+        # The map alone: the cached hash and order are rebuilt where the form
+        # is loaded, since string hashes differ between processes.
+        return CanonicalForm, (self._map,)
+
     def __add__(self, other):
         acc = dict(self._map)
         _accumulate(acc, _map_of(other))
@@ -396,6 +243,8 @@ class CanonicalForm(Expression):
         return self * _inverse_rational(other)
 
 
+Expression = CanonicalForm
+
 ZERO_FORM = CanonicalForm({})
 ONE_FORM = CanonicalForm({(): _ONE})
 
@@ -419,9 +268,36 @@ def _map_of(value) -> dict:
         return value._map
     if isinstance(value, (int, Fraction)):
         return {(): Fraction(value)} if value else {}
-    if isinstance(value, Expression):
-        return _canon(value)
     raise TypeError(f"cannot interpret {value!r} as an expression")
+
+
+def var(name: str) -> CanonicalForm:
+    check_variable_name(name)
+    return atom_power(name)
+
+
+def num(numerator: RationalLike, denominator: int = 1) -> CanonicalForm:
+    return CanonicalForm(_map_of(Fraction(numerator, denominator)))
+
+
+def _apply(tag: str, argument) -> CanonicalForm:
+    return atom_power(FunctionAtom(tag, CanonicalForm(_map_of(argument))))
+
+
+def sin(argument) -> CanonicalForm:
+    return _apply("sin", argument)
+
+
+def cos(argument) -> CanonicalForm:
+    return _apply("cos", argument)
+
+
+def exp(argument) -> CanonicalForm:
+    return _apply("exp", argument)
+
+
+def ln(argument) -> CanonicalForm:
+    return _apply("ln", argument)
 
 
 def _atom_key(atom):
@@ -529,12 +405,33 @@ def _multiply(d1: dict, d2: dict) -> dict:
         raise UnsupportedExpression(
             f"expanding a product of {len(d1)} by {len(d2)} terms exceeds "
             f"the budget of {MAX_PRODUCT_PAIRS} term pairs")
+    if len(d1) > 1 and len(d2) > 1:
+        # Only products of two sums are estimated: a power of a sum squares
+        # them, doubling the coefficient size at each step.  A single-term
+        # factor adds its own size once, as folding single terms does.
+        (n1, e1), (n2, e2) = _coefficient_bits(d1), _coefficient_bits(d2)
+        if max(n1 + n2, e1 + e2) * math.log10(2) > MAX_POWER_DIGITS:
+            raise UnsupportedExpression(
+                f"a coefficient product of more than {MAX_POWER_DIGITS} digits "
+                "exceeds the budget")
     acc: dict = {}
     for f1, c1 in d1.items():
         for f2, c2 in d2.items():
             _add_term(acc, _merge_factors(f1, f2),
                       c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2)
     return acc
+
+
+def _coefficient_bits(d: dict) -> tuple[int, int]:
+    """Bit lengths of the largest numerator and denominator in the map."""
+    n = e = 0
+    for c in d.values():
+        cn, cd = c.numerator.bit_length(), c.denominator.bit_length()
+        if cn > n:
+            n = cn
+        if cd > e:
+            e = cd
+    return n, e
 
 
 def _invert(d: dict) -> dict:
@@ -574,40 +471,12 @@ def _power(d: dict, n: int) -> dict:
     return result
 
 
-def _canon(e: Expression) -> dict:
-    # Constructor trees are mostly products of constants and powers of
-    # variables, so those are tested first and a variable's power is read off
-    # the node.
-    if isinstance(e, Variable):
-        return {((e.name, 1),): _ONE}
-    if isinstance(e, RationalConstant):
-        return {(): e.value} if e.value else {}
-    if isinstance(e, IntegerPower):
-        if isinstance(e.base, Variable):
-            return {((e.base.name, e.exponent),): _ONE}
-        return _power(_canon(e.base), e.exponent)
-    if isinstance(e, Product):
-        return _fold_product(map(_canon, e.children))
-    if isinstance(e, Sum):
-        acc: dict = {}
-        for child in e.children:
-            _accumulate(acc, _canon(child))
-        return acc
-    if isinstance(e, Negation):
-        return _negate(_canon(e.child))
-    if isinstance(e, CanonicalForm):
-        return e._map
-    if isinstance(e, FunctionApplication):
-        atom = FunctionAtom(e.tag, CanonicalForm(_canon(e.argument)))
-        return {((atom, 1),): _ONE}
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 def _fold_product(maps) -> dict:
     """Product of the maps an iterator yields, taken in order.  While they are
     single terms, their coefficients fold and their factors merge in one pass;
     from the first map that is not one term on, the rest is multiplied out in
-    general.  The iterator is consumed in full either way."""
+    general.  The iterator is consumed in full either way, so the parser's
+    generator, which reads each factor from the text, reads them all."""
     coeff, factors = _ONE, ()
     for d in maps:
         if len(d) != 1:
@@ -619,16 +488,10 @@ def _fold_product(maps) -> dict:
 
 
 def canonicalize(expression: Expression) -> CanonicalForm:
-    """The canonical form of an expression: a form is returned as it is, a
-    tree is flattened into its sum of terms.
-
-    Equal expressions produce equal forms; the zero expression produces the
-    empty form.  Raises UnsupportedExpression for reciprocals that the term
-    algebra cannot represent (negative powers of multi-term sums).
-    """
+    """The form itself; anything else raises TypeError."""
     if isinstance(expression, CanonicalForm):
         return expression
-    return CanonicalForm(_canon(expression))
+    raise TypeError(f"not an expression node: {expression!r}")
 
 
 def equals(e1: Expression, e2: Expression) -> bool:
@@ -638,29 +501,6 @@ def equals(e1: Expression, e2: Expression) -> bool:
 
 def is_zero(expression: Expression) -> bool:
     return canonicalize(expression).is_zero()
-
-
-def expression_of(form: CanonicalForm) -> Expression:
-    """Deterministic expression tree spelling of a canonical form."""
-    if not form.terms:
-        return ZERO
-    return sum_of([_term_expression(t) for t in form.terms])
-
-
-def _term_expression(term: Term) -> Expression:
-    parts: list[Expression] = []
-    if term.coefficient != 1 or not term.factors:
-        parts.append(RationalConstant(term.coefficient))
-    for atom, e in term.factors:
-        ae = _atom_expression(atom)
-        parts.append(ae if e == 1 else IntegerPower(ae, e))
-    return product_of(parts)
-
-
-def _atom_expression(atom: Atom) -> Expression:
-    if isinstance(atom, str):
-        return Variable(atom)
-    return FunctionApplication(atom.tag, expression_of(atom.argument))
 
 
 def reciprocal(expression: Expression) -> CanonicalForm:
@@ -682,15 +522,6 @@ def factors_contain(factors, name: str) -> bool:
                 return True
         elif form_contains(atom.argument, name):
             return True
-    return False
-
-
-def form_has_variables(form: CanonicalForm) -> bool:
-    """True iff any variable at all occurs in the form."""
-    for factors in form._map:
-        for atom, _ in factors:
-            if isinstance(atom, str) or form_has_variables(atom.argument):
-                return True
     return False
 
 
@@ -735,60 +566,33 @@ def _substitute(d: dict, values: dict) -> dict:
 
 
 def free_variables(expression: Expression) -> frozenset[str]:
+    """The variables that occur in the form, including inside function
+    arguments; empty for anything that is not a form."""
     names: set[str] = set()
 
-    def walk(e: Expression) -> None:
-        if isinstance(e, Variable):
-            names.add(e.name)
-        elif isinstance(e, Sum) or isinstance(e, Product):
-            for c in e.children:
-                walk(c)
-        elif isinstance(e, IntegerPower):
-            walk(e.base)
-        elif isinstance(e, Negation):
-            walk(e.child)
-        elif isinstance(e, FunctionApplication):
-            walk(e.argument)
-        elif isinstance(e, CanonicalForm):
-            for factors in e._map:
-                for atom, _ in factors:
-                    if isinstance(atom, str):
-                        names.add(atom)
-                    else:
-                        walk(atom.argument)
+    def walk(form: CanonicalForm) -> None:
+        for factors in form._map:
+            for atom, _ in factors:
+                if isinstance(atom, str):
+                    names.add(atom)
+                else:
+                    walk(atom.argument)
 
-    walk(expression)
+    if isinstance(expression, CanonicalForm):
+        walk(expression)
     return frozenset(names)
 
 
 def eval_numeric(expression: Expression, point: Mapping[str, float]) -> float:
     """Evaluate at a point (name -> number).  Exact up to float rounding.
 
-    A form gives bit for bit the value of its tree spelling
-    ``expression_of(form)``.  Raises UnboundVariable for missing names and
+    Bit for bit the value of the reference evaluation in the tests'
+    ``_support.reference_eval``, which spells each term as a product and the
+    form as their sum.  Raises UnboundVariable for missing names and
     DomainError when the value leaves the real domain (ln of a non-positive
     number, 0**-n, overflow).
     """
-    if isinstance(expression, CanonicalForm):
-        return run_plan(numeric_plan(expression, {}), (), point)
-    if isinstance(expression, RationalConstant):
-        return _coefficient_float(expression.value)
-    if isinstance(expression, Variable):
-        return _eval_variable(expression.name, point)
-    if isinstance(expression, Sum):
-        return math.fsum(eval_numeric(c, point) for c in expression.children)
-    if isinstance(expression, Product):
-        result = 1.0
-        for c in expression.children:
-            result *= eval_numeric(c, point)
-        return result
-    if isinstance(expression, IntegerPower):
-        return _eval_power(eval_numeric(expression.base, point), expression.exponent)
-    if isinstance(expression, Negation):
-        return -eval_numeric(expression.child, point)
-    if isinstance(expression, FunctionApplication):
-        return _eval_function(expression.tag, eval_numeric(expression.argument, point))
-    raise TypeError(f"not an expression node: {expression!r}")
+    return run_plan(numeric_plan(canonicalize(expression), {}), (), point)
 
 
 def numeric_plan(form: CanonicalForm, slots: Mapping[str, int]) -> tuple:
@@ -809,8 +613,9 @@ def numeric_plan(form: CanonicalForm, slots: Mapping[str, int]) -> tuple:
 
 def run_plan(plan: tuple, values, point: Mapping[str, float] = MappingProxyType({})) -> float:
     """Evaluate a plan, indexed variables from ``values`` and named ones from
-    ``point``.  Bit for bit the tree spelling's value: a Product starts from the
-    coefficient, and a Sum (fsum, which loses -0.0) needs two or more terms."""
+    ``point``.  Bit for bit the value of ``eval_numeric``'s reference: a term's
+    product starts from its coefficient, and the sum (fsum, which loses -0.0)
+    needs two or more terms."""
     out = []
     for result, factors in plan:
         for atom, e in factors:

@@ -40,7 +40,7 @@ from .expr import (
     Frozen,
     FunctionAtom,
     eval_numeric,
-    form_has_variables,
+    free_variables,
     reciprocal,
     substitute,
     substitute_all,
@@ -242,7 +242,7 @@ def _scan_form(form: CanonicalForm) -> None:
             if not isinstance(atom, FunctionAtom):
                 continue
             _scan_form(atom.argument)
-            if form_has_variables(atom.argument):
+            if free_variables(atom.argument):
                 continue
             try:
                 value = eval_numeric(atom.argument, {})

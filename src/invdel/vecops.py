@@ -6,12 +6,10 @@ With coordinates u1,u2,u3 and scale factors h1,h2,h3:
     div(A)    = (1/(h1*h2*h3)) * sum_i d(h_j*h_k*A_i)/du_i      (i,j,k cyclic)
     curl(A)_i = (1/(h_j*h_k)) * (d(h_k*A_k)/du_j - d(h_j*A_j)/du_k)
 
-Fields hold canonical forms: a component given as a tree is canonicalized
-once, when the field is built.  The operators combine those forms with
-form arithmetic and ``differentiate`` and return forms, so nothing is
-canonicalized twice.  Division by scale factors is multiplication by the
-canonical reciprocal, which exists only for single-term factors; anything
-else raises UnsupportedExpression.
+Fields hold canonical forms.  The operators combine them with form
+arithmetic and ``differentiate`` and return forms.  Division by scale
+factors is multiplication by the canonical reciprocal, which exists only
+for single-term factors; anything else raises UnsupportedExpression.
 """
 
 from __future__ import annotations

@@ -1,17 +1,11 @@
-"""Shared helpers for building random test fields and spelling trees as text."""
+"""Shared helpers for building random test fields and for evaluating forms
+by reference."""
 
+import math
 from fractions import Fraction
 
 from invdel import ScalarField, VectorField, num, var
-from invdel.expr import (
-    FunctionApplication,
-    IntegerPower,
-    Negation,
-    Product,
-    RationalConstant,
-    Sum,
-    Variable,
-)
+from invdel.expr import _coefficient_float, _eval_function, _eval_power, _eval_variable
 
 
 def random_polynomial(rng, names, max_terms=3, max_degree=3):
@@ -44,34 +38,27 @@ def random_scalar(rng, system, max_terms=3, max_degree=3):
     return ScalarField(value, system)
 
 
-def spell(tree):
-    """Fully parenthesized source text of a tree built with the public
-    constructors.  A product child that is a negative power, or a constant
-    1/d, is written as a division by the positive power, or by d."""
-    if isinstance(tree, RationalConstant):
-        value = tree.value
-        if value.denominator == 1:
-            return f"({value.numerator})"
-        return f"({value.numerator}/{value.denominator})"
-    if isinstance(tree, Variable):
-        return tree.name
-    if isinstance(tree, FunctionApplication):
-        return f"{tree.tag}({spell(tree.argument)})"
-    if isinstance(tree, Negation):
-        return f"(-{spell(tree.child)})"
-    if isinstance(tree, IntegerPower):
-        return f"({spell(tree.base)}^{tree.exponent})"
-    if isinstance(tree, Sum):
-        return "(" + " + ".join(spell(c) for c in tree.children) + ")"
-    if isinstance(tree, Product):
-        text = spell(tree.children[0])
-        for child in tree.children[1:]:
-            if isinstance(child, IntegerPower) and child.exponent < 0:
-                text += f"/({spell(child.base)}^{-child.exponent})"
-            elif (isinstance(child, RationalConstant) and child.value.numerator == 1
-                  and child.value.denominator != 1):
-                text += f"/{child.value.denominator}"
-            else:
-                text += "*" + spell(child)
-        return f"({text})"
-    raise TypeError(f"not a public-constructor tree: {tree!r}")
+def reference_eval(form, point):
+    """A form's value at a point, evaluated as the product of each term's
+    coefficient and atom powers, in canonical order, and the fsum of the
+    terms.  ``eval_numeric`` must give the same float bit for bit: a term's
+    product starts at 1.0, its coefficient is a factor only when it is not 1
+    or the term has no other factor, and fsum, which loses -0.0, is used only
+    for two or more terms."""
+    values = [_term_value(term, point) for term in form.terms]
+    if not values:
+        return 0.0
+    return values[0] if len(values) == 1 else math.fsum(values)
+
+
+def _term_value(term, point):
+    result = 1.0
+    if term.coefficient != 1 or not term.factors:
+        result *= _coefficient_float(term.coefficient)
+    for atom, e in term.factors:
+        if isinstance(atom, str):
+            value = _eval_variable(atom, point)
+        else:
+            value = _eval_function(atom.tag, reference_eval(atom.argument, point))
+        result *= value if e == 1 else _eval_power(value, e)
+    return result

@@ -284,6 +284,18 @@ def test_coefficient_power_past_the_budget_exits_4_promptly(command, text):
                            "more than 10000 digits exceeds the budget\n")
 
 
+def test_coefficient_product_past_the_budget_exits_4_promptly():
+    # The power of a sum is multiplied out; its coefficient products are
+    # estimated before they are formed.
+    started = time.monotonic()
+    done = run_cli("grad", "(2^9000*x + 1)^300")
+    assert time.monotonic() - started < 1
+    assert done.returncode == 4
+    assert "Traceback" not in done.stderr
+    assert done.stderr == ("error: UnsupportedExpression: a coefficient product of "
+                           "more than 10000 digits exceeds the budget\n")
+
+
 @pytest.mark.parametrize("kind,args", [
     ("inv-curl", GOLDEN_B),
     ("inv-div", ["4*rho", "--coords", "cylindrical", "--weights", "1,0,0"]),

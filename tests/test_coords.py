@@ -111,6 +111,17 @@ def test_custom_rejects_function_tag_as_name():
                ((-1, 1), (-1, 1), (-1, 1)))
 
 
+@pytest.mark.parametrize("name,message", [
+    ("sin", "'sin' is a reserved function name"),
+    ("1x", "invalid variable name '1x'"),
+])
+def test_custom_rejects_an_invalid_name_with_the_name_check_message(name, message):
+    with pytest.raises(ValidationError) as info:
+        custom((name, "v", "w"), ("1", "1", "1"), (0, 0, 0),
+               ((-1, 1), (-1, 1), (-1, 1)))
+    assert str(info.value) == message
+
+
 def test_custom_rejects_foreign_variables_in_scale_factor():
     with pytest.raises(ValidationError):
         custom(("u", "v", "w"), ("1", "q", "1"), (0, 0, 0),

@@ -1,5 +1,6 @@
 """Kernel tests: canonical forms, substitution, numeric evaluation."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,8 +11,10 @@ from invdel import (
     UnboundVariable,
     UnsupportedExpression,
     canonicalize,
+    cos,
     equals,
     eval_numeric,
+    exp,
     is_zero,
     ln,
     num,
@@ -20,7 +23,8 @@ from invdel import (
     substitute,
     var,
 )
-from invdel.expr import expression_of, form_contains, reciprocal
+from invdel import expr
+from invdel.expr import CanonicalForm, form_contains, reciprocal
 
 from _support import random_polynomial
 
@@ -116,12 +120,13 @@ def test_coefficients_stay_exact():
     assert form.terms[0].coefficient == Fraction(1)
 
 
-def test_canonicalize_is_idempotent_on_rebuilt_trees():
+def test_canonicalize_returns_constructor_values_unchanged():
     rng = random.Random(7)
     for _ in range(50):
         e = random_polynomial(rng, ("x", "y", "z"))
-        form = canonicalize(e)
-        assert canonicalize(expression_of(form)) == form
+        assert canonicalize(e) is e
+    with pytest.raises(TypeError, match="not an expression node: 5"):
+        canonicalize(5)
 
 
 def test_form_contains_looks_inside_functions():
@@ -132,15 +137,71 @@ def test_form_contains_looks_inside_functions():
 
 
 def test_random_equal_pairs_agree_numerically():
+    # Each polynomial is drawn once and built twice: as a form, by the
+    # constructors, and as its list of terms, evaluated directly in floats.
     rng = random.Random(2024)
+    names = ("x", "y", "z")
     for _ in range(1000):
-        e = random_polynomial(rng, ("x", "y", "z"))
-        rebuilt = expression_of(canonicalize(e))
-        points = [
-            {n: rng.uniform(-2.0, 2.0) for n in ("x", "y", "z")}
-            for _ in range(20)
-        ]
-        for point in points:
-            a = eval_numeric(e, point)
-            b = eval_numeric(rebuilt, point)
+        drawn = [(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                  [rng.randint(0, 3) for _ in names])
+                 for _ in range(rng.randint(1, 3))]
+        form = num(0)
+        for coefficient, degrees in drawn:
+            term = num(coefficient)
+            for name, degree in zip(names, degrees):
+                term = term * var(name) ** degree
+            form = form + term
+        for _ in range(20):
+            point = {n: rng.uniform(-2.0, 2.0) for n in names}
+            a = eval_numeric(form, point)
+            b = sum(float(c) * math.prod(point[n] ** d for n, d in zip(names, degrees))
+                    for c, degrees in drawn)
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
+
+
+def test_every_constructor_returns_a_canonical_form():
+    values = [var("x"), num(3, 4), num(0), sin(x), cos(2), exp(Fraction(1, 2)),
+              ln(x + 1), x + 1, 1 + x, x - y, 1 - x, x * y, 2 * x, -x, x ** 3,
+              x ** 0, x ** -2, x / 2, x / num(2)]
+    for value in values:
+        assert type(value) is CanonicalForm, value
+
+
+def test_equality_of_constructor_values_is_mathematical():
+    assert x * y == y * x and hash(x * y) == hash(y * x)
+    assert (x + 1) ** 2 == x ** 2 + 2 * x + 1
+    assert sin(x + y) == sin(y + x)
+    assert x - x == num(0) == canonicalize(parse("0"))
+    assert num(1, 2) + 1 == num(3, 2)
+    assert x / 2 == num(1, 2) * x
+    assert var("x") == parse("x")
+    assert x + y != x * y
+    assert sin(x) != cos(x)
+
+
+def test_reciprocal_of_a_sum_raises_when_it_is_built():
+    with pytest.raises(UnsupportedExpression) as info:
+        (x + 1) ** -1
+    assert str(info.value) == (
+        "reciprocal of a multi-term expression is outside the term algebra")
+    with pytest.raises(UnsupportedExpression, match="reciprocal of zero"):
+        (x - x) ** -2
+
+
+@pytest.mark.parametrize("name,message", [
+    ("sin", "'sin' is a reserved function name"),
+    ("1x", "invalid variable name '1x'"),
+    ("x y", "invalid variable name 'x y'"),
+])
+def test_invalid_variable_name_is_a_value_error(name, message):
+    with pytest.raises(ValueError) as info:
+        var(name)
+    assert str(info.value) == message
+
+
+def test_the_expression_tree_is_gone():
+    for name in ("RationalConstant", "Variable", "Sum", "Product", "IntegerPower",
+                 "FunctionApplication", "Negation", "_canon", "_coerce", "sum_of",
+                 "product_of", "expression_of", "form_has_variables"):
+        assert not hasattr(expr, name), name
+    assert expr.Expression is CanonicalForm

@@ -25,9 +25,11 @@ from invdel import (
     sin,
     var,
 )
-from invdel import cli, expr
+from invdel import expr
 from invdel.errors import InvdelError
-from invdel.expr import CanonicalForm, Product, expression_of, substitute_all
+from invdel.expr import CanonicalForm, substitute_all
+
+from _support import reference_eval
 
 NAMES = ("x", "y", "z")
 
@@ -58,12 +60,12 @@ def random_form(rng):
         for _ in range(rng.randint(0, 3)):
             term = term * random_atom(rng, depth=1)
         total = total + term
-    return canonicalize(total)
+    return total
 
 
-def outcome(expression, point):
+def outcome(form, point, evaluate=eval_numeric):
     try:
-        return eval_numeric(expression, point).hex()
+        return evaluate(form, point).hex()
     except InvdelError as error:
         return f"{type(error).__name__}: {error}"
 
@@ -73,11 +75,10 @@ def test_form_evaluation_is_bit_identical_to_its_tree_spelling():
     values = errors = 0
     for _ in range(300):
         form = random_form(rng)
-        tree = expression_of(form)
         for _ in range(10):
             point = {n: rng.uniform(-2.0, 2.0) for n in NAMES}
             got = outcome(form, point)
-            assert got == outcome(tree, point), render(form)
+            assert got == outcome(form, point, reference_eval), render(form)
             if "Error" in got:
                 errors += 1
             else:
@@ -140,41 +141,6 @@ def test_base_point_singularity_in_a_term_the_path_zeroes():
         inverse_gradient_unchecked(field, BasePoint(0, 0, 0))
 
 
-GOLDEN_B = ("x*y*z + y^2", "x*z + y", "-z - y*z^2/2")
-GOLDEN_OUT = (
-    "e1: x*z^2/4 + y^2*z^2/12 + 2*y*z/3\n"
-    "e2: -x*y*z^2/3 - x*z/3 - y^2*z/2\n"
-    "e3: -x^2*z/4 + x*y^2*z/6 - x*y/3 + y^3/6\n"
-)
-
-
-def test_golden_inverse_curl_flattens_no_tree(monkeypatch, capsys):
-    """During the README's inv-curl example the parser hands over canonical
-    forms, and no tree is flattened anywhere: the tree flattener
-    ``expr._canon`` is never entered."""
-    parsed, flattened = [], []
-    flatten = expr._canon
-    original_parse = cli.parse
-
-    def counting_flatten(tree):
-        flattened.append(tree)
-        return flatten(tree)
-
-    def recording_parse(text):
-        value = original_parse(text)
-        parsed.append(value)
-        return value
-
-    monkeypatch.setattr(expr, "_canon", counting_flatten)
-    monkeypatch.setattr(cli, "parse", recording_parse)
-    assert cli.main(["inv-curl", *GOLDEN_B]) == 0
-    assert capsys.readouterr().out == GOLDEN_OUT
-
-    assert len(parsed) == 3
-    assert all(isinstance(value, CanonicalForm) for value in parsed)
-    assert flattened == []
-
-
 ERROR_PATH = [
     ("x^-1", {"x": 0.0}, "DomainError: zero raised to a negative power"),
     ("x^400*y", {"x": 10.0, "y": 1.0}, "DomainError: power overflow"),
@@ -193,7 +159,7 @@ ERROR_PATH = [
 def test_form_evaluation_keeps_error_messages_and_negative_zero(source, point, expected):
     form = canonicalize(parse(source))
     assert outcome(form, point) == expected
-    assert outcome(expression_of(form), point) == expected
+    assert outcome(form, point, reference_eval) == expected
 
 
 def reference_merge(f1, f2):
@@ -247,18 +213,17 @@ def test_products_of_one_term_children_fold_like_the_general_product():
     rng = random.Random(20260405)
     terms = single_terms(rng, 800)
     for start in range(0, 800, 4):
-        chosen = terms[start:start + rng.randint(2, 5)]
-        children = [expression_of(CanonicalForm(d)) for d in chosen]
+        children = terms[start:start + rng.randint(2, 5)]
         if rng.random() < 0.3:
             # A sum among the children, or a zero, leaves the one-term path.
             children.insert(rng.randrange(len(children) + 1),
-                            rng.choice((parse("x + 2*y"), num(0), num(1))))
+                            rng.choice((parse("x + 2*y"), num(0), num(1)))._map)
         if len(children) < 2:
             continue
         want = {(): Fraction(1)}
         for child in children:
-            want = reference_multiply(want, canonicalize(child)._map)
-        assert canonicalize(Product(tuple(children)))._map == want
+            want = reference_multiply(want, child)
+        assert expr._fold_product(iter(children)) == want
 
 
 @pytest.mark.parametrize("source,expected", [
@@ -281,9 +246,9 @@ def test_product_past_the_expansion_budget_is_unsupported():
 
 
 def test_coefficient_beyond_the_float_range_is_a_domain_error():
-    form = canonicalize(parse("7" * 400 + "*x"))
-    for value in (form, expression_of(form)):
-        assert outcome(value, {"x": 1.0}) == "DomainError: coefficient overflow"
+    form = parse("7" * 400 + "*x")
+    for evaluate in (eval_numeric, reference_eval):
+        assert outcome(form, {"x": 1.0}, evaluate) == "DomainError: coefficient overflow"
 
 
 @pytest.mark.parametrize("build", [
@@ -293,7 +258,7 @@ def test_coefficient_beyond_the_float_range_is_a_domain_error():
     lambda: parse("x/10^10001"),
     lambda: parse("2^" + "9" * 400),
     lambda: parse("((2*x)^9000)^9000"),
-    lambda: canonicalize(num(3) ** 10_000_000),
+    lambda: num(3) ** 10_000_000,
     lambda: parse("3*x") ** 10_000_000,
 ])
 def test_coefficient_power_past_the_digit_budget_is_unsupported(build):
@@ -307,3 +272,30 @@ def test_coefficient_power_within_the_digit_budget_is_computed():
     assert parse("(2*x)^20000") == CanonicalForm({(("x", 20000),): Fraction(2 ** 20000)})
     # A unit coefficient raises nothing, whatever the exponent.
     assert parse("(-x)^10000001") == parse("-x^10000001")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: parse("(2^9000*x + 1)^300"),
+    lambda: parse("(2^16609*x + 1)^2"),
+    lambda: parse("(x + 2^-16609)*(y + 2^-16609)"),
+    lambda: (num(2) ** 9000 * var("x") + 1) ** 300,
+    lambda: parse("(2^9000*x + 1)^2") * parse("(3^6000*y + 1)^2"),
+])
+def test_coefficient_product_past_the_digit_budget_is_unsupported(build):
+    # Estimated from the operands' largest numerator and denominator bit
+    # lengths: 2 * 16610 bits is past 10000 digits, 2 * 16609 is not.
+    with pytest.raises(UnsupportedExpression,
+                       match="coefficient product of more than 10000 digits exceeds the budget"):
+        build()
+
+
+def test_coefficient_product_within_the_digit_budget_is_computed():
+    assert parse("(2^16608*x + 1)^2") == parse("2^33216*x^2 + 2^16609*x + 1")
+    assert parse("(x + 2^-16608)*(y + 2^-16608)") == (
+        parse("x*y") + parse("x + y") / 2 ** 16608 + Fraction(1, 2 ** 33216))
+    # Three factors of 9001 bits stay within it, and the result is refused
+    # only when it is rendered.
+    cube = parse("(2^9000*x + 1)^3")
+    assert cube.terms[0].coefficient == 2 ** 27000
+    with pytest.raises(UnsupportedExpression, match="rendering a number"):
+        render(cube)

@@ -22,7 +22,7 @@ from invdel import (
 from invdel.expr import CanonicalForm, Term, canonicalize
 from invdel.parser import MAX_NESTING
 
-from _support import random_polynomial, spell
+from _support import random_polynomial
 
 
 def test_parse_returns_the_canonical_form():
@@ -258,63 +258,101 @@ def test_repeated_unary_minus(source, expected):
 
 FUNCTIONS = (sin, cos, exp, ln)
 
+# The generators below return (text, form, divisor) triples built side by
+# side from the same draws: the fully parenthesized text of a value, its
+# form, and, for a reciprocal, the text it is divided by when it is the right
+# factor of a product (None otherwise).
+
+
+def constant(value):
+    value = Fraction(value)
+    if value.denominator == 1:
+        return f"({value.numerator})", num(value), None
+    divisor = str(value.denominator) if value.numerator == 1 else None
+    return f"({value.numerator}/{value.denominator})", num(value), divisor
+
+
+def variable(name):
+    return name, var(name), None
+
+
+def times(left, right):
+    if right[2]:
+        return f"({left[0]}/{right[2]})", left[1] * right[1], None
+    return f"({left[0]}*{right[0]})", left[1] * right[1], None
+
+
+def power(base, exponent):
+    if exponent == 0:
+        return constant(1)
+    divisor = f"({base[0]}^{-exponent})" if exponent < 0 else None
+    return f"({base[0]}^{exponent})", base[1] ** exponent, divisor
+
+
+def apply(function, argument):
+    return f"{function.__name__}({argument[0]})", function(argument[1]), None
+
 
 def random_single_term(rng, depth):
-    """A tree whose canonical form is one nonzero term."""
-    tree = num(Fraction(rng.choice((1, -1)) * rng.randint(1, 6), rng.randint(1, 4)))
+    """A value whose form is one nonzero term."""
+    value = constant(Fraction(rng.choice((1, -1)) * rng.randint(1, 6), rng.randint(1, 4)))
     for _ in range(rng.randint(1, 3)):
         roll = rng.random()
         if roll < 0.4:
-            part = var(rng.choice(("x", "y", "z")))
+            part = variable(rng.choice(("x", "y", "z")))
         elif roll < 0.7:
-            part = var(rng.choice(("x", "y", "z"))) ** rng.choice((-2, -1, 2, 3))
+            part = power(variable(rng.choice(("x", "y", "z"))), rng.choice((-2, -1, 2, 3)))
         else:
-            part = rng.choice(FUNCTIONS)(random_tree(rng, depth - 1))
-        tree = tree * part if rng.random() < 0.7 else part * tree
-    return tree
+            part = apply(rng.choice(FUNCTIONS), random_value(rng, depth - 1))
+        value = times(value, part) if rng.random() < 0.7 else times(part, value)
+    return value
 
 
-def random_tree(rng, depth):
-    """A public-constructor tree whose canonical form exists: sums,
-    negations, nested products with now and then a zero factor, positive
-    powers, negative powers of single terms, division by constants and by
-    single terms, and function arguments."""
+def random_value(rng, depth):
+    """A value whose form exists: sums, negations, nested products with now
+    and then a zero factor, positive powers, negative powers of single terms,
+    division by constants and by single terms, and function arguments."""
     roll = rng.random()
     if depth <= 0 or roll < 0.2:
-        return rng.choice((var("x"), var("y"), var("z"), num(rng.randint(-4, 4))))
+        leaf = constant(rng.randint(-4, 4))
+        return rng.choice((variable("x"), variable("y"), variable("z"), leaf))
     if roll < 0.35:
-        tree = random_tree(rng, depth - 1)
+        value = random_value(rng, depth - 1)
         for _ in range(rng.randint(1, 2)):
-            other = random_tree(rng, depth - 1)
-            tree = tree + other if rng.random() < 0.5 else tree - other
-        return tree
+            text, form, _ = random_value(rng, depth - 1)
+            if rng.random() < 0.5:
+                value = f"({value[0]} + {text})", value[1] + form, None
+            else:
+                value = f"({value[0]} + (-{text}))", value[1] - form, None
+        return value
     if roll < 0.42:
-        return -random_tree(rng, depth - 1)
+        text, form, _ = random_value(rng, depth - 1)
+        return f"(-{text})", -form, None
     if roll < 0.57:
-        tree = random_tree(rng, depth - 1) * random_tree(rng, depth - 1)
+        value = times(random_value(rng, depth - 1), random_value(rng, depth - 1))
         if rng.random() < 0.5:
-            tree = tree * (num(0) if rng.random() < 0.2 else random_tree(rng, depth - 1))
-        return tree
+            value = times(value, constant(0) if rng.random() < 0.2
+                          else random_value(rng, depth - 1))
+        return value
     if roll < 0.65:
-        return random_tree(rng, depth - 1) ** rng.randint(0, 3)
+        return power(random_value(rng, depth - 1), rng.randint(0, 3))
     if roll < 0.72:
-        return random_single_term(rng, depth - 1) ** rng.choice((-3, -2, -1))
+        return power(random_single_term(rng, depth - 1), rng.choice((-3, -2, -1)))
     if roll < 0.8:
-        return random_tree(rng, depth - 1) / rng.choice((2, 3, Fraction(4, 3), -5))
+        value = random_value(rng, depth - 1)
+        return times(value, constant(1 / Fraction(rng.choice((2, 3, Fraction(4, 3), -5)))))
     if roll < 0.9:
-        return random_tree(rng, depth - 1) * random_single_term(rng, depth - 1) ** -rng.randint(1, 2)
-    return rng.choice(FUNCTIONS)(random_tree(rng, depth - 1))
+        return times(random_value(rng, depth - 1),
+                     power(random_single_term(rng, depth - 1), -rng.randint(1, 2)))
+    return apply(rng.choice(FUNCTIONS), random_value(rng, depth - 1))
 
 
-def test_parsed_spelling_equals_the_canonicalized_tree():
+def test_parsed_spelling_equals_the_constructed_form():
     rng = random.Random(20260505)
     texts = []
     for _ in range(400):
-        tree = random_tree(rng, 4)
-        text = spell(tree)
-        form = parse(text)
-        assert form._map == canonicalize(tree)._map, text
-        assert render(form) == render(tree)
+        text, form, _ = random_value(rng, 4)
+        assert parse(text) == form, text
         texts.append(text)
     # The spellings reach every construct the grammar has.
     for piece in ("+", "(-", "*", ")^-", "/(", "sin(", "cos(", "exp(", "ln(", "*(0)"):

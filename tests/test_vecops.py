@@ -16,6 +16,7 @@ from invdel import (
     is_zero,
     parse,
     render,
+    var,
 )
 
 from _support import random_scalar, random_vector
@@ -71,6 +72,14 @@ def test_field_variables_must_match_system():
         ScalarField(parse("q"), CARTESIAN)
     with pytest.raises(ValidationError):
         vec(SPHERICAL, "x", "0", "0")
+
+
+def test_foreign_variable_that_cancels_in_constructor_input_is_accepted():
+    # Fields are checked on the form, in which q is gone.
+    x, q = var("x"), var("q")
+    f = ScalarField(x + q - q, CARTESIAN)
+    assert render(f.value) == "x"
+    assert render(gradient(f).components[0]) == "1"
 
 
 def test_symbolic_constants_are_allowed_when_declared():
