@@ -44,22 +44,18 @@ class CoordinateSystem(Frozen):
         sampling_box: tuple[tuple[float, float], tuple[float, float], tuple[float, float]],
         label: str = "custom",
     ):
-        self._init(names, scale_factors, base_point, sampling_box, label)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if len(self.names) != 3 or len(set(self.names)) != 3:
+        if len(names) != 3 or len(set(names)) != 3:
             raise ValidationError("exactly three distinct coordinate names required")
-        for name in self.names:
+        for name in names:
             try:
                 check_variable_name(name)
             except ValueError as exc:
                 raise ValidationError(str(exc)) from None
-        if len(self.scale_factors) != 3:
+        if len(scale_factors) != 3:
             raise ValidationError("exactly three scale factors required")
-        allowed = set(self.names)
+        allowed = set(names)
         forms = []
-        for i, h in enumerate(self.scale_factors, start=1):
+        for i, h in enumerate(scale_factors, start=1):
             foreign = free_variables(h) - allowed
             if foreign:
                 raise ValidationError(
@@ -67,31 +63,29 @@ class CoordinateSystem(Frozen):
             forms.append(canonicalize(h))
             if forms[-1].is_zero():
                 raise ValidationError(f"h{i} is identically zero")
-        object.__setattr__(self, "scale_factors", tuple(forms))
-        if len(self.base_point) != 3:
+        if len(base_point) != 3:
             raise ValidationError("base point needs three coordinates")
         try:
-            object.__setattr__(
-                self, "base_point", tuple(Fraction(v) for v in self.base_point))
+            base = tuple(Fraction(v) for v in base_point)
         except (ValueError, TypeError) as exc:
             raise ValidationError(f"base point must be rational: {exc}") from None
-        if len(self.sampling_box) != 3:
+        if len(sampling_box) != 3:
             raise ValidationError("sampling box needs three intervals")
         box = []
-        for lo, hi in self.sampling_box:
+        for lo, hi in sampling_box:
             lo, hi = float(lo), float(hi)
             if not lo < hi:
                 raise ValidationError(f"empty sampling interval [{lo}, {hi}]")
             box.append((lo, hi))
-        object.__setattr__(self, "sampling_box", tuple(box))
-        at_base = {n: float(v) for n, v in zip(self.names, self.base_point)}
-        for i, h in enumerate(self.scale_factors, start=1):
+        at_base = {n: float(v) for n, v in zip(names, base)}
+        for i, h in enumerate(forms, start=1):
             try:
                 value = eval_numeric(h, at_base)
             except DomainError:
                 raise ValidationError(f"h{i} undefined at the base point") from None
             if value == 0.0:
                 raise ValidationError(f"h{i} vanishes at the base point")
+        self._init(names, tuple(forms), base, tuple(box), label)
 
 
 # ``builtin`` hands out these shared instances, which are immutable.

@@ -11,8 +11,8 @@ passes and returns them.
 Forms are closed under ``+ - *``, integer powers (negative ones only of
 single terms), substitution and numeric evaluation; ``calculus`` adds
 differentiation and antidifferentiation.  The parser builds its maps with
-the same kernel helpers the constructors use (``_fold_product``,
-``_power``, ``_invert``), so text and constructors give equal maps.  Equal
+the same kernel helpers the constructors use (``_multiply``, ``_power``,
+``_invert``), so text and constructors give equal maps.  Equal
 forms have equal maps, and ``terms`` lists them in one deterministic order,
 which rendering and the sort keys of function atoms use.  Coefficient
 arithmetic is exact everywhere; floats appear only inside ``eval_numeric``.
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import cmp_to_key, reduce
+from functools import cmp_to_key
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
@@ -106,10 +106,10 @@ _ONE = Fraction(1)
 # depth the same way (``parser.MAX_NESTING``).
 MAX_PRODUCT_PAIRS = 100_000
 
-# Most decimal digits a power of one coefficient, or a product of two inside
-# an expansion, may reach, estimated before it is computed, so 3^10000000
-# and (2^9000*x + 1)^300 end at once.  It sits above the interpreter's
-# 4300-digit limit, which rendering meets.
+# Most decimal digits a power of one coefficient, or a product of two, may
+# reach, estimated before it is computed, so 3^10000000, (2^9000*x + 1)^300
+# and a chain of 300 factors (7/3)^4000 end at once.  It sits above the
+# interpreter's 4300-digit limit, which rendering meets.
 MAX_POWER_DIGITS = 10_000
 
 
@@ -396,7 +396,13 @@ def _multiply(d1: dict, d2: dict) -> dict:
     if len(d1) == 1 and len(d2) == 1:
         (f1, c1), = d1.items()
         (f2, c2), = d2.items()
-        return {_merge_factors(f1, f2): c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2}
+        if c1 == 1:
+            return {_merge_factors(f1, f2): c2}
+        if c2 == 1:
+            return {_merge_factors(f1, f2): c1}
+        _check_coefficient_product(c1.numerator.bit_length() + c2.numerator.bit_length(),
+                                   c1.denominator.bit_length() + c2.denominator.bit_length())
+        return {_merge_factors(f1, f2): c1 * c2}
     if _is_unit(d1):
         return d2
     if _is_unit(d2):
@@ -405,21 +411,27 @@ def _multiply(d1: dict, d2: dict) -> dict:
         raise UnsupportedExpression(
             f"expanding a product of {len(d1)} by {len(d2)} terms exceeds "
             f"the budget of {MAX_PRODUCT_PAIRS} term pairs")
-    if len(d1) > 1 and len(d2) > 1:
-        # Only products of two sums are estimated: a power of a sum squares
-        # them, doubling the coefficient size at each step.  A single-term
-        # factor adds its own size once, as folding single terms does.
+    # A term with coefficient 1 grows no coefficient.  Any other factor adds
+    # its size, once per link of a chain and at every squaring of a sum.
+    if not (len(d1) == 1 and _ONE in d1.values()
+            or len(d2) == 1 and _ONE in d2.values()):
         (n1, e1), (n2, e2) = _coefficient_bits(d1), _coefficient_bits(d2)
-        if max(n1 + n2, e1 + e2) * math.log10(2) > MAX_POWER_DIGITS:
-            raise UnsupportedExpression(
-                f"a coefficient product of more than {MAX_POWER_DIGITS} digits "
-                "exceeds the budget")
+        _check_coefficient_product(n1 + n2, e1 + e2)
     acc: dict = {}
     for f1, c1 in d1.items():
         for f2, c2 in d2.items():
             _add_term(acc, _merge_factors(f1, f2),
                       c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2)
     return acc
+
+
+def _check_coefficient_product(numerator_bits: int, denominator_bits: int) -> None:
+    """Raise UnsupportedExpression before forming a coefficient product whose
+    numerator or denominator bit length puts it past ``MAX_POWER_DIGITS``."""
+    if max(numerator_bits, denominator_bits) * math.log10(2) > MAX_POWER_DIGITS:
+        raise UnsupportedExpression(
+            f"a coefficient product of more than {MAX_POWER_DIGITS} digits "
+            "exceeds the budget")
 
 
 def _coefficient_bits(d: dict) -> tuple[int, int]:
@@ -469,22 +481,6 @@ def _power(d: dict, n: int) -> dict:
         if n:
             base = _multiply(base, base)
     return result
-
-
-def _fold_product(maps) -> dict:
-    """Product of the maps an iterator yields, taken in order.  While they are
-    single terms, their coefficients fold and their factors merge in one pass;
-    from the first map that is not one term on, the rest is multiplied out in
-    general.  The iterator is consumed in full either way, so the parser's
-    generator, which reads each factor from the text, reads them all."""
-    coeff, factors = _ONE, ()
-    for d in maps:
-        if len(d) != 1:
-            return _multiply({factors: coeff}, reduce(_multiply, maps, d))
-        (f, c), = d.items()
-        factors = _merge_factors(factors, f)
-        coeff = c if coeff == 1 else coeff if c == 1 else coeff * c
-    return {factors: coeff}
 
 
 def canonicalize(expression: Expression) -> CanonicalForm:

@@ -21,6 +21,7 @@ the gates and the self-check read the forward operators' forms directly.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -39,10 +40,10 @@ from .expr import (
     CanonicalForm,
     Frozen,
     FunctionAtom,
+    _eval_function,
     eval_numeric,
     free_variables,
     reciprocal,
-    substitute,
     substitute_all,
 )
 from .parser import render
@@ -130,11 +131,9 @@ def inverse_curl(B: VectorField) -> VectorField:
     return A
 
 
-def inverse_curl_unchecked(
-    B: VectorField, weights: CurlWeights = DEFAULT_CURL_WEIGHTS
-) -> tuple[VectorField, CanonicalForm]:
+def inverse_curl_unchecked(B: VectorField) -> tuple[VectorField, CanonicalForm]:
     """Formula result plus the divergence residual, skipping both gates."""
-    return curl_potential_formula(B, weights), divergence(B)
+    return curl_potential_formula(B), divergence(B)
 
 
 def _check_roundtrip(A: VectorField, B: VectorField) -> None:
@@ -222,14 +221,9 @@ def _definite(integrand: CanonicalForm, name: str, lower: Fraction) -> Canonical
 def _at_base(form: CanonicalForm, values: dict) -> CanonicalForm:
     """The form with the base point's ``values`` substituted; rejects
     results that are undefined there.  Several values are substituted at
-    once, so a singular term is seen even where another value zeroes it.
-    A single value goes through ``substitute``, the public entry point."""
+    once, so a singular term is seen even where another value zeroes it."""
     try:
-        if len(values) == 1:
-            [(name, value)] = values.items()
-            form = substitute(form, name, value)
-        else:
-            form = substitute_all(form, values)
+        form = substitute_all(form, values)
     except UnsupportedExpression as exc:
         raise BasePointSingular(f"base point substitution: {exc}") from None
     _scan_form(form)
@@ -252,7 +246,10 @@ def _scan_form(form: CanonicalForm) -> None:
             if atom.tag == "ln" and value <= 0.0:
                 raise BasePointSingular(
                     f"base point substitution: ln of non-positive value {value}")
-            if e < 0 and value == 0.0:
+            # exp never vanishes, and evaluating it could overflow; sin and cos
+            # of an argument that overflowed to inf have no value to test.
+            if (e < 0 and atom.tag != "exp" and math.isfinite(value)
+                    and _eval_function(atom.tag, value) == 0.0):
                 raise BasePointSingular(
                     "base point substitution: reciprocal of a vanishing factor")
 

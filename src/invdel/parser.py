@@ -29,8 +29,8 @@ from .expr import (
     Expression,
     FunctionAtom,
     _accumulate,
-    _fold_product,
     _invert,
+    _multiply,
     _negate,
     _power,
     canonicalize,
@@ -109,26 +109,19 @@ class _Parser:
         return acc
 
     def term(self) -> dict:
-        first = self.factor()
-        if self.tokens[self.pos][0] not in ("*", "/"):
-            return first
-        return _fold_product(self._factors(first))
-
-    def _factors(self, first: dict):
-        yield first
-        while True:
-            kind, _, offset = self.tokens[self.pos]
+        acc = self.factor()
+        kind, _, offset = self.tokens[self.pos]
+        while kind == "*" or kind == "/":
+            self.pos += 1
             if kind == "*":
-                self.pos += 1
-                yield self.factor()
-            elif kind == "/":
-                self.pos += 1
-                outer, self.division = self.division, offset
-                inverse = _invert(self.factor())
-                self.division = outer
-                yield inverse
+                factor = self.factor()
             else:
-                return
+                outer, self.division = self.division, offset
+                factor = _invert(self.factor())
+                self.division = outer
+            acc = _multiply(acc, factor)
+            kind, _, offset = self.tokens[self.pos]
+        return acc
 
     def factor(self) -> dict:
         negations = 0

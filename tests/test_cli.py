@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from invdel import equals, parse
+import invdel.inverse
+from invdel import VectorField, equals, parse
 from invdel.cli import main
+from invdel.expr import ZERO_FORM
 
 GOLDEN_B = ["x*y*z + y^2", "x*z + y", "-z - y*z^2/2"]
 GOLDEN_A = [
@@ -294,6 +296,66 @@ def test_coefficient_product_past_the_budget_exits_4_promptly():
     assert "Traceback" not in done.stderr
     assert done.stderr == ("error: UnsupportedExpression: a coefficient product of "
                            "more than 10000 digits exceeds the budget\n")
+
+
+def test_coefficient_chain_past_the_budget_exits_4_promptly():
+    # The coefficients of single-term factors are estimated one product at a
+    # time: the third factor (7/3)^4000 would take the product past the budget.
+    started = time.monotonic()
+    done = run_cli("grad", "*".join(["(7/3)^4000"] * 300))
+    assert time.monotonic() - started < 1
+    assert done.returncode == 4
+    assert "Traceback" not in done.stderr
+    assert done.stderr == ("error: UnsupportedExpression: a coefficient product of "
+                           "more than 10000 digits exceeds the budget\n")
+
+
+def test_construction_failure_exits_5(capsys, monkeypatch):
+    def no_potential(B):
+        return VectorField((ZERO_FORM,) * 3, B.system, B.constants)
+
+    monkeypatch.setattr(invdel.inverse, "curl_potential_formula", no_potential)
+    code, out, err = run(capsys, "inv-curl", "y", "z", "x")
+    assert (code, out) == (5, "")
+    assert err == ("error: ConstructionFailed: curl of the constructed potential does "
+                   "not reproduce the input; residual (-y, -z, -x)\n")
+
+
+def test_unchecked_inverse_gradient_reports_residual(capsys):
+    code, out, err = run(capsys, "inv-grad", "--unchecked", "--", "-y", "x", "0")
+    assert (code, out, err) == (0, "phi: -x*y\nresidual: (0, 0, 2)\n", "")
+    code, out, _ = run(capsys, "inv-grad", "--unchecked", "--format", "json",
+                       "--", "-y", "x", "0")
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["result"], payload["residual"]) == (["-x*y"], ["0", "0", "2"])
+
+
+def test_constant_without_base_starts_at_the_default_base_point(capsys):
+    code, out, err = run(capsys, "inv-grad", "--c0", "5", "2*x*y", "x^2", "1")
+    assert (code, out, err) == (0, "phi: x^2*y + z + 5\n", "")
+
+
+SINGULAR = ("error: BasePointSingular: base point substitution: "
+            "reciprocal of a vanishing factor\n")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["--", "0", "0", "exp(0)^-1"], (0, "phi: exp(0)^-1*z\n", "")),
+    (["--", "0", "0", "exp(1000)^-1"], (0, "phi: exp(1000)^-1*z\n", "")),
+    (["--", "0", "0", "cos(x-x)^-1"], (0, "phi: cos(0)^-1*z\n", "")),
+    (["--", "0", "0", "sin(exp(700)*exp(701))^-1"],
+     (0, "phi: sin(exp(700)*exp(701))^-1*z\n", "")),
+    (["--", "0", "0", "ln(1)^-1"], (1, "", SINGULAR)),
+    (["--verify", "--", "0", "0", "ln(1)^-1"], (1, "", SINGULAR)),
+    (["--", "0", "0", "sin(0)^-1"], (1, "", SINGULAR)),
+])
+def test_constant_factor_with_a_negative_power_is_refused_by_its_value(capsys, argv, expected):
+    # The factor's value is tested, not its argument's: exp(0) and cos(0) are
+    # 1, ln(1) and sin(0) are 0.  exp, which never vanishes, is not evaluated,
+    # so exp(1000) does not overflow; sin of an argument that overflows a
+    # float has no value to test and is kept.
+    assert run(capsys, "inv-grad", *argv) == expected
 
 
 @pytest.mark.parametrize("kind,args", [

@@ -62,9 +62,10 @@ def test_builtin_systems_are_built_once(monkeypatch):
     system per name."""
     first = {name: builtin(name) for name in BUILTIN_NAMES}
     validations = []
-    validate = CoordinateSystem.__post_init__
-    monkeypatch.setattr(CoordinateSystem, "__post_init__",
-                        lambda self: validations.append(self) or validate(self))
+    validate = CoordinateSystem.__init__
+    monkeypatch.setattr(CoordinateSystem, "__init__",
+                        lambda self, *args, **kwargs:
+                        validations.append(self) or validate(self, *args, **kwargs))
     for _ in range(3):
         for name in BUILTIN_NAMES:
             assert builtin(name) is first[name]

@@ -1,5 +1,6 @@
 """Canonical forms as the operators' value: results, numerics and work count."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -209,13 +210,14 @@ def test_single_term_products_match_the_general_product():
         assert (f1 * f2)._map == reference_multiply(f1._map, f2._map)
 
 
-def test_products_of_one_term_children_fold_like_the_general_product():
+def test_left_to_right_products_match_the_reference_product():
     rng = random.Random(20260405)
     terms = single_terms(rng, 800)
     for start in range(0, 800, 4):
         children = terms[start:start + rng.randint(2, 5)]
         if rng.random() < 0.3:
-            # A sum among the children, or a zero, leaves the one-term path.
+            # A sum, a zero or a one among the children takes the general,
+            # empty and unit paths of the product.
             children.insert(rng.randrange(len(children) + 1),
                             rng.choice((parse("x + 2*y"), num(0), num(1)))._map)
         if len(children) < 2:
@@ -223,7 +225,7 @@ def test_products_of_one_term_children_fold_like_the_general_product():
         want = {(): Fraction(1)}
         for child in children:
             want = reference_multiply(want, child)
-        assert expr._fold_product(iter(children)) == want
+        assert functools.reduce(expr._multiply, children) == want
 
 
 @pytest.mark.parametrize("source,expected", [
@@ -280,6 +282,10 @@ def test_coefficient_power_within_the_digit_budget_is_computed():
     lambda: parse("(x + 2^-16609)*(y + 2^-16609)"),
     lambda: (num(2) ** 9000 * var("x") + 1) ** 300,
     lambda: parse("(2^9000*x + 1)^2") * parse("(3^6000*y + 1)^2"),
+    lambda: parse("*".join(["(7/3)^4000"] * 300)),
+    lambda: parse("(x + 1)*" + "*".join(["(7/3)^4000"] * 100)),
+    lambda: parse("2^11000*2^11000*2^11000*2^300"),
+    lambda: num(7, 3) ** 4000 * num(7, 3) ** 4000 * var("x") * num(7, 3) ** 4000,
 ])
 def test_coefficient_product_past_the_digit_budget_is_unsupported(build):
     # Estimated from the operands' largest numerator and denominator bit
@@ -299,3 +305,7 @@ def test_coefficient_product_within_the_digit_budget_is_computed():
     assert cube.terms[0].coefficient == 2 ** 27000
     with pytest.raises(UnsupportedExpression, match="rendering a number"):
         render(cube)
+    # Along a chain of single terms the bit lengths add: 22002 + 11001 bits
+    # is within the budget, one more factor of 301 bits is not.
+    assert parse("2^11000*2^11000*2^11000") == num(2) ** 33000
+    assert parse("x*2^11000*y*2^11000*2^11000") == parse("x*y") * 2 ** 33000
