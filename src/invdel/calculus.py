@@ -30,7 +30,6 @@ from .expr import (
     Expression,
     Frozen,
     FunctionAtom,
-    Term,
     atom_power,
     canonicalize,
     factors_contain,
@@ -110,14 +109,14 @@ def antidifferentiate(expression: Expression, name: str) -> CanonicalForm:
     order, so the first offender is reported.
     """
     form = canonicalize(expression)
-    return sum_forms([_integrate_term(t, name) for t in form.terms])
+    return sum_forms([_integrate_term(f, c, name) for f, c in form.terms])
 
 
-def _integrate_term(term: Term, name: str) -> CanonicalForm:
+def _integrate_term(factors: tuple, coefficient: Fraction, name: str) -> CanonicalForm:
     rest = []
     variable_exponent = 0
     carriers = []  # function atoms whose argument contains the variable
-    for atom, e in term.factors:
+    for atom, e in factors:
         if atom == name:
             variable_exponent = e
         elif isinstance(atom, FunctionAtom) and form_contains(atom.argument, name):
@@ -128,14 +127,14 @@ def _integrate_term(term: Term, name: str) -> CanonicalForm:
 
     if carriers:
         if variable_exponent or len(carriers) > 1:
-            raise _not_integrable(term, name)
+            raise _not_integrable(factors, coefficient, name)
         atom, e = carriers[0]
         if atom.tag == "ln" or e != 1:
-            raise _not_integrable(term, name)
+            raise _not_integrable(factors, coefficient, name)
         slope = _linear_slope(atom.argument, name)
         if slope is None:
-            raise _not_integrable(term, name)
-        coefficient = term.coefficient / slope
+            raise _not_integrable(factors, coefficient, name)
+        coefficient /= slope
         if atom.tag == "sin":
             outer = FunctionAtom("cos", atom.argument)
             coefficient = -coefficient
@@ -147,9 +146,9 @@ def _integrate_term(term: Term, name: str) -> CanonicalForm:
 
     if variable_exponent == -1:
         log = FunctionAtom("ln", atom_power(name))
-        return CanonicalForm({rest: term.coefficient}) * atom_power(log)
+        return CanonicalForm({rest: coefficient}) * atom_power(log)
     new_exponent = variable_exponent + 1
-    return (CanonicalForm({rest: term.coefficient / new_exponent})
+    return (CanonicalForm({rest: coefficient / new_exponent})
             * atom_power(name, new_exponent))
 
 
@@ -164,8 +163,8 @@ def _linear_slope(argument: CanonicalForm, name: str) -> Fraction | None:
     return coefficient
 
 
-def _not_integrable(term: Term, name: str) -> NotIntegrable:
-    offender = CanonicalForm({term.factors: term.coefficient})
+def _not_integrable(factors: tuple, coefficient: Fraction, name: str) -> NotIntegrable:
+    offender = CanonicalForm({factors: coefficient})
     return NotIntegrable(
         f"term {render(offender)} has no antiderivative in {name} "
         "within the supported class",

@@ -13,9 +13,11 @@ single terms), substitution and numeric evaluation; ``calculus`` adds
 differentiation and antidifferentiation.  The parser builds its maps with
 the same kernel helpers the constructors use (``_multiply``, ``_power``,
 ``_invert``), so text and constructors give equal maps.  Equal
-forms have equal maps, and ``terms`` lists them in one deterministic order,
-which rendering and the sort keys of function atoms use.  Coefficient
-arithmetic is exact everywhere; floats appear only inside ``eval_numeric``.
+forms have equal maps.  A form is its map: ``terms`` lists the map's
+(factors, coefficient) items in one deterministic order, which rendering
+and the sort keys of function atoms use, and ``repr`` spells the map in
+that order.  Coefficient arithmetic is exact everywhere; floats appear
+only inside ``eval_numeric``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import cmp_to_key
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
@@ -146,16 +147,6 @@ class FunctionAtom(Frozen):
 Atom = Union[str, FunctionAtom]
 
 
-class Term(Frozen):
-    """One canonical term: exact coefficient times ordered atom powers."""
-
-    __slots__ = ("coefficient", "factors")
-
-    def __init__(self, coefficient: Fraction, factors: tuple):
-        _set(self, "coefficient", coefficient)
-        _set(self, "factors", factors)
-
-
 class CanonicalForm:
     """Fully distributed sum of terms; the empty map is the zero form.
 
@@ -175,13 +166,21 @@ class CanonicalForm:
 
     @property
     def terms(self) -> tuple:
-        """The terms in canonical order (see ``_term_order``), sorted on
-        first use."""
+        """The (factors, coefficient) items in canonical order, sorted on
+        first use: descending lexicographic order of exponent vectors over
+        the form's atoms taken in ascending ``_atom_key`` order, so x^2
+        sorts before the constant term and x*y*z before y^2."""
         if self._terms is None:
             items = self._map.items()
             if len(items) > 1:
-                items = sorted(items, key=_TERM_ORDER)
-            self._terms = tuple(Term(c, f) for f, c in items)
+                atoms = sorted({a for f in self._map for a, _ in f}, key=_atom_key)
+
+                def order(item):
+                    exponents = dict(item[0])
+                    return [-exponents.get(a, 0) for a in atoms]
+
+                items = sorted(items, key=order)
+            self._terms = tuple(items)
         return self._terms
 
     def items(self):
@@ -202,7 +201,7 @@ class CanonicalForm:
         return self._hash
 
     def __repr__(self):
-        return f"CanonicalForm({self.terms!r})"
+        return f"CanonicalForm({dict(self.terms)!r})"
 
     def __reduce__(self):
         # The map alone: the cached hash and order are rebuilt where the form
@@ -308,31 +307,7 @@ def _atom_key(atom):
 
 def _form_key(form: CanonicalForm):
     return tuple(
-        (t.coefficient, tuple((_atom_key(a), e) for a, e in t.factors))
-        for t in form.terms
-    )
-
-
-def _term_order(item1, item2) -> int:
-    # Descending lexicographic order on exponent vectors, atoms ascending:
-    # x^2 sorts before the constant term, x*y*z before y^2.
-    f1, f2 = item1[0], item2[0]
-    for (a1, e1), (a2, e2) in zip(f1, f2):
-        k1, k2 = _atom_key(a1), _atom_key(a2)
-        if k1 != k2:
-            if k1 < k2:
-                return -1 if e1 > 0 else 1
-            return 1 if e2 > 0 else -1
-        if e1 != e2:
-            return -1 if e1 > e2 else 1
-    if len(f1) != len(f2):
-        if len(f1) > len(f2):
-            return -1 if f1[len(f2)][1] > 0 else 1
-        return 1 if f2[len(f1)][1] > 0 else -1
-    return 0
-
-
-_TERM_ORDER = cmp_to_key(_term_order)
+        (c, tuple((_atom_key(a), e) for a, e in f)) for f, c in form.terms)
 
 
 def _merge_factors(f1, f2):
@@ -596,14 +571,14 @@ def numeric_plan(form: CanonicalForm, slots: Mapping[str, int]) -> tuple:
     per term, in canonical order.  A factor pairs its exponent with a variable's
     index in ``slots`` (or its name if it has none) or with (tag, argument plan)."""
     plan = []
-    for term in form.terms:
+    for term_factors, coefficient in form.terms:
         factors = []
-        for atom, e in term.factors:
+        for atom, e in term_factors:
             if atom.__class__ is str:
                 factors.append((slots.get(atom, atom), e))
             else:
                 factors.append(((atom.tag, numeric_plan(atom.argument, slots)), e))
-        plan.append((_coefficient_float(term.coefficient), tuple(factors)))
+        plan.append((_coefficient_float(coefficient), tuple(factors)))
     return tuple(plan)
 
 
@@ -650,15 +625,17 @@ def _eval_power(base: float, exponent: int) -> float:
 
 
 def _eval_function(tag: str, arg: float) -> float:
-    if tag == "sin":
-        return math.sin(arg)
-    if tag == "cos":
-        return math.cos(arg)
-    if tag == "exp":
-        try:
+    try:
+        if tag == "sin":
+            return math.sin(arg)
+        if tag == "cos":
+            return math.cos(arg)
+        if tag == "exp":
             return math.exp(arg)
-        except OverflowError:
-            raise DomainError("exp overflow") from None
+    except ValueError:  # sin or cos of inf
+        raise DomainError(f"{tag} of an infinite value") from None
+    except OverflowError:
+        raise DomainError("exp overflow") from None
     if arg <= 0.0:
         raise DomainError(f"ln of non-positive value {arg}")
     return math.log(arg)

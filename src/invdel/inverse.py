@@ -112,7 +112,7 @@ def curl_potential_formula(
         first = weighted_split_integral(c[j], u[j], u[k], weights.w_plus, weights.w_minus)
         second = weighted_split_integral(c[k], u[k], u[j], weights.w_plus, weights.w_minus)
         comps.append(reciprocal(h[i]) * (first - second))
-    return VectorField(tuple(comps), system, B.constants)
+    return VectorField(tuple(comps), system)
 
 
 def inverse_curl(B: VectorField) -> VectorField:
@@ -137,14 +137,23 @@ def inverse_curl_unchecked(B: VectorField) -> tuple[VectorField, CanonicalForm]:
 
 
 def _check_roundtrip(A: VectorField, B: VectorField) -> None:
-    diffs = tuple(
-        got - expected for got, expected in zip(curl(A).components, B.components))
+    diffs = roundtrip_residual("inv_curl", B, A)
     if any(not d.is_zero() for d in diffs):
         raise ConstructionFailed(
             "curl of the constructed potential does not reproduce the input; "
             "residual (" + ", ".join(render(d) for d in diffs) + ")",
-            residual=VectorField(diffs, A.system, A.constants),
+            residual=VectorField(diffs, A.system),
         )
+
+
+def roundtrip_residual(kind: str, field, result) -> tuple[CanonicalForm, ...]:
+    """forward(result) - field, one form per component: the curl, divergence
+    or gradient of a ``kind`` (``inv_curl``, ``inv_div`` or ``inv_grad``)
+    inverse result less the field it was built from."""
+    if kind == "inv_div":
+        return (divergence(result) - field.value,)
+    forward = curl(result) if kind == "inv_curl" else gradient(result)
+    return tuple(got - expected for got, expected in zip(forward.components, field.components))
 
 
 def inverse_divergence(
@@ -167,7 +176,7 @@ def inverse_divergence(
             continue
         integral = antidifferentiate(source, u[i])
         comps.append(reciprocal(h[j] * h[k]) * integral * w[i])
-    return VectorField(tuple(comps), system, f.constants)
+    return VectorField(tuple(comps), system)
 
 
 def inverse_gradient(A: VectorField, base: Optional[BasePoint] = None) -> ScalarField:
@@ -210,7 +219,7 @@ def _path_integral(A: VectorField, base: BasePoint) -> ScalarField:
     segment1 = _definite(along[0], u1, base.a)
 
     value = segment1 + segment2 + segment3 + base.c0
-    return ScalarField(value, system, A.constants)
+    return ScalarField(value, system)
 
 
 def _definite(integrand: CanonicalForm, name: str, lower: Fraction) -> CanonicalForm:
@@ -230,26 +239,39 @@ def _at_base(form: CanonicalForm, values: dict) -> CanonicalForm:
     return form
 
 
+# For a rational q, sin(q) vanishes only at q = 0 and ln(q) only at q = 1;
+# cos and exp have no rational root.
+_RATIONAL_ROOT = {"sin": 0, "ln": 1}
+
+
 def _scan_form(form: CanonicalForm) -> None:
-    for term in form.terms:
-        for atom, e in term.factors:
+    for factors, _ in form.terms:
+        for atom, e in factors:
             if not isinstance(atom, FunctionAtom):
                 continue
             _scan_form(atom.argument)
             if free_variables(atom.argument):
                 continue
-            try:
-                value = eval_numeric(atom.argument, {})
-            except DomainError as exc:
-                raise BasePointSingular(
-                    f"base point substitution: {exc}") from None
-            if atom.tag == "ln" and value <= 0.0:
-                raise BasePointSingular(
-                    f"base point substitution: ln of non-positive value {value}")
-            # exp never vanishes, and evaluating it could overflow; sin and cos
-            # of an argument that overflowed to inf have no value to test.
-            if (e < 0 and atom.tag != "exp" and math.isfinite(value)
-                    and _eval_function(atom.tag, value) == 0.0):
+            constant = dict(atom.argument.items())
+            q = constant.get((), 0)
+            if constant.keys() <= {()} and (atom.tag != "ln" or q > 0):
+                # A rational argument is decided exactly, without floats that
+                # could underflow to 0 or overflow.
+                vanishes = e < 0 and q == _RATIONAL_ROOT.get(atom.tag)
+            else:
+                try:
+                    value = eval_numeric(atom.argument, {})
+                except DomainError as exc:
+                    raise BasePointSingular(
+                        f"base point substitution: {exc}") from None
+                if atom.tag == "ln" and value <= 0.0:
+                    raise BasePointSingular(
+                        f"base point substitution: ln of non-positive value {value}")
+                # exp never vanishes, and evaluating it could overflow; sin and
+                # cos of an argument that overflowed to inf have no value to test.
+                vanishes = (e < 0 and atom.tag != "exp" and math.isfinite(value)
+                            and _eval_function(atom.tag, value) == 0.0)
+            if vanishes:
                 raise BasePointSingular(
                     "base point substitution: reciprocal of a vanishing factor")
 
@@ -260,7 +282,7 @@ def gauge_shift_curl(A: VectorField, f: ScalarField) -> VectorField:
         raise ValidationError("gauge scalar lives in a different coordinate system")
     shift = gradient(f)
     comps = tuple(a + s for a, s in zip(A.components, shift.components))
-    return VectorField(comps, A.system, A.constants | f.constants)
+    return VectorField(comps, A.system)
 
 
 def gauge_shift_div(A: VectorField, C: VectorField) -> VectorField:
@@ -269,4 +291,4 @@ def gauge_shift_div(A: VectorField, C: VectorField) -> VectorField:
         raise ValidationError("gauge vector lives in a different coordinate system")
     shift = curl(C)
     comps = tuple(a + s for a, s in zip(A.components, shift.components))
-    return VectorField(comps, A.system, A.constants | C.constants)
+    return VectorField(comps, A.system)

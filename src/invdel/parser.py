@@ -192,20 +192,13 @@ def render(expression: Expression) -> str:
 
 
 def _render_form(form: CanonicalForm) -> str:
-    if not form.terms:
-        return "0"
-    first = form.terms[0]
     pieces = []
-    if first.coefficient < 0:
-        pieces.append("-" + _render_term(-first.coefficient, first.factors))
-    else:
-        pieces.append(_render_term(first.coefficient, first.factors))
-    for term in form.terms[1:]:
-        if term.coefficient < 0:
-            pieces.append(" - " + _render_term(-term.coefficient, term.factors))
+    for factors, coefficient in form.terms:
+        if coefficient < 0:
+            pieces.append((" - " if pieces else "-") + _render_term(-coefficient, factors))
         else:
-            pieces.append(" + " + _render_term(term.coefficient, term.factors))
-    return "".join(pieces)
+            pieces.append((" + " if pieces else "") + _render_term(coefficient, factors))
+    return "".join(pieces) or "0"
 
 
 def _render_term(coefficient: Fraction, factors) -> str:

@@ -6,7 +6,8 @@ With coordinates u1,u2,u3 and scale factors h1,h2,h3:
     div(A)    = (1/(h1*h2*h3)) * sum_i d(h_j*h_k*A_i)/du_i      (i,j,k cyclic)
     curl(A)_i = (1/(h_j*h_k)) * (d(h_k*A_k)/du_j - d(h_j*A_j)/du_k)
 
-Fields hold canonical forms.  The operators combine them with form
+A field is its canonical forms plus its system; a variable outside the
+system is a ValidationError.  The operators combine the forms with form
 arithmetic and ``differentiate`` and return forms.  Division by scale
 factors is multiplication by the canonical reciprocal, which exists only
 for single-term factors; anything else raises UnsupportedExpression.
@@ -29,8 +30,8 @@ from .calculus import differentiate
 CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-def _check_variables(parts, system: CoordinateSystem, constants: frozenset):
-    allowed = set(system.names) | set(constants)
+def _check_variables(parts, system: CoordinateSystem):
+    allowed = set(system.names)
     for e in parts:
         foreign = free_variables(e) - allowed
         if foreign:
@@ -43,27 +44,24 @@ class VectorField(Frozen):
     """Three components in a coordinate system's orthonormal frame, held as
     canonical forms."""
 
-    __slots__ = ("components", "system", "constants")
+    __slots__ = ("components", "system")
 
     def __init__(self, components: tuple[CanonicalForm, CanonicalForm, CanonicalForm],
-                 system: CoordinateSystem, constants: frozenset = frozenset()):
+                 system: CoordinateSystem):
         if len(components) != 3:
             raise ValidationError("a vector field needs exactly three components")
-        constants = frozenset(constants)
-        _check_variables(components, system, constants)
-        self._init(tuple(canonicalize(c) for c in components), system, constants)
+        _check_variables(components, system)
+        self._init(tuple(canonicalize(c) for c in components), system)
 
 
 class ScalarField(Frozen):
     """A scalar in a coordinate system, held as a canonical form."""
 
-    __slots__ = ("value", "system", "constants")
+    __slots__ = ("value", "system")
 
-    def __init__(self, value: CanonicalForm, system: CoordinateSystem,
-                 constants: frozenset = frozenset()):
-        constants = frozenset(constants)
-        _check_variables((value,), system, constants)
-        self._init(canonicalize(value), system, constants)
+    def __init__(self, value: CanonicalForm, system: CoordinateSystem):
+        _check_variables((value,), system)
+        self._init(canonicalize(value), system)
 
 
 def gradient(f: ScalarField) -> VectorField:
@@ -72,7 +70,7 @@ def gradient(f: ScalarField) -> VectorField:
     comps = tuple(
         reciprocal(h) * differentiate(f.value, name)
         for name, h in zip(system.names, system.scale_factors))
-    return VectorField(comps, system, f.constants)
+    return VectorField(comps, system)
 
 
 def divergence(A: VectorField) -> CanonicalForm:
@@ -94,4 +92,4 @@ def curl(A: VectorField) -> VectorField:
         upper = differentiate(h[k] * A.components[k], u[j])
         lower = differentiate(h[j] * A.components[j], u[k])
         comps.append(reciprocal(h[j] * h[k]) * (upper - lower))
-    return VectorField(tuple(comps), system, A.constants)
+    return VectorField(tuple(comps), system)

@@ -1,11 +1,12 @@
 """Round-trip verification: symbolic residuals plus seeded numeric sampling.
 
-The symbolic channel subtracts the input's canonical form from the forward
-operator's form of the inverse result.  The numeric channel lays out each
-residual and input component once per report as a flat numeric plan
-(``expr.numeric_plan``) and runs the plans at seeded points of the system's
-sampling box, using the input's magnitude at each point as the relative
-scale, so a symbolically exact result reports an error of exactly zero.
+The symbolic channel is ``inverse.roundtrip_residual``: the forward
+operator's form of the inverse result less the input's.  The numeric channel
+lays out each residual and input component once per report as a flat
+numeric plan (``expr.numeric_plan``) and runs the plans at seeded points of
+the system's sampling box, using the input's magnitude at each point as the
+relative scale, so a symbolically exact result reports an error of exactly
+zero.
 Points where evaluation leaves the real domain are resampled, up to ten
 times the requested sample count.
 """
@@ -16,16 +17,17 @@ import random
 from typing import Optional, Union
 
 from .errors import DomainError, SamplingExhausted, ValidationError
-from .expr import CanonicalForm, Frozen, numeric_plan, run_plan
+from .expr import Frozen, numeric_plan, run_plan
 from .inverse import (
     BasePoint,
     DivergenceWeights,
     inverse_curl,
     inverse_divergence,
     inverse_gradient,
+    roundtrip_residual,
 )
 from .parser import render
-from .vecops import ScalarField, VectorField, curl, divergence, gradient
+from .vecops import ScalarField, VectorField, curl, divergence
 
 RELATIVE_TOLERANCE = 1e-9
 ABSOLUTE_FLOOR = 1e-12
@@ -96,27 +98,20 @@ def roundtrip_report(
     if samples < 1:
         raise ValidationError("sample count must be positive")
 
+    if result is None:
+        if kind == "inv_curl":
+            result = inverse_curl(field)
+        elif kind == "inv_div":
+            result = inverse_divergence(field, weights)
+        else:
+            result = inverse_gradient(field, base)
     system = field.system
-    if kind == "inv_curl":
-        result = result if result is not None else inverse_curl(field)
-        forward = list(curl(result).components)
-        reference = list(field.components)
-    elif kind == "inv_div":
-        result = result if result is not None else inverse_divergence(field, weights)
-        forward = [divergence(result)]
-        reference = [field.value]
-    else:
-        result = result if result is not None else inverse_gradient(field, base)
-        forward = list(gradient(result).components)
-        reference = list(field.components)
-
-    residual_forms = tuple(f - r for f, r in zip(forward, reference))
+    residual_forms = roundtrip_residual(kind, field, result)
     symbolic_equal = all(form.is_zero() for form in residual_forms)
-    residual: Union[VectorField, CanonicalForm]
     if kind == "inv_div":
-        residual = residual_forms[0]
+        reference, residual = (field.value,), residual_forms[0]
     else:
-        residual = VectorField(residual_forms, system, getattr(field, "constants", frozenset()))
+        reference, residual = field.components, VectorField(residual_forms, system)
 
     rng = random.Random(seed)
     box = system.sampling_box

@@ -5,7 +5,13 @@ import math
 from fractions import Fraction
 
 from invdel import ScalarField, VectorField, num, var
-from invdel.expr import _coefficient_float, _eval_function, _eval_power, _eval_variable
+from invdel.expr import (
+    _atom_key,
+    _coefficient_float,
+    _eval_function,
+    _eval_power,
+    _eval_variable,
+)
 
 
 def random_polynomial(rng, names, max_terms=3, max_degree=3):
@@ -45,20 +51,41 @@ def reference_eval(form, point):
     product starts at 1.0, its coefficient is a factor only when it is not 1
     or the term has no other factor, and fsum, which loses -0.0, is used only
     for two or more terms."""
-    values = [_term_value(term, point) for term in form.terms]
+    values = [_term_value(f, c, point) for f, c in form.terms]
     if not values:
         return 0.0
     return values[0] if len(values) == 1 else math.fsum(values)
 
 
-def _term_value(term, point):
+def _term_value(factors, coefficient, point):
     result = 1.0
-    if term.coefficient != 1 or not term.factors:
-        result *= _coefficient_float(term.coefficient)
-    for atom, e in term.factors:
+    if coefficient != 1 or not factors:
+        result *= _coefficient_float(coefficient)
+    for atom, e in factors:
         if isinstance(atom, str):
             value = _eval_variable(atom, point)
         else:
             value = _eval_function(atom.tag, reference_eval(atom.argument, point))
         result *= value if e == 1 else _eval_power(value, e)
     return result
+
+
+def reference_term_order(item1, item2) -> int:
+    """Comparator of two (factors, coefficient) items in canonical order:
+    descending lexicographic order on exponent vectors, atoms ascending, so
+    x^2 sorts before the constant term and x*y*z before y^2.  It walks both
+    factor tuples, which list atoms in ascending key order, side by side."""
+    f1, f2 = item1[0], item2[0]
+    for (a1, e1), (a2, e2) in zip(f1, f2):
+        k1, k2 = _atom_key(a1), _atom_key(a2)
+        if k1 != k2:
+            if k1 < k2:
+                return -1 if e1 > 0 else 1
+            return 1 if e2 > 0 else -1
+        if e1 != e2:
+            return -1 if e1 > e2 else 1
+    if len(f1) != len(f2):
+        if len(f1) > len(f2):
+            return -1 if f1[len(f2)][1] > 0 else 1
+        return 1 if f2[len(f1)][1] > 0 else -1
+    return 0

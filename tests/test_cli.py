@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import invdel.inverse
-from invdel import VectorField, equals, parse
+from invdel import VectorField, equals, parse, render
 from invdel.cli import main
 from invdel.expr import ZERO_FORM
 
@@ -312,7 +312,7 @@ def test_coefficient_chain_past_the_budget_exits_4_promptly():
 
 def test_construction_failure_exits_5(capsys, monkeypatch):
     def no_potential(B):
-        return VectorField((ZERO_FORM,) * 3, B.system, B.constants)
+        return VectorField((ZERO_FORM,) * 3, B.system)
 
     monkeypatch.setattr(invdel.inverse, "curl_potential_formula", no_potential)
     code, out, err = run(capsys, "inv-curl", "y", "z", "x")
@@ -356,6 +356,45 @@ def test_constant_factor_with_a_negative_power_is_refused_by_its_value(capsys, a
     # so exp(1000) does not overflow; sin of an argument that overflows a
     # float has no value to test and is kept.
     assert run(capsys, "inv-grad", *argv) == expected
+
+
+def _phi(source):
+    return (0, f"phi: {render(parse(source))}\n", "")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["--", "0", "0", "sin(1/10^400)^-1"], _phi("sin(1/10^400)^-1*z")),
+    (["--", "0", "0", "ln(1/10^400)*z"], _phi("ln(1/10^400)*z^2/2")),
+    (["--", "0", "0", "ln(10^400)*z"], _phi("ln(10^400)*z^2/2")),
+    (["--", "0", "0", "exp(10^400)*z"], _phi("exp(10^400)*z^2/2")),
+    (["--", "0", "0", "cos(10^400)^-1"], _phi("cos(10^400)^-1*z")),
+    (["--", "0", "0", "sin(0)^-1"], (1, "", SINGULAR)),
+    (["--", "0", "0", "ln(1)^-1"], (1, "", SINGULAR)),
+    (["--", "0", "0", "ln(-1)*z"], (1, "", "error: BasePointSingular: base point "
+                                    "substitution: ln of non-positive value -1.0\n")),
+    (["--", "0", "0", "ln(0)*z"], (1, "", "error: BasePointSingular: base point "
+                                   "substitution: ln of non-positive value 0.0\n")),
+    (["--", "0", "0", "ln(-10^400)*z"], (1, "", "error: BasePointSingular: base point "
+                                         "substitution: coefficient overflow\n")),
+])
+def test_rational_function_argument_is_decided_exactly(capsys, argv, expected):
+    # A float would read 1/10^400 as 0 and 10^400 as an overflow.  A rational
+    # argument is decided exactly: sin vanishes only at 0, ln only at 1 and
+    # is defined only above 0, and cos and exp never vanish.
+    assert run(capsys, "inv-grad", *argv) == expected
+
+
+def test_sine_of_an_infinite_value_is_a_domain_error(tmp_path, capsys):
+    # exp(700)*exp(701) overflows to inf, and sin(inf) has no value: every
+    # sample point is outside the domain, and so is the base point.
+    assert run(capsys, "verify", "inv-div", "sin(exp(700)*exp(701))") == (
+        1, "", "error: SamplingExhausted: more than 1000 sample points fell outside "
+        "the domain\n")
+    path = tmp_path / "infinite.coords"
+    path.write_text("names = u, v, w\nh1 = sin(exp(700)*exp(701))\nh2 = 1\nh3 = 1\n"
+                    "base = 0, 0, 0\nbox = -2:2, -2:2, -2:2\n")
+    assert run(capsys, "div", "u", "v", "w", "--coords-file", str(path)) == (
+        2, "", "error: ValidationError: h1 undefined at the base point\n")
 
 
 @pytest.mark.parametrize("kind,args", [

@@ -43,18 +43,13 @@ def test_commuted_products_cancel():
 
 def test_canonical_form_orders_terms():
     form = canonicalize(num(1) + x ** 2 - num(2))
-    assert len(form.terms) == 2
-    first, second = form.terms
-    assert first.factors == (("x", 2),)
-    assert second.factors == ()
-    assert second.coefficient == Fraction(-1)
+    assert form.terms == (((("x", 2),), Fraction(1)), ((), Fraction(-1)))
 
 
 def test_like_terms_merge_exactly():
     e = num(1, 3) * x + num(1, 6) * x
     form = canonicalize(e)
-    assert len(form.terms) == 1
-    assert form.terms[0].coefficient == Fraction(1, 2)
+    assert form.terms == (((("x", 1),), Fraction(1, 2)),)
 
 
 def test_zero_coefficient_terms_drop():
@@ -70,7 +65,7 @@ def test_function_arguments_canonicalize():
 def test_negative_power_roundtrip():
     e = x ** -2
     form = canonicalize(e)
-    assert form.terms[0].factors == (("x", -2),)
+    assert form.terms == (((("x", -2),), Fraction(1)),)
 
 
 def test_reciprocal_of_multi_term_rejected():
@@ -117,7 +112,7 @@ def test_eval_unbound_variable():
 def test_coefficients_stay_exact():
     e = num(1, 3) * x + num(1, 3) * x + num(1, 3) * x
     form = canonicalize(e)
-    assert form.terms[0].coefficient == Fraction(1)
+    assert form.terms == (((("x", 1),), Fraction(1)),)
 
 
 def test_canonicalize_returns_constructor_values_unchanged():
@@ -202,6 +197,7 @@ def test_invalid_variable_name_is_a_value_error(name, message):
 def test_the_expression_tree_is_gone():
     for name in ("RationalConstant", "Variable", "Sum", "Product", "IntegerPower",
                  "FunctionApplication", "Negation", "_canon", "_coerce", "sum_of",
-                 "product_of", "expression_of", "form_has_variables"):
+                 "product_of", "expression_of", "form_has_variables", "Term",
+                 "_term_order"):
         assert not hasattr(expr, name), name
     assert expr.Expression is CanonicalForm

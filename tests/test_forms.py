@@ -28,9 +28,9 @@ from invdel import (
 )
 from invdel import expr
 from invdel.errors import InvdelError
-from invdel.expr import CanonicalForm, substitute_all
+from invdel.expr import CanonicalForm, FunctionAtom, substitute_all
 
-from _support import reference_eval
+from _support import reference_eval, reference_term_order
 
 NAMES = ("x", "y", "z")
 
@@ -86,6 +86,35 @@ def test_form_evaluation_is_bit_identical_to_its_tree_spelling():
                 values += 1
     # Both the value path and the error path were exercised.
     assert values > 1000 and errors > 100
+
+
+def nesting(form):
+    """Length of the longest chain of function atoms, one inside the next."""
+    return max((1 + nesting(a.argument) for f, _ in form.items() for a, _ in f
+                if isinstance(a, FunctionAtom)), default=0)
+
+
+def test_terms_follow_the_reference_term_order():
+    rng = random.Random(20260309)
+    negative = nested = 0
+    for _ in range(300):
+        form = random_form(rng)
+        assert form.terms == tuple(
+            sorted(form.items(), key=functools.cmp_to_key(reference_term_order))), render(form)
+        negative += any(e < 0 for f, _ in form.items() for _, e in f)
+        nested += nesting(form) > 1
+    # The forms carry negative exponents and atoms nested in atoms.
+    assert negative > 150 and nested > 50, (negative, nested)
+
+
+def test_repr_rebuilds_an_equal_form():
+    rng = random.Random(20260309)
+    names = {"CanonicalForm": CanonicalForm, "FunctionAtom": FunctionAtom,
+             "Fraction": Fraction}
+    for _ in range(300):
+        form = random_form(rng)
+        rebuilt = eval(repr(form), names)
+        assert rebuilt == form and rebuilt.terms == form.terms
 
 
 def test_canonicalize_returns_a_form_itself():
@@ -302,7 +331,7 @@ def test_coefficient_product_within_the_digit_budget_is_computed():
     # Three factors of 9001 bits stay within it, and the result is refused
     # only when it is rendered.
     cube = parse("(2^9000*x + 1)^3")
-    assert cube.terms[0].coefficient == 2 ** 27000
+    assert cube.terms[0] == ((('x', 3),), 2 ** 27000)
     with pytest.raises(UnsupportedExpression, match="rendering a number"):
         render(cube)
     # Along a chain of single terms the bit lengths add: 22002 + 11001 bits

@@ -19,7 +19,7 @@ from invdel import (
     sin,
     var,
 )
-from invdel.expr import CanonicalForm, Term, canonicalize
+from invdel.expr import CanonicalForm, canonicalize
 from invdel.parser import MAX_NESTING
 
 from _support import random_polynomial
@@ -29,7 +29,7 @@ def test_parse_returns_the_canonical_form():
     form = parse("x*y*z + y^2")
     assert isinstance(form, CanonicalForm)
     one = Fraction(1)
-    assert form.terms == (Term(one, (("x", 1), ("y", 1), ("z", 1))), Term(one, (("y", 2),)))
+    assert form.terms == (((("x", 1), ("y", 1), ("z", 1)), one), ((("y", 2),), one))
     assert canonicalize(form) is form
 
 

@@ -74,18 +74,21 @@ def test_field_variables_must_match_system():
         vec(SPHERICAL, "x", "0", "0")
 
 
+def test_a_symbolic_constant_is_a_variable_outside_the_system():
+    # A field is its forms plus its system; there is no slot for constants.
+    with pytest.raises(ValidationError,
+                       match="variables outside the coordinate system: a$"):
+        ScalarField(parse("a*x"), CARTESIAN)
+    with pytest.raises(TypeError):
+        ScalarField(parse("a*x"), CARTESIAN, constants=frozenset({"a"}))
+
+
 def test_foreign_variable_that_cancels_in_constructor_input_is_accepted():
     # Fields are checked on the form, in which q is gone.
     x, q = var("x"), var("q")
     f = ScalarField(x + q - q, CARTESIAN)
     assert render(f.value) == "x"
     assert render(gradient(f).components[0]) == "1"
-
-
-def test_symbolic_constants_are_allowed_when_declared():
-    f = ScalarField(parse("a*x"), CARTESIAN, constants=frozenset({"a"}))
-    g = gradient(f)
-    assert render(g.components[0]) == "a"
 
 
 def test_divergence_of_curl_is_zero():

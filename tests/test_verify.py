@@ -136,7 +136,7 @@ def test_random_round_trips_stay_within_tolerance():
 def _perturbed(field, *extra):
     """The field with parsed text added to its components ("0" keeps one)."""
     return VectorField(tuple(c + parse(t) for c, t in zip(field.components, extra)),
-                       field.system, field.constants)
+                       field.system)
 
 
 def _div_bad():
