@@ -17,7 +17,8 @@ forms have equal maps.  A form is its map: ``terms`` lists the map's
 (factors, coefficient) items in one deterministic order, which rendering
 and the sort keys of function atoms use, and ``repr`` spells the map in
 that order.  Coefficient arithmetic is exact everywhere; floats appear
-only inside ``eval_numeric``.
+only in numeric evaluation, ``eval_numeric`` at one point and ``run_plan``
+over a column of points.
 """
 
 from __future__ import annotations
@@ -560,10 +561,11 @@ def eval_numeric(expression: Expression, point: Mapping[str, float]) -> float:
     Bit for bit the value of the reference evaluation in the tests'
     ``_support.reference_eval``, which spells each term as a product and the
     form as their sum.  Raises UnboundVariable for missing names and
-    DomainError when the value leaves the real domain (ln of a non-positive
-    number, 0**-n, overflow).
+    DomainError when the value leaves the real domain: ln of a non-positive
+    number, 0**-n, sin or cos of an infinite value, overflow of a
+    coefficient, a power, exp or the sum, and a sum of opposite infinities.
     """
-    return run_plan(numeric_plan(canonicalize(expression), {}), (), point)
+    return run_plan(numeric_plan(canonicalize(expression), {}), (), 1, point)[0]
 
 
 def numeric_plan(form: CanonicalForm, slots: Mapping[str, int]) -> tuple:
@@ -582,23 +584,70 @@ def numeric_plan(form: CanonicalForm, slots: Mapping[str, int]) -> tuple:
     return tuple(plan)
 
 
-def run_plan(plan: tuple, values, point: Mapping[str, float] = MappingProxyType({})) -> float:
-    """Evaluate a plan, indexed variables from ``values`` and named ones from
-    ``point``.  Bit for bit the value of ``eval_numeric``'s reference: a term's
-    product starts from its coefficient, and the sum (fsum, which loses -0.0)
-    needs two or more terms."""
-    out = []
-    for result, factors in plan:
+_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log}
+
+
+def run_plan(plan: tuple, columns, n: int, point: Mapping[str, float] = MappingProxyType({}),
+             failed: set | None = None) -> list:
+    """Evaluate a plan at n points at once, one pass over the plan: indexed
+    variables from ``columns`` (a list of n values per slot) and named ones
+    from ``point``.  Each point's value is bit for bit ``eval_numeric``'s: a
+    term's product starts from its coefficient, and the sum (fsum, which
+    loses -0.0) needs two or more terms.  A point whose value leaves the
+    domain raises its DomainError or, when ``failed`` is a set, joins it and
+    reads nan while the other points go on."""
+    terms = []
+    for coefficient, factors in plan:
+        column = None
         for atom, e in factors:
             if atom.__class__ is int:
-                value = values[atom]
+                values = columns[atom]
             elif atom.__class__ is str:
-                value = _eval_variable(atom, point)
+                values = [_eval_variable(atom, point)] * n
             else:
-                value = _eval_function(atom[0], run_plan(atom[1], values, point))
-            result *= value if e == 1 else _eval_power(value, e)
-        out.append(result)
-    return out[0] if len(out) == 1 else math.fsum(out)
+                tag, argument = atom
+                arguments = run_plan(argument, columns, n, point, failed)
+                function = _FUNCTIONS[tag]
+                try:
+                    values = list(map(function, arguments))
+                except (ArithmeticError, ValueError):
+                    values = _pointwise(function, lambda v: _eval_function(tag, v),
+                                        arguments, failed)
+            if e != 1:
+                try:
+                    values = [v ** e for v in values]
+                except ArithmeticError:
+                    values = _pointwise(lambda v: v ** e, lambda v: _eval_power(v, e),
+                                        values, failed)
+            if column is None:
+                column = [coefficient * v for v in values]
+            else:
+                column = [r * v for r, v in zip(column, values)]
+        terms.append([coefficient] * n if column is None else column)
+    if len(terms) == 1:
+        return terms[0]
+    points = list(zip(*terms)) if terms else [()] * n
+    try:
+        return list(map(math.fsum, points))
+    except (ArithmeticError, ValueError):
+        return _pointwise(math.fsum, _eval_sum, points, failed)
+
+
+def _pointwise(operation, checked, arguments, failed) -> list:
+    """``operation`` at each argument, for a column it raised on.  A point
+    where it raises joins ``failed`` and reads nan; when ``failed`` is None,
+    ``checked``, the same operation with DomainError in place of the raw
+    error, raises that point's DomainError."""
+    out = []
+    for i, argument in enumerate(arguments):
+        try:
+            out.append(operation(argument))
+        except (ArithmeticError, ValueError):
+            if failed is None:
+                checked(argument)
+            failed.add(i)
+            out.append(math.nan)
+    return out
 
 
 def _coefficient_float(value: Fraction) -> float:
@@ -624,18 +673,21 @@ def _eval_power(base: float, exponent: int) -> float:
         raise DomainError("power overflow") from None
 
 
+def _eval_sum(values) -> float:
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise DomainError("sum overflow") from None
+    except ValueError:  # -inf + inf
+        raise DomainError("sum of opposite infinities") from None
+
+
 def _eval_function(tag: str, arg: float) -> float:
     try:
-        if tag == "sin":
-            return math.sin(arg)
-        if tag == "cos":
-            return math.cos(arg)
-        if tag == "exp":
-            return math.exp(arg)
-    except ValueError:  # sin or cos of inf
+        return _FUNCTIONS[tag](arg)
+    except ValueError:  # ln of a non-positive value, sin or cos of inf
+        if tag == "ln":
+            raise DomainError(f"ln of non-positive value {arg}") from None
         raise DomainError(f"{tag} of an infinite value") from None
     except OverflowError:
         raise DomainError("exp overflow") from None
-    if arg <= 0.0:
-        raise DomainError(f"ln of non-positive value {arg}")
-    return math.log(arg)

@@ -3,12 +3,16 @@
 The symbolic channel is ``inverse.roundtrip_residual``: the forward
 operator's form of the inverse result less the input's.  The numeric channel
 lays out each residual and input component once per report as a flat
-numeric plan (``expr.numeric_plan``) and runs the plans at seeded points of
-the system's sampling box, using the input's magnitude at each point as the
-relative scale, so a symbolically exact result reports an error of exactly
-zero.
-Points where evaluation leaves the real domain are resampled, up to ten
-times the requested sample count.
+numeric plan (``expr.numeric_plan``).  It draws seeded points of the
+system's sampling box in blocks of at most ``BLOCK_POINTS``, one column of
+values per coordinate, and runs each plan over a whole block in one call
+(``expr.run_plan``), so memory stays flat in the sample count.  The input's
+magnitude at each point is the relative scale, so a symbolically exact
+result reports an error of exactly zero.
+Points where evaluation leaves the real domain are flagged within their
+block and resampled, up to ten times the requested sample count.  Each
+block draws only the points still missing, so the points, the resample
+count and the report are those of sampling one point at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import random
 from typing import Optional, Union
 
-from .errors import DomainError, SamplingExhausted, ValidationError
+from .errors import SamplingExhausted, ValidationError
 from .expr import Frozen, numeric_plan, run_plan
 from .inverse import (
     BasePoint,
@@ -31,6 +35,9 @@ from .vecops import ScalarField, VectorField, curl, divergence
 
 RELATIVE_TOLERANCE = 1e-9
 ABSOLUTE_FLOOR = 1e-12
+# The most sample points one pass over a report's plans evaluates; the
+# default report of 100 points is one block.
+BLOCK_POINTS = 256
 
 KINDS = ("inv_curl", "inv_div", "inv_grad")
 
@@ -113,7 +120,7 @@ def roundtrip_report(
     else:
         reference, residual = field.components, VectorField(residual_forms, system)
 
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     box = system.sampling_box
     slots = {name: i for i, name in enumerate(system.names)}
     plans = [(numeric_plan(res, slots), numeric_plan(ref, slots))
@@ -124,28 +131,35 @@ def roundtrip_report(
     resamples = 0
     collected = 0
     while collected < samples:
-        values = [rng.uniform(lo, hi) for lo, hi in box]
+        # The missing points, coordinate by coordinate as rng.uniform(lo, hi) draws them.
+        n = min(samples - collected, BLOCK_POINTS)
+        draws = [draw() for _ in range(len(box) * n)]
+        columns = [[lo + (hi - lo) * u for u in draws[k::len(box)]]
+                   for k, (lo, hi) in enumerate(box)]
+        failed = set()
         pairs = []
-        try:
-            for res, ref in plans:
-                # A zero residual adds nothing, but its reference may leave the domain.
-                if res:
-                    pairs.append((run_plan(res, values), run_plan(ref, values)))
-                else:
-                    run_plan(ref, values)
-        except DomainError:
-            resamples += 1
-            if resamples > 10 * samples:
-                raise SamplingExhausted(
-                    f"more than {10 * samples} sample points fell outside the domain")
-            continue
-        for error_value, scale in pairs:
-            error = abs(error_value)
-            max_abs = max(max_abs, error)
-            max_rel = max(max_rel, error / max(1.0, abs(scale)))
-            if error > max(RELATIVE_TOLERANCE * abs(scale), ABSOLUTE_FLOOR):
-                within = False
-        collected += 1
+        for res, ref in plans:
+            # A zero residual adds nothing, but its reference may leave the domain.
+            if res:
+                pairs.append((run_plan(res, columns, n, failed=failed),
+                              run_plan(ref, columns, n, failed=failed)))
+            else:
+                run_plan(ref, columns, n, failed=failed)
+        resamples += len(failed)
+        if resamples > 10 * samples:
+            raise SamplingExhausted(
+                f"more than {10 * samples} sample points fell outside the domain")
+        for i in range(n):
+            if i in failed:
+                continue
+            for errors, scales in pairs:
+                error = abs(errors[i])
+                scale = abs(scales[i])
+                max_abs = max(max_abs, error)
+                max_rel = max(max_rel, error / max(1.0, scale))
+                if error > max(RELATIVE_TOLERANCE * scale, ABSOLUTE_FLOOR):
+                    within = False
+        collected += n - len(failed)
 
     return VerificationReport(
         kind=kind,

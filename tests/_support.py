@@ -1,7 +1,6 @@
 """Shared helpers for building random test fields and for evaluating forms
 by reference."""
 
-import math
 from fractions import Fraction
 
 from invdel import ScalarField, VectorField, num, var
@@ -10,6 +9,7 @@ from invdel.expr import (
     _coefficient_float,
     _eval_function,
     _eval_power,
+    _eval_sum,
     _eval_variable,
 )
 
@@ -49,12 +49,12 @@ def reference_eval(form, point):
     coefficient and atom powers, in canonical order, and the fsum of the
     terms.  ``eval_numeric`` must give the same float bit for bit: a term's
     product starts at 1.0, its coefficient is a factor only when it is not 1
-    or the term has no other factor, and fsum, which loses -0.0, is used only
-    for two or more terms."""
+    or the term has no other factor, and fsum, which loses -0.0 and whose
+    overflow is a DomainError, is used only for two or more terms."""
     values = [_term_value(f, c, point) for f, c in form.terms]
     if not values:
         return 0.0
-    return values[0] if len(values) == 1 else math.fsum(values)
+    return values[0] if len(values) == 1 else _eval_sum(values)
 
 
 def _term_value(factors, coefficient, point):

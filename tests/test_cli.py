@@ -232,6 +232,20 @@ def test_coefficient_beyond_the_float_range_exits_1_without_a_traceback():
     assert done.stderr == "error: DomainError: coefficient overflow\n"
 
 
+@pytest.mark.parametrize("text,resamples", [
+    # The first sum is inf - inf where y is large, the second overflows.
+    ("exp(300*y)*exp(301*y) - exp(300*y)*exp(302*y)", 26),
+    ("10^308*y + 10^308*z", 34),
+])
+def test_sum_outside_the_float_range_is_resampled_without_a_traceback(text, resamples):
+    done = run_cli("verify", "inv-div", text, "--weights", "1,0,0")
+    assert done.returncode == 0
+    assert "Traceback" not in done.stderr
+    assert done.stdout.splitlines()[-1] == (
+        "verify: symbolic_equal=True within_tolerance=True samples=100 seed=42 "
+        f"max_abs_error=0.0 max_rel_error=0.0 resamples={resamples}")
+
+
 def test_expansion_past_the_budget_exits_4_promptly():
     started = time.monotonic()
     done = run_cli("grad", "(x+y+z+1)^60")

@@ -3,9 +3,9 @@
 ``cli.main`` runs in-process on invocations drawn from every command, both
 output formats and the three builtin systems, with expressions from the
 grammar: small integers, the system's variables and one foreign name,
-``10^k`` and ``1/10^k`` past the float range, products of ``exp`` that
-overflow a float, the four functions and ``+ - * / ^``, nested up to four
-levels.  An exception that escapes ``main`` fails the test as it is.
+``10^k`` just inside the float range and ``10^k`` and ``1/10^k`` past it,
+products of ``exp`` that overflow a float, the four functions and
+``+ - * / ^``, nested up to four levels.  An exception that escapes ``main`` fails the test as it is.
 """
 
 import contextlib
@@ -15,7 +15,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from invdel.cli import main  # noqa: E402
@@ -37,6 +37,8 @@ def leaves(names):
     return st.one_of(
         st.integers(0, 9).map(str),
         st.sampled_from(names + ("a",)),
+        # Just inside the float range, so that a sum of them can overflow.
+        st.integers(305, 308).map(lambda k: f"10^{k}"),
         st.integers(300, 1000).map(lambda k: f"10^{k}"),
         st.integers(300, 1000).map(lambda k: f"1/10^{k}"),
         st.tuples(st.integers(700, 710), st.integers(700, 710)).map(
@@ -78,6 +80,9 @@ def invocations(draw):
 @settings(max_examples=200, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(invocations())
+@example(["verify", "inv-div", "--weights", "1,0,0", "--",
+          "exp(300*y)*exp(301*y) - exp(300*y)*exp(302*y)"])
+@example(["verify", "inv-div", "--weights", "1,0,0", "--", "10^308*y + 10^308*z"])
 def test_every_input_ends_in_a_documented_exit_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()) as err:

@@ -1,6 +1,7 @@
 """Canonical forms as the operators' value: results, numerics and work count."""
 
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -86,6 +87,70 @@ def test_form_evaluation_is_bit_identical_to_its_tree_spelling():
                 values += 1
     # Both the value path and the error path were exercised.
     assert values > 1000 and errors > 100
+
+
+SLOTS = {name: i for i, name in enumerate(NAMES)}
+
+
+def run_block(form, points):
+    """``run_plan`` over the points as columns: their values and the indices
+    of the points that left the domain."""
+    columns = [[point[name] for point in points] for name in NAMES]
+    failed = set()
+    values = expr.run_plan(expr.numeric_plan(form, SLOTS), columns, len(points),
+                           failed=failed)
+    assert len(values) == len(points)
+    return values, failed
+
+
+def assert_block_matches_each_point(form, points, evaluate):
+    """Every point of one block reads ``evaluate``'s bits there, or is
+    flagged exactly where ``evaluate`` raises DomainError; returns the
+    number of flagged points."""
+    values, failed = run_block(form, points)
+    for i, point in enumerate(points):
+        expected = outcome(form, point, evaluate)
+        if i in failed:
+            assert expected.startswith("DomainError: ") and math.isnan(values[i]), (
+                render(form), point, expected)
+        else:
+            assert values[i].hex() == expected, (render(form), point)
+    return len(failed)
+
+
+def test_a_block_of_points_is_bit_identical_to_each_point():
+    rng = random.Random(20260218)
+    points = flagged = 0
+    for _ in range(300):
+        form = random_form(rng)
+        block = [{n: rng.uniform(-2.0, 2.0) for n in NAMES} for _ in range(rng.randint(1, 12))]
+        flagged += assert_block_matches_each_point(form, block, reference_eval)
+        points += len(block)
+    # Both the value path and the flagged path were exercised.
+    assert points - flagged > 1000 and flagged > 100, (points, flagged)
+
+
+MIXED_BLOCK = [
+    {"x": x, "y": y, "z": z}
+    for x in (-1.5, -0.0, 0.0, 0.7, 1.0, 2.0)
+    for y in (-2.0, 0.5, 1.25, 2.0)
+    for z in (-0.5, 0.0, 1.0)
+]
+
+
+@pytest.mark.parametrize("source", [
+    "ln(x)",
+    "x^-1 + y",
+    "exp(800*x) - y",
+    "sin(exp(700)*exp(701))",
+    "sin(exp(700*x)*exp(701*x))*y",
+    "exp(300*y)*exp(301*y) - exp(300*y)*exp(302*y)",
+    "10^308*y + 10^308*z",
+    "ln(x)*z + y^-2 + exp(800*x) + cos(exp(700*z)*exp(701*z)) + 10^308*x + 10^308*y",
+])
+def test_a_mixed_block_flags_exactly_the_points_that_raise(source):
+    flagged = assert_block_matches_each_point(parse(source), MIXED_BLOCK, eval_numeric)
+    assert 0 < flagged <= len(MIXED_BLOCK)
 
 
 def nesting(form):
@@ -182,6 +247,9 @@ ERROR_PATH = [
     ("-x", {"x": 0.0}, (-0.0).hex()),
     ("-x*y^2", {"x": 0.0, "y": 3.0}, (-0.0).hex()),
     ("-x + y", {"x": 0.0, "y": 0.0}, (0.0).hex()),
+    ("exp(300*y)*exp(301*y) - exp(300*y)*exp(302*y)", {"y": 2.0},
+     "DomainError: sum of opposite infinities"),
+    ("10^308*y + 10^308*z", {"y": 1.0, "z": 1.0}, "DomainError: sum overflow"),
 ]
 
 

@@ -171,6 +171,11 @@ def _ln_against_filler():
     return ScalarField(parse("ln(x)"), CARTESIAN), filler
 
 
+def _ln_exact():
+    exact = VectorField((parse("x*ln(x) - x"), parse("0"), parse("0")), CARTESIAN)
+    return ScalarField(parse("ln(x)"), CARTESIAN), exact
+
+
 # Reports whose residual is not zero, with the bits the form interpreter
 # that evaluated each form afresh at every point gave: max_abs_error.hex(),
 # max_rel_error.hex(), resample_count, within_tolerance.
@@ -213,25 +218,46 @@ def test_zero_residual_still_resamples_where_the_input_leaves_the_domain():
     assert report.resample_count == 39
 
 
+def _counting_run(monkeypatch, counts):
+    """Counts outermost plan runs into ``counts`` (recursion into function
+    arguments stays inside expr): the points each run evaluates, and the
+    most points one run saw."""
+    run = verify.run_plan
+
+    def counting_run(plan, columns, n, **keywords):
+        counts["points"] += n
+        counts["largest"] = max(counts["largest"], n)
+        return run(plan, columns, n, **keywords)
+
+    monkeypatch.setattr(verify, "run_plan", counting_run)
+
+
+def _counting_draws(monkeypatch, counts):
+    """Counts the report's ``random()`` draws into ``counts``."""
+
+    class CountingRandom(random.Random):
+        def random(self):
+            counts["draws"] += 1
+            return super().random()
+
+    monkeypatch.setattr(verify.random, "Random", CountingRandom)
+
+
 @pytest.mark.parametrize("perturb", [False, True])
 def test_each_form_is_laid_out_once_per_report(monkeypatch, perturb):
-    """Counts outermost plan layouts and plan runs (recursion into function
-    arguments stays inside expr) while a 100-sample inverse-curl report
-    runs: one layout per residual and reference component, and one run per
-    component and point, with zero residuals not run."""
-    counts = {"layout": 0, "run": 0}
-    layout, run = verify.numeric_plan, verify.run_plan
+    """While a 100-sample inverse-curl report runs: one outermost layout per
+    residual and reference component, each component evaluated at each
+    point once, with zero residuals not evaluated, and three draws a point."""
+    counts = {"layout": 0, "points": 0, "largest": 0, "draws": 0}
+    layout = verify.numeric_plan
 
     def counting_layout(form, slots):
         counts["layout"] += 1
         return layout(form, slots)
 
-    def counting_run(plan, values):
-        counts["run"] += 1
-        return run(plan, values)
-
     monkeypatch.setattr(verify, "numeric_plan", counting_layout)
-    monkeypatch.setattr(verify, "run_plan", counting_run)
+    _counting_run(monkeypatch, counts)
+    _counting_draws(monkeypatch, counts)
     B, result = _curl_cartesian()
     if not perturb:
         result = inverse_curl(B)
@@ -239,4 +265,34 @@ def test_each_form_is_laid_out_once_per_report(monkeypatch, perturb):
     nonzero = sum(not c.is_zero() for c in report.residual.components)
     assert nonzero == (2 if perturb else 0)
     assert report.resample_count == 0
-    assert counts == {"layout": 6, "run": 100 * (3 + nonzero)}
+    assert counts == {"layout": 6, "points": 100 * (3 + nonzero), "largest": 100,
+                      "draws": 300}
+
+
+@pytest.mark.parametrize("build", [_ln_against_filler, _ln_exact])
+def test_a_resampling_report_draws_each_point_once(monkeypatch, build):
+    counts = {"points": 0, "largest": 0, "draws": 0}
+    _counting_run(monkeypatch, counts)
+    _counting_draws(monkeypatch, counts)
+    field, result = build()
+    report = roundtrip_report("inv_div", field, result=result, samples=100, seed=3)
+    assert report.resample_count == 89
+    assert counts["draws"] == 3 * (100 + 89)
+    # Each drawn point is evaluated once per evaluated component.
+    components = 1 if report.symbolic_equal else 2
+    assert counts["points"] == components * (100 + 89)
+
+
+@pytest.mark.parametrize("build,abs_hex,rel_hex", [
+    (_ln_against_filler, "0x1.321e9ffb0a1cep+3", "0x1.ff278ad0e3c70p+0"),
+    (_ln_exact, "0x0.0p+0", "0x0.0p+0"),
+])
+def test_a_report_over_several_blocks_keeps_its_bits(monkeypatch, build, abs_hex, rel_hex):
+    # Pinned from the point-at-a-time sampler that this one replaced.
+    counts = {"points": 0, "largest": 0}
+    _counting_run(monkeypatch, counts)
+    field, result = build()
+    report = roundtrip_report("inv_div", field, result=result, samples=1000, seed=3)
+    assert (report.max_abs_error.hex(), report.max_rel_error.hex(),
+            report.resample_count) == (abs_hex, rel_hex, 969)
+    assert 1000 > counts["largest"] == verify.BLOCK_POINTS >= 100
