@@ -30,11 +30,15 @@ from .expr import (
     Expression,
     Frozen,
     FunctionAtom,
+    _accumulate,
+    _add_term,
+    _merge_factors,
+    _multiply,
     atom_power,
     canonicalize,
+    check_product,
     factors_contain,
     form_contains,
-    sum_forms,
 )
 from .parser import render
 
@@ -72,7 +76,7 @@ def differentiate(expression: Expression, name: str) -> CanonicalForm:
 
 
 def _derivative(form: CanonicalForm, name: str) -> CanonicalForm:
-    pieces = []
+    acc: dict = {}
     for factors, coefficient in form.items():
         for i, (atom, e) in enumerate(factors):
             if isinstance(atom, str):
@@ -84,10 +88,10 @@ def _derivative(form: CanonicalForm, name: str) -> CanonicalForm:
             else:
                 continue
             lowered = ((atom, e - 1),) if e != 1 else ()
-            piece = CanonicalForm(
-                {factors[:i] + lowered + factors[i + 1:]: coefficient * e})
-            pieces.append(piece if chain is None else piece * chain)
-    return sum_forms(pieces)
+            piece = {factors[:i] + lowered + factors[i + 1:]:
+                     coefficient if e == 1 else coefficient * e}
+            _accumulate(acc, piece if chain is None else _multiply(piece, chain._map))
+    return CanonicalForm(acc)
 
 
 def _outer_derivative(atom: FunctionAtom) -> CanonicalForm:
@@ -105,14 +109,23 @@ def antidifferentiate(expression: Expression, name: str) -> CanonicalForm:
     """Antiderivative with zero integration constant.
 
     Raises NotIntegrable (carrying the offending term) when any canonical
-    term falls outside the supported class; terms are tried in canonical
-    order, so the first offender is reported.
+    term falls outside the supported class.  The terms are integrated in map
+    order; only a refusal sorts them, to name the first offender in
+    canonical order.
     """
     form = canonicalize(expression)
-    return sum_forms([_integrate_term(f, c, name) for f, c in form.terms])
+    acc: dict = {}
+    for factors, coefficient in form.items():
+        term = _integrate_term(factors, coefficient, name)
+        if term is None:
+            raise _not_integrable(form, name)
+        _add_term(acc, *term)
+    return CanonicalForm(acc)
 
 
-def _integrate_term(factors: tuple, coefficient: Fraction, name: str) -> CanonicalForm:
+def _integrate_term(factors: tuple, coefficient: Fraction, name: str):
+    """The antiderivative of one term as a (factors, coefficient) pair, or
+    None when the term is outside the supported class."""
     rest = []
     variable_exponent = 0
     carriers = []  # function atoms whose argument contains the variable
@@ -127,13 +140,13 @@ def _integrate_term(factors: tuple, coefficient: Fraction, name: str) -> Canonic
 
     if carriers:
         if variable_exponent or len(carriers) > 1:
-            raise _not_integrable(factors, coefficient, name)
+            return None
         atom, e = carriers[0]
         if atom.tag == "ln" or e != 1:
-            raise _not_integrable(factors, coefficient, name)
+            return None
         slope = _linear_slope(atom.argument, name)
         if slope is None:
-            raise _not_integrable(factors, coefficient, name)
+            return None
         coefficient /= slope
         if atom.tag == "sin":
             outer = FunctionAtom("cos", atom.argument)
@@ -142,14 +155,15 @@ def _integrate_term(factors: tuple, coefficient: Fraction, name: str) -> Canonic
             outer = FunctionAtom("sin", atom.argument)
         else:
             outer = atom
-        return CanonicalForm({rest: coefficient}) * atom_power(outer)
+        return _merge_factors(rest, ((outer, 1),)), coefficient
 
     if variable_exponent == -1:
         log = FunctionAtom("ln", atom_power(name))
-        return CanonicalForm({rest: coefficient}) * atom_power(log)
+        return _merge_factors(rest, ((log, 1),)), coefficient
     new_exponent = variable_exponent + 1
-    return (CanonicalForm({rest: coefficient / new_exponent})
-            * atom_power(name, new_exponent))
+    if new_exponent != 1:
+        coefficient /= new_exponent
+    return _merge_factors(rest, ((name, new_exponent),)), coefficient
 
 
 def _linear_slope(argument: CanonicalForm, name: str) -> Fraction | None:
@@ -163,7 +177,11 @@ def _linear_slope(argument: CanonicalForm, name: str) -> Fraction | None:
     return coefficient
 
 
-def _not_integrable(factors: tuple, coefficient: Fraction, name: str) -> NotIntegrable:
+def _not_integrable(form: CanonicalForm, name: str) -> NotIntegrable:
+    """The refusal of ``form``, naming its first term in canonical order
+    that is outside the supported class."""
+    factors, coefficient = next(
+        t for t in form.terms if _integrate_term(*t, name) is None)
     offender = CanonicalForm({factors: coefficient})
     return NotIntegrable(
         f"term {render(offender)} has no antiderivative in {name} "
@@ -189,4 +207,11 @@ def weighted_split_integral(
     pair = split_by_variable(expression, split_var)
     plus = antidifferentiate(pair.plus_part, int_var)
     minus = antidifferentiate(pair.minus_part, int_var)
-    return plus * Fraction(w_plus) + minus * Fraction(w_minus)
+    acc: dict = {}
+    for part, weight in ((plus, Fraction(w_plus)), (minus, Fraction(w_minus))):
+        # Scaled term by term, with the estimate the product part * weight makes.
+        check_product(part, weight)
+        if weight:
+            for factors, coefficient in part.items():
+                _add_term(acc, factors, coefficient * weight)
+    return CanonicalForm(acc)

@@ -113,6 +113,7 @@ MAX_PRODUCT_PAIRS = 100_000
 # and a chain of 300 factors (7/3)^4000 end at once.  It sits above the
 # interpreter's 4300-digit limit, which rendering meets.
 MAX_POWER_DIGITS = 10_000
+_LOG10_2 = math.log10(2)
 
 
 class FunctionAtom(Frozen):
@@ -266,6 +267,8 @@ def sum_forms(forms: Iterable[CanonicalForm]) -> CanonicalForm:
 def _map_of(value) -> dict:
     if isinstance(value, CanonicalForm):
         return value._map
+    if value.__class__ is Fraction:
+        return {(): value} if value else {}
     if isinstance(value, (int, Fraction)):
         return {(): Fraction(value)} if value else {}
     raise TypeError(f"cannot interpret {value!r} as an expression")
@@ -383,6 +386,25 @@ def _multiply(d1: dict, d2: dict) -> dict:
         return d2
     if _is_unit(d2):
         return d1
+    _check_pairs(d1, d2)
+    acc: dict = {}
+    for f1, c1 in d1.items():
+        for f2, c2 in d2.items():
+            _add_term(acc, _merge_factors(f1, f2),
+                      c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2)
+    return acc
+
+
+def check_product(a, b) -> None:
+    """Raise UnsupportedExpression where ``a * b`` would, without forming the
+    product: ``_multiply``'s budget estimates for two forms or rationals."""
+    d1, d2 = _map_of(a), _map_of(b)
+    if d1 and d2 and not _is_unit(d1) and not _is_unit(d2):
+        _check_pairs(d1, d2)
+
+
+def _check_pairs(d1: dict, d2: dict) -> None:
+    """The budgets of a product of two maps, neither zero nor one."""
     if len(d1) * len(d2) > MAX_PRODUCT_PAIRS:
         raise UnsupportedExpression(
             f"expanding a product of {len(d1)} by {len(d2)} terms exceeds "
@@ -393,18 +415,12 @@ def _multiply(d1: dict, d2: dict) -> dict:
             or len(d2) == 1 and _ONE in d2.values()):
         (n1, e1), (n2, e2) = _coefficient_bits(d1), _coefficient_bits(d2)
         _check_coefficient_product(n1 + n2, e1 + e2)
-    acc: dict = {}
-    for f1, c1 in d1.items():
-        for f2, c2 in d2.items():
-            _add_term(acc, _merge_factors(f1, f2),
-                      c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2)
-    return acc
 
 
 def _check_coefficient_product(numerator_bits: int, denominator_bits: int) -> None:
     """Raise UnsupportedExpression before forming a coefficient product whose
     numerator or denominator bit length puts it past ``MAX_POWER_DIGITS``."""
-    if max(numerator_bits, denominator_bits) * math.log10(2) > MAX_POWER_DIGITS:
+    if max(numerator_bits, denominator_bits) * _LOG10_2 > MAX_POWER_DIGITS:
         raise UnsupportedExpression(
             f"a coefficient product of more than {MAX_POWER_DIGITS} digits "
             "exceeds the budget")

@@ -8,15 +8,27 @@ c_i = h_j*h_k*B_i, split each by its own coordinate u_i, and assemble
 where W is the weighted split integral with weight 1/3 on the part
 containing the split variable and 1/2 on the rest.  Those two weights are
 what make the construction land on an exact preimage; the result is checked
-by recomputing the curl and any mismatch raises ConstructionFailed instead
-of returning a wrong potential.
+against the numerators of its curl and any mismatch raises ConstructionFailed
+instead of returning a wrong potential.
 
 Inverse divergence spreads the integrated source over the components with
 weights summing to one.  Inverse gradient integrates A . dl along the
 three-segment axis-parallel path from a base point.
 
-Every step works on the canonical forms the fields hold and returns forms;
-the gates and the self-check read the forward operators' forms directly.
+Every step works on the canonical forms the fields hold and returns forms.
+The gates and the self-check compare numerators (``vecops.flux`` and
+``vecops.curl_numerators``): inverse curl requires the flux
+sum_i d(c_i)/du_i to be zero and checks d(h_k*A_k)/du_j - d(h_j*A_j)/du_k
+== c_i, and inverse gradient requires the curl numerators of A to be zero.
+Each is exact, since the divergence or curl component is its numerator
+times 1/(h1*h2*h3) or 1/(h_j*h_k), a single invertible term.  The
+reciprocals are still formed where the forward operators form them, so a
+multi-term scale factor fails a gate before the construction runs, and the
+self-check estimates each product the curl would form against the
+coefficient budget: errors come in the forward operators' order.
+``divergence``, ``curl`` and ``roundtrip_residual`` run only to build the
+residual of a failure.  The c_i are formed once, for the gate and the
+assembly.
 """
 
 from __future__ import annotations
@@ -41,13 +53,23 @@ from .expr import (
     Frozen,
     FunctionAtom,
     _eval_function,
+    check_product,
     eval_numeric,
     free_variables,
     reciprocal,
     substitute_all,
 )
 from .parser import render
-from .vecops import CYCLES, ScalarField, VectorField, curl, divergence, gradient
+from .vecops import (
+    CYCLES,
+    ScalarField,
+    VectorField,
+    curl,
+    curl_numerators,
+    divergence,
+    flux,
+    gradient,
+)
 
 
 class CurlWeights(Frozen):
@@ -100,13 +122,14 @@ def curl_integrands(
 
 
 def curl_potential_formula(
-    B: VectorField, weights: CurlWeights = DEFAULT_CURL_WEIGHTS
+    B: VectorField, weights: CurlWeights = DEFAULT_CURL_WEIGHTS, *, integrands=None
 ) -> VectorField:
-    """Raw assembly of the candidate potential; no gates, no verification."""
+    """Raw assembly of the candidate potential; no gates, no verification.
+    ``integrands`` are B's ``curl_integrands`` when the caller has them."""
     system = B.system
     u = system.names
     h = system.scale_factors
-    c = curl_integrands(B)
+    c = curl_integrands(B) if integrands is None else integrands
     comps = []
     for i, j, k in CYCLES:
         first = weighted_split_integral(c[j], u[j], u[k], weights.w_plus, weights.w_minus)
@@ -119,15 +142,20 @@ def inverse_curl(B: VectorField) -> VectorField:
     """A vector potential A with curl(A) = B, exactly.
 
     Raises NotSolenoidal when div(B) != 0, NotIntegrable when an integrand
-    falls outside the term class, and ConstructionFailed if the recomputed
-    curl does not match the input.
+    falls outside the term class, and ConstructionFailed if the curl of the
+    result does not match the input.
     """
-    residual = divergence(B)
-    if not residual.is_zero():
+    c, numerator = flux(B)
+    h = B.system.scale_factors
+    # div(B) is this reciprocal times the flux; it must exist even where the
+    # flux is zero.
+    scale = reciprocal(h[0] * h[1] * h[2])
+    if not numerator.is_zero():
+        residual = scale * numerator
         raise NotSolenoidal(
             f"divergence residual {render(residual)}", residual=residual)
-    A = curl_potential_formula(B)
-    _check_roundtrip(A, B)
+    A = curl_potential_formula(B, integrands=c)
+    _check_roundtrip(A, B, c)
     return A
 
 
@@ -136,9 +164,16 @@ def inverse_curl_unchecked(B: VectorField) -> tuple[VectorField, CanonicalForm]:
     return curl_potential_formula(B), divergence(B)
 
 
-def _check_roundtrip(A: VectorField, B: VectorField) -> None:
-    diffs = roundtrip_residual("inv_curl", B, A)
-    if any(not d.is_zero() for d in diffs):
+def _check_roundtrip(A: VectorField, B: VectorField, integrands) -> None:
+    # curl(A)_i = B_i exactly when the numerator of curl(A)_i is c_i =
+    # h_j*h_k*B_i, as 1/(h_j*h_k) is one invertible term.  Each product the
+    # forward curl would form is still estimated against the budget.
+    matched = True
+    for (scale, numerator), c in zip(curl_numerators(A), integrands):
+        check_product(scale, numerator)
+        matched = matched and numerator == c
+    if not matched:
+        diffs = roundtrip_residual("inv_curl", B, A)
         raise ConstructionFailed(
             "curl of the constructed potential does not reproduce the input; "
             "residual (" + ", ".join(render(d) for d in diffs) + ")",
@@ -186,8 +221,10 @@ def inverse_gradient(A: VectorField, base: Optional[BasePoint] = None) -> Scalar
     u3 with u1 = a and u2 = b held, then in u2 with u1 = a held, then in u1,
     adding the free constant c0.  Gradient of the result reproduces A.
     """
-    residual = curl(A)
-    if any(not part.is_zero() for part in residual.components):
+    # curl(A) is zero exactly when its numerators are; the curl itself is
+    # formed only to report a residual.
+    if not all(numerator.is_zero() for _, numerator in curl_numerators(A)):
+        residual = curl(A)
         raise NotConservative(
             "curl residual ("
             + ", ".join(render(p) for p in residual.components) + ")",

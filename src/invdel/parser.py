@@ -17,12 +17,12 @@ forms render to distinct strings.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
 from .errors import SourceError, UnsupportedExpression
 from .expr import (
+    _LOG10_2,
     _ONE,
     FUNCTION_TAGS,
     CanonicalForm,
@@ -212,9 +212,6 @@ def _render_term(coefficient: Fraction, factors) -> str:
     if coefficient.denominator != 1:
         out += f"/{_digits(coefficient.denominator)}"
     return out
-
-
-_LOG10_2 = math.log10(2)
 
 
 def _digits(n: int) -> str:

@@ -6,6 +6,9 @@ With coordinates u1,u2,u3 and scale factors h1,h2,h3:
     div(A)    = (1/(h1*h2*h3)) * sum_i d(h_j*h_k*A_i)/du_i      (i,j,k cyclic)
     curl(A)_i = (1/(h_j*h_k)) * (d(h_k*A_k)/du_j - d(h_j*A_j)/du_k)
 
+``flux`` and ``curl_numerators`` give the sums before the reciprocal
+factor, which is all the inverse operators' gates and self-check test.
+
 A field is its canonical forms plus its system; a variable outside the
 system is a ValidationError.  The operators combine the forms with form
 arithmetic and ``differentiate`` and return forms.  Division by scale
@@ -73,23 +76,42 @@ def gradient(f: ScalarField) -> VectorField:
     return VectorField(comps, system)
 
 
+def flux(A: VectorField) -> tuple[tuple[CanonicalForm, ...], CanonicalForm]:
+    """The cyclic products c_i = h_j*h_k*A_i and their flux
+    sum_i dc_i/du_i, which is h1*h2*h3 times div(A).  Each product is
+    differentiated as soon as it is formed, so a failure is the first one
+    ``divergence`` meets."""
+    h = A.system.scale_factors
+    u = A.system.names
+    products = []
+    derivatives = []
+    for i, j, k in CYCLES:
+        products.append(h[j] * h[k] * A.components[i])
+        derivatives.append(differentiate(products[-1], u[i]))
+    return tuple(products), sum_forms(derivatives)
+
+
 def divergence(A: VectorField) -> CanonicalForm:
     """Scalar divergence; exact, with the 1/(h1*h2*h3) factor expanded."""
     h = A.system.scale_factors
+    numerator = flux(A)[1]  # before the reciprocal, whose failure comes second
+    return reciprocal(h[0] * h[1] * h[2]) * numerator
+
+
+def curl_numerators(A: VectorField):
+    """Per component, in cyclic order, the pair (1/(h_j*h_k),
+    d(h_k*A_k)/du_j - d(h_j*A_j)/du_k) whose product is curl(A)_i.  A
+    generator: each reciprocal is formed after its numerator and before the
+    next component, so a consumer meets failures where ``curl`` does."""
+    h = A.system.scale_factors
     u = A.system.names
-    flux = sum_forms(
-        differentiate(h[j] * h[k] * A.components[i], u[i]) for i, j, k in CYCLES)
-    return reciprocal(h[0] * h[1] * h[2]) * flux
+    for i, j, k in CYCLES:
+        numerator = (differentiate(h[k] * A.components[k], u[j])
+                     - differentiate(h[j] * A.components[j], u[k]))
+        yield reciprocal(h[j] * h[k]), numerator
 
 
 def curl(A: VectorField) -> VectorField:
     """Curl of the field, one cyclic determinant row per component."""
-    system = A.system
-    h = system.scale_factors
-    u = system.names
-    comps = []
-    for i, j, k in CYCLES:
-        upper = differentiate(h[k] * A.components[k], u[j])
-        lower = differentiate(h[j] * A.components[j], u[k])
-        comps.append(reciprocal(h[j] * h[k]) * (upper - lower))
-    return VectorField(tuple(comps), system)
+    comps = tuple(scale * numerator for scale, numerator in curl_numerators(A))
+    return VectorField(comps, A.system)

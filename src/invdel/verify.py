@@ -10,7 +10,8 @@ values per coordinate, and runs each plan over a whole block in one call
 magnitude at each point is the relative scale, so a symbolically exact
 result reports an error of exactly zero.
 Points where evaluation leaves the real domain are flagged within their
-block and resampled, up to ten times the requested sample count.  Each
+block and resampled, up to ten times the requested sample count; a form
+with a coefficient past the float range has no value at any point.  Each
 block draws only the points still missing, so the points, the resample
 count and the report are those of sampling one point at a time.
 """
@@ -20,8 +21,8 @@ from __future__ import annotations
 import random
 from typing import Optional, Union
 
-from .errors import SamplingExhausted, ValidationError
-from .expr import Frozen, numeric_plan, run_plan
+from .errors import DomainError, SamplingExhausted, ValidationError
+from .expr import Frozen, ln, num, numeric_plan, run_plan
 from .inverse import (
     BasePoint,
     DivergenceWeights,
@@ -40,6 +41,11 @@ ABSOLUTE_FLOOR = 1e-12
 BLOCK_POINTS = 256
 
 KINDS = ("inv_curl", "inv_div", "inv_grad")
+
+# The plan of ln(-1), which has no value at any point.  A form with a
+# coefficient past the float range has none either, so it is laid out as
+# this plan, and each point drawn for it is resampled.
+_NOWHERE = numeric_plan(ln(num(-1)), {})
 
 
 class VerificationReport(Frozen):
@@ -123,7 +129,7 @@ def roundtrip_report(
     draw = random.Random(seed).random
     box = system.sampling_box
     slots = {name: i for i, name in enumerate(system.names)}
-    plans = [(numeric_plan(res, slots), numeric_plan(ref, slots))
+    plans = [(_layout(res, slots), _layout(ref, slots))
              for res, ref in zip(residual_forms, reference)]
     max_abs = 0.0
     max_rel = 0.0
@@ -173,3 +179,10 @@ def roundtrip_report(
         resample_count=resamples,
         within_tolerance=within,
     )
+
+
+def _layout(form, slots: dict) -> tuple:
+    try:
+        return numeric_plan(form, slots)
+    except DomainError:  # a coefficient overflow
+        return _NOWHERE

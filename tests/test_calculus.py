@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+import invdel.calculus
 from invdel import (
     NotIntegrable,
+    UnsupportedExpression,
     antidifferentiate,
     contains_variable,
     differentiate,
@@ -16,6 +18,8 @@ from invdel import (
     split_by_variable,
     weighted_split_integral,
 )
+
+from invdel.expr import CanonicalForm
 
 from _support import random_polynomial
 
@@ -115,6 +119,83 @@ def test_not_integrable_reports_term_and_variable():
         antidifferentiate(parse("y*ln(x)"), "x")
     assert info.value.variable == "x"
     assert "ln(x)" in str(info.value)
+
+
+def _first_offender(form, name):
+    """The first term, in canonical order, that is refused on its own."""
+    for factors, coefficient in form.terms:
+        term = CanonicalForm({factors: coefficient})
+        try:
+            antidifferentiate(term, name)
+        except NotIntegrable:
+            return term
+    return None
+
+
+MIXED = [
+    "x*sin(x) + sin(x)^2 + y + x^2",
+    "exp(x)*sin(x) + ln(x) + x^-1 + sin(x*y) + cos(2*x)",
+    "sin(x^2)*y + x*sin(x)*y^2 + z*x^3 + ln(x)*z",
+]
+
+
+@pytest.mark.parametrize("text", MIXED)
+def test_refusal_names_the_canonically_first_offender_in_any_map_order(text):
+    # The terms are integrated in map order; the offender named is the
+    # first in canonical order however the map was built.
+    form = parse(text)
+    expected = _first_offender(form, "x")
+    assert expected is not None
+    rng = random.Random(17)
+    items = list(form.terms)
+    for _ in range(12):
+        rng.shuffle(items)
+        shuffled = CanonicalForm(dict(items))
+        assert shuffled == form
+        with pytest.raises(NotIntegrable) as info:
+            antidifferentiate(shuffled, "x")
+        assert info.value.term == expected
+        assert str(info.value) == (f"term {render(expected)} has no antiderivative "
+                                   "in x within the supported class")
+
+
+def test_refusal_renders_its_term_once(monkeypatch):
+    calls = []
+
+    def counting_render(form):
+        calls.append(form)
+        return render(form)
+
+    monkeypatch.setattr(invdel.calculus, "render", counting_render)
+    form = parse("x*sin(x) + sin(x)^2 + y + x^2 + ln(x)")
+    with pytest.raises(NotIntegrable) as info:
+        antidifferentiate(form, "x")
+    assert calls == [info.value.term]
+
+
+@pytest.mark.parametrize("text,w_plus,w_minus", [
+    # The part holding the split variable y is refused with weight zero.
+    ("y*sin(z^2) + x*z", 0, 1),
+    # The part without y is refused with weight zero.
+    ("y*z + x*sin(z^2)", 1, 0),
+])
+def test_zero_weight_part_is_still_integrated(text, w_plus, w_minus):
+    with pytest.raises(NotIntegrable) as info:
+        weighted_split_integral(parse(text), "y", "z", w_plus, w_minus)
+    assert info.value.variable == "z"
+
+
+def test_weighted_scaling_keeps_the_coefficient_budget():
+    # 2^33218 is within the budget, but one third of it, times z, is
+    # estimated past it: the weighted parts are scaled with the product's
+    # estimate, as when they were multiplied by their weights.
+    expression = parse("2^33218*x")
+    assert equals(weighted_split_integral(expression, "y", "z", 1, 1),
+                  parse("2^33218*x*z"))
+    with pytest.raises(UnsupportedExpression) as info:
+        weighted_split_integral(expression, "y", "z", W_PLUS, W_MINUS)
+    assert str(info.value) == ("a coefficient product of more than 10000 digits "
+                               "exceeds the budget")
 
 
 def test_weighted_split_integral_second_component_piece():

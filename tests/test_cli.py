@@ -225,11 +225,30 @@ def test_non_ascii_digits_exit_2_without_a_traceback(argv, offset):
     assert f"SourceError: at offset {offset}: expected a token" in done.stderr
 
 
+EXHAUSTED = ("error: SamplingExhausted: more than 1000 sample points fell outside "
+             "the domain\n")
+
+
 def test_coefficient_beyond_the_float_range_exits_1_without_a_traceback():
+    # A form with such a coefficient has no float value at any point, so
+    # every point drawn for it is resampled until the sampling gives up.
     done = run_cli("verify", "inv-div", "7" * 400 + "*x")
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
-    assert done.stderr == "error: DomainError: coefficient overflow\n"
+    assert done.stderr == EXHAUSTED
+
+
+def test_coefficient_overflow_inside_a_function_is_resampled_per_point():
+    # The inverse and the symbolic check succeed; the input's plan has a
+    # coefficient past the float range inside exp, so no point has a value.
+    done = run_cli("verify", "inv-div", "exp(10^400)")
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr == EXHAUSTED
+    done = run_cli("inv-div", "exp(10^400)")
+    big = "exp(1" + "0" * 400 + ")"
+    assert (done.returncode, done.stdout) == (
+        0, f"e1: {big}*x/3\ne2: {big}*y/3\ne3: {big}*z/3\n")
 
 
 @pytest.mark.parametrize("text,resamples", [
@@ -325,7 +344,7 @@ def test_coefficient_chain_past_the_budget_exits_4_promptly():
 
 
 def test_construction_failure_exits_5(capsys, monkeypatch):
-    def no_potential(B):
+    def no_potential(B, *args, **kwargs):
         return VectorField((ZERO_FORM,) * 3, B.system)
 
     monkeypatch.setattr(invdel.inverse, "curl_potential_formula", no_potential)
@@ -333,6 +352,56 @@ def test_construction_failure_exits_5(capsys, monkeypatch):
     assert (code, out) == (5, "")
     assert err == ("error: ConstructionFailed: curl of the constructed potential does "
                    "not reproduce the input; residual (-y, -z, -x)\n")
+
+
+@pytest.mark.parametrize("argv,residual", [
+    (["--", *GOLDEN_B], "(x, -y, 0)"),
+    (["--coords", "cylindrical", "--", "0", "0", "1"], "(1, -phi, 0)"),
+    (["--coords", "spherical", "--", "0", "0", "r^-1"],
+     "(cos(theta)*sin(theta)^-1*theta + 1, -2*theta, 0)"),
+    (["--coords-file", "NON_UNIT", "--", "0", "0", "u"], "(2/3, -v, 0)"),
+])
+def test_a_perturbed_potential_fails_the_self_check(tmp_path, capsys, monkeypatch,
+                                                     argv, residual):
+    # The self-check compares numerators; a failure still reports the full
+    # residual curl(A) - B.  The potential gains u1*u2 in its third component.
+    formula = invdel.inverse.curl_potential_formula
+
+    def perturbed(B, *args, **kwargs):
+        e1, e2, e3 = formula(B, *args, **kwargs).components
+        u1, u2, _ = B.system.names
+        return VectorField((e1, e2, e3 + parse(f"{u1}*{u2}")), B.system)
+
+    monkeypatch.setattr(invdel.inverse, "curl_potential_formula", perturbed)
+    path = tmp_path / "non_unit.coords"
+    path.write_text(NON_UNIT_COORDS)
+    argv = [str(path) if a == "NON_UNIT" else a for a in argv]
+    code, out, err = run(capsys, "inv-curl", *argv)
+    assert (code, out) == (5, "")
+    assert err == ("error: ConstructionFailed: curl of the constructed potential does "
+                   f"not reproduce the input; residual {residual}\n")
+
+
+NON_UNIT_COORDS = ("names = u, v, w\nh1 = 2\nh2 = 3*u\nh3 = u*v\nbase = 1, 1, 0\n"
+                   "box = 0.5:2, 0.5:2, -2:2\n")
+MULTI_TERM_COORDS = ("names = u, v, w\nh1 = 1 + u^2\nh2 = 1\nh3 = 1\nbase = 0, 0, 0\n"
+                     "box = -2:2, -2:2, -2:2\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["inv-curl", "--", "0", "0", "0"],
+    ["inv-curl", "--", "0", "0", "v*sin(v^2)"],
+    ["inv-grad", "--", "0", "0", "0"],
+    ["inv-grad", "--", "0", "0", "w"],
+])
+def test_multi_term_scale_factor_is_unsupported_before_anything_else(tmp_path, capsys, argv):
+    # The gates form 1/(h1*h2*h3) and 1/(h_j*h_k) before the construction
+    # runs, which alone would refuse v*sin(v^2) or integrate w.
+    path = tmp_path / "multi_term.coords"
+    path.write_text(MULTI_TERM_COORDS)
+    assert run(capsys, *argv[:1], "--coords-file", str(path), *argv[1:]) == (
+        4, "", "error: UnsupportedExpression: reciprocal of a multi-term expression "
+        "is outside the term algebra\n")
 
 
 def test_unchecked_inverse_gradient_reports_residual(capsys):

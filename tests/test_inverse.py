@@ -5,14 +5,18 @@ from fractions import Fraction
 
 import pytest
 
+import invdel.inverse
 from invdel import (
     BasePoint,
     BasePointSingular,
+    ConstructionFailed,
     CurlWeights,
     DivergenceWeights,
     NotConservative,
+    NotIntegrable,
     NotSolenoidal,
     ScalarField,
+    UnsupportedExpression,
     ValidationError,
     VectorField,
     builtin,
@@ -20,6 +24,7 @@ from invdel import (
     curl,
     curl_integrands,
     curl_potential_formula,
+    custom,
     differentiate,
     divergence,
     equals,
@@ -37,6 +42,8 @@ from invdel import (
     render,
     split_by_variable,
 )
+from invdel.expr import ZERO_FORM
+from invdel.inverse import roundtrip_residual
 
 from _support import random_scalar, random_vector
 
@@ -114,6 +121,98 @@ def test_default_weights_are_required_for_the_golden_field():
         A = curl_potential_formula(B, CurlWeights(w_plus, w_minus))
         matches = all(equals(c, parse(b)) for c, b in zip(curl(A).components, GOLDEN_B))
         assert not matches
+
+
+# h1 has two terms, so 1/h1 and every reciprocal holding it are outside the
+# term algebra; the gates form them before the construction can fail.
+MULTI_TERM = custom(("u", "v", "w"), ("1 + u^2", "1", "1"), (0, 0, 0),
+                    ((-2, 2), (-2, 2), (-2, 2)))
+# Non-unit coefficients, nonzero at the base point.
+NON_UNIT = custom(("u", "v", "w"), ("2", "3*u", "u*v"), (1, 1, 0),
+                  ((0.5, 2), (0.5, 2), (-2, 2)))
+MULTI_TERM_MESSAGE = "reciprocal of a multi-term expression is outside the term algebra"
+
+
+@pytest.mark.parametrize("operator,texts", [
+    (inverse_curl, ("0", "0", "0")),
+    # The construction alone would refuse v*sin(v^2)*u^2 as not integrable.
+    (inverse_curl, ("0", "0", "v*sin(v^2)")),
+    (inverse_gradient, ("0", "0", "0")),
+    # The path integral alone would succeed.
+    (inverse_gradient, ("0", "0", "w")),
+])
+def test_multi_term_scale_factor_is_unsupported_before_anything_else(operator, texts):
+    with pytest.raises(UnsupportedExpression) as info:
+        operator(vec(MULTI_TERM, *texts))
+    assert str(info.value) == MULTI_TERM_MESSAGE
+
+
+def test_unchecked_construction_fails_first_with_a_multi_term_scale_factor():
+    # Without the gate the construction runs first and meets its own failure.
+    with pytest.raises(NotIntegrable):
+        inverse_curl_unchecked(vec(MULTI_TERM, "0", "0", "v*sin(v^2)"))
+
+
+def test_self_check_succeeds_exactly_when_the_residual_is_zero(monkeypatch):
+    # The self-check compares the numerators of curl(A) with h_j*h_k*B_i.
+    # Perturbing the assembled potential by a gradient keeps it a preimage;
+    # by a random field it usually does not.  Either way inverse_curl must
+    # succeed exactly when the round-trip residual is zero, and report that
+    # residual when it is not.
+    rng = random.Random(41)
+    formula = invdel.inverse.curl_potential_formula
+    shift = {}
+
+    def perturbed(B, *args, **kwargs):
+        A = formula(B, *args, **kwargs)
+        return VectorField(tuple(a + s for a, s in zip(A.components, shift["by"])), B.system)
+
+    monkeypatch.setattr(invdel.inverse, "curl_potential_formula", perturbed)
+    outcomes = {"ok": 0, "failed": 0}
+    for system in (CARTESIAN, CYLINDRICAL, SPHERICAL, NON_UNIT):
+        done = 0
+        while done < 12:
+            B = curl(random_vector(rng, system, max_terms=2, max_degree=2))
+            if rng.random() < 0.5:
+                shift["by"] = gradient(random_scalar(rng, system, 2, 2)).components
+            else:
+                shift["by"] = random_vector(rng, system, 1, 2).components
+            try:
+                A = perturbed(B)
+            except NotIntegrable:
+                continue
+            residual = roundtrip_residual("inv_curl", B, A)
+            expected = all(part.is_zero() for part in residual)
+            try:
+                got = inverse_curl(B)
+            except ConstructionFailed as failure:
+                assert not expected
+                assert failure.residual.components == residual
+                outcomes["failed"] += 1
+            else:
+                assert expected
+                assert got == A
+                outcomes["ok"] += 1
+            done += 1
+    assert min(outcomes.values()) >= 12
+
+
+def test_self_check_keeps_the_coefficient_budget_of_the_curl():
+    # h2*h3 has 2000 bits of coefficient and B_1 31219, so c_1 = h2*h3*B_1
+    # has 33219, the most the 10000-digit budget allows: forming c_1 and the
+    # construction stay within it, but the forward curl's product
+    # 1/(h2*h3) * c_1 is estimated at 33220 bits.  The self-check forms no
+    # such product, yet refuses where the curl would.
+    system = custom(("x", "y", "z"), ("2^1000 - 1",) * 3, (1, 1, 1), ((0.5, 2),) * 3)
+    within = vec(system, "(2^31218 - 1)*y^2*z^2", "0", "0")
+    past = vec(system, "(2^31219 - 1)*y^2*z^2", "0", "0")
+    assert roundtrip_residual("inv_curl", within, inverse_curl(within)) == (ZERO_FORM,) * 3
+    with pytest.raises(UnsupportedExpression) as info:
+        inverse_curl(past)
+    assert str(info.value) == ("a coefficient product of more than 10000 digits "
+                               "exceeds the budget")
+    with pytest.raises(UnsupportedExpression):
+        curl(curl_potential_formula(past))
 
 
 def test_inverse_curl_round_trip_on_random_fields():
