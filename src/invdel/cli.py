@@ -1,6 +1,10 @@
 """Command-line interface.
 
-Commands: curl, div, grad, inv-curl, inv-div, inv-grad, verify.
+Commands: curl, div, grad, inv-curl, inv-div, inv-grad, verify.  One
+runner, ``_run``, serves them all: it parses the field of the command's
+kind (``verify KIND`` runs as ``KIND --verify``), applies the kind's
+operator and renders the result.
+
 Exit codes: 0 success, 2 parse/usage error, 3 precondition violated
 (NotSolenoidal / NotConservative), 4 NotIntegrable / Unsupported,
 5 ConstructionFailed.
@@ -71,6 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="attach a round-trip verification report")
     checks.add_argument("--samples", type=int, default=100)
     checks.add_argument("--seed", type=int, default=42)
+    # Options that only some inverse kinds take; the runner reads them all.
+    checks.set_defaults(unchecked=False, gauge_scalar=None, gauge_vector=None,
+                        weights=None, base=None, c0=None)
 
     p = sub.add_parser("curl", parents=[common], help="curl of a vector field")
     p.add_argument("components", nargs=3)
@@ -115,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c0", metavar="VALUE")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=42)
-    # The inv-* handler of the kind runs with these, so it attaches the report.
+    # With these the kind's inverse runs as under KIND --verify.
     p.set_defaults(verify=True, unchecked=False, gauge_scalar=None, gauge_vector=None)
 
     return root
@@ -189,112 +196,80 @@ def _inputs(ns: argparse.Namespace) -> list[str]:
     return [ns.expression]
 
 
-def _vector(ns_texts: Sequence[str], system: CoordinateSystem) -> VectorField:
-    return VectorField(tuple(parse(t) for t in ns_texts), system)
-
-
-def _weights_arg(ns: argparse.Namespace) -> Optional[DivergenceWeights]:
-    if getattr(ns, "weights", None):
-        return DivergenceWeights(*_fraction_triple(ns.weights, "weight"))
-    return None
+def _vector(texts: Sequence[str], system: CoordinateSystem) -> VectorField:
+    return VectorField(tuple(parse(t) for t in texts), system)
 
 
 def _base_arg(ns: argparse.Namespace, system: CoordinateSystem) -> Optional[BasePoint]:
-    base = getattr(ns, "base", None)
-    c0 = getattr(ns, "c0", None)
-    if base is None and c0 is None:
+    if ns.base is None and ns.c0 is None:
         return None
-    if base is not None:
-        a, b, c = _fraction_triple(base, "base coordinate")
+    if ns.base is not None:
+        a, b, c = _fraction_triple(ns.base, "base coordinate")
     else:
         a, b, c = system.base_point
-    constant = _fraction(c0, "constant") if c0 is not None else Fraction(0)
+    constant = _fraction(ns.c0, "constant") if ns.c0 is not None else Fraction(0)
     return BasePoint(a, b, c, constant)
 
 
-def _cmd_curl(ns, system, payload):
-    A = _vector(ns.components, system)
-    payload["result"] = [render(c) for c in curl(A).components]
+def _parts(value) -> list[str]:
+    """The rendered components of a vector field, or a scalar's value or a
+    bare form as one part."""
+    if isinstance(value, VectorField):
+        return [render(c) for c in value.components]
+    return [render(value.value if isinstance(value, ScalarField) else value)]
 
 
-def _cmd_div(ns, system, payload):
-    A = _vector(ns.components, system)
-    payload["result"] = [render(divergence(A))]
-
-
-def _cmd_grad(ns, system, payload):
-    f = ScalarField(parse(ns.expression), system)
-    payload["result"] = [render(c) for c in gradient(f).components]
-
-
-def _cmd_inv_curl(ns, system, payload):
-    B = _vector(ns.components, system)
-    if ns.unchecked:
-        A, residual = inverse_curl_unchecked(B)
-        payload["residual"] = render(residual)
+def _run(ns: argparse.Namespace, system: CoordinateSystem, texts: list[str],
+         payload: dict) -> None:
+    """Every command: parse the field, apply the kind's operator, render.
+    ``verify KIND`` is ``KIND --verify``; the verify parser's defaults make
+    it so."""
+    kind = ns.kind if ns.command == "verify" else ns.command
+    if kind in ("grad", "inv-div"):
+        if len(texts) != 1:
+            raise ValidationError(f"verify {kind} takes one scalar expression")
+        field = ScalarField(parse(texts[0]), system)
+    elif len(texts) != 3:
+        raise ValidationError(f"verify {kind} takes three component expressions")
     else:
-        A = inverse_curl(B)
+        field = _vector(texts, system)
+    # The operators are looked up here, at call time, so that a rebinding of
+    # these module names (as a tracer makes) is seen.
+    forward = {"curl": curl, "div": divergence, "grad": gradient}
+    if kind in forward:
+        payload["result"] = _parts(forward[kind](field))
+        return
+
+    # The kind's own options, read after its field is parsed; each is also
+    # what the round-trip report takes.
+    options = {}
+    if kind == "inv-div" and ns.weights:
+        options["weights"] = DivergenceWeights(*_fraction_triple(ns.weights, "weight"))
+    elif kind == "inv-grad":
+        options["base"] = _base_arg(ns, system)
+    if ns.unchecked:
+        unchecked = {"inv-curl": inverse_curl_unchecked,
+                     "inv-grad": inverse_gradient_unchecked}[kind]
+        result, residual = unchecked(field, **options)
+        parts = _parts(residual)
+        # A divergence residual is one bare form, a curl residual a triple.
+        payload["residual"] = parts if isinstance(residual, VectorField) else parts[0]
+    else:
+        construct = {"inv-curl": inverse_curl, "inv-div": inverse_divergence,
+                     "inv-grad": inverse_gradient}[kind]
+        result = construct(field, **options)
     if ns.gauge_scalar:
-        A = gauge_shift_curl(A, ScalarField(parse(ns.gauge_scalar), system))
-    payload["result"] = [render(c) for c in A.components]
-    if ns.verify:
-        report = roundtrip_report(
-            "inv_curl", B, samples=ns.samples, seed=ns.seed, result=A)
-        payload["verification"] = report.to_dict()
-
-
-def _cmd_inv_div(ns, system, payload):
-    f = ScalarField(parse(ns.expression), system)
-    weights = _weights_arg(ns)
-    A = inverse_divergence(f, weights)
+        result = gauge_shift_curl(result, ScalarField(parse(ns.gauge_scalar), system))
     if ns.gauge_vector:
-        parts = ns.gauge_vector.split(",")
-        if len(parts) != 3:
+        gauge = ns.gauge_vector.split(",")
+        if len(gauge) != 3:
             raise ValidationError("--gauge-vector needs three comma-separated expressions")
-        A = gauge_shift_div(A, _vector(parts, system))
-    payload["result"] = [render(c) for c in A.components]
+        result = gauge_shift_div(result, _vector(gauge, system))
+    payload["result"] = _parts(result)
     if ns.verify:
-        report = roundtrip_report(
-            "inv_div", f, weights=weights, samples=ns.samples, seed=ns.seed, result=A)
+        report = roundtrip_report(kind.replace("-", "_"), field, samples=ns.samples,
+                                  seed=ns.seed, result=result, **options)
         payload["verification"] = report.to_dict()
-
-
-def _cmd_inv_grad(ns, system, payload):
-    A = _vector(ns.components, system)
-    base = _base_arg(ns, system)
-    if ns.unchecked:
-        phi, residual = inverse_gradient_unchecked(A, base)
-        payload["residual"] = [render(c) for c in residual.components]
-    else:
-        phi = inverse_gradient(A, base)
-    payload["result"] = [render(phi.value)]
-    if ns.verify:
-        report = roundtrip_report(
-            "inv_grad", A, base=base, samples=ns.samples, seed=ns.seed, result=phi)
-        payload["verification"] = report.to_dict()
-
-
-def _cmd_verify(ns, system, payload):
-    if ns.kind == "inv-div":
-        if len(ns.expressions) != 1:
-            raise ValidationError("verify inv-div takes one scalar expression")
-        ns.expression = ns.expressions[0]
-    elif len(ns.expressions) != 3:
-        raise ValidationError(f"verify {ns.kind} takes three component expressions")
-    else:
-        ns.components = ns.expressions
-    _DISPATCH[ns.kind](ns, system, payload)
-
-
-_DISPATCH = {
-    "curl": _cmd_curl,
-    "div": _cmd_div,
-    "grad": _cmd_grad,
-    "inv-curl": _cmd_inv_curl,
-    "inv-div": _cmd_inv_div,
-    "inv-grad": _cmd_inv_grad,
-    "verify": _cmd_verify,
-}
 
 
 def _exit_code(error: InvdelError) -> int:
@@ -344,10 +319,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
+    texts = _inputs(ns)
     payload: dict = {
         "command": ns.command,
         "coords": ns.coords_file or ns.coords,
-        "input": _inputs(ns),
+        "input": texts,
         "result": None,
         "verification": None,
         "error": None,
@@ -355,7 +331,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     code = EXIT_OK
     try:
         system = _resolve_system(ns)
-        _DISPATCH[ns.command](ns, system, payload)
+        _run(ns, system, texts, payload)
     except InvdelError as error:
         payload["error"] = f"{type(error).__name__}: {error}"
         code = _exit_code(error)

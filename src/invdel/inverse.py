@@ -23,12 +23,12 @@ sum_i d(c_i)/du_i to be zero and checks d(h_k*A_k)/du_j - d(h_j*A_j)/du_k
 Each is exact, since the divergence or curl component is its numerator
 times 1/(h1*h2*h3) or 1/(h_j*h_k), a single invertible term.  The
 reciprocals are still formed where the forward operators form them, so a
-multi-term scale factor fails a gate before the construction runs, and the
-self-check estimates each product the curl would form against the
-coefficient budget: errors come in the forward operators' order.
-``divergence``, ``curl`` and ``roundtrip_residual`` run only to build the
-residual of a failure.  The c_i are formed once, for the gate and the
-assembly.
+multi-term scale factor fails a gate before the construction runs and
+errors come in the forward operators' order.  No product of a reciprocal
+and a numerator is formed, so none is estimated against the coefficient
+budget: ``divergence``, ``curl`` and ``roundtrip_residual``, which form
+them, run only to build the residual of a failure.  The c_i are formed
+once, for the gate and the assembly.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .expr import (
     Frozen,
     FunctionAtom,
     _eval_function,
-    check_product,
     eval_numeric,
     free_variables,
     reciprocal,
@@ -166,13 +165,10 @@ def inverse_curl_unchecked(B: VectorField) -> tuple[VectorField, CanonicalForm]:
 
 def _check_roundtrip(A: VectorField, B: VectorField, integrands) -> None:
     # curl(A)_i = B_i exactly when the numerator of curl(A)_i is c_i =
-    # h_j*h_k*B_i, as 1/(h_j*h_k) is one invertible term.  Each product the
-    # forward curl would form is still estimated against the budget.
-    matched = True
-    for (scale, numerator), c in zip(curl_numerators(A), integrands):
-        check_product(scale, numerator)
-        matched = matched and numerator == c
-    if not matched:
+    # h_j*h_k*B_i, as 1/(h_j*h_k) is one invertible term.  Every numerator
+    # and reciprocal is formed, in the forward curl's order.
+    matched = [numerator == c for (_, numerator), c in zip(curl_numerators(A), integrands)]
+    if not all(matched):
         diffs = roundtrip_residual("inv_curl", B, A)
         raise ConstructionFailed(
             "curl of the constructed potential does not reproduce the input; "

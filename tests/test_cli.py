@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import invdel.cli
 import invdel.inverse
 from invdel import VectorField, equals, parse, render
 from invdel.cli import main
@@ -79,6 +80,37 @@ def test_parse_error_exits_2(capsys):
     code, _, err = run(capsys, "inv-curl", "x +", "0", "0")
     assert code == 2
     assert "SourceError" in err
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["inv-div", "(", "--weights", "junk"], (2, "error: SourceError: at offset 1: "
+                                             "expected an expression, found end of input")),
+    (["inv-grad", "--base", "junk", "--", "(", "0", "0"],
+     (2, "error: SourceError: at offset 1: expected an expression, found end of input")),
+    (["inv-div", "x^-1*sin(x)", "--gauge-vector", "a,b"],
+     (4, "error: NotIntegrable: term sin(x)*x^-1 has no antiderivative in x within "
+         "the supported class")),
+])
+def test_a_malformed_option_is_read_after_the_field_or_the_construction(capsys, argv,
+                                                                       expected):
+    # The field is parsed before --weights and --base, and --gauge-vector is
+    # read after the construction.
+    code, message = expected
+    assert run(capsys, *argv) == (code, "", message + "\n")
+
+
+def test_the_operators_are_looked_up_when_a_command_runs(capsys, monkeypatch):
+    # A tracer rebinds the names cli imported; the runner must call through them.
+    calls = []
+    original = invdel.cli.inverse_gradient
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(invdel.cli, "inverse_gradient", spy)
+    assert run(capsys, "inv-grad", "2*x*y", "x^2", "1") == (0, "phi: x^2*y + z\n", "")
+    assert len(calls) == 1
 
 
 def test_bad_weights_exit_2(capsys):
@@ -494,6 +526,17 @@ def test_verify_matches_the_inverse_command_with_verify(capsys, kind, args, fmt)
         assert via_verify == direct
     else:
         assert json.loads(via_verify[1]) == dict(json.loads(direct[1]), command="verify")
+
+
+@pytest.mark.parametrize("kind,args,foreign", [
+    ("inv-curl", GOLDEN_B, ["--weights", "junk"]),
+    ("inv-grad", ["2*x*y", "x^2", "1"], ["--weights", "junk"]),
+    ("inv-div", ["3"], ["--base", "junk", "--c0", "q"]),
+])
+def test_verify_ignores_the_options_of_another_kind(capsys, kind, args, foreign):
+    plain = run(capsys, "verify", kind, *args)
+    assert plain[0] == 0
+    assert run(capsys, "verify", kind, *args, *foreign) == plain
 
 
 @pytest.mark.parametrize("argv,message", [

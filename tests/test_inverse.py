@@ -44,6 +44,7 @@ from invdel import (
 )
 from invdel.expr import ZERO_FORM
 from invdel.inverse import roundtrip_residual
+from invdel.vecops import curl_numerators
 
 from _support import random_scalar, random_vector
 
@@ -197,22 +198,22 @@ def test_self_check_succeeds_exactly_when_the_residual_is_zero(monkeypatch):
     assert min(outcomes.values()) >= 12
 
 
-def test_self_check_keeps_the_coefficient_budget_of_the_curl():
+def test_self_check_matches_a_potential_whose_curl_is_past_the_budget():
     # h2*h3 has 2000 bits of coefficient and B_1 31219, so c_1 = h2*h3*B_1
     # has 33219, the most the 10000-digit budget allows: forming c_1 and the
     # construction stay within it, but the forward curl's product
-    # 1/(h2*h3) * c_1 is estimated at 33220 bits.  The self-check forms no
-    # such product, yet refuses where the curl would.
+    # 1/(h2*h3) * c_1 is estimated at 33220 bits.  The self-check compares
+    # numerators and forms no such product, so it accepts the potential.
     system = custom(("x", "y", "z"), ("2^1000 - 1",) * 3, (1, 1, 1), ((0.5, 2),) * 3)
     within = vec(system, "(2^31218 - 1)*y^2*z^2", "0", "0")
     past = vec(system, "(2^31219 - 1)*y^2*z^2", "0", "0")
     assert roundtrip_residual("inv_curl", within, inverse_curl(within)) == (ZERO_FORM,) * 3
+    A = inverse_curl(past)
+    assert [numerator for _, numerator in curl_numerators(A)] == list(curl_integrands(past))
     with pytest.raises(UnsupportedExpression) as info:
-        inverse_curl(past)
+        curl(A)
     assert str(info.value) == ("a coefficient product of more than 10000 digits "
                                "exceeds the budget")
-    with pytest.raises(UnsupportedExpression):
-        curl(curl_potential_formula(past))
 
 
 def test_inverse_curl_round_trip_on_random_fields():
