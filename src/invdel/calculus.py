@@ -32,6 +32,9 @@ from .expr import (
     FunctionAtom,
     _accumulate,
     _add_term,
+    _coeff_inv,
+    _coeff_mul,
+    _map_of,
     _merge_factors,
     _multiply,
     atom_power,
@@ -89,7 +92,7 @@ def _derivative(form: CanonicalForm, name: str) -> CanonicalForm:
                 continue
             lowered = ((atom, e - 1),) if e != 1 else ()
             piece = {factors[:i] + lowered + factors[i + 1:]:
-                     coefficient if e == 1 else coefficient * e}
+                     coefficient if e == 1 else _coeff_mul(coefficient, (e, 1))}
             _accumulate(acc, piece if chain is None else _multiply(piece, chain._map))
     return CanonicalForm(acc)
 
@@ -123,7 +126,7 @@ def antidifferentiate(expression: Expression, name: str) -> CanonicalForm:
     return CanonicalForm(acc)
 
 
-def _integrate_term(factors: tuple, coefficient: Fraction, name: str):
+def _integrate_term(factors: tuple, coefficient: tuple, name: str):
     """The antiderivative of one term as a (factors, coefficient) pair, or
     None when the term is outside the supported class."""
     rest = []
@@ -147,10 +150,10 @@ def _integrate_term(factors: tuple, coefficient: Fraction, name: str):
         slope = _linear_slope(atom.argument, name)
         if slope is None:
             return None
-        coefficient /= slope
+        coefficient = _coeff_mul(coefficient, _coeff_inv(slope))
         if atom.tag == "sin":
             outer = FunctionAtom("cos", atom.argument)
-            coefficient = -coefficient
+            coefficient = (-coefficient[0], coefficient[1])
         elif atom.tag == "cos":
             outer = FunctionAtom("sin", atom.argument)
         else:
@@ -162,11 +165,11 @@ def _integrate_term(factors: tuple, coefficient: Fraction, name: str):
         return _merge_factors(rest, ((log, 1),)), coefficient
     new_exponent = variable_exponent + 1
     if new_exponent != 1:
-        coefficient /= new_exponent
+        coefficient = _coeff_mul(coefficient, _coeff_inv((new_exponent, 1)))
     return _merge_factors(rest, ((name, new_exponent),)), coefficient
 
 
-def _linear_slope(argument: CanonicalForm, name: str) -> Fraction | None:
+def _linear_slope(argument: CanonicalForm, name: str) -> tuple | None:
     """Rational slope of the variable when the argument is affine in it."""
     carriers = [(f, c) for f, c in argument.items() if factors_contain(f, name)]
     if len(carriers) != 1:
@@ -208,10 +211,10 @@ def weighted_split_integral(
     plus = antidifferentiate(pair.plus_part, int_var)
     minus = antidifferentiate(pair.minus_part, int_var)
     acc: dict = {}
-    for part, weight in ((plus, Fraction(w_plus)), (minus, Fraction(w_minus))):
+    for part, weight in ((plus, _map_of(w_plus)), (minus, _map_of(w_minus))):
         # Scaled term by term, with the estimate the product part * weight makes.
-        check_product(part, weight)
-        if weight:
+        check_product(part, CanonicalForm(weight))
+        for scale in weight.values():
             for factors, coefficient in part.items():
-                _add_term(acc, factors, coefficient * weight)
+                _add_term(acc, factors, _coeff_mul(coefficient, scale))
     return CanonicalForm(acc)

@@ -243,7 +243,7 @@ def _run(ns: argparse.Namespace, system: CoordinateSystem, texts: list[str],
     # The kind's own options, read after its field is parsed; each is also
     # what the round-trip report takes.
     options = {}
-    if kind == "inv-div" and ns.weights:
+    if kind == "inv-div" and ns.weights is not None:
         options["weights"] = DivergenceWeights(*_fraction_triple(ns.weights, "weight"))
     elif kind == "inv-grad":
         options["base"] = _base_arg(ns, system)
@@ -258,9 +258,9 @@ def _run(ns: argparse.Namespace, system: CoordinateSystem, texts: list[str],
         construct = {"inv-curl": inverse_curl, "inv-div": inverse_divergence,
                      "inv-grad": inverse_gradient}[kind]
         result = construct(field, **options)
-    if ns.gauge_scalar:
+    if ns.gauge_scalar is not None:
         result = gauge_shift_curl(result, ScalarField(parse(ns.gauge_scalar), system))
-    if ns.gauge_vector:
+    if ns.gauge_vector is not None:
         gauge = ns.gauge_vector.split(",")
         if len(gauge) != 3:
             raise ValidationError("--gauge-vector needs three comma-separated expressions")

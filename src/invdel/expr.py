@@ -16,9 +16,15 @@ the same kernel helpers the constructors use (``_multiply``, ``_power``,
 forms have equal maps.  A form is its map: ``terms`` lists the map's
 (factors, coefficient) items in one deterministic order, which rendering
 and the sort keys of function atoms use, and ``repr`` spells the map in
-that order.  Coefficient arithmetic is exact everywhere; floats appear
-only in numeric evaluation, ``eval_numeric`` at one point and ``run_plan``
-over a column of points.
+that order.
+
+A coefficient is a pair ``(n, d)`` of ints in lowest terms with ``d > 0``
+and ``n != 0``: the rational n/d.  Three helpers do all coefficient
+arithmetic (``_coeff_mul``, ``_coeff_add``, ``_coeff_inv``), so the hot
+path builds no ``Fraction``; rationals given from outside (``num``,
+weights, base points) are converted on the way in.  Coefficient
+arithmetic is exact everywhere; floats appear only in numeric evaluation,
+``eval_numeric`` at one point and ``run_plan`` over a column of points.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
@@ -89,18 +96,57 @@ def check_variable_name(name: str) -> None:
         raise ValueError(f"{name!r} is a reserved function name")
 
 
-def _inverse_rational(divisor) -> Fraction:
-    if isinstance(divisor, CanonicalForm) and divisor._map.keys() <= {()}:
-        divisor = divisor._map.get((), 0)
-    if not isinstance(divisor, (int, Fraction)):
+def _inverse_rational(divisor) -> dict:
+    if not (isinstance(divisor, (int, Fraction))
+            or isinstance(divisor, CanonicalForm) and divisor._map.keys() <= {()}):
         raise TypeError("can only divide by a rational constant; "
                         "use reciprocal() for invertible expressions")
-    return Fraction(1, 1) / divisor
+    d = _map_of(divisor)
+    if not d:
+        raise ZeroDivisionError("division by zero")
+    return {(): _coeff_inv(d[()])}
+
+
+# --- coefficients ---------------------------------------------------------
+
+_ONE = (1, 1)
+
+
+def _coeff_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two coefficients, cancelled crosswise before multiplying,
+    so the result is in lowest terms."""
+    n1, d1 = a
+    n2, d2 = b
+    g = gcd(n1, d2)
+    if g != 1:
+        n1 //= g
+        d2 //= g
+    g = gcd(n2, d1)
+    if g != 1:
+        n2 //= g
+        d1 //= g
+    return (n1 * n2, d1 * d2)
+
+
+def _coeff_add(a: tuple, b: tuple) -> tuple:
+    """Sum of two coefficients in lowest terms; (0, 1) when they cancel."""
+    n1, d1 = a
+    n2, d2 = b
+    if d1 == d2:
+        n, d = n1 + n2, d1
+    else:
+        n, d = n1 * d2 + n2 * d1, d1 * d2
+    g = gcd(n, d)
+    return (n // g, d // g) if g != 1 else (n, d)
+
+
+def _coeff_inv(a: tuple) -> tuple:
+    """Reciprocal of a nonzero coefficient; the sign moves to the numerator."""
+    n, d = a
+    return (d, n) if n > 0 else (-d, -n)
 
 
 # --- canonical form -------------------------------------------------------
-
-_ONE = Fraction(1)
 
 # Most term pairs one product of two expanded forms may multiply out.  Past
 # it the product raises UnsupportedExpression before any pair is formed, so
@@ -153,7 +199,8 @@ class CanonicalForm:
     """Fully distributed sum of terms; the empty map is the zero form.
 
     The map sends factors, a tuple of (atom, nonzero exponent) pairs in
-    ascending atom order, to a nonzero Fraction.  A form owns its map and
+    ascending atom order, to a nonzero coefficient ``(n, d)``: ints in
+    lowest terms with ``d > 0``.  A form owns its map and
     never changes it, so forms may share maps.  Arithmetic with ``+ - * **``
     and division by a rational gives forms again; ``==`` and hash compare
     the maps, so they are mathematical equality.
@@ -241,7 +288,7 @@ class CanonicalForm:
         return CanonicalForm(_power(self._map, exponent))
 
     def __truediv__(self, other):
-        return self * _inverse_rational(other)
+        return CanonicalForm(_multiply(self._map, _inverse_rational(other)))
 
 
 Expression = CanonicalForm
@@ -267,10 +314,8 @@ def sum_forms(forms: Iterable[CanonicalForm]) -> CanonicalForm:
 def _map_of(value) -> dict:
     if isinstance(value, CanonicalForm):
         return value._map
-    if value.__class__ is Fraction:
-        return {(): value} if value else {}
     if isinstance(value, (int, Fraction)):
-        return {(): Fraction(value)} if value else {}
+        return {(): (value.numerator, value.denominator)} if value else {}
     raise TypeError(f"cannot interpret {value!r} as an expression")
 
 
@@ -310,8 +355,10 @@ def _atom_key(atom):
 
 
 def _form_key(form: CanonicalForm):
+    # Coefficients compare as rationals here, not as pairs, so that
+    # sin(x/2) sorts before sin(2*x/5).
     return tuple(
-        (c, tuple((_atom_key(a), e) for a, e in f)) for f, c in form.terms)
+        (Fraction(*c), tuple((_atom_key(a), e) for a, e in f)) for f, c in form.terms)
 
 
 def _merge_factors(f1, f2):
@@ -347,8 +394,8 @@ def _add_term(acc: dict, factors, coeff) -> None:
     if previous is None:
         acc[factors] = coeff
         return
-    total = previous + coeff
-    if total:
+    total = _coeff_add(previous, coeff)
+    if total[0]:
         acc[factors] = total
     else:
         del acc[factors]
@@ -360,28 +407,28 @@ def _accumulate(acc: dict, extra: dict) -> None:
 
 
 def _negate(d: dict) -> dict:
-    return {f: -c for f, c in d.items()}
+    return {f: (-n, e) for f, (n, e) in d.items()}
 
 
 def _is_unit(d: dict) -> bool:
-    return len(d) == 1 and d.get(()) == 1
+    return len(d) == 1 and d.get(()) == _ONE
 
 
 def _multiply(d1: dict, d2: dict) -> dict:
     # Most products are of two single terms, and most coefficient products
-    # have a factor 1: both skip the general loop and Fraction arithmetic.
+    # have a factor 1: both skip the general loop and coefficient arithmetic.
     if not d1 or not d2:
         return {}
     if len(d1) == 1 and len(d2) == 1:
         (f1, c1), = d1.items()
         (f2, c2), = d2.items()
-        if c1 == 1:
+        if c1 == _ONE:
             return {_merge_factors(f1, f2): c2}
-        if c2 == 1:
+        if c2 == _ONE:
             return {_merge_factors(f1, f2): c1}
-        _check_coefficient_product(c1.numerator.bit_length() + c2.numerator.bit_length(),
-                                   c1.denominator.bit_length() + c2.denominator.bit_length())
-        return {_merge_factors(f1, f2): c1 * c2}
+        _check_coefficient_product(c1[0].bit_length() + c2[0].bit_length(),
+                                   c1[1].bit_length() + c2[1].bit_length())
+        return {_merge_factors(f1, f2): _coeff_mul(c1, c2)}
     if _is_unit(d1):
         return d2
     if _is_unit(d2):
@@ -391,7 +438,7 @@ def _multiply(d1: dict, d2: dict) -> dict:
     for f1, c1 in d1.items():
         for f2, c2 in d2.items():
             _add_term(acc, _merge_factors(f1, f2),
-                      c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2)
+                      c2 if c1 == _ONE else c1 if c2 == _ONE else _coeff_mul(c1, c2))
     return acc
 
 
@@ -429,8 +476,8 @@ def _check_coefficient_product(numerator_bits: int, denominator_bits: int) -> No
 def _coefficient_bits(d: dict) -> tuple[int, int]:
     """Bit lengths of the largest numerator and denominator in the map."""
     n = e = 0
-    for c in d.values():
-        cn, cd = c.numerator.bit_length(), c.denominator.bit_length()
+    for numerator, denominator in d.values():
+        cn, cd = numerator.bit_length(), denominator.bit_length()
         if cn > n:
             n = cn
         if cd > e:
@@ -445,7 +492,7 @@ def _invert(d: dict) -> dict:
         raise UnsupportedExpression(
             "reciprocal of a multi-term expression is outside the term algebra")
     (factors, coeff), = d.items()
-    return {tuple((a, -e) for a, e in factors): 1 / coeff}
+    return {tuple((a, -e) for a, e in factors): _coeff_inv(coeff)}
 
 
 def _power(d: dict, n: int) -> dict:
@@ -456,13 +503,14 @@ def _power(d: dict, n: int) -> dict:
     if len(d) == 1:
         # A power of one term scales its exponents, none of which is zero.
         (factors, coeff), = d.items()
-        if coeff != 1:
-            size = max(abs(coeff.numerator), coeff.denominator)
+        if coeff != _ONE:
+            numerator, denominator = coeff
+            size = max(abs(numerator), denominator)
             if size > 1 and n > MAX_POWER_DIGITS / math.log10(size):
                 raise UnsupportedExpression(
                     f"a coefficient power of more than {MAX_POWER_DIGITS} digits "
                     "exceeds the budget")
-            coeff **= n
+            coeff = (numerator ** n, denominator ** n)
         return {tuple((a, e * n) for a, e in factors): coeff}
     result = {(): _ONE}
     base = d
@@ -666,9 +714,10 @@ def _pointwise(operation, checked, arguments, failed) -> list:
     return out
 
 
-def _coefficient_float(value: Fraction) -> float:
+def _coefficient_float(value: tuple) -> float:
+    # Int true division rounds correctly, as float(Fraction(n, d)) does.
     try:
-        return float(value)
+        return value[0] / value[1]
     except OverflowError:
         raise DomainError("coefficient overflow") from None
 

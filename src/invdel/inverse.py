@@ -286,7 +286,7 @@ def _scan_form(form: CanonicalForm) -> None:
             if free_variables(atom.argument):
                 continue
             constant = dict(atom.argument.items())
-            q = constant.get((), 0)
+            q = Fraction(*constant[()]) if () in constant else 0
             if constant.keys() <= {()} and (atom.tag != "ln" or q > 0):
                 # A rational argument is decided exactly, without floats that
                 # could underflow to 0 or overflow.

@@ -18,7 +18,6 @@ forms render to distinct strings.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .errors import SourceError, UnsupportedExpression
 from .expr import (
@@ -147,7 +146,7 @@ class _Parser:
         if kind == "number":
             self.pos += 1
             value = _integer(token)
-            return {(): Fraction(value)} if value else {}
+            return {(): (value, 1)} if value else {}
         if kind == "name":
             self.pos += 1
             if text in FUNCTION_TAGS:
@@ -193,24 +192,22 @@ def render(expression: Expression) -> str:
 
 def _render_form(form: CanonicalForm) -> str:
     pieces = []
-    for factors, coefficient in form.terms:
-        if coefficient < 0:
-            pieces.append((" - " if pieces else "-") + _render_term(-coefficient, factors))
-        else:
-            pieces.append((" + " if pieces else "") + _render_term(coefficient, factors))
+    for factors, (numerator, denominator) in form.terms:
+        sign = (" - " if pieces else "-") if numerator < 0 else (" + " if pieces else "")
+        pieces.append(sign + _render_term(abs(numerator), denominator, factors))
     return "".join(pieces) or "0"
 
 
-def _render_term(coefficient: Fraction, factors) -> str:
+def _render_term(numerator: int, denominator: int, factors) -> str:
     bits = []
     for atom, e in factors:
         text = _render_atom(atom)
         bits.append(text if e == 1 else f"{text}^{_digits(e)}")
-    if coefficient.numerator != 1 or not bits:
-        bits.insert(0, _digits(coefficient.numerator))
+    if numerator != 1 or not bits:
+        bits.insert(0, _digits(numerator))
     out = "*".join(bits)
-    if coefficient.denominator != 1:
-        out += f"/{_digits(coefficient.denominator)}"
+    if denominator != 1:
+        out += f"/{_digits(denominator)}"
     return out
 
 

@@ -2,11 +2,11 @@
 by reference."""
 
 from fractions import Fraction
+from math import gcd
 
-from invdel import ScalarField, VectorField, num, var
+from invdel import DomainError, ScalarField, VectorField, num, var
 from invdel.expr import (
     _atom_key,
-    _coefficient_float,
     _eval_function,
     _eval_power,
     _eval_sum,
@@ -44,13 +44,32 @@ def random_scalar(rng, system, max_terms=3, max_degree=3):
     return ScalarField(value, system)
 
 
+def fractions_of(coefficients):
+    """A kernel coefficient map with each (n, d) pair made a Fraction, for
+    comparison with reference arithmetic done in Fractions."""
+    return {factors: Fraction(n, d) for factors, (n, d) in coefficients.items()}
+
+
+def assert_reduced(coefficients):
+    """Every coefficient in the map, and in the maps of its function atoms'
+    arguments, is an int pair (n, d) in lowest terms with d > 0 and n != 0."""
+    for factors, coefficient in coefficients.items():
+        n, d = coefficient
+        assert type(n) is int and type(d) is int, coefficient
+        assert d > 0 and n != 0 and gcd(n, d) == 1, coefficient
+        for atom, _ in factors:
+            if not isinstance(atom, str):
+                assert_reduced(atom.argument._map)
+
+
 def reference_eval(form, point):
     """A form's value at a point, evaluated as the product of each term's
     coefficient and atom powers, in canonical order, and the fsum of the
     terms.  ``eval_numeric`` must give the same float bit for bit: a term's
-    product starts at 1.0, its coefficient is a factor only when it is not 1
-    or the term has no other factor, and fsum, which loses -0.0 and whose
-    overflow is a DomainError, is used only for two or more terms."""
+    product starts at 1.0, its coefficient, rounded by ``float(Fraction)``,
+    is a factor only when it is not 1 or the term has no other factor, and
+    fsum, which loses -0.0 and whose overflow is a DomainError, is used only
+    for two or more terms."""
     values = [_term_value(f, c, point) for f, c in form.terms]
     if not values:
         return 0.0
@@ -59,8 +78,12 @@ def reference_eval(form, point):
 
 def _term_value(factors, coefficient, point):
     result = 1.0
+    coefficient = Fraction(*coefficient)
     if coefficient != 1 or not factors:
-        result *= _coefficient_float(coefficient)
+        try:
+            result *= float(coefficient)
+        except OverflowError:
+            raise DomainError("coefficient overflow") from None
     for atom, e in factors:
         if isinstance(atom, str):
             value = _eval_variable(atom, point)

@@ -197,6 +197,23 @@ def test_gauge_vector_flag(capsys):
     assert "symbolic_equal=True" in out
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("inv-div", "3", "--weights="),
+     "ValidationError: weight needs three comma-separated values"),
+    (("verify", "inv-div", "3", "--weights="),
+     "ValidationError: weight needs three comma-separated values"),
+    (("inv-div", "3", "--gauge-vector="),
+     "ValidationError: --gauge-vector needs three comma-separated expressions"),
+    (("inv-curl", *GOLDEN_B, "--gauge-scalar="),
+     "SourceError: at offset 0: expected an expression, found end of input"),
+    (("inv-grad", "2*x*y", "x^2", "1", "--base="),
+     "ValidationError: base coordinate needs three comma-separated values"),
+])
+def test_an_empty_option_value_is_a_usage_error(capsys, argv, message):
+    # An empty value is malformed, not absent: none falls back to a default.
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_unchecked_flag_reports_residual(capsys):
     code, out, _ = run(capsys, "inv-curl", "x", "0", "0", "--unchecked")
     assert code == 0

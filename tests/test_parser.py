@@ -28,7 +28,7 @@ from _support import random_polynomial
 def test_parse_returns_the_canonical_form():
     form = parse("x*y*z + y^2")
     assert isinstance(form, CanonicalForm)
-    one = Fraction(1)
+    one = (1, 1)
     assert form.terms == (((("x", 1), ("y", 1), ("z", 1)), one), ((("y", 2),), one))
     assert canonicalize(form) is form
 
