@@ -101,10 +101,7 @@ def _inverse_rational(divisor) -> dict:
             or isinstance(divisor, CanonicalForm) and divisor._map.keys() <= {()}):
         raise TypeError("can only divide by a rational constant; "
                         "use reciprocal() for invertible expressions")
-    d = _map_of(divisor)
-    if not d:
-        raise ZeroDivisionError("division by zero")
-    return {(): _coeff_inv(d[()])}
+    return _invert(_map_of(divisor))
 
 
 # --- coefficients ---------------------------------------------------------
@@ -422,13 +419,7 @@ def _multiply(d1: dict, d2: dict) -> dict:
     if len(d1) == 1 and len(d2) == 1:
         (f1, c1), = d1.items()
         (f2, c2), = d2.items()
-        if c1 == _ONE:
-            return {_merge_factors(f1, f2): c2}
-        if c2 == _ONE:
-            return {_merge_factors(f1, f2): c1}
-        _check_coefficient_product(c1[0].bit_length() + c2[0].bit_length(),
-                                   c1[1].bit_length() + c2[1].bit_length())
-        return {_merge_factors(f1, f2): _coeff_mul(c1, c2)}
+        return {_merge_factors(f1, f2): _coeff_product(c1, c2)}
     if _is_unit(d1):
         return d2
     if _is_unit(d2):
@@ -471,6 +462,18 @@ def _check_coefficient_product(numerator_bits: int, denominator_bits: int) -> No
         raise UnsupportedExpression(
             f"a coefficient product of more than {MAX_POWER_DIGITS} digits "
             "exceeds the budget")
+
+
+def _coeff_product(a: tuple, b: tuple) -> tuple:
+    """Product of two coefficients of single terms; unless either is 1, it
+    is estimated against ``MAX_POWER_DIGITS`` before it is formed."""
+    if a == _ONE:
+        return b
+    if b == _ONE:
+        return a
+    _check_coefficient_product(a[0].bit_length() + b[0].bit_length(),
+                               a[1].bit_length() + b[1].bit_length())
+    return _coeff_mul(a, b)
 
 
 def _coefficient_bits(d: dict) -> tuple[int, int]:

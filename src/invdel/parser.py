@@ -9,10 +9,14 @@ Grammar (no implicit multiplication, '^' binds tighter than unary minus):
 
 ``parse`` builds the canonical form directly: each production returns the
 sparse coefficient map of what it read, so no tree is built and nothing is
-flattened later.  Division is accepted only when the divisor is a nonzero
-constant or a single invertible term.  ``render`` emits deterministic text in
-the same grammar; parsing it back gives an equal form, and distinct canonical
-forms render to distinct strings.
+flattened later.  The text is read once into a list of token strings, and
+token offsets are worked out only when an error is reported.  While a
+term's product is one term it is a coefficient and an exponent per atom,
+and each factor is merged into them in place; a zero or multi-term factor
+makes it a map.  Division is accepted only when the divisor is a nonzero
+constant or a single invertible term.  ``render`` emits deterministic text
+in the same grammar; parsing it back gives an equal form, and distinct
+canonical forms render to distinct strings.
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ from .expr import (
     Expression,
     FunctionAtom,
     _accumulate,
+    _atom_key,
+    _coeff_inv,
+    _coeff_product,
     _invert,
     _multiply,
     _negate,
@@ -35,13 +42,18 @@ from .expr import (
     canonicalize,
 )
 
-# One token per match: an ASCII integer, an identifier, an operator, a run of
-# the six ASCII space characters (skipped) or any other single character (an
-# error).  The classes are spelled out: \d and \s would also accept non-ASCII
-# digits such as '²' and Unicode spaces.
+# One match per token: a run of the six ASCII space characters, skipped,
+# then an ASCII integer, an identifier, an operator or any other single
+# character (an error).  Spaces at the end match nothing.  The classes are
+# spelled out: \d and \s would also accept non-ASCII digits such as '²' and
+# Unicode spaces.
 _TOKEN_RE = re.compile(
-    r"(?P<number>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
-    r"|(?P<space>[ \t\r\n\f\v]+)|(?P<bad>.)", re.DOTALL)
+    r"[ \t\r\n\f\v]*([0-9]+|[A-Za-z][A-Za-z0-9_]*|[-+*/^()]|[^ \t\r\n\f\v])")
+
+# The characters a token may start with.  Deleting them, '_' and the spaces
+# from a text leaves its bad characters; '_' is bad only at a token's start.
+_TOKEN_STARTS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz+-*/^()"
+_ALPHABET = str.maketrans("", "", _TOKEN_STARTS + "_ \t\r\n\f\v")
 
 # Deepest parenthesis nesting ``parse`` accepts, function calls included.
 # Parsing and the later walks over forms recurse per level, so this keeps
@@ -49,123 +61,167 @@ _TOKEN_RE = re.compile(
 MAX_NESTING = 100
 
 
-def _tokenize(text: str) -> list[tuple]:
-    """(kind, text, offset) tuples; kind is "number", "name", the operator
-    character itself or, last, "end".  The whole text is read first, so a
-    bad character is reported before any grammar error."""
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "space":
-            continue
-        if kind == "bad":
-            raise SourceError(match.start(), "a token", f"character {match.group()!r}")
-        token = match.group()
-        tokens.append((token if kind == "op" else kind, token, match.start()))
-    tokens.append(("end", "", len(text)))
+def _tokenize(text: str) -> list[str]:
+    """The token strings of ``text`` and, last, "" for its end.  A bad
+    character is reported before any grammar error; the text is scanned
+    token by token for one only when it holds a character outside the
+    alphabet, or a '_'."""
+    if "_" in text or text.translate(_ALPHABET):
+        for match in _TOKEN_RE.finditer(text):
+            token = match.group(1)
+            if token[0] not in _TOKEN_STARTS:
+                raise SourceError(match.start(1), "a token", f"character {token!r}")
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
     return tokens
 
 
-def _describe(token: tuple) -> str:
-    return "end of input" if token[0] == "end" else f"'{token[1]}'"
+def _offset(text: str, index: int) -> int:
+    """Offset in ``text`` of its token ``index``; the end's is len(text)."""
+    starts = [match.start(1) for match in _TOKEN_RE.finditer(text)]
+    starts.append(len(text))
+    return starts[index]
 
 
-def _integer(token: tuple) -> int:
-    try:
-        return int(token[1])
-    except ValueError:  # past the interpreter's limit on integer digits
-        raise SourceError(token[2], "an integer within the interpreter's digit limit",
-                          f"a {len(token[1])}-digit integer") from None
+def _term_map(coefficient: tuple, exponents: dict) -> dict:
+    """The one-term map of a coefficient and an exponent per atom: atoms in
+    ``_atom_key`` order, zero exponents dropped."""
+    atoms = sorted(exponents, key=_atom_key) if len(exponents) > 1 else exponents
+    return {tuple([(a, exponents[a]) for a in atoms if exponents[a]]): coefficient}
 
 
 class _Parser:
-    """Recursive descent over the token list; every production returns the
-    coefficient map of what it read, a new map the parser may still change."""
+    """Recursive descent over the token strings; every production returns
+    the coefficient map of what it read, a new map the parser may still
+    change.  A token's first character gives its kind: a digit for an
+    integer, a letter for a name, else the operator itself; "" is the end.
+    Offsets are worked out only for an error."""
 
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
-        # Offset of the innermost '/' whose divisor is being read; an
+        # Index of the innermost '/' whose divisor is being read; an
         # UnsupportedExpression raised inside it is reported as that division's.
         self.division = None
 
-    def expect(self, kind: str, expected: str) -> tuple:
-        token = self.tokens[self.pos]
-        if token[0] != kind:
-            raise SourceError(token[2], expected, _describe(token))
-        self.pos += 1
-        return token
+    def error(self, index: int, expected: str) -> SourceError:
+        token = self.tokens[index]
+        return SourceError(_offset(self.text, index), expected,
+                           f"'{token}'" if token else "end of input")
+
+    def integer(self, index: int) -> int:
+        token = self.tokens[index]
+        try:
+            return int(token)
+        except ValueError:  # past the interpreter's limit on integer digits
+            raise SourceError(_offset(self.text, index),
+                              "an integer within the interpreter's digit limit",
+                              f"a {len(token)}-digit integer") from None
 
     def expression(self) -> dict:
         acc = self.term()
-        kind = self.tokens[self.pos][0]
-        while kind == "+" or kind == "-":
+        operator = self.tokens[self.pos]
+        while operator == "+" or operator == "-":
             self.pos += 1
             term = self.term()
-            _accumulate(acc, term if kind == "+" else _negate(term))
-            kind = self.tokens[self.pos][0]
+            _accumulate(acc, term if operator == "+" else _negate(term))
+            operator = self.tokens[self.pos]
         return acc
 
     def term(self) -> dict:
-        acc = self.factor()
-        kind, _, offset = self.tokens[self.pos]
-        while kind == "*" or kind == "/":
+        """A product of factors, each read here, atom and power included.
+
+        While the product is one term it is a coefficient and an exponent
+        per atom, and each factor is merged into them; from its first zero
+        or multi-term factor on it is a map, multiplied out by ``_multiply``.
+        Coefficients are multiplied by ``_coeff_product``, as ``_multiply``
+        multiplies two single terms, so each budget error is raised where
+        multiplying the factors' maps would raise it."""
+        tokens = self.tokens
+        coefficient, exponents, product = _ONE, {}, None
+        operator = "*"
+        while True:
+            if operator == "/":
+                outer, self.division = self.division, self.pos - 1
+            negative = False
+            token = tokens[self.pos]
+            while token == "-":
+                negative = not negative
+                self.pos += 1
+                token = tokens[self.pos]
             self.pos += 1
-            if kind == "*":
-                factor = self.factor()
+            # A name, a function call or a nonzero integer is the term
+            # c * atom^e (e = 0 for no atom); a group, a zero or a power of
+            # an integer is a map d.
+            c, e, d = _ONE, 0, None
+            if token[:1].isalpha():
+                atom, e = token, 1
+                if token in FUNCTION_TAGS:
+                    if tokens[self.pos] != "(":
+                        raise self.error(self.pos, "'(' after function name")
+                    self.pos += 1
+                    atom = FunctionAtom(token, CanonicalForm(self.group(self.pos - 1)))
+            elif token.isdigit():
+                value = self.integer(self.pos - 1)
+                c = (value, 1)
+                if not value or tokens[self.pos] == "^":
+                    d = {(): c} if value else {}
+            elif token == "(":
+                d = self.group(self.pos - 1)
             else:
-                outer, self.division = self.division, offset
-                factor = _invert(self.factor())
+                raise self.error(self.pos - 1, "an expression")
+            if tokens[self.pos] == "^":
+                sign = -1 if tokens[self.pos + 1] == "-" else 1
+                self.pos += 2 if sign < 0 else 1
+                if not tokens[self.pos].isdigit():
+                    raise self.error(self.pos, "an integer exponent")
+                self.pos += 1
+                n = sign * self.integer(self.pos - 1)
+                if d is None:
+                    e = n
+                else:
+                    d = _power(d, n)
+            if d is None:
+                if negative:
+                    c = (-c[0], c[1])
+                if operator == "/":
+                    c, e = _coeff_inv(c), -e
+                pairs = ((atom, e),) if e else ()
+            else:
+                if negative:
+                    d = _negate(d)
+                if operator == "/":
+                    d = _invert(d)
+                if product is None and len(d) == 1:
+                    (pairs, c), = d.items()
+                    d = None
+            if operator == "/":
                 self.division = outer
-            acc = _multiply(acc, factor)
-            kind, _, offset = self.tokens[self.pos]
-        return acc
+            if product is None and d is None:
+                if c != _ONE:
+                    coefficient = c if coefficient == _ONE else _coeff_product(coefficient, c)
+                for a, k in pairs:
+                    exponents[a] = exponents.get(a, 0) + k
+            else:
+                if product is None:
+                    product = _term_map(coefficient, exponents)
+                product = _multiply(product, {pairs: c} if d is None else d)
+            operator = tokens[self.pos]
+            if operator != "*" and operator != "/":
+                return _term_map(coefficient, exponents) if product is None else product
+            self.pos += 1
 
-    def factor(self) -> dict:
-        negations = 0
-        while self.tokens[self.pos][0] == "-":
-            self.pos += 1
-            negations += 1
-        d = self.atom()
-        if self.tokens[self.pos][0] == "^":
-            self.pos += 1
-            d = _power(d, self.signed_integer())
-        return _negate(d) if negations & 1 else d
-
-    def signed_integer(self) -> int:
-        sign = 1
-        if self.tokens[self.pos][0] == "-":
-            self.pos += 1
-            sign = -1
-        return sign * _integer(self.expect("number", "an integer exponent"))
-
-    def atom(self) -> dict:
-        token = self.tokens[self.pos]
-        kind, text, offset = token
-        if kind == "number":
-            self.pos += 1
-            value = _integer(token)
-            return {(): (value, 1)} if value else {}
-        if kind == "name":
-            self.pos += 1
-            if text in FUNCTION_TAGS:
-                opening = self.expect("(", "'(' after function name")
-                argument = CanonicalForm(self.group(opening[2]))
-                return {((FunctionAtom(text, argument), 1),): _ONE}
-            return {((text, 1),): _ONE}
-        if kind == "(":
-            self.pos += 1
-            return self.group(offset)
-        raise SourceError(offset, "an expression", _describe(token))
-
-    def group(self, offset: int) -> dict:
-        """The expression inside the parenthesis at ``offset`` up to its ')'."""
+    def group(self, index: int) -> dict:
+        """The expression inside the parenthesis at token ``index`` up to its ')'."""
         if self.depth == MAX_NESTING:
-            raise SourceError(offset, f"at most {MAX_NESTING} nested parentheses", "'('")
+            raise self.error(index, f"at most {MAX_NESTING} nested parentheses")
         self.depth += 1
         inner = self.expression()
-        self.expect(")", "')'")
+        if self.tokens[self.pos] != ")":
+            raise self.error(self.pos, "')'")
+        self.pos += 1
         self.depth -= 1
         return inner
 
@@ -178,10 +234,10 @@ def parse(text: str) -> CanonicalForm:
     except UnsupportedExpression as exc:
         if parser.division is None:
             raise
-        raise UnsupportedExpression(f"division at offset {parser.division}: {exc}") from None
-    trailing = parser.tokens[parser.pos]
-    if trailing[0] != "end":
-        raise SourceError(trailing[2], "end of input", _describe(trailing))
+        raise UnsupportedExpression(
+            f"division at offset {_offset(text, parser.division)}: {exc}") from None
+    if parser.tokens[parser.pos]:
+        raise parser.error(parser.pos, "end of input")
     return CanonicalForm(result)
 
 

@@ -10,9 +10,9 @@ its type and message. The invocations cover every command, both output
 formats, the three builtin systems, ``--unchecked``, both gauges, good and
 malformed ``--weights``, ``--base`` and ``--c0``, options of another kind
 under ``verify``, ``verify`` with the wrong number of expressions,
-malformed expressions and ``--help``. They depend on SEED and COUNT alone,
-so two source trees, or two runs under different ``PYTHONHASHSEED``s, are
-compared with ``cmp``:
+malformed expressions, expressions padded with spaces and tabs, and
+``--help``. They depend on SEED and COUNT alone, so two source trees, or
+two runs under different ``PYTHONHASHSEED``s, are compared with ``cmp``:
 
     python tests/cli_differential.py old/src 1 5000 > old.jsonl
     python tests/cli_differential.py src 1 5000 > new.jsonl
@@ -48,6 +48,7 @@ GOOD_BASES = ("0,0,0", "1,1,0", "1/2,1,1")
 BAD_BASES = ("junk", "1,2", "a,b,c")
 GOOD_CONSTANTS = ("5", "-1/2")
 BAD_CONSTANTS = ("q", "1/0")
+PADDING = (" ", "  ", "\t", " \t ")
 README = (
     ["inv-curl", "x*y*z + y^2", "x*z + y", "-z - y*z^2/2"],
     ["inv-grad", "--base", "0,0,0", "2*x*y", "x^2", "1"],
@@ -70,6 +71,15 @@ def term(rng: random.Random, names) -> str:
 
 def expression(rng: random.Random, names, most: int = 3) -> str:
     return " + ".join(term(rng, names) for _ in range(rng.randint(1, most)))
+
+
+def pad(rng: random.Random, text: str) -> str:
+    """``text``, now and then with spaces or tabs before or after it."""
+    if rng.random() < 0.15:
+        text = rng.choice(PADDING) + text
+    if rng.random() < 0.15:
+        text += rng.choice(PADDING)
+    return text
 
 
 def vector(rng: random.Random, coords: str, shape: str) -> list:
@@ -126,6 +136,7 @@ def invocation(rng: random.Random) -> list:
         texts[rng.randrange(len(texts))] = rng.choice(MALFORMED)
     if command == "verify" and rng.random() < 0.08:
         texts = texts[:-1] if len(texts) == 3 else texts + [expression(rng, names)]
+    texts = [pad(rng, text) for text in texts]
 
     # Valued options are single words, so that a value starting with "-"
     # stays a value and the options can be shuffled.

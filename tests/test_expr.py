@@ -183,6 +183,18 @@ def test_reciprocal_of_a_sum_raises_when_it_is_built():
         (x - x) ** -2
 
 
+@pytest.mark.parametrize("divisor", [0, Fraction(0), num(0), x - x])
+def test_division_by_zero_is_the_reciprocal_of_zero(divisor):
+    # As x * num(0)**-1 and the parser's x/0 report it: one error type for
+    # one condition, not a bare ZeroDivisionError.
+    with pytest.raises(UnsupportedExpression) as info:
+        x / divisor
+    assert str(info.value) == "reciprocal of zero"
+    with pytest.raises(UnsupportedExpression, match="^reciprocal of zero$"):
+        x * num(0) ** -1
+    assert x / Fraction(-2, 3) == num(-3, 2) * x
+
+
 @pytest.mark.parametrize("name,message", [
     ("sin", "'sin' is a reserved function name"),
     ("1x", "invalid variable name '1x'"),

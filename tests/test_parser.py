@@ -358,3 +358,39 @@ def test_parsed_spelling_equals_the_constructed_form():
     for piece in ("+", "(-", "*", ")^-", "/(", "sin(", "cos(", "exp(", "ln(", "*(0)"):
         assert sum(piece in text for text in texts) >= 10, piece
     assert sum(re.search(r"\)/[0-9]", text) is not None for text in texts) >= 10
+
+
+SPACES = " \t\r\n\f\v"
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_each_ascii_space_is_skipped_leading_trailing_and_alone(space):
+    # Pinned from the parser that tokenized into (kind, text, offset) tuples.
+    for text in (space + "x", "x" + space, 2 * space + "x" + 2 * space):
+        assert parse(text) == parse("x"), repr(text)
+    for text, offset, found in [
+        (space, 1, "end of input"),
+        (3 * space, 3, "end of input"),
+        (space + "$", 1, "character '$'"),
+        ("x" + 2 * space + "$", 3, "character '$'"),
+    ]:
+        with pytest.raises(SourceError) as info:
+            parse(text)
+        assert info.value.offset == offset
+        expected = "a token" if found.startswith("character") else "an expression"
+        assert str(info.value) == f"at offset {offset}: expected {expected}, found {found}"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("x  ", None),
+    ("\t\t(x)\n", None),
+    ("x + \t", "at offset 5: expected an expression, found end of input"),
+    ("x\v\f@ + (", "at offset 3: expected a token, found character '@'"),
+])
+def test_mixed_spaces_keep_their_result(text, message):
+    if message is None:
+        assert render(parse(text)) == "x"
+        return
+    with pytest.raises(SourceError) as info:
+        parse(text)
+    assert str(info.value) == message
