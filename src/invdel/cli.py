@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Commands: curl, div, grad, inv-curl, inv-div, inv-grad, verify.  One
-runner, ``_run``, serves them all: it parses the field of the command's
-kind (``verify KIND`` runs as ``KIND --verify``), applies the kind's
-operator and renders the result.
+Commands: curl, div, grad, inv-curl, inv-div, inv-grad, verify.  Each
+keeps its expressions in one list, ``texts``.  One runner, ``_run``, serves
+them all: it parses the field of the command's kind (``verify KIND`` runs
+as ``KIND --verify``), applies the kind's operator and renders the result
+as parts with ``vecops.rendered``, as the verification report does.
 
 Exit codes: 0 success, 2 parse/usage error, 3 precondition violated
 (NotSolenoidal / NotConservative), 4 NotIntegrable / Unsupported,
@@ -44,8 +45,8 @@ from .inverse import (
     inverse_gradient,
     inverse_gradient_unchecked,
 )
-from .parser import parse, render
-from .vecops import ScalarField, VectorField, curl, divergence, gradient
+from .parser import parse
+from .vecops import ScalarField, VectorField, curl, divergence, gradient, rendered
 from .verify import roundtrip_report
 
 EXIT_OK = 0
@@ -79,18 +80,19 @@ def build_parser() -> argparse.ArgumentParser:
     checks.set_defaults(unchecked=False, gauge_scalar=None, gauge_vector=None,
                         weights=None, base=None, c0=None)
 
+    # Every command's expressions are the list ``texts``; metavars name them.
     p = sub.add_parser("curl", parents=[common], help="curl of a vector field")
-    p.add_argument("components", nargs=3)
+    p.add_argument("texts", nargs=3, metavar="components")
 
     p = sub.add_parser("div", parents=[common], help="divergence of a vector field")
-    p.add_argument("components", nargs=3)
+    p.add_argument("texts", nargs=3, metavar="components")
 
     p = sub.add_parser("grad", parents=[common], help="gradient of a scalar field")
-    p.add_argument("expression")
+    p.add_argument("texts", nargs=1, metavar="expression")
 
     p = sub.add_parser("inv-curl", parents=[common, checks],
                        help="vector potential of a solenoidal field")
-    p.add_argument("components", nargs=3)
+    p.add_argument("texts", nargs=3, metavar="components")
     p.add_argument("--gauge-scalar", metavar="EXPR",
                    help="add the gradient of this scalar to the result")
     p.add_argument("--unchecked", action="store_true",
@@ -98,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inv-div", parents=[common, checks],
                        help="vector field with prescribed divergence")
-    p.add_argument("expression")
+    p.add_argument("texts", nargs=1, metavar="expression")
     p.add_argument("--weights", metavar="K1,K2,K3",
                    help="component weights summing to 1 (default: 1/3,1/3,1/3)")
     p.add_argument("--gauge-vector", metavar="E1,E2,E3",
@@ -106,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inv-grad", parents=[common, checks],
                        help="scalar potential of a conservative field")
-    p.add_argument("components", nargs=3)
+    p.add_argument("texts", nargs=3, metavar="components")
     p.add_argument("--base", metavar="A,B,C",
                    help="base point of the integration path (default: system default)")
     p.add_argument("--c0", metavar="VALUE", help="additive constant (default: 0)")
@@ -116,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="run a round-trip verification report")
     p.add_argument("kind", choices=("inv-curl", "inv-div", "inv-grad"))
-    p.add_argument("expressions", nargs="+")
+    p.add_argument("texts", nargs="+", metavar="expressions")
     p.add_argument("--weights", metavar="K1,K2,K3")
     p.add_argument("--base", metavar="A,B,C")
     p.add_argument("--c0", metavar="VALUE")
@@ -188,14 +190,6 @@ def _resolve_system(ns: argparse.Namespace) -> CoordinateSystem:
     return builtin(ns.coords)
 
 
-def _inputs(ns: argparse.Namespace) -> list[str]:
-    if hasattr(ns, "components"):
-        return list(ns.components)
-    if hasattr(ns, "expressions"):
-        return list(ns.expressions)
-    return [ns.expression]
-
-
 def _vector(texts: Sequence[str], system: CoordinateSystem) -> VectorField:
     return VectorField(tuple(parse(t) for t in texts), system)
 
@@ -211,20 +205,12 @@ def _base_arg(ns: argparse.Namespace, system: CoordinateSystem) -> Optional[Base
     return BasePoint(a, b, c, constant)
 
 
-def _parts(value) -> list[str]:
-    """The rendered components of a vector field, or a scalar's value or a
-    bare form as one part."""
-    if isinstance(value, VectorField):
-        return [render(c) for c in value.components]
-    return [render(value.value if isinstance(value, ScalarField) else value)]
-
-
-def _run(ns: argparse.Namespace, system: CoordinateSystem, texts: list[str],
-         payload: dict) -> None:
+def _run(ns: argparse.Namespace, system: CoordinateSystem, payload: dict) -> None:
     """Every command: parse the field, apply the kind's operator, render.
     ``verify KIND`` is ``KIND --verify``; the verify parser's defaults make
     it so."""
     kind = ns.kind if ns.command == "verify" else ns.command
+    texts = ns.texts
     if kind in ("grad", "inv-div"):
         if len(texts) != 1:
             raise ValidationError(f"verify {kind} takes one scalar expression")
@@ -237,11 +223,10 @@ def _run(ns: argparse.Namespace, system: CoordinateSystem, texts: list[str],
     # these module names (as a tracer makes) is seen.
     forward = {"curl": curl, "div": divergence, "grad": gradient}
     if kind in forward:
-        payload["result"] = _parts(forward[kind](field))
+        payload["result"] = rendered(forward[kind](field))
         return
 
-    # The kind's own options, read after its field is parsed; each is also
-    # what the round-trip report takes.
+    # The kind's own options, read after its field is parsed.
     options = {}
     if kind == "inv-div" and ns.weights is not None:
         options["weights"] = DivergenceWeights(*_fraction_triple(ns.weights, "weight"))
@@ -251,7 +236,7 @@ def _run(ns: argparse.Namespace, system: CoordinateSystem, texts: list[str],
         unchecked = {"inv-curl": inverse_curl_unchecked,
                      "inv-grad": inverse_gradient_unchecked}[kind]
         result, residual = unchecked(field, **options)
-        parts = _parts(residual)
+        parts = rendered(residual)
         # A divergence residual is one bare form, a curl residual a triple.
         payload["residual"] = parts if isinstance(residual, VectorField) else parts[0]
     else:
@@ -265,10 +250,10 @@ def _run(ns: argparse.Namespace, system: CoordinateSystem, texts: list[str],
         if len(gauge) != 3:
             raise ValidationError("--gauge-vector needs three comma-separated expressions")
         result = gauge_shift_div(result, _vector(gauge, system))
-    payload["result"] = _parts(result)
+    payload["result"] = rendered(result)
     if ns.verify:
         report = roundtrip_report(kind.replace("-", "_"), field, samples=ns.samples,
-                                  seed=ns.seed, result=result, **options)
+                                  seed=ns.seed, result=result)
         payload["verification"] = report.to_dict()
 
 
@@ -319,11 +304,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    texts = _inputs(ns)
     payload: dict = {
         "command": ns.command,
         "coords": ns.coords_file or ns.coords,
-        "input": texts,
+        "input": ns.texts,
         "result": None,
         "verification": None,
         "error": None,
@@ -331,7 +315,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     code = EXIT_OK
     try:
         system = _resolve_system(ns)
-        _run(ns, system, texts, payload)
+        _run(ns, system, payload)
     except InvdelError as error:
         payload["error"] = f"{type(error).__name__}: {error}"
         code = _exit_code(error)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import DomainError, UnknownSystem, ValidationError
+from .errors import DomainError, UnknownSystem, UnsupportedExpression, ValidationError
 from .expr import (
     ONE_FORM,
     CanonicalForm,
@@ -27,6 +27,7 @@ from .expr import (
     check_variable_name,
     eval_numeric,
     free_variables,
+    substitute_all,
 )
 from . import parser
 
@@ -77,13 +78,19 @@ class CoordinateSystem(Frozen):
             if not lo < hi:
                 raise ValidationError(f"empty sampling interval [{lo}, {hi}]")
             box.append((lo, hi))
-        at_base = {n: float(v) for n, v in zip(names, base)}
+        at_base = dict(zip(names, base))
         for i, h in enumerate(forms, start=1):
+            # The base point is substituted exactly, so a rational constant is
+            # decided without floats that could overflow or underflow to 0.
             try:
-                value = eval_numeric(h, at_base)
-            except DomainError:
+                value = substitute_all(h, at_base)
+                if any(factors for factors, _ in value.items()):
+                    vanishes = eval_numeric(value, {}) == 0.0
+                else:
+                    vanishes = value.is_zero()
+            except (UnsupportedExpression, DomainError):
                 raise ValidationError(f"h{i} undefined at the base point") from None
-            if value == 0.0:
+            if vanishes:
                 raise ValidationError(f"h{i} vanishes at the base point")
         self._init(names, tuple(forms), base, tuple(box), label)
 

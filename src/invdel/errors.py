@@ -46,28 +46,24 @@ class ValidationError(InvdelError):
     """Structural validation failed (field arity, foreign variables, weights, ...)."""
 
 
-class NotSolenoidal(InvdelError):
+class _ResidualError(InvdelError):
+    """A failed check that carries its ``residual``, the part that shows it."""
+
+    def __init__(self, message: str, residual=None):
+        super().__init__(message)
+        self.residual = residual
+
+
+class NotSolenoidal(_ResidualError):
     """Vector potential requested for a field whose divergence is not zero."""
 
-    def __init__(self, message: str, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
-
-class NotConservative(InvdelError):
+class NotConservative(_ResidualError):
     """Scalar potential requested for a field whose curl is not zero."""
 
-    def __init__(self, message: str, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
-
-class ConstructionFailed(InvdelError):
+class ConstructionFailed(_ResidualError):
     """Internal round-trip check rejected a constructed potential."""
-
-    def __init__(self, message: str, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class BasePointSingular(InvdelError):

@@ -24,7 +24,8 @@ arithmetic (``_coeff_mul``, ``_coeff_add``, ``_coeff_inv``), so the hot
 path builds no ``Fraction``; rationals given from outside (``num``,
 weights, base points) are converted on the way in.  Coefficient
 arithmetic is exact everywhere; floats appear only in numeric evaluation,
-``eval_numeric`` at one point and ``run_plan`` over a column of points.
+``run_plan`` over columns of points, which finds a variable by its slot
+alone, and ``eval_numeric``, its one-point case.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import math
 import re
 from fractions import Fraction
 from math import gcd
-from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .errors import DomainError, UnboundVariable, UnsupportedExpression
@@ -567,8 +567,7 @@ def factors_contain(factors, name: str) -> bool:
 def substitute(expression: Expression, name: str, value) -> CanonicalForm:
     """Replace every occurrence of the variable, including inside function
     arguments.  The replacement may itself be any expression."""
-    return CanonicalForm(_substitute(
-        canonicalize(expression)._map, {name: _map_of(value)}))
+    return substitute_all(expression, {name: value})
 
 
 def substitute_all(expression: Expression, values: Mapping) -> CanonicalForm:
@@ -631,8 +630,13 @@ def eval_numeric(expression: Expression, point: Mapping[str, float]) -> float:
     DomainError when the value leaves the real domain: ln of a non-positive
     number, 0**-n, sin or cos of an infinite value, overflow of a
     coefficient, a power, exp or the sum, and a sum of opposite infinities.
+    Each variable of the form that has a value in ``point`` gets a slot and
+    a one-value column; other entries of ``point`` are not read.
     """
-    return run_plan(numeric_plan(canonicalize(expression), {}), (), 1, point)[0]
+    form = canonicalize(expression)
+    names = [name for name in free_variables(form) if name in point]
+    plan = numeric_plan(form, {name: i for i, name in enumerate(names)})
+    return run_plan(plan, [[float(point[name])] for name in names], 1)[0]
 
 
 def numeric_plan(form: CanonicalForm, slots: Mapping[str, int]) -> tuple:
@@ -654,11 +658,11 @@ def numeric_plan(form: CanonicalForm, slots: Mapping[str, int]) -> tuple:
 _FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log}
 
 
-def run_plan(plan: tuple, columns, n: int, point: Mapping[str, float] = MappingProxyType({}),
-             failed: set | None = None) -> list:
-    """Evaluate a plan at n points at once, one pass over the plan: indexed
-    variables from ``columns`` (a list of n values per slot) and named ones
-    from ``point``.  Each point's value is bit for bit ``eval_numeric``'s: a
+def run_plan(plan: tuple, columns, n: int, failed: set | None = None) -> list:
+    """Evaluate a plan at n points at once, one pass over the plan: each
+    variable is read by its slot from ``columns`` (a list of n values per
+    slot), and a variable with no slot raises UnboundVariable where its term
+    is reached.  Each point's value is bit for bit ``eval_numeric``'s: a
     term's product starts from its coefficient, and the sum (fsum, which
     loses -0.0) needs two or more terms.  A point whose value leaves the
     domain raises its DomainError or, when ``failed`` is a set, joins it and
@@ -670,10 +674,10 @@ def run_plan(plan: tuple, columns, n: int, point: Mapping[str, float] = MappingP
             if atom.__class__ is int:
                 values = columns[atom]
             elif atom.__class__ is str:
-                values = [_eval_variable(atom, point)] * n
+                raise UnboundVariable(atom)
             else:
                 tag, argument = atom
-                arguments = run_plan(argument, columns, n, point, failed)
+                arguments = run_plan(argument, columns, n, failed)
                 function = _FUNCTIONS[tag]
                 try:
                     values = list(map(function, arguments))
@@ -723,13 +727,6 @@ def _coefficient_float(value: tuple) -> float:
         return value[0] / value[1]
     except OverflowError:
         raise DomainError("coefficient overflow") from None
-
-
-def _eval_variable(name: str, point) -> float:
-    try:
-        return float(point[name])
-    except KeyError:
-        raise UnboundVariable(name) from None
 
 
 def _eval_power(base: float, exponent: int) -> float:

@@ -29,6 +29,7 @@ from .expr import (
     sum_forms,
 )
 from .calculus import differentiate
+from .parser import render
 
 CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
@@ -65,6 +66,14 @@ class ScalarField(Frozen):
     def __init__(self, value: CanonicalForm, system: CoordinateSystem):
         _check_variables((value,), system)
         self._init(canonicalize(value), system)
+
+
+def rendered(value) -> list[str]:
+    """The rendered components of a vector field, or a scalar's value or a
+    bare form as one part."""
+    if isinstance(value, VectorField):
+        return [render(c) for c in value.components]
+    return [render(value.value if isinstance(value, ScalarField) else value)]
 
 
 def gradient(f: ScalarField) -> VectorField:

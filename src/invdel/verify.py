@@ -14,6 +14,8 @@ block and resampled, up to ten times the requested sample count; a form
 with a coefficient past the float range has no value at any point.  Each
 block draws only the points still missing, so the points, the resample
 count and the report are those of sampling one point at a time.
+A report's ``to_dict`` lists its fields in slot order, which is the JSON
+key order, with the residual rendered as parts by ``vecops.rendered``.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from .inverse import (
     inverse_gradient,
     roundtrip_residual,
 )
-from .parser import render
-from .vecops import ScalarField, VectorField, curl, divergence
+from .vecops import ScalarField, VectorField, curl, divergence, rendered
 
 RELATIVE_TOLERANCE = 1e-9
 ABSOLUTE_FLOOR = 1e-12
@@ -64,22 +65,10 @@ class VerificationReport(Frozen):
                    within_tolerance)
 
     def to_dict(self) -> dict:
-        if isinstance(self.residual, VectorField):
-            rendered = [render(c) for c in self.residual.components]
-        else:
-            rendered = [render(self.residual)]
-        return {
-            "kind": self.kind,
-            "symbolic_equal": self.symbolic_equal,
-            "residual": rendered,
-            "sample_count": self.sample_count,
-            "max_abs_error": self.max_abs_error,
-            "max_rel_error": self.max_rel_error,
-            "rng_seed": self.rng_seed,
-            "sampling_box": [list(iv) for iv in self.sampling_box],
-            "resample_count": self.resample_count,
-            "within_tolerance": self.within_tolerance,
-        }
+        payload = dict(zip(self.__slots__, self._values()))
+        payload["residual"] = rendered(self.residual)
+        payload["sampling_box"] = [list(iv) for iv in self.sampling_box]
+        return payload
 
 
 def is_solenoidal(B: VectorField) -> bool:
@@ -103,8 +92,8 @@ def roundtrip_report(
     """Run inverse then forward and report the residual.
 
     ``result`` may carry an already-computed (possibly gauge-shifted)
-    inverse; otherwise the inverse operator runs here and its errors
-    propagate unchanged.
+    inverse, and then ``weights`` and ``base`` are not used; otherwise the
+    inverse operator runs here and its errors propagate unchanged.
     """
     if kind not in KINDS:
         raise ValidationError(f"unknown verification kind {kind!r}")

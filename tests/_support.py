@@ -4,14 +4,8 @@ by reference."""
 from fractions import Fraction
 from math import gcd
 
-from invdel import DomainError, ScalarField, VectorField, num, var
-from invdel.expr import (
-    _atom_key,
-    _eval_function,
-    _eval_power,
-    _eval_sum,
-    _eval_variable,
-)
+from invdel import DomainError, ScalarField, UnboundVariable, VectorField, num, var
+from invdel.expr import _atom_key, _eval_function, _eval_power, _eval_sum
 
 
 def random_polynomial(rng, names, max_terms=3, max_degree=3):
@@ -86,7 +80,10 @@ def _term_value(factors, coefficient, point):
             raise DomainError("coefficient overflow") from None
     for atom, e in factors:
         if isinstance(atom, str):
-            value = _eval_variable(atom, point)
+            try:
+                value = float(point[atom])
+            except KeyError:
+                raise UnboundVariable(atom) from None
         else:
             value = _eval_function(atom.tag, reference_eval(atom.argument, point))
         result *= value if e == 1 else _eval_power(value, e)

@@ -159,6 +159,16 @@ def test_refusal_names_the_canonically_first_offender_in_any_map_order(text):
                                    "in x within the supported class")
 
 
+def test_an_argument_with_two_terms_in_the_variable_is_refused():
+    # x + x*y has the slope 1 + y in x, which is not a rational number.
+    form = parse("sin(x + x*y)")
+    with pytest.raises(NotIntegrable) as info:
+        antidifferentiate(form, "x")
+    assert (info.value.term, info.value.variable) == (form, "x")
+    assert str(info.value) == ("term sin(x*y + x) has no antiderivative in x "
+                               "within the supported class")
+
+
 def test_refusal_renders_its_term_once(monkeypatch):
     calls = []
 

@@ -564,3 +564,84 @@ def test_verify_ignores_the_options_of_another_kind(capsys, kind, args, foreign)
 def test_verify_arity_messages(capsys, argv, message):
     code, out, err = run(capsys, "verify", *argv)
     assert (code, out, err) == (2, "", f"error: ValidationError: {message}\n")
+
+
+# The full JSON output of two commands, as pinned before the report's
+# fields were listed once: key order, nesting and number spelling.
+VERIFY_INV_DIV_JSON = """{
+  "command": "verify",
+  "coords": "cartesian",
+  "input": [
+    "3"
+  ],
+  "result": [
+    "x",
+    "y",
+    "z"
+  ],
+  "verification": {
+    "kind": "inv_div",
+    "symbolic_equal": true,
+    "residual": [
+      "0"
+    ],
+    "sample_count": 100,
+    "max_abs_error": 0.0,
+    "max_rel_error": 0.0,
+    "rng_seed": 42,
+    "sampling_box": [
+      [
+        -2.0,
+        2.0
+      ],
+      [
+        -2.0,
+        2.0
+      ],
+      [
+        -2.0,
+        2.0
+      ]
+    ],
+    "resample_count": 0,
+    "within_tolerance": true
+  },
+  "error": null
+}
+"""
+UNCHECKED_INV_CURL_JSON = """{
+  "command": "inv-curl",
+  "coords": "cartesian",
+  "input": [
+    "x",
+    "0",
+    "0"
+  ],
+  "result": [
+    "0",
+    "-x*z/3",
+    "x*y/3"
+  ],
+  "verification": null,
+  "error": null,
+  "residual": "1"
+}
+"""
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["verify", "inv-div", "3", "--format", "json"], VERIFY_INV_DIV_JSON),
+    (["inv-curl", "--unchecked", "--format", "json", "x", "0", "0"],
+     UNCHECKED_INV_CURL_JSON),
+])
+def test_json_output_is_pinned(capsys, argv, expected):
+    assert run(capsys, *argv) == (0, expected, "")
+
+
+def test_coords_file_with_a_huge_rational_scale_factor(tmp_path, capsys):
+    # h1 = 10^400 overflows a float, but is a nonzero rational at the base.
+    path = tmp_path / "huge.coords"
+    path.write_text("names = u, v, w\nh1 = 10^400\nh2 = 1\nh3 = 1\nbase = 0, 0, 0\n"
+                    "box = -2:2, -2:2, -2:2\n")
+    assert run(capsys, "inv-div", "--coords-file", str(path), "u", "--weights", "0,1,0") == (
+        0, "e1: 0\ne2: u*v\ne3: 0\n", "")

@@ -3,9 +3,12 @@
 ``cli.main`` runs in-process on invocations drawn from every command, both
 output formats and the three builtin systems, with expressions from the
 grammar: small integers, the system's variables and one foreign name,
-``10^k`` just inside the float range and ``10^k`` and ``1/10^k`` past it,
-products of ``exp`` that overflow a float, the four functions and
-``+ - * / ^``, nested up to four levels.  An exception that escapes ``main`` fails the test as it is.
+``10^k`` just inside the float range, alone and times a variable,
+``10^k`` and ``1/10^k`` past it, products of ``exp`` that overflow a
+float, the four functions and ``+ - * / ^``, nested up to four levels.
+A second property samples sums of the ``10^k*v`` terms, whose value
+overflows a float at some points.  An exception that escapes ``main``
+fails the test as it is.
 """
 
 import contextlib
@@ -33,12 +36,21 @@ COMMANDS = {
 DOCUMENTED_EXIT_CODES = {0, 1, 2, 3, 4, 5}
 
 
+def large_terms(names):
+    """``10^k*v``, just inside the float range: a sum of such terms in
+    different variables stays a sum until it is sampled, where it can
+    overflow while each term is finite."""
+    return st.tuples(st.integers(305, 308), st.sampled_from(names)).map(
+        lambda p: f"10^{p[0]}*{p[1]}")
+
+
 def leaves(names):
     return st.one_of(
         st.integers(0, 9).map(str),
         st.sampled_from(names + ("a",)),
         # Just inside the float range, so that a sum of them can overflow.
         st.integers(305, 308).map(lambda k: f"10^{k}"),
+        large_terms(names),
         st.integers(300, 1000).map(lambda k: f"10^{k}"),
         st.integers(300, 1000).map(lambda k: f"1/10^{k}"),
         st.tuples(st.integers(700, 710), st.integers(700, 710)).map(
@@ -64,6 +76,14 @@ def expressions(names, depth=4):
 EXPRESSIONS = {system: expressions(names) for system, names in SYSTEMS.items()}
 
 
+def assert_documented_exit(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in DOCUMENTED_EXIT_CODES, (argv, code)
+    assert "Traceback" not in err.getvalue()
+
+
 @st.composite
 def invocations(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
@@ -84,8 +104,22 @@ def invocations(draw):
           "exp(300*y)*exp(301*y) - exp(300*y)*exp(302*y)"])
 @example(["verify", "inv-div", "--weights", "1,0,0", "--", "10^308*y + 10^308*z"])
 def test_every_input_ends_in_a_documented_exit_code(argv):
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()) as err:
-        code = main(argv)
-    assert code in DOCUMENTED_EXIT_CODES, (argv, code)
-    assert "Traceback" not in err.getvalue()
+    assert_documented_exit(argv)
+
+
+@st.composite
+def large_sums(draw):
+    """``verify inv-div`` of two or three ``large_terms``, which the nested
+    grammar above seldom puts side by side in one sum."""
+    system = draw(st.sampled_from(sorted(SYSTEMS)))
+    terms = draw(st.lists(large_terms(SYSTEMS[system]), min_size=2, max_size=3))
+    # Weights 1,0,0 integrate in the first coordinate, which every system's
+    # volume factor allows, so the report is always sampled.
+    return ["verify", "inv-div", "--coords", system, "--weights", "1,0,0", "--",
+            " + ".join(terms)]
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(large_sums())
+def test_a_sum_of_large_terms_ends_in_a_documented_exit_code(argv):
+    assert_documented_exit(argv)

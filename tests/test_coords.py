@@ -14,6 +14,7 @@ from invdel import (
     builtin,
     custom,
     eval_numeric,
+    parse,
     render,
 )
 
@@ -165,3 +166,34 @@ def test_custom_rejects_empty_box_interval():
     with pytest.raises(ValidationError):
         custom(("u", "v", "w"), ("1", "1", "1"), (0, 0, 0),
                ((1, 1), (-1, 1), (-1, 1)))
+
+
+@pytest.mark.parametrize("h", ["10^400", "10^400*u + 1", "1/10^400", "u^2 + 10^-400"])
+def test_custom_scale_factor_is_judged_exactly_at_the_base_point(h):
+    # Each is a nonzero rational at u = 0, but its float overflows or
+    # underflows to 0.
+    s = custom(("u", "v", "w"), (h, "1", "1"), (0, 0, 0),
+               ((-1, 1), (-1, 1), (-1, 1)))
+    assert render(s.scale_factors[0]) == render(parse(h))
+
+
+@pytest.mark.parametrize("h,message", [
+    ("u^-1", "h1 undefined at the base point"),
+    ("ln(u)", "h1 undefined at the base point"),
+    ("exp(10^400)", "h1 undefined at the base point"),
+    ("u + v", "h1 vanishes at the base point"),
+    ("sin(u)", "h1 vanishes at the base point"),
+    ("ln(1 + u)", "h1 vanishes at the base point"),
+])
+def test_custom_scale_factor_undefined_or_vanishing_at_the_base_point(h, message):
+    with pytest.raises(ValidationError) as info:
+        custom(("u", "v", "w"), (h, "1", "1"), (0, 0, 0),
+               ((-1, 1), (-1, 1), (-1, 1)))
+    assert str(info.value) == message
+
+
+def test_custom_base_point_past_the_float_range_is_substituted_exactly():
+    # 10^400 has no float; h3 = u is the nonzero rational 10^400 there.
+    s = custom(("u", "v", "w"), ("1", "1", "u"), (10**400, 0, 0),
+               ((-1, 1), (-1, 1), (-1, 1)))
+    assert s.base_point == (Fraction(10**400), Fraction(0), Fraction(0))

@@ -288,6 +288,13 @@ def test_inverse_gradient_additive_constant():
     assert equals(phi.value, parse("x^2*y + z + 5"))
 
 
+def test_inverse_gradient_leaves_an_atom_with_a_free_variable_to_its_segment():
+    # On the u3 segment only x and y are substituted, so the base-point scan
+    # skips cos(z), which keeps z; sin(0) from the lower limit is decided.
+    A = gradient(ScalarField(parse("sin(z)"), CARTESIAN))
+    assert gradient(inverse_gradient(A)) == A
+
+
 def test_inverse_gradient_rejects_rotation_field():
     with pytest.raises(NotConservative) as info:
         inverse_gradient(vec(CARTESIAN, "0 - y", "x", "0"))

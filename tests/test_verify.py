@@ -64,6 +64,16 @@ def test_report_dict_round_trips_to_json_types():
     assert payload["within_tolerance"] is True
 
 
+def test_report_dict_keys_are_in_their_json_order():
+    report = roundtrip_report("inv_curl", vec(CARTESIAN, "y", "z", "x"), samples=10)
+    assert list(report.to_dict()) == [
+        "kind", "symbolic_equal", "residual", "sample_count", "max_abs_error",
+        "max_rel_error", "rng_seed", "sampling_box", "resample_count",
+        "within_tolerance"]
+    assert report.to_dict()["residual"] == ["0", "0", "0"]
+    assert report.to_dict()["sampling_box"] == [[-2.0, 2.0]] * 3
+
+
 def test_reports_are_deterministic_for_a_seed():
     field = vec(CARTESIAN, "y", "z", "x")
     first = roundtrip_report("inv_curl", field, seed=7)
