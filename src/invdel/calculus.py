@@ -34,12 +34,10 @@ from .expr import (
     _add_term,
     _coeff_inv,
     _coeff_mul,
-    _map_of,
     _merge_factors,
     _multiply,
     atom_power,
     canonicalize,
-    check_product,
     factors_contain,
     form_contains,
 )
@@ -205,16 +203,18 @@ def weighted_split_integral(
 
     Returns w_plus * antiderivative(part containing split_var)
           + w_minus * antiderivative(part without split_var),
-    both antiderivatives taken with respect to int_var.
+    both antiderivatives taken with respect to int_var, in one walk over the
+    terms.  Each weight multiplies its part within the product budgets; a
+    refusal is ``antidifferentiate``'s on the part containing split_var first.
     """
-    pair = split_by_variable(expression, split_var)
-    plus = antidifferentiate(pair.plus_part, int_var)
-    minus = antidifferentiate(pair.minus_part, int_var)
-    acc: dict = {}
-    for part, weight in ((plus, _map_of(w_plus)), (minus, _map_of(w_minus))):
-        # Scaled term by term, with the estimate the product part * weight makes.
-        check_product(part, CanonicalForm(weight))
-        for scale in weight.values():
-            for factors, coefficient in part.items():
-                _add_term(acc, factors, _coeff_mul(coefficient, scale))
-    return CanonicalForm(acc)
+    form = canonicalize(expression)
+    plus: dict = {}
+    minus: dict = {}
+    for factors, coefficient in form.items():
+        term = _integrate_term(factors, coefficient, int_var)
+        if term is None:
+            pair = split_by_variable(form, split_var)
+            antidifferentiate(pair.plus_part, int_var)
+            antidifferentiate(pair.minus_part, int_var)
+        _add_term(plus if factors_contain(factors, split_var) else minus, *term)
+    return CanonicalForm(plus) * w_plus + CanonicalForm(minus) * w_minus

@@ -85,7 +85,10 @@ class CoordinateSystem(Frozen):
             try:
                 value = substitute_all(h, at_base)
                 if any(factors for factors, _ in value.items()):
-                    vanishes = eval_numeric(value, {}) == 0.0
+                    # exp has no root: one term of exp atoms that reads 0.0 underflowed.
+                    (factors, _), *others = value.items()
+                    only_exp = not others and all(atom.tag == "exp" for atom, _ in factors)
+                    vanishes = eval_numeric(value, {}) == 0.0 and not only_exp
                 else:
                     vanishes = value.is_zero()
             except (UnsupportedExpression, DomainError):

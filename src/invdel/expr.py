@@ -433,14 +433,6 @@ def _multiply(d1: dict, d2: dict) -> dict:
     return acc
 
 
-def check_product(a, b) -> None:
-    """Raise UnsupportedExpression where ``a * b`` would, without forming the
-    product: ``_multiply``'s budget estimates for two forms or rationals."""
-    d1, d2 = _map_of(a), _map_of(b)
-    if d1 and d2 and not _is_unit(d1) and not _is_unit(d2):
-        _check_pairs(d1, d2)
-
-
 def _check_pairs(d1: dict, d2: dict) -> None:
     """The budgets of a product of two maps, neither zero nor one."""
     if len(d1) * len(d2) > MAX_PRODUCT_PAIRS:

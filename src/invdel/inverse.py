@@ -6,10 +6,12 @@ c_i = h_j*h_k*B_i, split each by its own coordinate u_i, and assemble
     A_i = (1/h_i) * [ W(c_next, u_next, du_prev) - W(c_prev, u_prev, du_next) ]
 
 where W is the weighted split integral with weight 1/3 on the part
-containing the split variable and 1/2 on the rest.  Those two weights are
-what make the construction land on an exact preimage; the result is checked
-against the numerators of its curl and any mismatch raises ConstructionFailed
-instead of returning a wrong potential.
+containing the split variable and 1/2 on the rest.  W integrates each term
+of c once, into its part, and multiplies each part by its weight within the
+product budgets.  Those two weights are what make the construction land on
+an exact preimage; the result is checked against the numerators of its curl
+and any mismatch raises ConstructionFailed instead of returning a wrong
+potential.
 
 Inverse divergence spreads the integrated source over the components with
 weights summing to one.  Inverse gradient integrates A . dl along the

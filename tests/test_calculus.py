@@ -6,13 +6,17 @@ from fractions import Fraction
 import pytest
 
 import invdel.calculus
+import invdel.expr
 from invdel import (
     NotIntegrable,
     UnsupportedExpression,
+    VectorField,
     antidifferentiate,
+    builtin,
     contains_variable,
     differentiate,
     equals,
+    inverse_curl,
     parse,
     render,
     split_by_variable,
@@ -206,6 +210,57 @@ def test_weighted_scaling_keeps_the_coefficient_budget():
         weighted_split_integral(expression, "y", "z", W_PLUS, W_MINUS)
     assert str(info.value) == ("a coefficient product of more than 10000 digits "
                                "exceeds the budget")
+
+
+PAIRS_PAST_TWO = "expanding a product of 3 by 1 terms exceeds the budget of 2 term pairs"
+
+
+@pytest.mark.parametrize("w_minus,message", [
+    (W_MINUS, PAIRS_PAST_TWO),
+    (-1, PAIRS_PAST_TWO),
+    # A weight of 0 or 1 forms no product.
+    (0, None),
+    (1, None),
+])
+def test_weighted_scaling_keeps_the_pair_budget(monkeypatch, w_minus, message):
+    # The part without x has three terms: a weight other than 0 or 1 makes a
+    # product of three term pairs, past the budget of two.
+    expression = parse("y + y^2 + y^3")
+    monkeypatch.setattr(invdel.expr, "MAX_PRODUCT_PAIRS", 2)
+    if message is None:
+        assert equals(weighted_split_integral(expression, "x", "z", W_PLUS, w_minus),
+                      parse("y*z + y^2*z + y^3*z") * w_minus)
+        return
+    with pytest.raises(UnsupportedExpression) as info:
+        weighted_split_integral(expression, "x", "z", W_PLUS, w_minus)
+    assert str(info.value) == message
+
+
+def test_inverse_curl_keeps_the_pair_budget_of_its_weighted_integrals(monkeypatch):
+    B = VectorField(tuple(parse(t) for t in ("y + y^2 + y^3", "0", "0")),
+                    builtin("cartesian"))
+    monkeypatch.setattr(invdel.expr, "MAX_PRODUCT_PAIRS", 2)
+    with pytest.raises(UnsupportedExpression) as info:
+        inverse_curl(B)
+    assert str(info.value) == PAIRS_PAST_TWO
+
+
+def test_weighted_refusal_names_the_part_with_the_split_variable_first():
+    # x*sin(z^2) sorts first, but it is in the part without y.
+    with pytest.raises(NotIntegrable) as info:
+        weighted_split_integral(parse("x*sin(z^2) + y*sin(z^2)"), "y", "z",
+                                W_PLUS, W_MINUS)
+    assert render(info.value.term) == "sin(z^2)*y"
+    assert info.value.variable == "z"
+
+
+def test_weighted_refusal_comes_before_the_scaling_budget():
+    # Scaling 2^33218*x*z by 1/2 is past the coefficient budget (see above),
+    # but the refused term is named first.
+    with pytest.raises(NotIntegrable) as info:
+        weighted_split_integral(parse("2^33218*x + y*sin(z^2)"), "y", "z",
+                                W_PLUS, W_MINUS)
+    assert render(info.value.term) == "sin(z^2)*y"
 
 
 def test_weighted_split_integral_second_component_piece():

@@ -314,6 +314,18 @@ def test_sum_outside_the_float_range_is_resampled_without_a_traceback(text, resa
         f"max_abs_error=0.0 max_rel_error=0.0 resamples={resamples}")
 
 
+def test_sampling_gives_up_past_ten_times_the_sample_count(capsys):
+    # Of x in the box [-2, 2], one point in eight is above 3/2 and one in
+    # twenty above 9/5: the first takes 689 resamples for 100 samples, within
+    # ten times the sample count, and the second would take more.
+    code, out, err = run(capsys, "verify", "inv-div", "ln(x - 3/2)", "--weights", "0,1,0")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].endswith(" seed=42 max_abs_error=0.0 max_rel_error=0.0 "
+                                         "resamples=689")
+    assert run(capsys, "verify", "inv-div", "ln(x - 9/5)", "--weights", "0,1,0") == (
+        1, "", EXHAUSTED)
+
+
 def test_expansion_past_the_budget_exits_4_promptly():
     started = time.monotonic()
     done = run_cli("grad", "(x+y+z+1)^60")

@@ -183,6 +183,8 @@ def test_custom_scale_factor_is_judged_exactly_at_the_base_point(h):
     ("exp(10^400)", "h1 undefined at the base point"),
     ("u + v", "h1 vanishes at the base point"),
     ("sin(u)", "h1 vanishes at the base point"),
+    ("exp(-1000)*sin(u)", "h1 vanishes at the base point"),
+    ("exp(-500)^2 - exp(-1000)", "h1 vanishes at the base point"),
     ("ln(1 + u)", "h1 vanishes at the base point"),
 ])
 def test_custom_scale_factor_undefined_or_vanishing_at_the_base_point(h, message):
@@ -190,6 +192,14 @@ def test_custom_scale_factor_undefined_or_vanishing_at_the_base_point(h, message
         custom(("u", "v", "w"), (h, "1", "1"), (0, 0, 0),
                ((-1, 1), (-1, 1), (-1, 1)))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("h", ["exp(-1000)", "exp(-1000)*exp(-u)/3"])
+def test_custom_scale_factor_of_exp_atoms_never_vanishes(h):
+    # Each underflows to 0.0 at u = 0, but exp has no root.
+    s = custom(("u", "v", "w"), (h, "1", "1"), (0, 0, 0),
+               ((-1, 1), (-1, 1), (-1, 1)))
+    assert render(s.scale_factors[0]) == render(parse(h))
 
 
 def test_custom_base_point_past_the_float_range_is_substituted_exactly():

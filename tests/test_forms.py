@@ -421,35 +421,6 @@ def test_coefficient_product_past_the_digit_budget_is_unsupported(build):
         build()
 
 
-PRODUCT_OPERANDS = (
-    num(0), num(1), num(-1), Fraction(1, 3), Fraction(2 ** 16610), parse("x*y"),
-    parse("2^16609*x"), parse("2^-16610*y"), parse("2^16609*x + 1"),
-    parse("x + 2^-16609"), parse("(x+1)^316"), parse("(y+1)^320"),
-)
-
-
-def test_check_product_raises_exactly_where_the_product_does():
-    # A form times any operand: the estimate without the product raises the
-    # product's error, or nothing.
-    def raised(operation):
-        try:
-            operation()
-        except UnsupportedExpression as error:
-            return str(error)
-        return None
-
-    outcomes = set()
-    for a in PRODUCT_OPERANDS:
-        if not isinstance(a, CanonicalForm):
-            continue
-        for b in PRODUCT_OPERANDS:
-            want = raised(lambda: a * b)
-            assert raised(lambda: expr.check_product(a, b)) == want, (a, b)
-            outcomes.add(want and want.split(" of ")[0])
-    # Both budgets and the products within them were exercised.
-    assert outcomes == {None, "expanding a product", "a coefficient product"}
-
-
 def test_coefficient_product_within_the_digit_budget_is_computed():
     assert parse("(2^16608*x + 1)^2") == parse("2^33216*x^2 + 2^16609*x + 1")
     assert parse("(x + 2^-16608)*(y + 2^-16608)") == (
