@@ -2,8 +2,10 @@
 orthogonal curvilinear coordinates.
 
 The package builds exact antiderivative-based potentials for vector and
-scalar fields and checks every construction by substituting it back into
-the forward operator, both symbolically and on random sample points.
+scalar fields.  Only ``inverse_curl`` checks its result against the forward
+operator; the others are checked by ``roundtrip_report`` (``--verify``),
+whose numeric channel samples the canonical residual and so reads 0 whenever
+the symbolic check passes.
 """
 
 from .calculus import (

@@ -178,11 +178,13 @@ def _linear_slope(argument: CanonicalForm, name: str) -> tuple | None:
     return coefficient
 
 
-def _not_integrable(form: CanonicalForm, name: str) -> NotIntegrable:
-    """The refusal of ``form``, naming its first term in canonical order
-    that is outside the supported class."""
-    factors, coefficient = next(
-        t for t in form.terms if _integrate_term(*t, name) is None)
+def _not_integrable(form: CanonicalForm, name: str, first: str | None = None) -> NotIntegrable:
+    """The refusal of ``form``, naming its first term outside the supported class
+    in canonical order, with the terms containing ``first``, if given, moved ahead."""
+    terms = form.terms
+    if first is not None:
+        terms = sorted(terms, key=lambda t: not factors_contain(t[0], first))
+    factors, coefficient = next(t for t in terms if _integrate_term(*t, name) is None)
     offender = CanonicalForm({factors: coefficient})
     return NotIntegrable(
         f"term {render(offender)} has no antiderivative in {name} "
@@ -204,8 +206,9 @@ def weighted_split_integral(
     Returns w_plus * antiderivative(part containing split_var)
           + w_minus * antiderivative(part without split_var),
     both antiderivatives taken with respect to int_var, in one walk over the
-    terms.  Each weight multiplies its part within the product budgets; a
-    refusal is ``antidifferentiate``'s on the part containing split_var first.
+    terms.  Each weight multiplies its part within the product budgets.  A
+    refusal comes before any budget error and names the term that
+    ``antidifferentiate`` names on the part containing split_var, else the rest.
     """
     form = canonicalize(expression)
     plus: dict = {}
@@ -213,8 +216,6 @@ def weighted_split_integral(
     for factors, coefficient in form.items():
         term = _integrate_term(factors, coefficient, int_var)
         if term is None:
-            pair = split_by_variable(form, split_var)
-            antidifferentiate(pair.plus_part, int_var)
-            antidifferentiate(pair.minus_part, int_var)
+            raise _not_integrable(form, int_var, split_var)
         _add_term(plus if factors_contain(factors, split_var) else minus, *term)
     return CanonicalForm(plus) * w_plus + CanonicalForm(minus) * w_minus

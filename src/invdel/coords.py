@@ -12,39 +12,41 @@ once, when the module loads.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Sequence, Union
 
 from .errors import DomainError, UnknownSystem, UnsupportedExpression, ValidationError
 from .expr import (
-    ONE_FORM,
     CanonicalForm,
-    Expression,
     Frozen,
-    FunctionAtom,
-    atom_power,
     canonicalize,
     check_variable_name,
     eval_numeric,
     free_variables,
     substitute_all,
 )
-from . import parser
+from .parser import parse
 
 
 class CoordinateSystem(Frozen):
-    """Names u1,u2,u3 with scale factors h1,h2,h3 and sampling defaults."""
+    """Names u1,u2,u3 with scale factors h1,h2,h3 and sampling defaults.
+
+    The only constructor; ``custom`` is another name for it.  Text scale factors
+    are parsed before any check, the other arguments may be any sequences, and
+    each box interval needs finite bounds lo < hi."""
 
     __slots__ = ("names", "scale_factors", "base_point", "sampling_box", "label")
 
     def __init__(
         self,
-        names: tuple[str, str, str],
-        scale_factors: tuple[CanonicalForm, CanonicalForm, CanonicalForm],
-        base_point: tuple[Fraction, Fraction, Fraction],
-        sampling_box: tuple[tuple[float, float], tuple[float, float], tuple[float, float]],
+        names: tuple[str, ...],
+        scale_factors: tuple[str | CanonicalForm, ...],
+        base_point: tuple[int | Fraction, ...],
+        sampling_box: tuple[tuple[float, float], ...],
         label: str = "custom",
     ):
+        scale_factors = tuple(parse(h) if isinstance(h, str) else h for h in scale_factors)
+        names, base_point, sampling_box = tuple(names), tuple(base_point), tuple(sampling_box)
         if len(names) != 3 or len(set(names)) != 3:
             raise ValidationError("exactly three distinct coordinate names required")
         for name in names:
@@ -68,7 +70,7 @@ class CoordinateSystem(Frozen):
             raise ValidationError("base point needs three coordinates")
         try:
             base = tuple(Fraction(v) for v in base_point)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ValidationError(f"base point must be rational: {exc}") from None
         if len(sampling_box) != 3:
             raise ValidationError("sampling box needs three intervals")
@@ -77,6 +79,8 @@ class CoordinateSystem(Frozen):
             lo, hi = float(lo), float(hi)
             if not lo < hi:
                 raise ValidationError(f"empty sampling interval [{lo}, {hi}]")
+            if not math.isfinite(hi - lo):
+                raise ValidationError(f"sampling interval [{lo}, {hi}] is not finite")
             box.append((lo, hi))
         at_base = dict(zip(names, base))
         for i, h in enumerate(forms, start=1):
@@ -103,26 +107,22 @@ _BUILTIN = {
     system.label: system for system in (
         CoordinateSystem(
             names=("x", "y", "z"),
-            scale_factors=(ONE_FORM, ONE_FORM, ONE_FORM),
-            base_point=(Fraction(0), Fraction(0), Fraction(0)),
+            scale_factors=("1", "1", "1"),
+            base_point=(0, 0, 0),
             sampling_box=((-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0)),
             label="cartesian",
         ),
         CoordinateSystem(
             names=("rho", "phi", "z"),
-            scale_factors=(ONE_FORM, atom_power("rho"), ONE_FORM),
-            base_point=(Fraction(1), Fraction(0), Fraction(0)),
+            scale_factors=("1", "rho", "1"),
+            base_point=(1, 0, 0),
             sampling_box=((0.5, 2.0), (0.1, 3.0), (-2.0, 2.0)),
             label="cylindrical",
         ),
         CoordinateSystem(
             names=("r", "theta", "phi"),
-            scale_factors=(
-                ONE_FORM,
-                atom_power("r"),
-                atom_power("r") * atom_power(FunctionAtom("sin", atom_power("theta"))),
-            ),
-            base_point=(Fraction(1), Fraction(1), Fraction(0)),
+            scale_factors=("1", "r", "r*sin(theta)"),
+            base_point=(1, 1, 0),
             sampling_box=((0.5, 2.0), (0.1, 3.0), (0.1, 3.0)),
             label="spherical",
         ),
@@ -140,20 +140,4 @@ def builtin(name: str) -> CoordinateSystem:
     raise UnknownSystem(f"no builtin coordinate system named {name!r}")
 
 
-def custom(
-    names: Sequence[str],
-    scale_factors: Sequence[Union[str, Expression]],
-    base_point: Sequence[Union[int, Fraction]],
-    sampling_box: Sequence[tuple[float, float]],
-    label: str = "custom",
-) -> CoordinateSystem:
-    """Build a validated user-defined system; h entries may be source text."""
-    parsed = tuple(
-        parser.parse(h) if isinstance(h, str) else h for h in scale_factors)
-    return CoordinateSystem(
-        names=tuple(names),
-        scale_factors=parsed,
-        base_point=tuple(base_point),
-        sampling_box=tuple(sampling_box),
-        label=label,
-    )
+custom = CoordinateSystem

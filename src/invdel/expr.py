@@ -291,7 +291,6 @@ class CanonicalForm:
 Expression = CanonicalForm
 
 ZERO_FORM = CanonicalForm({})
-ONE_FORM = CanonicalForm({(): _ONE})
 
 
 def atom_power(atom: Atom, exponent: int = 1) -> CanonicalForm:

@@ -657,3 +657,13 @@ def test_coords_file_with_a_huge_rational_scale_factor(tmp_path, capsys):
                     "box = -2:2, -2:2, -2:2\n")
     assert run(capsys, "inv-div", "--coords-file", str(path), "u", "--weights", "0,1,0") == (
         0, "e1: 0\ne2: u*v\ne3: 0\n", "")
+
+
+def test_coords_file_with_an_unbounded_box_exits_2(tmp_path, capsys):
+    # Every sample of x would be nan, and the report would read 0 error.
+    path = tmp_path / "unbounded.coords"
+    path.write_text("names = x, y, z\nh1 = 1\nh2 = 1\nh3 = 1\nbase = 0, 0, 0\n"
+                    "box = -inf:inf, -2:2, -2:2\n")
+    assert run(capsys, "inv-curl", "--coords-file", str(path), "--unchecked", "--verify",
+               "--", "x^2", "0", "0") == (
+        2, "", "error: ValidationError: sampling interval [-inf, inf] is not finite\n")

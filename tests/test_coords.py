@@ -9,6 +9,7 @@ import pytest
 from invdel import (
     BUILTIN_NAMES,
     CoordinateSystem,
+    SourceError,
     UnknownSystem,
     ValidationError,
     builtin,
@@ -45,6 +46,43 @@ def test_spherical_definition():
     assert [render(h) for h in s.scale_factors] == ["1", "r", "r*sin(theta)"]
     assert s.base_point == (Fraction(1), Fraction(1), Fraction(0))
     assert s.sampling_box[1] == (0.1, 3.0)
+
+
+# The README's table of builtin systems, as text.
+README_TABLE = {
+    "cartesian": (("x", "y", "z"), ("1", "1", "1"), (0, 0, 0),
+                  ((-2, 2), (-2, 2), (-2, 2))),
+    "cylindrical": (("rho", "phi", "z"), ("1", "rho", "1"), (1, 0, 0),
+                    ((0.5, 2), (0.1, 3), (-2, 2))),
+    "spherical": (("r", "theta", "phi"), ("1", "r", "r*sin(theta)"), (1, 1, 0),
+                  ((0.5, 2), (0.1, 3), (0.1, 3))),
+}
+
+
+def test_custom_is_the_constructor():
+    assert custom is CoordinateSystem
+
+
+@pytest.mark.parametrize("name", sorted(README_TABLE))
+def test_builtin_is_the_readme_table_given_as_text(name):
+    s = custom(*README_TABLE[name], label=name)
+    assert s == builtin(name)
+    assert hash(s) == hash(builtin(name))
+    assert repr(s) == repr(builtin(name))
+
+
+def test_custom_parses_scale_factors_before_it_checks_names():
+    with pytest.raises(SourceError):
+        custom(("u", "u", "w"), ("(", "1", "1"), (0, 0, 0),
+               ((-1, 1), (-1, 1), (-1, 1)))
+
+
+@pytest.mark.parametrize("names", ["uvw", ["u", "v", "w"]])
+def test_custom_takes_names_as_any_sequence(names):
+    args = (("1", "u", "1"), (1, 0, 0), ((0.5, 2), (-1, 1), (-1, 1)))
+    s = custom(names, *args)
+    assert s == custom(("u", "v", "w"), *args)
+    assert hash(s) == hash(custom(("u", "v", "w"), *args))
 
 
 def test_unknown_builtin():
@@ -160,12 +198,25 @@ def test_custom_rejects_bad_base_point():
     with pytest.raises(ValidationError):
         custom(("u", "v", "w"), ("1", "1", "1"), ("zero", 0, 0),
                ((-1, 1), (-1, 1), (-1, 1)))
+    with pytest.raises(ValidationError, match="base point must be rational"):
+        custom(("u", "v", "w"), ("1", "1", "1"), (float("inf"), 0, 0),
+               ((-1, 1), (-1, 1), (-1, 1)))
 
 
 def test_custom_rejects_empty_box_interval():
-    with pytest.raises(ValidationError):
-        custom(("u", "v", "w"), ("1", "1", "1"), (0, 0, 0),
-               ((1, 1), (-1, 1), (-1, 1)))
+    # An empty interval has no sample; an infinite bound or width would make
+    # the samples of its variable nan or inf.
+    inf = float("inf")
+    for (lo, hi), message in [
+        ((1, 1), "empty sampling interval [1.0, 1.0]"),
+        ((-inf, inf), "sampling interval [-inf, inf] is not finite"),
+        ((0, inf), "sampling interval [0.0, inf] is not finite"),
+        ((-1e308, 1e308), "sampling interval [-1e+308, 1e+308] is not finite"),
+    ]:
+        with pytest.raises(ValidationError) as info:
+            custom(("u", "v", "w"), ("1", "1", "1"), (0, 0, 0),
+                   ((lo, hi), (-1, 1), (-1, 1)))
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("h", ["10^400", "10^400*u + 1", "1/10^400", "u^2 + 10^-400"])
