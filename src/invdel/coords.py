@@ -19,6 +19,7 @@ from .errors import DomainError, UnknownSystem, UnsupportedExpression, Validatio
 from .expr import (
     CanonicalForm,
     Frozen,
+    _eval_function,
     canonicalize,
     check_variable_name,
     eval_numeric,
@@ -26,6 +27,18 @@ from .expr import (
     substitute_all,
 )
 from .parser import parse
+
+
+def _vanishes(atom, e: int) -> bool:
+    """Whether the constant factor ``atom**e`` reads 0.0, judged alone;
+    DomainError where it has no value.  exp has no root, so only its
+    argument is evaluated."""
+    argument = eval_numeric(atom.argument, {})
+    if atom.tag == "exp" or _eval_function(atom.tag, argument) != 0.0:
+        return False
+    if e < 0:
+        raise DomainError("reciprocal of a vanishing factor")
+    return True
 
 
 class CoordinateSystem(Frozen):
@@ -88,13 +101,13 @@ class CoordinateSystem(Frozen):
             # decided without floats that could overflow or underflow to 0.
             try:
                 value = substitute_all(h, at_base)
-                if any(factors for factors, _ in value.items()):
-                    # exp has no root: one term of exp atoms that reads 0.0 underflowed.
-                    (factors, _), *others = value.items()
-                    only_exp = not others and all(atom.tag == "exp" for atom, _ in factors)
-                    vanishes = eval_numeric(value, {}) == 0.0 and not only_exp
+                if len(value.items()) > 1:
+                    vanishes = eval_numeric(value, {}) == 0.0
                 else:
-                    vanishes = value.is_zero()
+                    # One term vanishes only where a factor does, and the float
+                    # product may overflow or underflow where no factor does.
+                    vanishes = value.is_zero() or any(
+                        _vanishes(atom, e) for factors, _ in value.items() for atom, e in factors)
             except (UnsupportedExpression, DomainError):
                 raise ValidationError(f"h{i} undefined at the base point") from None
             if vanishes:

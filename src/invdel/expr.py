@@ -673,14 +673,12 @@ def run_plan(plan: tuple, columns, n: int, failed: set | None = None) -> list:
                 try:
                     values = list(map(function, arguments))
                 except (ArithmeticError, ValueError):
-                    values = _pointwise(function, lambda v: _eval_function(tag, v),
-                                        arguments, failed)
+                    values = _pointwise(lambda v: _eval_function(tag, v), arguments, failed)
             if e != 1:
                 try:
                     values = [v ** e for v in values]
                 except ArithmeticError:
-                    values = _pointwise(lambda v: v ** e, lambda v: _eval_power(v, e),
-                                        values, failed)
+                    values = _pointwise(lambda v: _eval_power(v, e), values, failed)
             if column is None:
                 column = [coefficient * v for v in values]
             else:
@@ -692,21 +690,21 @@ def run_plan(plan: tuple, columns, n: int, failed: set | None = None) -> list:
     try:
         return list(map(math.fsum, points))
     except (ArithmeticError, ValueError):
-        return _pointwise(math.fsum, _eval_sum, points, failed)
+        return _pointwise(_eval_sum, points, failed)
 
 
-def _pointwise(operation, checked, arguments, failed) -> list:
-    """``operation`` at each argument, for a column it raised on.  A point
-    where it raises joins ``failed`` and reads nan; when ``failed`` is None,
-    ``checked``, the same operation with DomainError in place of the raw
-    error, raises that point's DomainError."""
+def _pointwise(checked, arguments, failed) -> list:
+    """``checked`` at each argument, for a column whose plain operation
+    raised; ``checked`` is that operation with DomainError in place of the
+    raw error.  A point where it raises joins ``failed`` and reads nan; when
+    ``failed`` is None, the point's DomainError propagates."""
     out = []
     for i, argument in enumerate(arguments):
         try:
-            out.append(operation(argument))
-        except (ArithmeticError, ValueError):
+            out.append(checked(argument))
+        except DomainError:
             if failed is None:
-                checked(argument)
+                raise
             failed.add(i)
             out.append(math.nan)
     return out

@@ -263,14 +263,15 @@ def _definite(integrand: CanonicalForm, name: str, lower: Fraction) -> Canonical
 
 
 def _at_base(form: CanonicalForm, values: dict) -> CanonicalForm:
-    """The form with the base point's ``values`` substituted; rejects
-    results that are undefined there.  Several values are substituted at
-    once, so a singular term is seen even where another value zeroes it."""
+    """The form with the base point's ``values`` substituted; a result
+    undefined there, whether substitution or ``_scan_form`` finds it, is
+    BasePointSingular.  Several values are substituted at once, so a
+    singular term is seen even where another value zeroes it."""
     try:
         form = substitute_all(form, values)
-    except UnsupportedExpression as exc:
+        _scan_form(form)
+    except (UnsupportedExpression, DomainError) as exc:
         raise BasePointSingular(f"base point substitution: {exc}") from None
-    _scan_form(form)
     return form
 
 
@@ -280,6 +281,9 @@ _RATIONAL_ROOT = {"sin": 0, "ln": 1}
 
 
 def _scan_form(form: CanonicalForm) -> None:
+    """Raise DomainError where a constant function atom, at any depth, has no
+    value or vanishes under a negative power.  A rational argument is decided
+    exactly; any other is evaluated, and ln of its value too."""
     for factors, _ in form.terms:
         for atom, e in factors:
             if not isinstance(atom, FunctionAtom):
@@ -290,25 +294,17 @@ def _scan_form(form: CanonicalForm) -> None:
             constant = dict(atom.argument.items())
             q = Fraction(*constant[()]) if () in constant else 0
             if constant.keys() <= {()} and (atom.tag != "ln" or q > 0):
-                # A rational argument is decided exactly, without floats that
-                # could underflow to 0 or overflow.
-                vanishes = e < 0 and q == _RATIONAL_ROOT.get(atom.tag)
+                # No floats that could underflow to 0 or overflow.
+                vanishes = q == _RATIONAL_ROOT.get(atom.tag)
             else:
-                try:
-                    value = eval_numeric(atom.argument, {})
-                except DomainError as exc:
-                    raise BasePointSingular(
-                        f"base point substitution: {exc}") from None
-                if atom.tag == "ln" and value <= 0.0:
-                    raise BasePointSingular(
-                        f"base point substitution: ln of non-positive value {value}")
+                value = eval_numeric(atom.argument, {})
+                # ln is evaluated for the DomainError of a non-positive value;
                 # exp never vanishes, and evaluating it could overflow; sin and
-                # cos of an argument that overflowed to inf have no value to test.
-                vanishes = (e < 0 and atom.tag != "exp" and math.isfinite(value)
+                # cos of inf have no value to test.
+                vanishes = (atom.tag != "exp" and (atom.tag == "ln" or math.isfinite(value))
                             and _eval_function(atom.tag, value) == 0.0)
-            if vanishes:
-                raise BasePointSingular(
-                    "base point substitution: reciprocal of a vanishing factor")
+            if vanishes and e < 0:
+                raise DomainError("reciprocal of a vanishing factor")
 
 
 def gauge_shift_curl(A: VectorField, f: ScalarField) -> VectorField:

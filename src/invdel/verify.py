@@ -9,9 +9,10 @@ values per coordinate, and runs each plan over a whole block in one call
 (``expr.run_plan``), so memory stays flat in the sample count.  The input's
 magnitude at each point is the relative scale, so a symbolically exact
 result reports an error of exactly zero.
-Points where evaluation leaves the real domain are flagged within their
-block and resampled, up to ten times the requested sample count; a form
-with a coefficient past the float range has no value at any point.  Each
+Points where evaluation leaves the real domain, or where a residual or
+input reads nan (as inf * 0.0 does, without raising), are flagged within
+their block and resampled, up to ten times the requested sample count; a
+form with a coefficient past the float range has no value at any point.  Each
 block draws only the points still missing, so the points, the resample
 count and the report are those of sampling one point at a time.
 A report's ``to_dict`` lists its fields in slot order, which is the JSON
@@ -136,10 +137,10 @@ def roundtrip_report(
         for res, ref in plans:
             # A zero residual adds nothing, but its reference may leave the domain.
             if res:
-                pairs.append((run_plan(res, columns, n, failed=failed),
-                              run_plan(ref, columns, n, failed=failed)))
+                pairs.append((_screened(run_plan(res, columns, n, failed=failed), failed),
+                              _screened(run_plan(ref, columns, n, failed=failed), failed)))
             else:
-                run_plan(ref, columns, n, failed=failed)
+                _screened(run_plan(ref, columns, n, failed=failed), failed)
         resamples += len(failed)
         if resamples > 10 * samples:
             raise SamplingExhausted(
@@ -168,6 +169,15 @@ def roundtrip_report(
         resample_count=resamples,
         within_tolerance=within,
     )
+
+
+def _screened(column: list, failed: set) -> list:
+    """The column; each point where it reads nan, as inf * 0.0 does without
+    raising, joins ``failed``.  Any nan makes the sum nan."""
+    total = sum(column)
+    if total != total:
+        failed.update(i for i, v in enumerate(column) if v != v)
+    return column
 
 
 def _layout(form, slots: dict) -> tuple:

@@ -1,0 +1,167 @@
+"""Mutation check of the tier-1 tests: every mutant must make them fail.
+
+    python tests/mutants.py
+
+Each entry of ``MUTANTS`` is ``(file, old, new, why)``: ``old`` must occur
+exactly once in ``src/invdel/<file>``, and the mutant replaces it by
+``new``.  The unmutated tests run first and must pass.  Then each mutant is
+applied to a fresh temporary copy of ``src`` and ``tests``, where
+``python -m pytest -x -q`` runs for at most ``TIMEOUT`` seconds.  A mutant is
+killed when pytest fails or times out, and survives when it passes.  One
+line is printed per mutant and the last line counts the kills.
+
+The exit status is 1 when a mutant survives, unless ``EQUIVALENT`` names it
+(by its ``why``) with the reason no test can tell it from the program, and
+2 when an ``old`` is not found once or the unmutated tests fail.  A
+survivor gets a test; the harness never edits or skips one.  A rule added
+to the program adds its mutant here.
+
+It uses the standard library only, and pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+MUTANTS = (
+    ("inverse.py",
+     "    except (UnsupportedExpression, DomainError) as exc:\n"
+     "        raise BasePointSingular",
+     "    except UnsupportedExpression as exc:\n"
+     "        raise BasePointSingular",
+     "_at_base catches only UnsupportedExpression"),
+    ("inverse.py", "if vanishes and e < 0:", "if vanishes:",
+     "_scan_form refuses a vanishing factor whatever its power"),
+    ("inverse.py", '(atom.tag == "ln" or math.isfinite(value))',
+     '(atom.tag != "ln" and math.isfinite(value))',
+     "the float branch of _scan_form no longer evaluates ln"),
+    ("inverse.py", "vanishes = q == _RATIONAL_ROOT.get(atom.tag)", "vanishes = False",
+     "the exact branch of _scan_form never finds a root"),
+    ("expr.py",
+     "        except DomainError:\n            if failed is None:",
+     "        except ArithmeticError:\n            if failed is None:",
+     "_pointwise catches ArithmeticError in place of DomainError"),
+    ("verify.py", "    if total != total:", "    if total is None:",
+     "the nan screen is dropped"),
+    ("coords.py", 'if atom.tag == "exp" or _eval_function(', "if _eval_function(",
+     "coords evaluates an exp factor itself, not its argument"),
+    ("coords.py", "vanishes = value.is_zero() or any(", "vanishes = eval_numeric(value, {}) == 0.0 or any(",
+     "coords judges a one-term value by its float product"),
+    ("verify.py", "if resamples > 10 * samples:", "if resamples > 100 * samples:",
+     "the resample bound goes from 10 * samples to 100 * samples"),
+    ("verify.py", "RELATIVE_TOLERANCE = 1e-9", "RELATIVE_TOLERANCE = 1e-3",
+     "the relative tolerance goes from 1e-9 to 1e-3"),
+    ("verify.py", "ABSOLUTE_FLOOR = 1e-12", "ABSOLUTE_FLOOR = 1e-6",
+     "the absolute floor goes from 1e-12 to 1e-6"),
+    ("inverse.py", "CurlWeights(Fraction(1, 3), Fraction(1, 2))",
+     "CurlWeights(Fraction(1, 2), Fraction(1, 2))",
+     "the curl weight goes from 1/3 to 1/2"),
+    ("inverse.py", "    if not all(matched):", "    if False:",
+     "the inverse curl's self-check is dropped"),
+    ("inverse.py",
+     "    if not numerator.is_zero():\n        residual = scale * numerator",
+     "    if False:\n        residual = scale * numerator",
+     "the solenoidal gate is dropped"),
+    ("inverse.py",
+     "    if not all(numerator.is_zero() for _, numerator in curl_numerators(A)):",
+     "    if False:",
+     "the conservative gate is dropped"),
+    ("inverse.py",
+     "    scale = reciprocal(h[0] * h[1] * h[2])\n    if not numerator.is_zero():\n"
+     "        residual = scale * numerator",
+     "    if not numerator.is_zero():\n"
+     "        residual = reciprocal(h[0] * h[1] * h[2]) * numerator",
+     "a multi-term scale factor no longer fails the solenoidal gate first"),
+    ("calculus.py", "if variable_exponent or len(carriers) > 1:", "if len(carriers) > 1:",
+     "a power of the variable times a carrier is integrated"),
+    ("calculus.py", 'if atom.tag == "ln" or e != 1:', 'if atom.tag == "ln":',
+     "a power of a carrier is integrated"),
+    ("calculus.py", "if factors != ((name, 1),):", "if False:",
+     "a carrier whose argument is not linear is integrated"),
+    ("expr.py", "    except OverflowError:\n        raise DomainError(\"coefficient overflow\")",
+     "    except ZeroDivisionError:\n        raise DomainError(\"coefficient overflow\")",
+     "a coefficient past the float range escapes the plan as OverflowError"),
+    ("verify.py", "        return _NOWHERE", "        raise",
+     "a form with a coefficient past the float range is not resampled"),
+    ("expr.py", "MAX_PRODUCT_PAIRS = 100_000", "MAX_PRODUCT_PAIRS = 1_000_000",
+     "the term-pair budget grows tenfold"),
+    ("expr.py", "MAX_POWER_DIGITS = 10_000", "MAX_POWER_DIGITS = 100_000",
+     "the coefficient digit budget grows tenfold"),
+)
+
+# Seconds one pytest run may take.
+TIMEOUT = 300.0
+
+# why -> the reason no test can kill that mutant.
+EQUIVALENT: dict[str, str] = {}
+
+
+def _copy(destination: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, destination / part, ignore=ignore)
+
+
+def _pytest(directory: Path) -> str:
+    """``passed``, ``failed`` or ``timeout`` for the tests of the copy."""
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+        cwd=directory, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True)
+    try:
+        return "passed" if child.wait(timeout=TIMEOUT) == 0 else "failed"
+    except subprocess.TimeoutExpired:
+        # The tests start CLI processes of their own; end them with pytest.
+        os.killpg(child.pid, signal.SIGKILL)
+        child.wait()
+        return "timeout"
+
+
+def main() -> int:
+    for file, old, _, why in MUTANTS:
+        count = (ROOT / "src" / "invdel" / file).read_text().count(old)
+        if count != 1:
+            print(f"error: {file}: the text of '{why}' occurs {count} times", file=sys.stderr)
+            return 2
+    with tempfile.TemporaryDirectory() as scratch:
+        _copy(Path(scratch))
+        if _pytest(Path(scratch)) != "passed":
+            print("error: the unmutated tests do not pass", file=sys.stderr)
+            return 2
+
+    killed = 0
+    survivors = []
+    for number, (file, old, new, why) in enumerate(MUTANTS, start=1):
+        started = time.monotonic()
+        with tempfile.TemporaryDirectory() as scratch:
+            _copy(Path(scratch))
+            path = Path(scratch) / "src" / "invdel" / file
+            path.write_text(path.read_text().replace(old, new))
+            outcome = _pytest(Path(scratch))
+        note = ""
+        if outcome != "passed":
+            verdict = "killed"
+            killed += 1
+        elif why in EQUIVALENT:
+            verdict, note = "equivalent", f" ({EQUIVALENT[why]})"
+        else:
+            verdict = "SURVIVED"
+            survivors.append(why)
+        print(f"{number:2d} {verdict:10s} {time.monotonic() - started:6.1f} s  "
+              f"{file}: {why}{note}", flush=True)
+    print(f"mutants killed: {killed} of {len(MUTANTS)}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -493,6 +493,13 @@ SINGULAR = ("error: BasePointSingular: base point substitution: "
     (["--", "0", "0", "ln(1)^-1"], (1, "", SINGULAR)),
     (["--verify", "--", "0", "0", "ln(1)^-1"], (1, "", SINGULAR)),
     (["--", "0", "0", "sin(0)^-1"], (1, "", SINGULAR)),
+    (["--", "0", "0", "sin(sin(0))*z"], (0, "phi: sin(sin(0))*z^2/2\n", "")),
+    (["--", "0", "0", "sin(sin(0))^-1"], (1, "", SINGULAR)),
+    (["--", "0", "0", "ln(exp(1000))*z"],
+     (1, "", "error: BasePointSingular: base point substitution: exp overflow\n")),
+    (["--", "0", "0", "ln(sin(0))*z"],
+     (1, "", "error: BasePointSingular: base point substitution: "
+      "ln of non-positive value 0.0\n")),
 ])
 def test_constant_factor_with_a_negative_power_is_refused_by_its_value(capsys, argv, expected):
     # The factor's value is tested, not its argument's: exp(0) and cos(0) are
@@ -539,6 +546,17 @@ def test_sine_of_an_infinite_value_is_a_domain_error(tmp_path, capsys):
                     "base = 0, 0, 0\nbox = -2:2, -2:2, -2:2\n")
     assert run(capsys, "div", "u", "v", "w", "--coords-file", str(path)) == (
         2, "", "error: ValidationError: h1 undefined at the base point\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["inv-curl", "--unchecked", "--verify", "--", "exp(700)*exp(701)*sin(1/10^400)*x", "0", "0"],
+    ["verify", "inv-div", "exp(700)*exp(701)*sin(1/10^400)"],
+])
+def test_a_residual_that_reads_nan_is_outside_the_domain(capsys, argv):
+    # exp(700)*exp(701) is inf and sin(1/10^400) is sin(0.0) in floats: the
+    # product is nan without raising.  nan passes every tolerance, so before
+    # the sampler flagged it these reported within_tolerance=True.
+    assert run(capsys, *argv) == (1, "", EXHAUSTED)
 
 
 @pytest.mark.parametrize("kind,args", [

@@ -232,6 +232,8 @@ def test_custom_scale_factor_is_judged_exactly_at_the_base_point(h):
     ("u^-1", "h1 undefined at the base point"),
     ("ln(u)", "h1 undefined at the base point"),
     ("exp(10^400)", "h1 undefined at the base point"),
+    ("exp(ln(-1))", "h1 undefined at the base point"),
+    ("exp(1000)*sin(u)^-1", "h1 undefined at the base point"),
     ("u + v", "h1 vanishes at the base point"),
     ("sin(u)", "h1 vanishes at the base point"),
     ("exp(-1000)*sin(u)", "h1 vanishes at the base point"),
@@ -245,9 +247,12 @@ def test_custom_scale_factor_undefined_or_vanishing_at_the_base_point(h, message
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("h", ["exp(-1000)", "exp(-1000)*exp(-u)/3"])
+@pytest.mark.parametrize("h", ["exp(-1000)", "exp(-1000)*exp(-u)/3", "exp(1000)^-1",
+                               "exp(1000)", "exp(-1000)*cos(u)", "exp(1000)^-1*cos(u)"])
 def test_custom_scale_factor_of_exp_atoms_never_vanishes(h):
-    # Each underflows to 0.0 at u = 0, but exp has no root.
+    # Each underflows to 0.0 or overflows at u = 0, but exp has no root: a
+    # one-term value is judged factor by factor, and of exp only the argument
+    # is evaluated.
     s = custom(("u", "v", "w"), (h, "1", "1"), (0, 0, 0),
                ((-1, 1), (-1, 1), (-1, 1)))
     assert render(s.scale_factors[0]) == render(parse(h))

@@ -21,6 +21,9 @@ from invdel import (
     roundtrip_report,
 )
 from invdel import verify
+from invdel.errors import DomainError
+from invdel.expr import eval_numeric
+from invdel.inverse import DivergenceWeights
 
 from _support import random_scalar, random_vector
 
@@ -118,6 +121,48 @@ def test_sampling_gives_up_when_the_domain_is_empty():
     filler = inverse_divergence(ScalarField(parse("1"), CARTESIAN))
     with pytest.raises(SamplingExhausted):
         roundtrip_report("inv_div", f, result=filler, samples=5)
+
+
+# exp(700)*exp(701) overflows to inf without raising, and sin(1/10^400)
+# underflows to sin(0.0) = 0.0: the product is nan at every point.
+NAN_EVERYWHERE = "exp(700)*exp(701)*sin(1/10^400)"
+
+
+@pytest.mark.parametrize("filler", [None, "1"])
+def test_a_residual_or_input_that_reads_nan_is_outside_the_domain(filler):
+    # With no filler the residual is zero and only the input reads nan; with
+    # one, the residual 1 - f reads nan too.  nan passes every tolerance, so
+    # such a point would otherwise count as a sample within it.
+    f = ScalarField(parse(NAN_EVERYWHERE), CARTESIAN)
+    result = None if filler is None else inverse_divergence(
+        ScalarField(parse(filler), CARTESIAN))
+    with pytest.raises(SamplingExhausted) as info:
+        roundtrip_report("inv_div", f, result=result, samples=5)
+    assert str(info.value) == "more than 50 sample points fell outside the domain"
+
+
+def test_points_where_the_input_reads_nan_are_resampled_like_domain_errors():
+    # exp(700*x)*exp(701*x) raises past x = 1.014 and is inf without raising
+    # from x = 0.506, where times sin(0.0) it reads nan.  The report resamples
+    # exactly the points where evaluating one point at a time raises or
+    # reads nan.
+    f = ScalarField(parse("exp(700*x)*exp(701*x)*sin(1/10^400)"), CARTESIAN)
+    rng = random.Random(3)
+    kept = nan = raised = 0
+    while kept < 40:
+        point = {n: rng.uniform(lo, hi) for n, (lo, hi) in zip("xyz", CARTESIAN.sampling_box)}
+        try:
+            value = eval_numeric(f.value, point)
+        except DomainError:
+            raised += 1
+            continue
+        nan += value != value
+        kept += value == value
+    report = roundtrip_report("inv_div", f, weights=DivergenceWeights(0, 1, 0),
+                              samples=40, seed=3)
+    assert (nan, raised) == (8, 12)
+    assert (report.resample_count, report.max_abs_error) == (nan + raised, 0.0)
+    assert report.symbolic_equal and report.within_tolerance
 
 
 def test_unknown_kind_is_rejected():
@@ -306,3 +351,20 @@ def test_a_report_over_several_blocks_keeps_its_bits(monkeypatch, build, abs_hex
     assert (report.max_abs_error.hex(), report.max_rel_error.hex(),
             report.resample_count) == (abs_hex, rel_hex, 969)
     assert 1000 > counts["largest"] == verify.BLOCK_POINTS >= 100
+
+
+@pytest.mark.parametrize("source,slope,within", [
+    ("1", "10^-8", False),
+    ("1", "10^-10", True),
+    ("1000", "10^-7", True),
+    ("0", "10^-11", False),
+    ("0", "10^-13", True),
+])
+def test_the_tolerance_is_relative_to_the_input_above_an_absolute_floor(source, slope, within):
+    # The residual is the constant slope; the input's magnitude scales the
+    # tolerance 1e-9, and 1e-12 is the floor where the input is 0.
+    f = ScalarField(parse(source), CARTESIAN)
+    result = _perturbed(inverse_divergence(f), f"{slope}*x", "0", "0")
+    report = roundtrip_report("inv_div", f, result=result, samples=10)
+    assert not report.symbolic_equal
+    assert report.within_tolerance is within
