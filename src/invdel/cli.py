@@ -6,9 +6,10 @@ them all: it parses the field of the command's kind (``verify KIND`` runs
 as ``KIND --verify``), applies the kind's operator and renders the result
 as parts with ``vecops.rendered``, as the verification report does.
 
-Exit codes: 0 success, 2 parse/usage error, 3 precondition violated
-(NotSolenoidal / NotConservative), 4 NotIntegrable / Unsupported,
-5 ConstructionFailed.
+The CLI only splits its input: each value type reads its own text
+(``DivergenceWeights``, ``BasePoint``, ``CoordinateSystem``) and raises
+ValidationError for a value it cannot read.  A run exits 0 on success and
+with the error's ``exit_code`` when it ends in an InvdelError.
 
 Text output prints one component per line (``e1:``/``e2:``/``e3:`` for
 vectors, ``phi:`` for scalars).  JSON output always carries the fields
@@ -19,21 +20,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .coords import BUILTIN_NAMES, CoordinateSystem, builtin, custom
-from .errors import (
-    ConstructionFailed,
-    InvdelError,
-    NotConservative,
-    NotIntegrable,
-    NotSolenoidal,
-    SourceError,
-    UnknownSystem,
-    UnsupportedExpression,
-    ValidationError,
-)
+from .errors import InvdelError, ValidationError
 from .inverse import (
     BasePoint,
     DivergenceWeights,
@@ -48,13 +38,6 @@ from .inverse import (
 from .parser import parse
 from .vecops import ScalarField, VectorField, curl, divergence, gradient, rendered
 from .verify import roundtrip_report
-
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_PRECONDITION = 3
-EXIT_UNSUPPORTED = 4
-EXIT_CONSTRUCTION = 5
-
 
 def build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(
@@ -130,18 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
     return root
 
 
-def _fraction(text: str, what: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad {what} {text!r}: {exc}") from None
-
-
-def _fraction_triple(text: str, what: str) -> tuple[Fraction, Fraction, Fraction]:
+def _three(text: str, what: str, items: str = "values") -> list[str]:
+    """The three comma-separated texts of an option; the reading is left to
+    the value they build."""
     parts = text.split(",")
     if len(parts) != 3:
-        raise ValidationError(f"{what} needs three comma-separated values")
-    return tuple(_fraction(p, what) for p in parts)
+        raise ValidationError(f"{what} needs three comma-separated {items}")
+    return parts
 
 
 def load_system_file(path: str) -> CoordinateSystem:
@@ -165,20 +143,16 @@ def load_system_file(path: str) -> CoordinateSystem:
         raise ValidationError(
             f"coordinate file is missing keys: {', '.join(missing)}")
     names = tuple(n.strip() for n in entries["names"].split(","))
-    base = tuple(_fraction(v, "base coordinate") for v in entries["base"].split(","))
     box = []
     for interval in entries["box"].split(","):
         lo, sep, hi = interval.partition(":")
         if not sep:
             raise ValidationError("box intervals use the form lo:hi")
-        try:
-            box.append((float(lo), float(hi)))
-        except ValueError as exc:
-            raise ValidationError(f"bad box interval {interval!r}: {exc}") from None
+        box.append((lo, hi))
     return custom(
         names=names,
         scale_factors=(entries["h1"], entries["h2"], entries["h3"]),
-        base_point=base,
+        base_point=entries["base"].split(","),
         sampling_box=box,
         label=path,
     )
@@ -197,12 +171,8 @@ def _vector(texts: Sequence[str], system: CoordinateSystem) -> VectorField:
 def _base_arg(ns: argparse.Namespace, system: CoordinateSystem) -> Optional[BasePoint]:
     if ns.base is None and ns.c0 is None:
         return None
-    if ns.base is not None:
-        a, b, c = _fraction_triple(ns.base, "base coordinate")
-    else:
-        a, b, c = system.base_point
-    constant = _fraction(ns.c0, "constant") if ns.c0 is not None else Fraction(0)
-    return BasePoint(a, b, c, constant)
+    base = system.base_point if ns.base is None else _three(ns.base, "base coordinate")
+    return BasePoint(*base, 0 if ns.c0 is None else ns.c0)
 
 
 def _run(ns: argparse.Namespace, system: CoordinateSystem, payload: dict) -> None:
@@ -229,7 +199,7 @@ def _run(ns: argparse.Namespace, system: CoordinateSystem, payload: dict) -> Non
     # The kind's own options, read after its field is parsed.
     options = {}
     if kind == "inv-div" and ns.weights is not None:
-        options["weights"] = DivergenceWeights(*_fraction_triple(ns.weights, "weight"))
+        options["weights"] = DivergenceWeights(*_three(ns.weights, "weight"))
     elif kind == "inv-grad":
         options["base"] = _base_arg(ns, system)
     if ns.unchecked:
@@ -246,27 +216,13 @@ def _run(ns: argparse.Namespace, system: CoordinateSystem, payload: dict) -> Non
     if ns.gauge_scalar is not None:
         result = gauge_shift_curl(result, ScalarField(parse(ns.gauge_scalar), system))
     if ns.gauge_vector is not None:
-        gauge = ns.gauge_vector.split(",")
-        if len(gauge) != 3:
-            raise ValidationError("--gauge-vector needs three comma-separated expressions")
+        gauge = _three(ns.gauge_vector, "--gauge-vector", "expressions")
         result = gauge_shift_div(result, _vector(gauge, system))
     payload["result"] = rendered(result)
     if ns.verify:
         report = roundtrip_report(kind.replace("-", "_"), field, samples=ns.samples,
                                   seed=ns.seed, result=result)
         payload["verification"] = report.to_dict()
-
-
-def _exit_code(error: InvdelError) -> int:
-    if isinstance(error, (NotSolenoidal, NotConservative)):
-        return EXIT_PRECONDITION
-    if isinstance(error, (NotIntegrable, UnsupportedExpression)):
-        return EXIT_UNSUPPORTED
-    if isinstance(error, ConstructionFailed):
-        return EXIT_CONSTRUCTION
-    if isinstance(error, (SourceError, ValidationError, UnknownSystem)):
-        return EXIT_USAGE
-    return 1
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -312,13 +268,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "verification": None,
         "error": None,
     }
-    code = EXIT_OK
+    code = 0
     try:
         system = _resolve_system(ns)
         _run(ns, system, payload)
     except InvdelError as error:
         payload["error"] = f"{type(error).__name__}: {error}"
-        code = _exit_code(error)
+        code = error.exit_code
     _emit(payload, ns.format)
     return code
 

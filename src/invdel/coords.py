@@ -46,7 +46,9 @@ class CoordinateSystem(Frozen):
 
     The only constructor; ``custom`` is another name for it.  Text scale factors
     are parsed before any check, the other arguments may be any sequences, and
-    each box interval needs finite bounds lo < hi."""
+    each box interval needs finite bounds lo < hi.  Base coordinates may be
+    ints, Fractions or text, and box bounds numbers or text; one that names
+    no number is a ValidationError, like every other bad argument."""
 
     __slots__ = ("names", "scale_factors", "base_point", "sampling_box", "label")
 
@@ -83,13 +85,16 @@ class CoordinateSystem(Frozen):
             raise ValidationError("base point needs three coordinates")
         try:
             base = tuple(Fraction(v) for v in base_point)
-        except (ValueError, TypeError, OverflowError) as exc:
+        except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
             raise ValidationError(f"base point must be rational: {exc}") from None
         if len(sampling_box) != 3:
             raise ValidationError("sampling box needs three intervals")
         box = []
-        for lo, hi in sampling_box:
-            lo, hi = float(lo), float(hi)
+        for i, interval in enumerate(sampling_box, start=1):
+            try:
+                lo, hi = (float(bound) for bound in interval)
+            except (ValueError, TypeError, OverflowError) as exc:
+                raise ValidationError(f"bad sampling interval {i}: {exc}") from None
             if not lo < hi:
                 raise ValidationError(f"empty sampling interval [{lo}, {hi}]")
             if not math.isfinite(hi - lo):

@@ -1,18 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each type carries ``exit_code``, the status the command line exits with
+when a run ends in it: 1, unless the class sets its own.
+"""
 
 from __future__ import annotations
 
 
 class InvdelError(Exception):
     """Base class for every error this package raises deliberately."""
+    exit_code = 1
 
 
 class UnsupportedExpression(InvdelError):
     """Expression falls outside the closed term algebra (e.g. 1/(x+1))."""
+    exit_code = 4
 
 
 class SourceError(InvdelError):
     """Parse failure, tagged with the byte offset where it happened."""
+    exit_code = 2
 
     def __init__(self, offset: int, expected: str, found: str):
         super().__init__(f"at offset {offset}: expected {expected}, found {found}")
@@ -31,6 +38,7 @@ class UnboundVariable(InvdelError):
 
 class NotIntegrable(InvdelError):
     """A term has no antiderivative inside the supported term class."""
+    exit_code = 4
 
     def __init__(self, message: str, term=None, variable: str | None = None):
         super().__init__(message)
@@ -40,10 +48,12 @@ class NotIntegrable(InvdelError):
 
 class UnknownSystem(InvdelError):
     """Requested builtin coordinate system does not exist."""
+    exit_code = 2
 
 
 class ValidationError(InvdelError):
     """Structural validation failed (field arity, foreign variables, weights, ...)."""
+    exit_code = 2
 
 
 class _ResidualError(InvdelError):
@@ -56,14 +66,17 @@ class _ResidualError(InvdelError):
 
 class NotSolenoidal(_ResidualError):
     """Vector potential requested for a field whose divergence is not zero."""
+    exit_code = 3
 
 
 class NotConservative(_ResidualError):
     """Scalar potential requested for a field whose curl is not zero."""
+    exit_code = 3
 
 
 class ConstructionFailed(_ResidualError):
     """Internal round-trip check rejected a constructed potential."""
+    exit_code = 5
 
 
 class BasePointSingular(InvdelError):

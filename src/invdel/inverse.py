@@ -15,7 +15,10 @@ potential.
 
 Inverse divergence spreads the integrated source over the components with
 weights summing to one.  Inverse gradient integrates A . dl along the
-three-segment axis-parallel path from a base point.
+three-segment axis-parallel path from a base point.  The value types that
+hold these parameters (``DivergenceWeights``, ``BasePoint``, ``CurlWeights``)
+take ints, Fractions or text, which one reader, ``_rational``, turns into
+Fractions; a value it cannot read is a ValidationError.
 
 Every step works on the canonical forms the fields hold and returns forms.
 The gates and the self-check compare numerators (``vecops.flux`` and
@@ -73,13 +76,22 @@ from .vecops import (
 )
 
 
+def _rational(value, what: str) -> Fraction:
+    """``value``, an int, a Fraction or text, as a Fraction; a value that is
+    none of them, or that names no rational, is a ValidationError."""
+    try:
+        return Fraction(value.strip() if isinstance(value, str) else value)
+    except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad {what} {value!r}: {exc}") from None
+
+
 class CurlWeights(Frozen):
     """Split-integral weights; only (1/3, 1/2) yields an exact preimage."""
 
     __slots__ = ("w_plus", "w_minus")
 
-    def __init__(self, w_plus: Fraction, w_minus: Fraction):
-        self._init(Fraction(w_plus), Fraction(w_minus))
+    def __init__(self, w_plus: Fraction | str, w_minus: Fraction | str):
+        self._init(_rational(w_plus, "weight"), _rational(w_minus, "weight"))
 
 
 DEFAULT_CURL_WEIGHTS = CurlWeights(Fraction(1, 3), Fraction(1, 2))
@@ -90,11 +102,14 @@ class DivergenceWeights(Frozen):
 
     __slots__ = ("k1", "k2", "k3")
 
-    def __init__(self, k1: Fraction, k2: Fraction, k3: Fraction):
-        self._init(Fraction(k1), Fraction(k2), Fraction(k3))
+    def __init__(self, k1: Fraction | str, k2: Fraction | str, k3: Fraction | str):
+        self._init(*(_rational(k, "weight") for k in (k1, k2, k3)))
         if self.k1 + self.k2 + self.k3 != 1:
-            raise ValidationError(
-                f"divergence weights must sum to 1, got {self.k1} + {self.k2} + {self.k3}")
+            try:
+                got = f"{self.k1} + {self.k2} + {self.k3}"
+            except ValueError:  # str() refuses an int past the digit limit
+                got = "a weight past the interpreter's digit limit"
+            raise ValidationError(f"divergence weights must sum to 1, got {got}")
 
     @classmethod
     def symmetric(cls) -> "DivergenceWeights":
@@ -110,8 +125,10 @@ class BasePoint(Frozen):
 
     __slots__ = ("a", "b", "c", "c0")
 
-    def __init__(self, a: Fraction, b: Fraction, c: Fraction, c0: Fraction = 0):
-        self._init(Fraction(a), Fraction(b), Fraction(c), Fraction(c0))
+    def __init__(self, a: Fraction | str, b: Fraction | str, c: Fraction | str,
+                 c0: Fraction | str = 0):
+        self._init(*(_rational(v, "base coordinate") for v in (a, b, c)),
+                   _rational(c0, "constant"))
 
 
 def curl_integrands(
@@ -228,7 +245,7 @@ def inverse_gradient(A: VectorField, base: Optional[BasePoint] = None) -> Scalar
             + ", ".join(render(p) for p in residual.components) + ")",
             residual=residual,
         )
-    return _path_integral(A, base or BasePoint(*A.system.base_point))
+    return _path_integral(A, base)
 
 
 def inverse_gradient_unchecked(
@@ -236,11 +253,12 @@ def inverse_gradient_unchecked(
 ) -> tuple[ScalarField, VectorField]:
     """Path integral plus the curl residual, skipping the gate."""
     residual = curl(A)
-    return _path_integral(A, base or BasePoint(*A.system.base_point)), residual
+    return _path_integral(A, base), residual
 
 
-def _path_integral(A: VectorField, base: BasePoint) -> ScalarField:
+def _path_integral(A: VectorField, base: Optional[BasePoint]) -> ScalarField:
     system = A.system
+    base = base or BasePoint(*system.base_point)
     u1, u2, u3 = system.names
     h = system.scale_factors
     along = [h[i] * A.components[i] for i in range(3)]
@@ -309,17 +327,17 @@ def _scan_form(form: CanonicalForm) -> None:
 
 def gauge_shift_curl(A: VectorField, f: ScalarField) -> VectorField:
     """A + grad(f); leaves the curl unchanged."""
-    if f.system != A.system:
-        raise ValidationError("gauge scalar lives in a different coordinate system")
-    shift = gradient(f)
-    comps = tuple(a + s for a, s in zip(A.components, shift.components))
-    return VectorField(comps, A.system)
+    return _shifted(A, f, gradient, "gauge scalar")
 
 
 def gauge_shift_div(A: VectorField, C: VectorField) -> VectorField:
     """A + curl(C); leaves the divergence unchanged."""
-    if C.system != A.system:
-        raise ValidationError("gauge vector lives in a different coordinate system")
-    shift = curl(C)
-    comps = tuple(a + s for a, s in zip(A.components, shift.components))
-    return VectorField(comps, A.system)
+    return _shifted(A, C, curl, "gauge vector")
+
+
+def _shifted(A: VectorField, gauge, forward, what: str) -> VectorField:
+    """A plus ``forward(gauge)``, a gradient or curl, in A's system."""
+    if gauge.system != A.system:
+        raise ValidationError(f"{what} lives in a different coordinate system")
+    shift = forward(gauge)
+    return VectorField(tuple(a + s for a, s in zip(A.components, shift.components)), A.system)

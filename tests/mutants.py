@@ -4,11 +4,12 @@
 
 Each entry of ``MUTANTS`` is ``(file, old, new, why)``: ``old`` must occur
 exactly once in ``src/invdel/<file>``, and the mutant replaces it by
-``new``.  The unmutated tests run first and must pass.  Then each mutant is
-applied to a fresh temporary copy of ``src`` and ``tests``, where
-``python -m pytest -x -q`` runs for at most ``TIMEOUT`` seconds.  A mutant is
-killed when pytest fails or times out, and survives when it passes.  One
-line is printed per mutant and the last line counts the kills.
+``new``.  The unmutated tests run first and must pass.  Then each mutant
+is applied to a fresh temporary copy of ``src``, ``tests`` and
+``README.md``, where ``python -m pytest -x -q`` runs for at most
+``TIMEOUT`` seconds.  A mutant is killed when pytest fails or times out,
+and survives when it passes.  One line is printed per mutant and the last
+line counts the kills.
 
 The exit status is 1 when a mutant survives, unless ``EQUIVALENT`` names it
 (by its ``why``) with the reason no test can tell it from the program, and
@@ -96,6 +97,21 @@ MUTANTS = (
      "the term-pair budget grows tenfold"),
     ("expr.py", "MAX_POWER_DIGITS = 10_000", "MAX_POWER_DIGITS = 100_000",
      "the coefficient digit budget grows tenfold"),
+    ("inverse.py",
+     "    except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:\n"
+     "        raise ValidationError(f\"bad {what}",
+     "    except (ValueError, TypeError, OverflowError) as exc:\n"
+     "        raise ValidationError(f\"bad {what}",
+     "the value reader lets ZeroDivisionError through"),
+    ("errors.py", "    exit_code = 5", "    exit_code = 1",
+     "ConstructionFailed exits 1 in place of 5"),
+    ("inverse.py",
+     "            try:\n"
+     "                got = f\"{self.k1} + {self.k2} + {self.k3}\"\n"
+     "            except ValueError:  # str() refuses an int past the digit limit\n"
+     "                got = \"a weight past the interpreter's digit limit\"\n",
+     "            got = f\"{self.k1} + {self.k2} + {self.k3}\"\n",
+     "the weights message prints a weight past the digit limit"),
 )
 
 # Seconds one pytest run may take.
@@ -109,6 +125,8 @@ def _copy(destination: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for part in ("src", "tests"):
         shutil.copytree(ROOT / part, destination / part, ignore=ignore)
+    # A test checks the README's exit-code table against the error types.
+    shutil.copy(ROOT / "README.md", destination / "README.md")
 
 
 def _pytest(directory: Path) -> str:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import invdel
 import invdel.cli
 import invdel.inverse
 from invdel import VectorField, equals, parse, render
@@ -241,6 +243,77 @@ def test_coords_file_with_missing_key_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "div", "u", "v", "w", "--coords-file", str(path))
     assert code == 2
     assert "missing keys" in err
+
+
+COORDS_FILE = "names = u, v, w\nh1 = {h1}\nh2 = 1\nh3 = 1\nbase = {base}\nbox = {box}\n"
+
+
+@pytest.mark.parametrize("h1,base,box,message", [
+    ("1", "x, 0, 0", "-2:2, -2:2, -2:2",
+     "base point must be rational: Invalid literal for Fraction: 'x'"),
+    ("1", "1/0, 0, 0", "-2:2, -2:2, -2:2", "base point must be rational: Fraction(1, 0)"),
+    ("1", "0, 0, 0", "0:x, -2:2, -2:2",
+     "bad sampling interval 1: could not convert string to float: 'x'"),
+    ("1", "0, 0, 0", "0, -2:2, -2:2", "box intervals use the form lo:hi"),
+    # Every value is read by CoordinateSystem, which checks h before base.
+    ("q", "x, 0, 0", "-2:2, -2:2, -2:2", "h1 references unknown variables: q"),
+])
+def test_coords_file_value_that_names_no_number_exits_2(tmp_path, capsys, h1, base, box,
+                                                       message):
+    path = tmp_path / "bad.coords"
+    path.write_text(COORDS_FILE.format(h1=h1, base=base, box=box))
+    assert run(capsys, "div", "u", "v", "w", "--coords-file", str(path)) == (
+        2, "", f"error: ValidationError: {message}\n")
+
+
+def test_coords_file_that_cannot_be_read_or_has_no_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "nokey.coords"
+    path.write_text("# a comment\n\nnames u, v, w\n")
+    assert run(capsys, "div", "u", "v", "w", "--coords-file", str(path)) == (
+        2, "", f"error: ValidationError: {path}:3: expected 'key = value'\n")
+    code, out, err = run(capsys, "div", "u", "v", "w", "--coords-file", str(tmp_path / "none"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ValidationError: cannot read coordinate file: ")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("inv-div", "x", "--weights", "1/0,0,1"), "bad weight '1/0': Fraction(1, 0)"),
+    (("inv-grad", "--base", "a,0,0", "--", "0", "0", "z"),
+     "bad base coordinate 'a': Invalid literal for Fraction: 'a'"),
+    (("inv-grad", "--c0", "q", "--", "0", "0", "z"),
+     "bad constant 'q': Invalid literal for Fraction: 'q'"),
+    (("inv-div", "x", "--weights", "1,1,1"), "divergence weights must sum to 1, got 1 + 1 + 1"),
+])
+def test_a_value_the_cli_cannot_read_is_named_in_one_line(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: ValidationError: {message}\n")
+
+
+@pytest.mark.parametrize("command", [("inv-div",), ("verify", "inv-div")])
+def test_weights_past_the_digit_limit_exit_2_in_one_line(capsys, command):
+    code, out, err = run(capsys, *command, "x", "--weights=1e5000,0,0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ValidationError: divergence weights must sum to 1, got ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,code", [(("--help",), 0), (("inv-div",), 2)])
+def test_argument_parser_exit_is_returned(capsys, argv, code):
+    assert run(capsys, *argv)[0] == code
+
+
+def test_the_readme_exit_table_is_each_error_types_exit_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = re.findall(r"^\| (\d) \| (.*) \|$", readme, flags=re.M)
+    named = {name: int(code) for code, meaning in table
+             for name in re.findall(r"`(\w+)`", meaning)}
+    assert sorted(named) == sorted([
+        "SourceError", "ValidationError", "UnknownSystem", "NotSolenoidal", "NotConservative",
+        "NotIntegrable", "UnsupportedExpression", "ConstructionFailed"])
+    for name, code in named.items():
+        assert getattr(invdel, name).exit_code == code, name
+    for name in ("InvdelError", "DomainError", "UnboundVariable", "BasePointSingular",
+                 "SamplingExhausted"):
+        assert getattr(invdel, name).exit_code == 1, name
 
 
 @pytest.mark.parametrize("command", ["curl", "inv-curl"])

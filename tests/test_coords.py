@@ -219,6 +219,35 @@ def test_custom_rejects_empty_box_interval():
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("base,interval,message", [
+    (("1/0", 0, 0), (-1, 1), "base point must be rational: Fraction(1, 0)"),
+    ((0, 0, 0), ("a", "1"), "bad sampling interval 1: could not convert string to float: 'a'"),
+    ((0, 0, 0), (None, 1), "bad sampling interval 1: float() argument"),
+    ((0, 0, 0), (0, 1, 2), "bad sampling interval 1: too many values to unpack"),
+    ((0, 0, 0), (0, 10**5000), "bad sampling interval 1: int too large to convert to float"),
+])
+def test_custom_rejects_a_base_or_box_value_that_names_no_number(base, interval, message):
+    with pytest.raises(ValidationError) as info:
+        custom(("u", "v", "w"), ("1", "1", "1"), base, (interval, (-1, 1), (-1, 1)))
+    assert str(info.value).startswith(message)
+
+
+def test_custom_reads_base_and_box_given_as_text():
+    system = custom(("u", "v", "w"), ("1", "1", "1"), ("1/2", " 0", "-3"),
+                    (("-1", "1e0"), ("0", "1"), (" -2 ", "2")))
+    assert system.base_point == (Fraction(1, 2), 0, -3)
+    assert system.sampling_box == ((-1.0, 1.0), (0.0, 1.0), (-2.0, 2.0))
+
+
+@pytest.mark.parametrize("scale_factors,box,message", [
+    (("1", "1"), ((-1, 1),) * 3, "exactly three scale factors required"),
+    (("1", "1", "1"), ((-1, 1),) * 2, "sampling box needs three intervals"),
+])
+def test_custom_needs_three_scale_factors_and_three_intervals(scale_factors, box, message):
+    with pytest.raises(ValidationError, match=message):
+        custom(("u", "v", "w"), scale_factors, (0, 0, 0), box)
+
+
 @pytest.mark.parametrize("h", ["10^400", "10^400*u + 1", "1/10^400", "u^2 + 10^-400"])
 def test_custom_scale_factor_is_judged_exactly_at_the_base_point(h):
     # Each is a nonzero rational at u = 0, but its float overflows or

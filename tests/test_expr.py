@@ -213,3 +213,18 @@ def test_the_expression_tree_is_gone():
                  "_term_order"):
         assert not hasattr(expr, name), name
     assert expr.Expression is CanonicalForm
+
+
+@pytest.mark.parametrize("operation,message", [
+    (lambda: var("x") / var("y"), "can only divide by a rational constant"),
+    (lambda: var("x") ** Fraction(1, 2), "exponent must be an integer"),
+    (lambda: var("x") + 0.5, "cannot interpret 0.5 as an expression"),
+])
+def test_an_operand_outside_the_algebra_is_a_type_error(operation, message):
+    with pytest.raises(TypeError, match=message):
+        operation()
+
+
+def test_a_form_is_unequal_to_a_value_of_another_type():
+    assert var("x").__eq__("x") is NotImplemented
+    assert var("x") != "x"

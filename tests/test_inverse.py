@@ -7,6 +7,7 @@ import pytest
 
 import invdel.inverse
 from invdel import (
+    DEFAULT_CURL_WEIGHTS,
     BasePoint,
     BasePointSingular,
     ConstructionFailed,
@@ -253,6 +254,38 @@ def test_divergence_weights_must_sum_to_one():
         Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 
 
+def test_weights_that_miss_one_are_named_in_the_message():
+    with pytest.raises(ValidationError) as info:
+        DivergenceWeights("1", 1, Fraction(1))
+    assert str(info.value) == "divergence weights must sum to 1, got 1 + 1 + 1"
+    # str() of a weight of 5001 digits raises ValueError past the
+    # interpreter's digit limit; the message must not.
+    with pytest.raises(ValidationError) as info:
+        DivergenceWeights("1e5000", 0, 0)
+    assert str(info.value).startswith("divergence weights must sum to 1, got ")
+
+
+def test_value_types_read_ints_fractions_and_text():
+    assert DivergenceWeights("1/2", " 1/4 ", Fraction(1, 4)) == DivergenceWeights(
+        Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+    assert BasePoint("1/2", "0", -3, "5") == BasePoint(Fraction(1, 2), 0, -3, 5)
+    assert CurlWeights("1/3", "1/2") == DEFAULT_CURL_WEIGHTS
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: BasePoint("a", 0, 0), "bad base coordinate 'a': Invalid literal for Fraction: 'a'"),
+    (lambda: BasePoint(0, 0, 0, "q"), "bad constant 'q': Invalid literal for Fraction: 'q'"),
+    (lambda: DivergenceWeights("1/0", 0, 1), "bad weight '1/0': Fraction(1, 0)"),
+    (lambda: CurlWeights("x", 1), "bad weight 'x': Invalid literal for Fraction: 'x'"),
+    (lambda: BasePoint(None, 0, 0), "bad base coordinate None: "),
+    (lambda: CurlWeights(float("inf"), 1), "bad weight inf: "),
+])
+def test_a_value_that_names_no_rational_is_a_validation_error(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value).startswith(message)
+
+
 def test_inverse_divergence_round_trip_on_random_fields():
     rng = random.Random(34)
     for system in (CARTESIAN, CYLINDRICAL):
@@ -349,7 +382,9 @@ def test_gauge_shift_preserves_divergence():
 
 def test_gauge_shift_requires_matching_systems():
     A = inverse_divergence(ScalarField(parse("3"), CARTESIAN))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError,
+                       match="^gauge vector lives in a different coordinate system$"):
         gauge_shift_div(A, vec(CYLINDRICAL, "rho", "0", "0"))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError,
+                       match="^gauge scalar lives in a different coordinate system$"):
         gauge_shift_curl(A, ScalarField(parse("rho"), CYLINDRICAL))

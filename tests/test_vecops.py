@@ -119,3 +119,8 @@ def test_operators_are_linear():
         for i in range(3):
             right = curl(A).components[i] + curl(B).components[i]
             assert equals(left.components[i], right)
+
+
+def test_a_vector_field_needs_three_components():
+    with pytest.raises(ValidationError, match="a vector field needs exactly three components"):
+        VectorField((parse("x"), parse("y")), CARTESIAN)
