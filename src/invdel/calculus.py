@@ -24,16 +24,19 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .errors import NotIntegrable
+from .errors import NotIntegrable, UnsupportedExpression
 from .expr import (
+    _ONE,
     CanonicalForm,
     Expression,
     Frozen,
     FunctionAtom,
     _accumulate,
     _add_term,
+    _check_pair_count,
     _coeff_inv,
     _coeff_mul,
+    _coeff_product,
     _merge_factors,
     _multiply,
     atom_power,
@@ -127,44 +130,43 @@ def antidifferentiate(expression: Expression, name: str) -> CanonicalForm:
 def _integrate_term(factors: tuple, coefficient: tuple, name: str):
     """The antiderivative of one term as a (factors, coefficient) pair, or
     None when the term is outside the supported class."""
-    rest = []
-    variable_exponent = 0
-    carriers = []  # function atoms whose argument contains the variable
-    for atom, e in factors:
-        if atom == name:
-            variable_exponent = e
-        elif isinstance(atom, FunctionAtom) and form_contains(atom.argument, name):
-            carriers.append((atom, e))
-        else:
-            rest.append((atom, e))
-    rest = tuple(rest)
+    place = carrier = None  # where the variable's power and its function atom are
+    for index, (atom, e) in enumerate(factors):
+        if atom.__class__ is str:
+            if atom == name:
+                place = index
+        elif form_contains(atom.argument, name):
+            if carrier is not None:
+                return None
+            carrier = index
 
-    if carriers:
-        if variable_exponent or len(carriers) > 1:
-            return None
-        atom, e = carriers[0]
-        if atom.tag == "ln" or e != 1:
+    if carrier is not None:
+        atom, e = factors[carrier]
+        if place is not None or atom.tag == "ln" or e != 1:
             return None
         slope = _linear_slope(atom.argument, name)
         if slope is None:
             return None
         coefficient = _coeff_mul(coefficient, _coeff_inv(slope))
+        if atom.tag == "exp":
+            return factors, coefficient
         if atom.tag == "sin":
             outer = FunctionAtom("cos", atom.argument)
             coefficient = (-coefficient[0], coefficient[1])
-        elif atom.tag == "cos":
-            outer = FunctionAtom("sin", atom.argument)
         else:
-            outer = atom
+            outer = FunctionAtom("sin", atom.argument)
+        rest = factors[:carrier] + factors[carrier + 1:]
         return _merge_factors(rest, ((outer, 1),)), coefficient
 
-    if variable_exponent == -1:
+    if place is None:
+        return _merge_factors(factors, ((name, 1),)), coefficient
+    e = factors[place][1] + 1
+    if e == 0:
         log = FunctionAtom("ln", atom_power(name))
-        return _merge_factors(rest, ((log, 1),)), coefficient
-    new_exponent = variable_exponent + 1
-    if new_exponent != 1:
-        coefficient = _coeff_mul(coefficient, _coeff_inv((new_exponent, 1)))
-    return _merge_factors(rest, ((name, new_exponent),)), coefficient
+        return _merge_factors(factors[:place] + factors[place + 1:], ((log, 1),)), coefficient
+    # The variable's new power keeps its place.
+    return (factors[:place] + ((name, e),) + factors[place + 1:],
+            _coeff_mul(coefficient, _coeff_inv((e, 1))))
 
 
 def _linear_slope(argument: CanonicalForm, name: str) -> tuple | None:
@@ -205,17 +207,62 @@ def weighted_split_integral(
 
     Returns w_plus * antiderivative(part containing split_var)
           + w_minus * antiderivative(part without split_var),
-    both antiderivatives taken with respect to int_var, in one walk over the
-    terms.  Each weight multiplies its part within the product budgets.  A
-    refusal comes before any budget error and names the term that
-    ``antidifferentiate`` names on the part containing split_var, else the rest.
+    both antiderivatives taken with respect to int_var: one slot of
+    ``_weighted_walk``, which the inverse curl runs with two slots per
+    integrand.  It raises what forming the two weighted products would: a
+    refusal first, naming the term that ``antidifferentiate`` names on the
+    part containing split_var, else the rest; then, for the plus part and
+    then the rest, the term-pair budget and the coefficient budget.
     """
-    form = canonicalize(expression)
-    plus: dict = {}
-    minus: dict = {}
+    acc: dict = {}
+    _weighted_walk(canonicalize(expression), split_var, w_plus, w_minus,
+                   ((int_var, acc, False),))(0)
+    return CanonicalForm(acc)
+
+
+def _weighted_walk(form: CanonicalForm, split_var: str, w_plus, w_minus, slots):
+    """Weighted split integrals of ``form`` sharing its split variable and
+    weights, in one walk over its terms.
+
+    Each slot (name, acc, negate) adds W(form; split_var, d name), negated
+    when ``negate``, into the map ``acc``.  Each term is classified once, by
+    whether it contains split_var, which picks its weight, integrated once
+    per slot and scaled by ``_coeff_product``, whose estimates over a part's
+    terms come to the estimate of the part's product.  The walk raises
+    nothing: the returned ``check(s)`` raises what slot s's W would, and a
+    slot with an error may have added some of its terms.  A part's pair
+    count is its number of terms, since integration in one variable keeps
+    distinct terms distinct.
+    """
+    weights = tuple((w.numerator, w.denominator) if w else None for w in (w_plus, w_minus))
+    counts = [0, 0]
+    refused = [False] * len(slots)
+    over = [[None, None] for _ in slots]  # a coefficient budget error per part
     for factors, coefficient in form.items():
-        term = _integrate_term(factors, coefficient, int_var)
-        if term is None:
-            raise _not_integrable(form, int_var, split_var)
-        _add_term(plus if factors_contain(factors, split_var) else minus, *term)
-    return CanonicalForm(plus) * w_plus + CanonicalForm(minus) * w_minus
+        part = 0 if factors_contain(factors, split_var) else 1
+        counts[part] += 1
+        weight = weights[part]
+        for s, (name, acc, negate) in enumerate(slots):
+            if refused[s]:
+                continue
+            term = _integrate_term(factors, coefficient, name)
+            if term is None:
+                refused[s] = True
+            elif weight is not None:
+                try:
+                    scaled = _coeff_product(term[1], weight)
+                except UnsupportedExpression as exc:
+                    over[s][part] = exc
+                    continue
+                _add_term(acc, term[0], (-scaled[0], scaled[1]) if negate else scaled)
+
+    def check(s: int) -> None:
+        if refused[s]:
+            raise _not_integrable(form, slots[s][0], split_var)
+        for part in (0, 1):
+            if weights[part] not in (None, _ONE):  # 0 and 1 form no product
+                _check_pair_count(counts[part], 1)
+            if over[s][part] is not None:
+                raise over[s][part]
+
+    return check

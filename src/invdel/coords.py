@@ -20,6 +20,7 @@ from .expr import (
     CanonicalForm,
     Frozen,
     _eval_function,
+    _fraction,
     canonicalize,
     check_variable_name,
     eval_numeric,
@@ -84,7 +85,7 @@ class CoordinateSystem(Frozen):
         if len(base_point) != 3:
             raise ValidationError("base point needs three coordinates")
         try:
-            base = tuple(Fraction(v) for v in base_point)
+            base = tuple(_fraction(v) for v in base_point)
         except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
             raise ValidationError(f"base point must be rational: {exc}") from None
         if len(sampling_box) != 3:

@@ -158,6 +158,23 @@ MAX_PRODUCT_PAIRS = 100_000
 MAX_POWER_DIGITS = 10_000
 _LOG10_2 = math.log10(2)
 
+# Decimal text with an exponent, as ``Fraction`` reads it, or looser.
+_DECIMAL_EXPONENT = re.compile(r"\s*[-+]?[\d_]*\.?[\d_]*[eE][-+]?([\d_]+)\s*")
+
+
+def _fraction(value) -> Fraction:
+    """``Fraction(value)`` for a value from outside.  Fraction reads a decimal
+    exponent in time that grows with it, so text whose exponent is past
+    ``MAX_POWER_DIGITS`` is a ValueError before it is read."""
+    if isinstance(value, str):
+        match = _DECIMAL_EXPONENT.fullmatch(value)
+        if match:
+            digits = match[1].replace("_", "").lstrip("0")
+            if len(digits) > len(str(MAX_POWER_DIGITS)) or int(digits or 0) > MAX_POWER_DIGITS:
+                raise ValueError(
+                    f"a decimal exponent past {MAX_POWER_DIGITS} exceeds the budget")
+    return Fraction(value)
+
 
 class FunctionAtom(Frozen):
     """Opaque function occurrence keyed by its canonical argument.
@@ -434,16 +451,22 @@ def _multiply(d1: dict, d2: dict) -> dict:
 
 def _check_pairs(d1: dict, d2: dict) -> None:
     """The budgets of a product of two maps, neither zero nor one."""
-    if len(d1) * len(d2) > MAX_PRODUCT_PAIRS:
-        raise UnsupportedExpression(
-            f"expanding a product of {len(d1)} by {len(d2)} terms exceeds "
-            f"the budget of {MAX_PRODUCT_PAIRS} term pairs")
+    _check_pair_count(len(d1), len(d2))
     # A term with coefficient 1 grows no coefficient.  Any other factor adds
     # its size, once per link of a chain and at every squaring of a sum.
     if not (len(d1) == 1 and _ONE in d1.values()
             or len(d2) == 1 and _ONE in d2.values()):
         (n1, e1), (n2, e2) = _coefficient_bits(d1), _coefficient_bits(d2)
         _check_coefficient_product(n1 + n2, e1 + e2)
+
+
+def _check_pair_count(n1: int, n2: int) -> None:
+    """Raise UnsupportedExpression before expanding a product of n1 by n2
+    terms past ``MAX_PRODUCT_PAIRS``."""
+    if n1 * n2 > MAX_PRODUCT_PAIRS:
+        raise UnsupportedExpression(
+            f"expanding a product of {n1} by {n2} terms exceeds "
+            f"the budget of {MAX_PRODUCT_PAIRS} term pairs")
 
 
 def _check_coefficient_product(numerator_bits: int, denominator_bits: int) -> None:

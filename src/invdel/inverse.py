@@ -6,12 +6,20 @@ c_i = h_j*h_k*B_i, split each by its own coordinate u_i, and assemble
     A_i = (1/h_i) * [ W(c_next, u_next, du_prev) - W(c_prev, u_prev, du_next) ]
 
 where W is the weighted split integral with weight 1/3 on the part
-containing the split variable and 1/2 on the rest.  W integrates each term
-of c once, into its part, and multiplies each part by its weight within the
-product budgets.  Those two weights are what make the construction land on
-an exact preimage; the result is checked against the numerators of its curl
-and any mismatch raises ConstructionFailed instead of returning a wrong
-potential.
+containing the split variable and 1/2 on the rest.  Those two weights are
+what make the construction land on an exact preimage; the result is checked
+against the numerators of its curl and any mismatch raises
+ConstructionFailed instead of returning a wrong potential.
+
+Each c_m feeds two components, so it is walked once, in the order c1, c2,
+c0: each term is classified by whether it contains u_m, which picks its
+weight, integrated in u_{m+1} and in u_{m+2}, and its scaled coefficients
+go straight into the maps of A_{m+2} (plus) and A_{m+1} (minus).  Each
+component is then one product 1/h_i times its map.  The walk itself raises
+nothing; each W's error (a refusal, then the pair and coefficient budgets
+of the part with the split variable, then of the rest) is raised where six
+W calls would raise it, in the order (c1,u2), (c2,u1), 1/h0, (c2,u0),
+(c0,u2), 1/h1, (c0,u1), (c1,u0), 1/h2.
 
 Inverse divergence spreads the integrated source over the components with
 weights summing to one.  Inverse gradient integrates A . dl along the
@@ -42,7 +50,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .calculus import antidifferentiate, weighted_split_integral
+from .calculus import _weighted_walk, antidifferentiate
 from .errors import (
     BasePointSingular,
     ConstructionFailed,
@@ -58,6 +66,7 @@ from .expr import (
     Frozen,
     FunctionAtom,
     _eval_function,
+    _fraction,
     eval_numeric,
     free_variables,
     reciprocal,
@@ -80,7 +89,7 @@ def _rational(value, what: str) -> Fraction:
     """``value``, an int, a Fraction or text, as a Fraction; a value that is
     none of them, or that names no rational, is a ValidationError."""
     try:
-        return Fraction(value.strip() if isinstance(value, str) else value)
+        return _fraction(value.strip() if isinstance(value, str) else value)
     except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad {what} {value!r}: {exc}") from None
 
@@ -148,12 +157,22 @@ def curl_potential_formula(
     u = system.names
     h = system.scale_factors
     c = curl_integrands(B) if integrands is None else integrands
+    acc = ({}, {}, {})
+    checks = [None, None, None]
     comps = []
     for i, j, k in CYCLES:
-        first = weighted_split_integral(c[j], u[j], u[k], weights.w_plus, weights.w_minus)
-        second = weighted_split_integral(c[k], u[k], u[j], weights.w_plus, weights.w_minus)
-        comps.append(reciprocal(h[i]) * (first - second))
-    return VectorField(tuple(comps), system)
+        # A_i takes +W(c_j; u_j, du_k), the first slot of c_j's walk, and
+        # -W(c_k; u_k, du_j), the second of c_k's.  A walk runs when one of
+        # its slots is first needed; the other is checked when its turn comes.
+        for m, side in ((j, 0), (k, 1)):
+            if checks[m] is None:
+                _, after, before = CYCLES[m]
+                checks[m] = _weighted_walk(
+                    c[m], u[m], weights.w_plus, weights.w_minus,
+                    ((u[after], acc[before], False), (u[before], acc[after], True)))
+            checks[m](side)
+        comps.append(reciprocal(h[i]) * CanonicalForm(acc[i]))
+    return VectorField._built(tuple(comps), system)
 
 
 def inverse_curl(B: VectorField) -> VectorField:

@@ -57,6 +57,13 @@ class VectorField(Frozen):
         _check_variables(components, system)
         self._init(tuple(canonicalize(c) for c in components), system)
 
+    @classmethod
+    def _built(cls, components: tuple, system: CoordinateSystem) -> "VectorField":
+        """A field of forms built from the system's own, left unchecked."""
+        field = cls.__new__(cls)
+        field._init(components, system)
+        return field
+
 
 class ScalarField(Frozen):
     """A scalar in a coordinate system, held as a canonical form."""

@@ -82,9 +82,11 @@ MUTANTS = (
      "    if not numerator.is_zero():\n"
      "        residual = reciprocal(h[0] * h[1] * h[2]) * numerator",
      "a multi-term scale factor no longer fails the solenoidal gate first"),
-    ("calculus.py", "if variable_exponent or len(carriers) > 1:", "if len(carriers) > 1:",
+    ("calculus.py", "if place is not None or atom.tag", "if atom.tag",
      "a power of the variable times a carrier is integrated"),
-    ("calculus.py", 'if atom.tag == "ln" or e != 1:', 'if atom.tag == "ln":',
+    ("calculus.py", "            if carrier is not None:\n                return None\n", "",
+     "a term with two carriers is integrated by its last"),
+    ("calculus.py", 'atom.tag == "ln" or e != 1:', 'atom.tag == "ln":',
      "a power of a carrier is integrated"),
     ("calculus.py", "if factors != ((name, 1),):", "if False:",
      "a carrier whose argument is not linear is integrated"),
@@ -112,6 +114,19 @@ MUTANTS = (
      "                got = \"a weight past the interpreter's digit limit\"\n",
      "            got = f\"{self.k1} + {self.k2} + {self.k3}\"\n",
      "the weights message prints a weight past the digit limit"),
+    ("calculus.py", "part = 0 if factors_contain(factors, split_var) else 1",
+     "part = 0 if factors_contain(factors, slots[0][0]) else 1",
+     "the weight side is chosen by the integration variable, not the split variable"),
+    ("inverse.py", "(u[before], acc[after], True)", "(u[before], acc[after], False)",
+     "the sign of each integrand's u_{m+2} contribution is flipped"),
+    ("inverse.py",
+     "                    ((u[after], acc[before], False), (u[before], acc[after], True)))\n",
+     "                    ((u[after], acc[before], False), (u[before], acc[after], True)))\n"
+     "                if m == 1:\n"
+     "                    checks[m](1)\n",
+     "the deferred (c1, u0) slot is checked first"),
+    ("expr.py", "int(digits or 0) > MAX_POWER_DIGITS", "int(digits or 0) > 10 * MAX_POWER_DIGITS",
+     "the decimal-exponent bound grows tenfold"),
 )
 
 # Seconds one pytest run may take.

@@ -296,6 +296,17 @@ def test_weights_past_the_digit_limit_exit_2_in_one_line(capsys, command):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("inv-div", "x", "--weights", "1e100000000,0,0"),
+    ("inv-grad", "--base", "0,1e-100000000,0", "--", "0", "0", "1"),
+])
+def test_a_decimal_exponent_past_the_budget_exits_2_at_once(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(": a decimal exponent past 10000 exceeds the budget\n")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv,code", [(("--help",), 0), (("inv-div",), 2)])
 def test_argument_parser_exit_is_returned(capsys, argv, code):
     assert run(capsys, *argv)[0] == code

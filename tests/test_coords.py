@@ -232,6 +232,20 @@ def test_custom_rejects_a_base_or_box_value_that_names_no_number(base, interval,
     assert str(info.value).startswith(message)
 
 
+@pytest.mark.parametrize("text", ["1e100000000", "-1E-100000000", " 2.5e10_001 "])
+def test_custom_refuses_a_base_coordinate_whose_exponent_is_past_the_budget(text):
+    # Fraction reads 1e100000000 in time that grows with the exponent.
+    with pytest.raises(ValidationError) as info:
+        custom(("u", "v", "w"), ("1", "1", "1"), (text, 0, 0), ((-1, 1),) * 3)
+    assert str(info.value) == (
+        "base point must be rational: a decimal exponent past 10000 exceeds the budget")
+
+
+def test_custom_reads_a_base_coordinate_whose_exponent_is_the_budget():
+    system = custom(("u", "v", "w"), ("1", "1", "1"), ("1e10000", 0, 0), ((-1, 1),) * 3)
+    assert system.base_point[0] == 10 ** 10000
+
+
 def test_custom_reads_base_and_box_given_as_text():
     system = custom(("u", "v", "w"), ("1", "1", "1"), ("1/2", " 0", "-3"),
                     (("-1", "1e0"), ("0", "1"), (" -2 ", "2")))

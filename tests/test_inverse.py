@@ -286,6 +286,21 @@ def test_a_value_that_names_no_rational_is_a_validation_error(build, message):
     assert str(info.value).startswith(message)
 
 
+@pytest.mark.parametrize("build,what,text", [
+    (lambda text: DivergenceWeights(text, 0, 0), "weight", "1e100000000"),
+    (lambda text: CurlWeights("1/3", text), "weight", "-1E-100000000"),
+    (lambda text: BasePoint(0, text, 0), "base coordinate", "2.5e10_001"),
+    (lambda text: BasePoint(0, 0, 0, text), "constant", "1e\u0663\u0663\u0663\u0663\u0663\u0663"),
+])
+def test_a_decimal_exponent_past_the_budget_is_refused_before_it_is_read(build, what, text):
+    # Fraction reads 1e100000000 in time that grows with the exponent; an
+    # exponent of 10000 or less is read (see the 1e5000 weights above).
+    with pytest.raises(ValidationError) as info:
+        build(text)
+    assert str(info.value) == (
+        f"bad {what} {text!r}: a decimal exponent past 10000 exceeds the budget")
+
+
 def test_inverse_divergence_round_trip_on_random_fields():
     rng = random.Random(34)
     for system in (CARTESIAN, CYLINDRICAL):
