@@ -26,6 +26,7 @@ from typing import Union
 
 from .errors import NotIntegrable, UnsupportedExpression
 from .expr import (
+    _LOG10_2,
     _ONE,
     CanonicalForm,
     Expression,
@@ -188,12 +189,26 @@ def _not_integrable(form: CanonicalForm, name: str, first: str | None = None) ->
         terms = sorted(terms, key=lambda t: not factors_contain(t[0], first))
     factors, coefficient = next(t for t in terms if _integrate_term(*t, name) is None)
     offender = CanonicalForm({factors: coefficient})
+    try:
+        shown = render(offender)
+    except UnsupportedExpression:  # a number past the interpreter's digit limit
+        digits = int(_widest(factors, coefficient).bit_length() * _LOG10_2) + 1
+        shown = f"with a number of about {digits} digits"
     return NotIntegrable(
-        f"term {render(offender)} has no antiderivative in {name} "
-        "within the supported class",
+        f"term {shown} has no antiderivative in {name} within the supported class",
         term=offender,
         variable=name,
     )
+
+
+def _widest(factors: tuple, coefficient: tuple) -> int:
+    """The largest magnitude among the numbers a term renders, at any depth."""
+    numbers = [abs(coefficient[0]), coefficient[1]]
+    for atom, e in factors:
+        numbers.append(abs(e))
+        if atom.__class__ is not str:
+            numbers.extend(_widest(*term) for term in atom.argument.items())
+    return max(numbers)
 
 
 def weighted_split_integral(

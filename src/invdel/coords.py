@@ -8,6 +8,10 @@ coordinates are treated as plain real variables: constructed potentials are
 valid on the local chart, not glued across the 2*pi seam.  Scale factors
 are held as canonical forms; the builtin systems are built and validated
 once, when the module loads.
+
+A system keeps a metric table, out of its ``==``, hash, repr and pickling:
+h_j*h_k, (h1*h2)*h3 and their reciprocals and those of each h_i, each formed
+once, when first asked for.  A failure is not kept but raised at every call.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .expr import (
     check_variable_name,
     eval_numeric,
     free_variables,
+    reciprocal,
     substitute_all,
 )
 from .parser import parse
@@ -51,7 +56,8 @@ class CoordinateSystem(Frozen):
     ints, Fractions or text, and box bounds numbers or text; one that names
     no number is a ValidationError, like every other bad argument."""
 
-    __slots__ = ("names", "scale_factors", "base_point", "sampling_box", "label")
+    _fields = ("names", "scale_factors", "base_point", "sampling_box", "label")
+    __slots__ = _fields + ("_table",)
 
     def __init__(
         self,
@@ -118,7 +124,32 @@ class CoordinateSystem(Frozen):
                 raise ValidationError(f"h{i} undefined at the base point") from None
             if vanishes:
                 raise ValidationError(f"h{i} vanishes at the base point")
-        self._init(names, tuple(forms), base, tuple(box), label)
+        self._init(names, tuple(forms), base, tuple(box), label, {})
+
+    def _entry(self, key, build):
+        table = self._table
+        return table[key] if key in table else table.setdefault(key, build())
+
+    def pair(self, i: int) -> CanonicalForm:
+        """h_j*h_k for the cycle (i, j, k)."""
+        h = self.scale_factors
+        return self._entry(("pair", i), lambda: h[(i + 1) % 3] * h[(i + 2) % 3])
+
+    def jacobian(self) -> CanonicalForm:
+        """(h1*h2)*h3."""
+        return self._entry("jacobian", lambda: self.pair(2) * self.scale_factors[2])
+
+    def inverse_scale(self, i: int) -> CanonicalForm:
+        """1/h_i."""
+        return self._entry(("1/h", i), lambda: reciprocal(self.scale_factors[i]))
+
+    def inverse_pair(self, i: int) -> CanonicalForm:
+        """1/(h_j*h_k) for the cycle (i, j, k)."""
+        return self._entry(("1/pair", i), lambda: reciprocal(self.pair(i)))
+
+    def inverse_jacobian(self) -> CanonicalForm:
+        """1/((h1*h2)*h3)."""
+        return self._entry("1/jacobian", lambda: reciprocal(self.jacobian()))
 
 
 # ``builtin`` hands out these shared instances, which are immutable.

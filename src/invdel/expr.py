@@ -49,19 +49,29 @@ _set = object.__setattr__
 
 
 class Frozen:
-    """Immutable value: field-wise ``==`` within one class, hash and a
-    ``Name(field=value, ...)`` repr over its ``__slots__``, which ``__init__``
-    fills through ``object.__setattr__``.  Assigning or deleting a field raises
-    the standard ``FrozenInstanceError``, whose module is imported only then."""
+    """Immutable value: field-wise ``==`` within one class, hash, pickling and
+    repr over its ``_fields`` (its ``__slots__`` unless it names fewer);
+    ``__init__`` fills the slots through ``object.__setattr__``.  Assigning or
+    deleting a field raises ``FrozenInstanceError``, imported only then."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def _init(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
             _set(self, name, value)
+
+    @classmethod
+    def _built(cls, *values):
+        """An instance of values built from checked ones, left unchecked."""
+        value = cls.__new__(cls)
+        value._init(*values)
+        return value
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -72,7 +82,7 @@ class Frozen:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
@@ -185,14 +195,12 @@ class FunctionAtom(Frozen):
     """
 
     __slots__ = ("tag", "argument", "key")
+    _fields = ("tag", "argument")
 
     def __init__(self, tag: str, argument: "CanonicalForm"):
         _set(self, "tag", tag)
         _set(self, "argument", argument)
         _set(self, "key", (tag, 1, _form_key(argument)))
-
-    def _values(self) -> tuple:
-        return (self.tag, self.argument)
 
     def __eq__(self, other):
         if other.__class__ is not FunctionAtom:

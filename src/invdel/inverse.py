@@ -34,14 +34,16 @@ The gates and the self-check compare numerators (``vecops.flux`` and
 sum_i d(c_i)/du_i to be zero and checks d(h_k*A_k)/du_j - d(h_j*A_j)/du_k
 == c_i, and inverse gradient requires the curl numerators of A to be zero.
 Each is exact, since the divergence or curl component is its numerator
-times 1/(h1*h2*h3) or 1/(h_j*h_k), a single invertible term.  The
-reciprocals are still formed where the forward operators form them, so a
-multi-term scale factor fails a gate before the construction runs and
-errors come in the forward operators' order.  No product of a reciprocal
-and a numerator is formed, so none is estimated against the coefficient
+times 1/(h1*h2*h3) or 1/(h_j*h_k), a single invertible term, read from the
+system's metric table where the forward operators read it; a failed one is
+raised at every call, so a multi-term scale factor fails a gate before the
+construction runs and errors come in the forward operators' order.  No
+product of a reciprocal and a numerator is formed, so none is estimated
+against the coefficient
 budget: ``divergence``, ``curl`` and ``roundtrip_residual``, which form
 them, run only to build the residual of a failure.  The c_i are formed
-once, for the gate and the assembly.
+once, for the gate and the assembly.  Results are built from the checked
+input, so they are made with ``_built``, unchecked.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ from .expr import (
     _fraction,
     eval_numeric,
     free_variables,
-    reciprocal,
     substitute_all,
 )
 from .parser import render
@@ -140,12 +141,9 @@ class BasePoint(Frozen):
                    _rational(c0, "constant"))
 
 
-def curl_integrands(
-    B: VectorField,
-) -> tuple[CanonicalForm, CanonicalForm, CanonicalForm]:
+def curl_integrands(B: VectorField) -> tuple[CanonicalForm, CanonicalForm, CanonicalForm]:
     """The cyclic products c_i = h_j * h_k * B_i."""
-    h = B.system.scale_factors
-    return tuple(h[j] * h[k] * B.components[i] for i, j, k in CYCLES)
+    return tuple(B.system.pair(i) * c for i, c in enumerate(B.components))
 
 
 def curl_potential_formula(
@@ -155,7 +153,6 @@ def curl_potential_formula(
     ``integrands`` are B's ``curl_integrands`` when the caller has them."""
     system = B.system
     u = system.names
-    h = system.scale_factors
     c = curl_integrands(B) if integrands is None else integrands
     acc = ({}, {}, {})
     checks = [None, None, None]
@@ -171,7 +168,7 @@ def curl_potential_formula(
                     c[m], u[m], weights.w_plus, weights.w_minus,
                     ((u[after], acc[before], False), (u[before], acc[after], True)))
             checks[m](side)
-        comps.append(reciprocal(h[i]) * CanonicalForm(acc[i]))
+        comps.append(system.inverse_scale(i) * CanonicalForm(acc[i]))
     return VectorField._built(tuple(comps), system)
 
 
@@ -183,10 +180,9 @@ def inverse_curl(B: VectorField) -> VectorField:
     result does not match the input.
     """
     c, numerator = flux(B)
-    h = B.system.scale_factors
     # div(B) is this reciprocal times the flux; it must exist even where the
     # flux is zero.
-    scale = reciprocal(h[0] * h[1] * h[2])
+    scale = B.system.inverse_jacobian()
     if not numerator.is_zero():
         residual = scale * numerator
         raise NotSolenoidal(
@@ -211,7 +207,7 @@ def _check_roundtrip(A: VectorField, B: VectorField, integrands) -> None:
         raise ConstructionFailed(
             "curl of the constructed potential does not reproduce the input; "
             "residual (" + ", ".join(render(d) for d in diffs) + ")",
-            residual=VectorField(diffs, A.system),
+            residual=VectorField._built(diffs, A.system),
         )
 
 
@@ -236,16 +232,15 @@ def inverse_divergence(
     w = (weights or DivergenceWeights.symmetric()).as_tuple()
     system = f.system
     u = system.names
-    h = system.scale_factors
-    source = h[0] * h[1] * h[2] * f.value
+    source = system.jacobian() * f.value
     comps = []
-    for i, j, k in CYCLES:
+    for i in range(3):
         if w[i] == 0:
             comps.append(ZERO_FORM)
             continue
         integral = antidifferentiate(source, u[i])
-        comps.append(reciprocal(h[j] * h[k]) * integral * w[i])
-    return VectorField(tuple(comps), system)
+        comps.append(system.inverse_pair(i) * integral * w[i])
+    return VectorField._built(tuple(comps), system)
 
 
 def inverse_gradient(A: VectorField, base: Optional[BasePoint] = None) -> ScalarField:
@@ -277,21 +272,21 @@ def inverse_gradient_unchecked(
 
 def _path_integral(A: VectorField, base: Optional[BasePoint]) -> ScalarField:
     system = A.system
-    base = base or BasePoint(*system.base_point)
+    a, b, c, c0 = (*system.base_point, 0) if base is None else (base.a, base.b, base.c, base.c0)
     u1, u2, u3 = system.names
     h = system.scale_factors
     along = [h[i] * A.components[i] for i in range(3)]
 
-    g3 = _at_base(along[2], {u1: base.a, u2: base.b})
-    segment3 = _definite(g3, u3, base.c)
+    g3 = _at_base(along[2], {u1: a, u2: b})
+    segment3 = _definite(g3, u3, c)
 
-    g2 = _at_base(along[1], {u1: base.a})
-    segment2 = _definite(g2, u2, base.b)
+    g2 = _at_base(along[1], {u1: a})
+    segment2 = _definite(g2, u2, b)
 
-    segment1 = _definite(along[0], u1, base.a)
+    segment1 = _definite(along[0], u1, a)
 
-    value = segment1 + segment2 + segment3 + base.c0
-    return ScalarField(value, system)
+    value = segment1 + segment2 + segment3 + c0
+    return ScalarField._built(value, system)
 
 
 def _definite(integrand: CanonicalForm, name: str, lower: Fraction) -> CanonicalForm:
@@ -358,5 +353,5 @@ def _shifted(A: VectorField, gauge, forward, what: str) -> VectorField:
     """A plus ``forward(gauge)``, a gradient or curl, in A's system."""
     if gauge.system != A.system:
         raise ValidationError(f"{what} lives in a different coordinate system")
-    shift = forward(gauge)
-    return VectorField(tuple(a + s for a, s in zip(A.components, shift.components)), A.system)
+    shift = forward(gauge).components
+    return VectorField._built(tuple(a + s for a, s in zip(A.components, shift)), A.system)

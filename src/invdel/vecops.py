@@ -9,11 +9,13 @@ With coordinates u1,u2,u3 and scale factors h1,h2,h3:
 ``flux`` and ``curl_numerators`` give the sums before the reciprocal
 factor, which is all the inverse operators' gates and self-check test.
 
-A field is its canonical forms plus its system; a variable outside the
-system is a ValidationError.  The operators combine the forms with form
-arithmetic and ``differentiate`` and return forms.  Division by scale
-factors is multiplication by the canonical reciprocal, which exists only
-for single-term factors; anything else raises UnsupportedExpression.
+A field is its canonical forms plus its system; the public constructors
+alone check it, and a variable outside the system is a ValidationError.
+The operators combine the forms with form arithmetic and ``differentiate``
+and return fields made with ``_built``, unchecked.  Division by scale
+factors is multiplication by a reciprocal from the system's metric table,
+which exists only for single-term factors; anything else raises
+UnsupportedExpression.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .expr import (
     Frozen,
     canonicalize,
     free_variables,
-    reciprocal,
     sum_forms,
 )
 from .calculus import differentiate
@@ -57,13 +58,6 @@ class VectorField(Frozen):
         _check_variables(components, system)
         self._init(tuple(canonicalize(c) for c in components), system)
 
-    @classmethod
-    def _built(cls, components: tuple, system: CoordinateSystem) -> "VectorField":
-        """A field of forms built from the system's own, left unchecked."""
-        field = cls.__new__(cls)
-        field._init(components, system)
-        return field
-
 
 class ScalarField(Frozen):
     """A scalar in a coordinate system, held as a canonical form."""
@@ -86,10 +80,9 @@ def rendered(value) -> list[str]:
 def gradient(f: ScalarField) -> VectorField:
     """Component-wise (1/h_i) * df/du_i."""
     system = f.system
-    comps = tuple(
-        reciprocal(h) * differentiate(f.value, name)
-        for name, h in zip(system.names, system.scale_factors))
-    return VectorField(comps, system)
+    comps = tuple(system.inverse_scale(i) * differentiate(f.value, name)
+                  for i, name in enumerate(system.names))
+    return VectorField._built(comps, system)
 
 
 def flux(A: VectorField) -> tuple[tuple[CanonicalForm, ...], CanonicalForm]:
@@ -97,21 +90,19 @@ def flux(A: VectorField) -> tuple[tuple[CanonicalForm, ...], CanonicalForm]:
     sum_i dc_i/du_i, which is h1*h2*h3 times div(A).  Each product is
     differentiated as soon as it is formed, so a failure is the first one
     ``divergence`` meets."""
-    h = A.system.scale_factors
-    u = A.system.names
+    system = A.system
     products = []
     derivatives = []
-    for i, j, k in CYCLES:
-        products.append(h[j] * h[k] * A.components[i])
-        derivatives.append(differentiate(products[-1], u[i]))
+    for i, u in enumerate(system.names):
+        products.append(system.pair(i) * A.components[i])
+        derivatives.append(differentiate(products[-1], u))
     return tuple(products), sum_forms(derivatives)
 
 
 def divergence(A: VectorField) -> CanonicalForm:
     """Scalar divergence; exact, with the 1/(h1*h2*h3) factor expanded."""
-    h = A.system.scale_factors
     numerator = flux(A)[1]  # before the reciprocal, whose failure comes second
-    return reciprocal(h[0] * h[1] * h[2]) * numerator
+    return A.system.inverse_jacobian() * numerator
 
 
 def curl_numerators(A: VectorField):
@@ -124,10 +115,10 @@ def curl_numerators(A: VectorField):
     for i, j, k in CYCLES:
         numerator = (differentiate(h[k] * A.components[k], u[j])
                      - differentiate(h[j] * A.components[j], u[k]))
-        yield reciprocal(h[j] * h[k]), numerator
+        yield A.system.inverse_pair(i), numerator
 
 
 def curl(A: VectorField) -> VectorField:
     """Curl of the field, one cyclic determinant row per component."""
     comps = tuple(scale * numerator for scale, numerator in curl_numerators(A))
-    return VectorField(comps, A.system)
+    return VectorField._built(comps, A.system)

@@ -77,10 +77,10 @@ MUTANTS = (
      "    if False:",
      "the conservative gate is dropped"),
     ("inverse.py",
-     "    scale = reciprocal(h[0] * h[1] * h[2])\n    if not numerator.is_zero():\n"
+     "    scale = B.system.inverse_jacobian()\n    if not numerator.is_zero():\n"
      "        residual = scale * numerator",
      "    if not numerator.is_zero():\n"
-     "        residual = reciprocal(h[0] * h[1] * h[2]) * numerator",
+     "        residual = B.system.inverse_jacobian() * numerator",
      "a multi-term scale factor no longer fails the solenoidal gate first"),
     ("calculus.py", "if place is not None or atom.tag", "if atom.tag",
      "a power of the variable times a carrier is integrated"),
@@ -127,6 +127,16 @@ MUTANTS = (
      "the deferred (c1, u0) slot is checked first"),
     ("expr.py", "int(digits or 0) > MAX_POWER_DIGITS", "int(digits or 0) > 10 * MAX_POWER_DIGITS",
      "the decimal-exponent bound grows tenfold"),
+    ("coords.py", "lambda: h[(i + 1) % 3] * h[(i + 2) % 3]", "lambda: h[i] * h[(i + 1) % 3]",
+     "pair(i) takes the cycle of i - 1"),
+    ("coords.py", 'self._entry(("1/pair", i)', 'self._entry(("pair", i)',
+     "pair(i) and its reciprocal share one table key"),
+    ("inverse.py", "(*system.base_point, 0) if base is None",
+     "(*system.base_point[1:], system.base_point[0], 0) if base is None",
+     "the default base point is rotated"),
+    ("calculus.py", "int(_widest(factors, coefficient).bit_length()",
+     "int(abs(coefficient[0]).bit_length()",
+     "a refusal past the digit limit counts the coefficient's numerator only"),
 )
 
 # Seconds one pytest run may take.

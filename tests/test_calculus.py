@@ -187,6 +187,23 @@ def test_refusal_renders_its_term_once(monkeypatch):
     assert calls == [info.value.term]
 
 
+@pytest.mark.parametrize("text,where", [
+    ("2^20000*x*sin(x)", "coefficient"),
+    ("x*sin(x)/3^13000", "denominator"),
+    ("x*sin(2^20000*x)", "function argument"),
+    ("x*sin(x*exp(y/2^20000))", "nested argument"),
+])
+def test_refusal_past_the_digit_limit_names_its_term_by_digit_count(text, where):
+    # The term cannot be rendered, so its widest number is named by its size.
+    form = parse(text)
+    with pytest.raises(NotIntegrable) as info:
+        antidifferentiate(form, "x")
+    assert (info.value.term, info.value.variable) == (form, "x"), where
+    digits = 6203 if "3^" in text else 6021
+    assert str(info.value) == (f"term with a number of about {digits} digits has no "
+                               "antiderivative in x within the supported class")
+
+
 @pytest.mark.parametrize("text,w_plus,w_minus", [
     # The part holding the split variable y is refused with weight zero.
     ("y*sin(z^2) + x*z", 0, 1),

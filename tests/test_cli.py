@@ -445,6 +445,19 @@ def test_coefficient_past_the_digit_limit_exits_4_without_a_traceback(fmt):
         assert done.stderr == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_refusal_past_the_digit_limit_exits_4_as_not_integrable(fmt):
+    done = run_cli("inv-div", "--format", fmt, "2^20000*x*sin(x)")
+    assert done.returncode == 4
+    assert "Traceback" not in done.stderr
+    error = ("NotIntegrable: term with a number of about 6021 digits has no "
+             "antiderivative in x within the supported class")
+    if fmt == "json":
+        assert json.loads(done.stdout)["error"] == error
+    else:
+        assert done.stderr == f"error: {error}\n"
+
+
 @pytest.mark.parametrize("text", ["x + q - q", "x + 0*q", "x*q^0"])
 def test_foreign_variable_that_cancels_is_accepted(capsys, text):
     # Fields are checked on the parsed canonical form, in which q is gone.

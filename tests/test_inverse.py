@@ -361,6 +361,20 @@ def test_singular_base_point_is_detected():
         inverse_gradient(vec(CARTESIAN, "x^-1", "0", "0"))
 
 
+@pytest.mark.parametrize("system,source,potential", [
+    (builtin("cylindrical"), "rho^2 + z", "rho^2 + z - 1"),
+    (builtin("spherical"), "r*theta", "r*theta - 1"),
+    (custom(("u", "v", "w"), ("1", "1", "1"), (1, 2, 3), ((-2, 2),) * 3),
+     "u + 10*v + 100*w", "u + 10*v + 100*w - 321"),
+])
+def test_inverse_gradient_starts_at_the_system_base_point(system, source, potential):
+    # With no base given the path starts at the system's base point, in
+    # coordinate order, with the constant 0.
+    A = gradient(ScalarField(parse(source), system))
+    assert inverse_gradient(A).value == parse(potential)
+    assert inverse_gradient(A) == inverse_gradient(A, BasePoint(*system.base_point))
+
+
 def test_inverse_gradient_in_spherical():
     phi = inverse_gradient(vec(SPHERICAL, "2*r", "0", "0"))
     difference = canonicalize(phi.value - parse("r^2"))
