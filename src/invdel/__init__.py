@@ -11,7 +11,6 @@ the symbolic check passes.
 from .calculus import (
     SplitPair,
     antidifferentiate,
-    contains_variable,
     differentiate,
     split_by_variable,
     weighted_split_integral,
@@ -101,7 +100,6 @@ __all__ = [
     "antidifferentiate",
     "builtin",
     "canonicalize",
-    "contains_variable",
     "cos",
     "curl",
     "curl_integrands",

@@ -57,12 +57,6 @@ class SplitPair(Frozen):
         self._init(plus_part, minus_part)
 
 
-def contains_variable(expression: Expression, name: str) -> bool:
-    """True iff the variable survives in the canonical form, including
-    occurrences inside function arguments."""
-    return form_contains(canonicalize(expression), name)
-
-
 def split_by_variable(expression: Expression, name: str) -> SplitPair:
     """Partition the canonical terms by whether they contain the variable.
 

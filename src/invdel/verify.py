@@ -94,13 +94,16 @@ def roundtrip_report(
 
     ``result`` may carry an already-computed (possibly gauge-shifted)
     inverse, and then ``weights`` and ``base`` are not used; otherwise the
-    inverse operator runs here and its errors propagate unchanged.
+    inverse operator runs here and its errors propagate unchanged.  A
+    ``result`` of another field type or in another system than ``field``'s
+    is a ``ValidationError``.
     """
     if kind not in KINDS:
         raise ValidationError(f"unknown verification kind {kind!r}")
     if samples < 1:
         raise ValidationError("sample count must be positive")
 
+    system = field.system
     if result is None:
         if kind == "inv_curl":
             result = inverse_curl(field)
@@ -108,13 +111,16 @@ def roundtrip_report(
             result = inverse_divergence(field, weights)
         else:
             result = inverse_gradient(field, base)
-    system = field.system
+    elif not isinstance(result, ScalarField if kind == "inv_grad" else VectorField):
+        raise ValidationError(f"{type(result).__name__} is not an {kind} result")
+    elif result.system is not system and result.system != system:
+        raise ValidationError("result lives in a different coordinate system")
     residual_forms = roundtrip_residual(kind, field, result)
     symbolic_equal = all(form.is_zero() for form in residual_forms)
     if kind == "inv_div":
         reference, residual = (field.value,), residual_forms[0]
     else:
-        reference, residual = field.components, VectorField(residual_forms, system)
+        reference, residual = field.components, VectorField._built(residual_forms, system)
 
     draw = random.Random(seed).random
     box = system.sampling_box

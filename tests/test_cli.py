@@ -1,11 +1,7 @@
 """End-to-end command-line tests driven through main()."""
 
 import json
-import os
 import re
-import subprocess
-import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -327,75 +323,8 @@ def test_the_readme_exit_table_is_each_error_types_exit_code():
         assert getattr(invdel, name).exit_code == 1, name
 
 
-@pytest.mark.parametrize("command", ["curl", "inv-curl"])
-def test_deep_nesting_exits_2_without_a_traceback(command):
-    deep = "(" * 2000 + "x" + ")" * 2000
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-m", "invdel.cli", command, deep, "0", "0"],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 2
-    assert "Traceback" not in done.stderr
-    assert "SourceError: at offset 100" in done.stderr
-
-
-def run_cli(*argv):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-m", "invdel.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
-
-
-@pytest.mark.parametrize("argv,offset", [
-    (["inv-div", "²"], 0),
-    (["curl", "x^²", "0", "0"], 2),
-    (["inv-div", "x + ٣"], 4),
-])
-def test_non_ascii_digits_exit_2_without_a_traceback(argv, offset):
-    done = run_cli(*argv)
-    assert done.returncode == 2
-    assert "Traceback" not in done.stderr
-    assert f"SourceError: at offset {offset}: expected a token" in done.stderr
-
-
 EXHAUSTED = ("error: SamplingExhausted: more than 1000 sample points fell outside "
              "the domain\n")
-
-
-def test_coefficient_beyond_the_float_range_exits_1_without_a_traceback():
-    # A form with such a coefficient has no float value at any point, so
-    # every point drawn for it is resampled until the sampling gives up.
-    done = run_cli("verify", "inv-div", "7" * 400 + "*x")
-    assert done.returncode == 1
-    assert "Traceback" not in done.stderr
-    assert done.stderr == EXHAUSTED
-
-
-def test_coefficient_overflow_inside_a_function_is_resampled_per_point():
-    # The inverse and the symbolic check succeed; the input's plan has a
-    # coefficient past the float range inside exp, so no point has a value.
-    done = run_cli("verify", "inv-div", "exp(10^400)")
-    assert done.returncode == 1
-    assert "Traceback" not in done.stderr
-    assert done.stderr == EXHAUSTED
-    done = run_cli("inv-div", "exp(10^400)")
-    big = "exp(1" + "0" * 400 + ")"
-    assert (done.returncode, done.stdout) == (
-        0, f"e1: {big}*x/3\ne2: {big}*y/3\ne3: {big}*z/3\n")
-
-
-@pytest.mark.parametrize("text,resamples", [
-    # The first sum is inf - inf where y is large, the second overflows.
-    ("exp(300*y)*exp(301*y) - exp(300*y)*exp(302*y)", 26),
-    ("10^308*y + 10^308*z", 34),
-])
-def test_sum_outside_the_float_range_is_resampled_without_a_traceback(text, resamples):
-    done = run_cli("verify", "inv-div", text, "--weights", "1,0,0")
-    assert done.returncode == 0
-    assert "Traceback" not in done.stderr
-    assert done.stdout.splitlines()[-1] == (
-        "verify: symbolic_equal=True within_tolerance=True samples=100 seed=42 "
-        f"max_abs_error=0.0 max_rel_error=0.0 resamples={resamples}")
 
 
 def test_sampling_gives_up_past_ten_times_the_sample_count(capsys):
@@ -410,95 +339,11 @@ def test_sampling_gives_up_past_ten_times_the_sample_count(capsys):
         1, "", EXHAUSTED)
 
 
-def test_expansion_past_the_budget_exits_4_promptly():
-    started = time.monotonic()
-    done = run_cli("grad", "(x+y+z+1)^60")
-    assert time.monotonic() - started < 5
-    assert done.returncode == 4
-    assert "Traceback" not in done.stderr
-    assert "exceeds the budget of 100000 term pairs" in done.stderr
-
-
-@pytest.mark.parametrize("argv,offset", [
-    (["inv-div", "7" * 5000 + "*x"], 0),
-    (["curl", "x^" + "7" * 5000, "0", "0"], 2),
-])
-def test_integer_past_the_digit_limit_exits_2_without_a_traceback(argv, offset):
-    done = run_cli(*argv)
-    assert done.returncode == 2
-    assert "Traceback" not in done.stderr
-    assert done.stderr == (
-        f"error: SourceError: at offset {offset}: expected an integer within the "
-        "interpreter's digit limit, found a 5000-digit integer\n")
-
-
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_coefficient_past_the_digit_limit_exits_4_without_a_traceback(fmt):
-    done = run_cli("grad", "--format", fmt, "(2*x)^20000")
-    assert done.returncode == 4
-    assert "Traceback" not in done.stderr
-    error = ("UnsupportedExpression: rendering a number of about 6026 digits "
-             "exceeds the interpreter's digit limit")
-    if fmt == "json":
-        assert json.loads(done.stdout)["error"] == error
-    else:
-        assert done.stderr == f"error: {error}\n"
-
-
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_refusal_past_the_digit_limit_exits_4_as_not_integrable(fmt):
-    done = run_cli("inv-div", "--format", fmt, "2^20000*x*sin(x)")
-    assert done.returncode == 4
-    assert "Traceback" not in done.stderr
-    error = ("NotIntegrable: term with a number of about 6021 digits has no "
-             "antiderivative in x within the supported class")
-    if fmt == "json":
-        assert json.loads(done.stdout)["error"] == error
-    else:
-        assert done.stderr == f"error: {error}\n"
-
-
 @pytest.mark.parametrize("text", ["x + q - q", "x + 0*q", "x*q^0"])
 def test_foreign_variable_that_cancels_is_accepted(capsys, text):
     # Fields are checked on the parsed canonical form, in which q is gone.
     code, out, err = run(capsys, "grad", text)
     assert (code, out, err) == (0, "e1: 1\ne2: 0\ne3: 0\n", "")
-
-
-@pytest.mark.parametrize("command", ["grad", "inv-div"])
-@pytest.mark.parametrize("text", ["3^10000000", "x*(7/3)^3000000"])
-def test_coefficient_power_past_the_budget_exits_4_promptly(command, text):
-    started = time.monotonic()
-    done = run_cli(command, text)
-    assert time.monotonic() - started < 1
-    assert done.returncode == 4
-    assert "Traceback" not in done.stderr
-    assert done.stderr == ("error: UnsupportedExpression: a coefficient power of "
-                           "more than 10000 digits exceeds the budget\n")
-
-
-def test_coefficient_product_past_the_budget_exits_4_promptly():
-    # The power of a sum is multiplied out; its coefficient products are
-    # estimated before they are formed.
-    started = time.monotonic()
-    done = run_cli("grad", "(2^9000*x + 1)^300")
-    assert time.monotonic() - started < 1
-    assert done.returncode == 4
-    assert "Traceback" not in done.stderr
-    assert done.stderr == ("error: UnsupportedExpression: a coefficient product of "
-                           "more than 10000 digits exceeds the budget\n")
-
-
-def test_coefficient_chain_past_the_budget_exits_4_promptly():
-    # The coefficients of single-term factors are estimated one product at a
-    # time: the third factor (7/3)^4000 would take the product past the budget.
-    started = time.monotonic()
-    done = run_cli("grad", "*".join(["(7/3)^4000"] * 300))
-    assert time.monotonic() - started < 1
-    assert done.returncode == 4
-    assert "Traceback" not in done.stderr
-    assert done.stderr == ("error: UnsupportedExpression: a coefficient product of "
-                           "more than 10000 digits exceeds the budget\n")
 
 
 def test_construction_failure_exits_5(capsys, monkeypatch):

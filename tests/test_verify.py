@@ -11,6 +11,7 @@ from invdel import (
     VectorField,
     builtin,
     curl,
+    custom,
     gradient,
     inverse_curl,
     inverse_divergence,
@@ -170,6 +171,22 @@ def test_unknown_kind_is_rejected():
         roundtrip_report("inverse-curl", vec(CARTESIAN, "0", "0", "0"))
     with pytest.raises(ValidationError):
         roundtrip_report("inv_curl", vec(CARTESIAN, "0", "0", "0"), samples=0)
+
+
+def test_a_result_from_another_system_is_rejected():
+    # Unit scale factors, but not cylindrical's: in B's system curl(A) is
+    # (0, 0, 3*rho/2 + 1), while A's own system would read back B exactly.
+    B = vec(builtin("cylindrical"), "0", "0", "2*rho")
+    unit = custom(("rho", "phi", "z"), ("1",) * 3, (1, 0, 0), ((0.5, 2), (0.1, 3), (-2, 2)))
+    A = inverse_curl(VectorField(B.components, unit))
+    with pytest.raises(ValidationError, match="^result lives in a different coordinate system$"):
+        roundtrip_report("inv_curl", B, result=A)
+
+
+def test_a_result_of_another_field_type_is_rejected():
+    with pytest.raises(ValidationError, match="^ScalarField is not an inv_curl result$"):
+        roundtrip_report("inv_curl", vec(CARTESIAN, "y", "z", "x"),
+                         result=ScalarField(parse("x"), CARTESIAN))
 
 
 def test_random_round_trips_stay_within_tolerance():
