@@ -2,7 +2,8 @@
 orthogonal curvilinear coordinates.
 
 The package builds exact antiderivative-based potentials for vector and
-scalar fields.  Only ``inverse_curl`` checks its result against the forward
+scalar fields; ``construct(kind, ...)`` runs any of the three by kind.
+Only the inverse curl checks its result against the forward
 operator; the others are checked by ``roundtrip_report`` (``--verify``),
 whose numeric channel samples the canonical residual and so reads 0 whenever
 the symbolic check passes.
@@ -51,15 +52,14 @@ from .inverse import (
     BasePoint,
     CurlWeights,
     DivergenceWeights,
+    construct,
     curl_integrands,
     curl_potential_formula,
     gauge_shift_curl,
     gauge_shift_div,
     inverse_curl,
-    inverse_curl_unchecked,
     inverse_divergence,
     inverse_gradient,
-    inverse_gradient_unchecked,
 )
 from .parser import parse, render
 from .vecops import ScalarField, VectorField, curl, divergence, gradient
@@ -100,6 +100,7 @@ __all__ = [
     "antidifferentiate",
     "builtin",
     "canonicalize",
+    "construct",
     "cos",
     "curl",
     "curl_integrands",
@@ -115,10 +116,8 @@ __all__ = [
     "gauge_shift_div",
     "gradient",
     "inverse_curl",
-    "inverse_curl_unchecked",
     "inverse_divergence",
     "inverse_gradient",
-    "inverse_gradient_unchecked",
     "is_conservative",
     "is_solenoidal",
     "is_zero",

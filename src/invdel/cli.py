@@ -4,7 +4,8 @@ Commands: curl, div, grad, inv-curl, inv-div, inv-grad, verify.  Each
 keeps its expressions in one list, ``texts``.  One runner, ``_run``, serves
 them all: it parses the field of the command's kind (``verify KIND`` runs
 as ``KIND --verify``), applies the kind's operator and renders the result
-as parts with ``vecops.rendered``, as the verification report does.
+as parts with ``vecops.rendered``, as the verification report does.  An
+inverse kind's operator is ``inverse.construct``.
 
 The CLI only splits its input: each value type reads its own text
 (``DivergenceWeights``, ``BasePoint``, ``CoordinateSystem``) and raises
@@ -24,17 +25,7 @@ from typing import Optional, Sequence
 
 from .coords import BUILTIN_NAMES, CoordinateSystem, builtin, custom
 from .errors import InvdelError, ValidationError
-from .inverse import (
-    BasePoint,
-    DivergenceWeights,
-    gauge_shift_curl,
-    gauge_shift_div,
-    inverse_curl,
-    inverse_curl_unchecked,
-    inverse_divergence,
-    inverse_gradient,
-    inverse_gradient_unchecked,
-)
+from .inverse import BasePoint, DivergenceWeights, construct, gauge_shift_curl, gauge_shift_div
 from .parser import parse
 from .vecops import ScalarField, VectorField, curl, divergence, gradient, rendered
 from .verify import roundtrip_report
@@ -189,30 +180,26 @@ def _run(ns: argparse.Namespace, system: CoordinateSystem, payload: dict) -> Non
         raise ValidationError(f"verify {kind} takes three component expressions")
     else:
         field = _vector(texts, system)
-    # The operators are looked up here, at call time, so that a rebinding of
-    # these module names (as a tracer makes) is seen.
+    # Forward operators are looked up here, at call time, and inverse ones in
+    # ``construct``, so that a rebinding of them (as a tracer makes) is seen.
     forward = {"curl": curl, "div": divergence, "grad": gradient}
     if kind in forward:
         payload["result"] = rendered(forward[kind](field))
         return
 
     # The kind's own options, read after its field is parsed.
-    options = {}
+    weights = base = None
     if kind == "inv-div" and ns.weights is not None:
-        options["weights"] = DivergenceWeights(*_three(ns.weights, "weight"))
+        weights = DivergenceWeights(*_three(ns.weights, "weight"))
     elif kind == "inv-grad":
-        options["base"] = _base_arg(ns, system)
-    if ns.unchecked:
-        unchecked = {"inv-curl": inverse_curl_unchecked,
-                     "inv-grad": inverse_gradient_unchecked}[kind]
-        result, residual = unchecked(field, **options)
+        base = _base_arg(ns, system)
+    kind = kind.replace("-", "_")
+    result, residual = construct(kind, field, weights=weights, base=base,
+                                 unchecked=ns.unchecked)
+    if residual is not None:
         parts = rendered(residual)
         # A divergence residual is one bare form, a curl residual a triple.
         payload["residual"] = parts if isinstance(residual, VectorField) else parts[0]
-    else:
-        construct = {"inv-curl": inverse_curl, "inv-div": inverse_divergence,
-                     "inv-grad": inverse_gradient}[kind]
-        result = construct(field, **options)
     if ns.gauge_scalar is not None:
         result = gauge_shift_curl(result, ScalarField(parse(ns.gauge_scalar), system))
     if ns.gauge_vector is not None:
@@ -220,8 +207,8 @@ def _run(ns: argparse.Namespace, system: CoordinateSystem, payload: dict) -> Non
         result = gauge_shift_div(result, _vector(gauge, system))
     payload["result"] = rendered(result)
     if ns.verify:
-        report = roundtrip_report(kind.replace("-", "_"), field, samples=ns.samples,
-                                  seed=ns.seed, result=result)
+        report = roundtrip_report(kind, field, samples=ns.samples, seed=ns.seed,
+                                  result=result)
         payload["verification"] = report.to_dict()
 
 

@@ -28,6 +28,10 @@ hold these parameters (``DivergenceWeights``, ``BasePoint``, ``CurlWeights``)
 take ints, Fractions or text, which one reader, ``_rational``, turns into
 Fractions; a value it cannot read is a ValidationError.
 
+``construct(kind, field, ...)``, which the command line and ``verify`` call,
+runs the kind's inverse once ``check_kind`` has checked the field's type;
+with ``unchecked`` it skips the gate and returns the gate's residual.
+
 Every step works on the canonical forms the fields hold and returns forms.
 The gates and the self-check compare numerators (``vecops.flux`` and
 ``vecops.curl_numerators``): inverse curl requires the flux
@@ -192,11 +196,6 @@ def inverse_curl(B: VectorField) -> VectorField:
     return A
 
 
-def inverse_curl_unchecked(B: VectorField) -> tuple[VectorField, CanonicalForm]:
-    """Formula result plus the divergence residual, skipping both gates."""
-    return curl_potential_formula(B), divergence(B)
-
-
 def _check_roundtrip(A: VectorField, B: VectorField, integrands) -> None:
     # curl(A)_i = B_i exactly when the numerator of curl(A)_i is c_i =
     # h_j*h_k*B_i, as 1/(h_j*h_k) is one invertible term.  Every numerator
@@ -219,6 +218,41 @@ def roundtrip_residual(kind: str, field, result) -> tuple[CanonicalForm, ...]:
         return (divergence(result) - field.value,)
     forward = curl(result) if kind == "inv_curl" else gradient(result)
     return tuple(got - expected for got, expected in zip(forward.components, field.components))
+
+
+# The field type each inverse kind takes.
+_INPUT = {"inv_curl": VectorField, "inv_div": ScalarField, "inv_grad": VectorField}
+KINDS = tuple(_INPUT)
+
+
+def check_kind(kind: str, field) -> None:
+    """Raise ValidationError unless ``kind`` is one of KINDS and ``field``
+    has the type its inverse takes."""
+    if kind not in KINDS:
+        raise ValidationError(f"unknown inverse kind {kind!r}")
+    if not isinstance(field, _INPUT[kind]):
+        raise ValidationError(
+            f"{kind} takes a {_INPUT[kind].__name__}, not a {type(field).__name__}")
+
+
+def construct(kind: str, field, *, weights: Optional[DivergenceWeights] = None,
+              base: Optional[BasePoint] = None, unchecked: bool = False):
+    """``(result, residual)``: the ``kind`` inverse of ``field``, with
+    ``weights`` for inv_div and ``base`` for inv_grad.  ``unchecked`` skips
+    the gate (and inv_curl's self-check); ``residual`` is then the gate's,
+    ``divergence(B)`` or ``curl(A)``, else None.  The operators are looked up
+    in this module's globals at each call, so a tracer's rebinding is seen."""
+    check_kind(kind, field)
+    if kind == "inv_div":
+        return inverse_divergence(field, weights), None
+    if kind == "inv_curl":
+        if unchecked:
+            return curl_potential_formula(field), divergence(field)
+        return inverse_curl(field), None
+    if unchecked:
+        residual = curl(field)
+        return _path_integral(field, base), residual
+    return inverse_gradient(field, base), None
 
 
 def inverse_divergence(
@@ -260,14 +294,6 @@ def inverse_gradient(A: VectorField, base: Optional[BasePoint] = None) -> Scalar
             residual=residual,
         )
     return _path_integral(A, base)
-
-
-def inverse_gradient_unchecked(
-    A: VectorField, base: Optional[BasePoint] = None
-) -> tuple[ScalarField, VectorField]:
-    """Path integral plus the curl residual, skipping the gate."""
-    residual = curl(A)
-    return _path_integral(A, base), residual
 
 
 def _path_integral(A: VectorField, base: Optional[BasePoint]) -> ScalarField:

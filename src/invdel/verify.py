@@ -26,14 +26,7 @@ from typing import Optional, Union
 
 from .errors import DomainError, SamplingExhausted, ValidationError
 from .expr import Frozen, ln, num, numeric_plan, run_plan
-from .inverse import (
-    BasePoint,
-    DivergenceWeights,
-    inverse_curl,
-    inverse_divergence,
-    inverse_gradient,
-    roundtrip_residual,
-)
+from .inverse import BasePoint, DivergenceWeights, check_kind, construct, roundtrip_residual
 from .vecops import ScalarField, VectorField, curl, divergence, rendered
 
 RELATIVE_TOLERANCE = 1e-9
@@ -41,8 +34,6 @@ ABSOLUTE_FLOOR = 1e-12
 # The most sample points one pass over a report's plans evaluates; the
 # default report of 100 points is one block.
 BLOCK_POINTS = 256
-
-KINDS = ("inv_curl", "inv_div", "inv_grad")
 
 # The plan of ln(-1), which has no value at any point.  A form with a
 # coefficient past the float range has none either, so it is laid out as
@@ -93,24 +84,18 @@ def roundtrip_report(
     """Run inverse then forward and report the residual.
 
     ``result`` may carry an already-computed (possibly gauge-shifted)
-    inverse, and then ``weights`` and ``base`` are not used; otherwise the
-    inverse operator runs here and its errors propagate unchanged.  A
-    ``result`` of another field type or in another system than ``field``'s
-    is a ``ValidationError``.
+    inverse, and then ``weights`` and ``base`` are not used; otherwise
+    ``inverse.construct`` runs here and its errors propagate unchanged.  An
+    unknown kind, a ``field`` its kind does not take (``inverse.check_kind``)
+    and a ``result`` of another field type or system is a ValidationError.
     """
-    if kind not in KINDS:
-        raise ValidationError(f"unknown verification kind {kind!r}")
+    check_kind(kind, field)
     if samples < 1:
         raise ValidationError("sample count must be positive")
 
     system = field.system
     if result is None:
-        if kind == "inv_curl":
-            result = inverse_curl(field)
-        elif kind == "inv_div":
-            result = inverse_divergence(field, weights)
-        else:
-            result = inverse_gradient(field, base)
+        result, _ = construct(kind, field, weights=weights, base=base)
     elif not isinstance(result, ScalarField if kind == "inv_grad" else VectorField):
         raise ValidationError(f"{type(result).__name__} is not an {kind} result")
     elif result.system is not system and result.system != system:

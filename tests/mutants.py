@@ -139,6 +139,11 @@ MUTANTS = (
      "a refusal past the digit limit counts the coefficient's numerator only"),
     ("verify.py", "    elif result.system is not system and result.system != system:",
      "    elif False:", "the report accepts a result from another system"),
+    ("inverse.py", "    if not isinstance(field, _INPUT[kind]):", "    if False:",
+     "construct takes a field of any type for its kind"),
+    ("inverse.py", "    if unchecked:\n        residual = curl(field)",
+     "    if False:\n        residual = curl(field)",
+     "construct ignores unchecked for inv_grad"),
 )
 
 # Seconds one pytest run may take.

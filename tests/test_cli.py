@@ -97,17 +97,26 @@ def test_a_malformed_option_is_read_after_the_field_or_the_construction(capsys, 
     assert run(capsys, *argv) == (code, "", message + "\n")
 
 
-def test_the_operators_are_looked_up_when_a_command_runs(capsys, monkeypatch):
-    # A tracer rebinds the names cli imported; the runner must call through them.
+@pytest.mark.parametrize("argv,name,out", [
+    (["inv-curl", "y", "z", "x"], "inverse_curl",
+     "e1: -x*y/2 + z^2/4\ne2: x^2/4 - y*z/2\ne3: -x*z/2 + y^2/4\n"),
+    (["inv-div", "3", "--weights", "1,0,0"], "inverse_divergence", "e1: 3*x\ne2: 0\ne3: 0\n"),
+    (["inv-grad", "2*x*y", "x^2", "1"], "inverse_gradient", "phi: x^2*y + z\n"),
+    (["inv-curl", "--unchecked", "x", "0", "0"], "curl_potential_formula",
+     "e1: 0\ne2: -x*z/3\ne3: x*y/3\nresidual: 1\n"),
+], ids=["inv-curl", "inv-div", "inv-grad", "inv-curl-unchecked"])
+def test_the_operators_are_looked_up_when_a_command_runs(capsys, monkeypatch, argv, name,
+                                                         out):
+    # A tracer rebinds the names inverse holds; construct must call through them.
     calls = []
-    original = invdel.cli.inverse_gradient
+    original = getattr(invdel.inverse, name)
 
     def spy(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(invdel.cli, "inverse_gradient", spy)
-    assert run(capsys, "inv-grad", "2*x*y", "x^2", "1") == (0, "phi: x^2*y + z\n", "")
+    monkeypatch.setattr(invdel.inverse, name, spy)
+    assert run(capsys, *argv) == (0, out, "")
     assert len(calls) == 1
 
 
@@ -608,22 +617,3 @@ UNCHECKED_INV_CURL_JSON = """{
 ])
 def test_json_output_is_pinned(capsys, argv, expected):
     assert run(capsys, *argv) == (0, expected, "")
-
-
-def test_coords_file_with_a_huge_rational_scale_factor(tmp_path, capsys):
-    # h1 = 10^400 overflows a float, but is a nonzero rational at the base.
-    path = tmp_path / "huge.coords"
-    path.write_text("names = u, v, w\nh1 = 10^400\nh2 = 1\nh3 = 1\nbase = 0, 0, 0\n"
-                    "box = -2:2, -2:2, -2:2\n")
-    assert run(capsys, "inv-div", "--coords-file", str(path), "u", "--weights", "0,1,0") == (
-        0, "e1: 0\ne2: u*v\ne3: 0\n", "")
-
-
-def test_coords_file_with_an_unbounded_box_exits_2(tmp_path, capsys):
-    # Every sample of x would be nan, and the report would read 0 error.
-    path = tmp_path / "unbounded.coords"
-    path.write_text("names = x, y, z\nh1 = 1\nh2 = 1\nh3 = 1\nbase = 0, 0, 0\n"
-                    "box = -inf:inf, -2:2, -2:2\n")
-    assert run(capsys, "inv-curl", "--coords-file", str(path), "--unchecked", "--verify",
-               "--", "x^2", "0", "0") == (
-        2, "", "error: ValidationError: sampling interval [-inf, inf] is not finite\n")

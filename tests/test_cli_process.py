@@ -133,10 +133,12 @@ ROWS = (
                                     "w"), 4, coords=coords("1 + u^2"),
         err="UnsupportedExpression: reciprocal of a multi-term expression is outside the "
             "term algebra"),
+    # Every sample of x would be nan, and the report would read 0 error.
     Row("infinite-box-bound", ("inv-curl", "--coords-file", COORDS_FILE, "--unchecked",
                                "--verify", "--", "x^2", "0", "0"), 2,
         err="ValidationError: sampling interval [-inf, inf] is not finite",
         coords=coords("1", "-inf:inf, -2:2, -2:2", "x, y, z")),
+    # h1 = 10^400 overflows a float and exp(1000)^-1 underflows one; neither vanishes.
     *(Row(f"{name}-scale-factor", ("inv-div", "--coords-file", COORDS_FILE, "u", "--weights",
                                    "0,1,0"), 0, "e1: 0\ne2: u*v\ne3: 0\n", coords=coords(h1))
       for name, h1 in (("huge", "10^400"), ("exp", "exp(1000)^-1"))),

@@ -14,12 +14,12 @@ from invdel import (
     VectorField,
     builtin,
     canonicalize,
+    construct,
     cos,
     differentiate,
     equals,
     eval_numeric,
     exp,
-    inverse_gradient_unchecked,
     ln,
     num,
     parse,
@@ -258,7 +258,7 @@ def test_base_point_singularity_in_a_term_the_path_zeroes():
         tuple(parse(t) for t in ("9/4", "-5*z^3 - 3/4", "-9/2*x^2 - 2*x^2*y^-1 - 4")),
         builtin("cartesian"))
     with pytest.raises(BasePointSingular, match="reciprocal of zero"):
-        inverse_gradient_unchecked(field, BasePoint(0, 0, 0))
+        construct("inv_grad", field, base=BasePoint(0, 0, 0), unchecked=True)
 
 
 ERROR_PATH = [

@@ -34,17 +34,15 @@ from invdel import (
     gauge_shift_div,
     gradient,
     inverse_curl,
-    inverse_curl_unchecked,
     inverse_divergence,
     inverse_gradient,
-    inverse_gradient_unchecked,
     is_zero,
     parse,
     render,
     split_by_variable,
 )
 from invdel.expr import ZERO_FORM
-from invdel.inverse import roundtrip_residual
+from invdel.inverse import construct, roundtrip_residual
 from invdel.vecops import curl_numerators
 
 from _support import random_scalar, random_vector
@@ -90,7 +88,7 @@ def test_inverse_curl_rejects_nonsolenoidal_input():
 
 
 def test_unchecked_inverse_curl_reports_residual():
-    A, residual = inverse_curl_unchecked(vec(CARTESIAN, "x", "0", "0"))
+    A, residual = construct("inv_curl", vec(CARTESIAN, "x", "0", "0"), unchecked=True)
     assert render(residual) == "1"
     assert not all(
         equals(c, b) for c, b in zip(curl(A).components, (parse("x"), parse("0"), parse("0"))))
@@ -152,7 +150,7 @@ def test_multi_term_scale_factor_is_unsupported_before_anything_else(operator, t
 def test_unchecked_construction_fails_first_with_a_multi_term_scale_factor():
     # Without the gate the construction runs first and meets its own failure.
     with pytest.raises(NotIntegrable):
-        inverse_curl_unchecked(vec(MULTI_TERM, "0", "0", "v*sin(v^2)"))
+        construct("inv_curl", vec(MULTI_TERM, "0", "0", "v*sin(v^2)"), unchecked=True)
 
 
 def test_self_check_succeeds_exactly_when_the_residual_is_zero(monkeypatch):
@@ -349,9 +347,22 @@ def test_inverse_gradient_rejects_rotation_field():
     assert [render(c) for c in info.value.residual.components] == ["0", "0", "2"]
 
 
+def test_construct_runs_the_kind_s_inverse():
+    B, f = vec(CYLINDRICAL, "0", "0", "2*rho"), ScalarField(parse("rho*z"), CYLINDRICAL)
+    A, base, weights = gradient(f), BasePoint(1, 0, 0, 5), DivergenceWeights(0, 0, 1)
+    assert construct("inv_curl", B) == (inverse_curl(B), None)
+    assert construct("inv_div", f, weights=weights) == (inverse_divergence(f, weights), None)
+    assert construct("inv_grad", A, base=base) == (inverse_gradient(A, base), None)
+    # A passing gate's residual is zero; inv_div has no gate to skip.
+    assert construct("inv_curl", B, unchecked=True) == (inverse_curl(B), divergence(B))
+    assert construct("inv_grad", A, base=base, unchecked=True) == (
+        inverse_gradient(A, base), curl(A))
+    assert construct("inv_div", f, unchecked=True) == (inverse_divergence(f), None)
+
+
 def test_unchecked_inverse_gradient_reports_residual():
-    phi, residual = inverse_gradient_unchecked(
-        vec(CARTESIAN, "0 - y", "x", "0"), BasePoint(0, 0, 0))
+    phi, residual = construct(
+        "inv_grad", vec(CARTESIAN, "0 - y", "x", "0"), base=BasePoint(0, 0, 0), unchecked=True)
     assert [render(c) for c in residual.components] == ["0", "0", "2"]
     assert phi is not None
 

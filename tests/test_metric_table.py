@@ -27,6 +27,7 @@ from invdel import (
     ScalarField,
     VectorField,
     builtin,
+    construct,
     curl,
     curl_potential_formula,
     custom,
@@ -36,10 +37,8 @@ from invdel import (
     gauge_shift_div,
     gradient,
     inverse_curl,
-    inverse_curl_unchecked,
     inverse_divergence,
     inverse_gradient,
-    inverse_gradient_unchecked,
     parse,
     sin,
     var,
@@ -113,14 +112,15 @@ def _operations(rng, system):
         ("curl_numerators", lambda: list(curl_numerators(A))),
         ("inverse_curl", lambda: inverse_curl(solenoidal())),
         ("inverse_curl of any field", lambda: inverse_curl(A)),
-        ("inverse_curl_unchecked", lambda: inverse_curl_unchecked(A)),
+        ("construct inv_curl, unchecked", lambda: construct("inv_curl", A, unchecked=True)),
         ("curl_potential_formula", lambda: curl_potential_formula(A)),
         ("inverse_divergence", lambda: inverse_divergence(f)),
         ("inverse_divergence, weighted", lambda: inverse_divergence(f, weights)),
         ("inverse_gradient", lambda: inverse_gradient(conservative())),
         ("inverse_gradient from a base", lambda: inverse_gradient(conservative(), base)),
         ("inverse_gradient of any field", lambda: inverse_gradient(A)),
-        ("inverse_gradient_unchecked", lambda: inverse_gradient_unchecked(A, base)),
+        ("construct inv_grad, unchecked",
+         lambda: construct("inv_grad", A, base=base, unchecked=True)),
         ("gauge_shift_curl", lambda: gauge_shift_curl(A, g)),
         ("gauge_shift_div", lambda: gauge_shift_div(A, A)),
     )

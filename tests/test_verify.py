@@ -24,7 +24,7 @@ from invdel import (
 from invdel import verify
 from invdel.errors import DomainError
 from invdel.expr import eval_numeric
-from invdel.inverse import DivergenceWeights
+from invdel.inverse import DivergenceWeights, construct
 
 from _support import random_scalar, random_vector
 
@@ -166,11 +166,33 @@ def test_points_where_the_input_reads_nan_are_resampled_like_domain_errors():
     assert report.symbolic_equal and report.within_tolerance
 
 
+SCALAR = ScalarField(parse("x"), CARTESIAN)
+VECTOR = vec(CARTESIAN, "y", "z", "x")
+
+
+@pytest.mark.parametrize("kind,field,result", [
+    ("inv_div", VECTOR, VECTOR),
+    ("inv_curl", SCALAR, VECTOR),
+    ("inv_grad", SCALAR, SCALAR),
+])
+def test_a_field_its_kind_does_not_take_is_rejected(kind, field, result):
+    # The kind's own result type is passed, so only the field is wrong.
+    message = f"^{kind} takes a \\w+, not a {type(field).__name__}$"
+    for call in (lambda: roundtrip_report(kind, field),
+                 lambda: roundtrip_report(kind, field, result=result),
+                 lambda: construct(kind, field),
+                 lambda: construct(kind, field, unchecked=True)):
+        with pytest.raises(ValidationError, match=message):
+            call()
+
+
 def test_unknown_kind_is_rejected():
     with pytest.raises(ValidationError):
         roundtrip_report("inverse-curl", vec(CARTESIAN, "0", "0", "0"))
     with pytest.raises(ValidationError):
         roundtrip_report("inv_curl", vec(CARTESIAN, "0", "0", "0"), samples=0)
+    with pytest.raises(ValidationError, match="^unknown inverse kind 'inv-curl'$"):
+        construct("inv-curl", vec(CARTESIAN, "0", "0", "0"))
 
 
 def test_a_result_from_another_system_is_rejected():
