@@ -14,9 +14,10 @@ shape
     is linear in the integration variable with a rational slope)
 
 where the variable appears either in the monomial or in the function
-argument, not both.  Everything else raises NotIntegrable.  The zero
-integration constant is chosen everywhere, so differentiating the result
-gives back the integrand exactly.
+argument, not both.  Everything else raises NotIntegrable, which carries
+the first such term in canonical order and writes its own message.  The
+zero integration constant is chosen everywhere, so differentiating the
+result gives back the integrand exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Union
 
 from .errors import NotIntegrable, UnsupportedExpression
 from .expr import (
-    _LOG10_2,
     _ONE,
     CanonicalForm,
     Expression,
@@ -45,7 +45,6 @@ from .expr import (
     factors_contain,
     form_contains,
 )
-from .parser import render
 
 
 class SplitPair(Frozen):
@@ -182,27 +181,7 @@ def _not_integrable(form: CanonicalForm, name: str, first: str | None = None) ->
     if first is not None:
         terms = sorted(terms, key=lambda t: not factors_contain(t[0], first))
     factors, coefficient = next(t for t in terms if _integrate_term(*t, name) is None)
-    offender = CanonicalForm({factors: coefficient})
-    try:
-        shown = render(offender)
-    except UnsupportedExpression:  # a number past the interpreter's digit limit
-        digits = int(_widest(factors, coefficient).bit_length() * _LOG10_2) + 1
-        shown = f"with a number of about {digits} digits"
-    return NotIntegrable(
-        f"term {shown} has no antiderivative in {name} within the supported class",
-        term=offender,
-        variable=name,
-    )
-
-
-def _widest(factors: tuple, coefficient: tuple) -> int:
-    """The largest magnitude among the numbers a term renders, at any depth."""
-    numbers = [abs(coefficient[0]), coefficient[1]]
-    for atom, e in factors:
-        numbers.append(abs(e))
-        if atom.__class__ is not str:
-            numbers.extend(_widest(*term) for term in atom.argument.items())
-    return max(numbers)
+    return NotIntegrable(CanonicalForm({factors: coefficient}), name)
 
 
 def weighted_split_integral(

@@ -149,16 +149,6 @@ def load_system_file(path: str) -> CoordinateSystem:
     )
 
 
-def _resolve_system(ns: argparse.Namespace) -> CoordinateSystem:
-    if ns.coords_file:
-        return load_system_file(ns.coords_file)
-    return builtin(ns.coords)
-
-
-def _vector(texts: Sequence[str], system: CoordinateSystem) -> VectorField:
-    return VectorField(tuple(parse(t) for t in texts), system)
-
-
 def _base_arg(ns: argparse.Namespace, system: CoordinateSystem) -> Optional[BasePoint]:
     if ns.base is None and ns.c0 is None:
         return None
@@ -166,10 +156,11 @@ def _base_arg(ns: argparse.Namespace, system: CoordinateSystem) -> Optional[Base
     return BasePoint(*base, 0 if ns.c0 is None else ns.c0)
 
 
-def _run(ns: argparse.Namespace, system: CoordinateSystem, payload: dict) -> None:
-    """Every command: parse the field, apply the kind's operator, render.
-    ``verify KIND`` is ``KIND --verify``; the verify parser's defaults make
-    it so."""
+def _run(ns: argparse.Namespace, payload: dict) -> None:
+    """Every command: load the system, parse the field, apply the kind's
+    operator, render.  ``verify KIND`` is ``KIND --verify``; the verify
+    parser's defaults make it so."""
+    system = load_system_file(ns.coords_file) if ns.coords_file else builtin(ns.coords)
     kind = ns.kind if ns.command == "verify" else ns.command
     texts = ns.texts
     if kind in ("grad", "inv-div"):
@@ -179,7 +170,7 @@ def _run(ns: argparse.Namespace, system: CoordinateSystem, payload: dict) -> Non
     elif len(texts) != 3:
         raise ValidationError(f"verify {kind} takes three component expressions")
     else:
-        field = _vector(texts, system)
+        field = VectorField(tuple(map(parse, texts)), system)
     # Forward operators are looked up here, at call time, and inverse ones in
     # ``construct``, so that a rebinding of them (as a tracer makes) is seen.
     forward = {"curl": curl, "div": divergence, "grad": gradient}
@@ -204,7 +195,7 @@ def _run(ns: argparse.Namespace, system: CoordinateSystem, payload: dict) -> Non
         result = gauge_shift_curl(result, ScalarField(parse(ns.gauge_scalar), system))
     if ns.gauge_vector is not None:
         gauge = _three(ns.gauge_vector, "--gauge-vector", "expressions")
-        result = gauge_shift_div(result, _vector(gauge, system))
+        result = gauge_shift_div(result, VectorField(tuple(map(parse, gauge)), system))
     payload["result"] = rendered(result)
     if ns.verify:
         report = roundtrip_report(kind, field, samples=ns.samples, seed=ns.seed,
@@ -257,8 +248,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     code = 0
     try:
-        system = _resolve_system(ns)
-        _run(ns, system, payload)
+        _run(ns, payload)
     except InvdelError as error:
         payload["error"] = f"{type(error).__name__}: {error}"
         code = error.exit_code

@@ -25,7 +25,6 @@ from .expr import (
     Frozen,
     _eval_function,
     _fraction,
-    canonicalize,
     check_variable_name,
     eval_numeric,
     free_variables,
@@ -50,11 +49,12 @@ def _vanishes(atom, e: int) -> bool:
 class CoordinateSystem(Frozen):
     """Names u1,u2,u3 with scale factors h1,h2,h3 and sampling defaults.
 
-    The only constructor; ``custom`` is another name for it.  Text scale factors
-    are parsed before any check, the other arguments may be any sequences, and
-    each box interval needs finite bounds lo < hi.  Base coordinates may be
-    ints, Fractions or text, and box bounds numbers or text; one that names
-    no number is a ValidationError, like every other bad argument."""
+    The only constructor; ``custom`` is another name for it.  A scale factor
+    is text, parsed before any check, or a CanonicalForm; the other arguments
+    may be any sequences, and each box interval needs finite bounds lo < hi.
+    Base coordinates may be ints, Fractions or text, and box bounds numbers
+    or text; one that names no number is a ValidationError, like every other
+    bad argument."""
 
     _fields = ("names", "scale_factors", "base_point", "sampling_box", "label")
     __slots__ = _fields + ("_table",)
@@ -79,14 +79,15 @@ class CoordinateSystem(Frozen):
         if len(scale_factors) != 3:
             raise ValidationError("exactly three scale factors required")
         allowed = set(names)
-        forms = []
         for i, h in enumerate(scale_factors, start=1):
+            if not isinstance(h, CanonicalForm):
+                raise ValidationError(
+                    f"h{i} must be text or a CanonicalForm, not {type(h).__name__}")
             foreign = free_variables(h) - allowed
             if foreign:
                 raise ValidationError(
                     f"h{i} references unknown variables: {', '.join(sorted(foreign))}")
-            forms.append(canonicalize(h))
-            if forms[-1].is_zero():
+            if h.is_zero():
                 raise ValidationError(f"h{i} is identically zero")
         if len(base_point) != 3:
             raise ValidationError("base point needs three coordinates")
@@ -108,7 +109,7 @@ class CoordinateSystem(Frozen):
                 raise ValidationError(f"sampling interval [{lo}, {hi}] is not finite")
             box.append((lo, hi))
         at_base = dict(zip(names, base))
-        for i, h in enumerate(forms, start=1):
+        for i, h in enumerate(scale_factors, start=1):
             # The base point is substituted exactly, so a rational constant is
             # decided without floats that could overflow or underflow to 0.
             try:
@@ -124,7 +125,7 @@ class CoordinateSystem(Frozen):
                 raise ValidationError(f"h{i} undefined at the base point") from None
             if vanishes:
                 raise ValidationError(f"h{i} vanishes at the base point")
-        self._init(names, tuple(forms), base, tuple(box), label, {})
+        self._init(names, scale_factors, base, tuple(box), label, {})
 
     def _entry(self, key, build):
         table = self._table

@@ -2,14 +2,25 @@
 
 Each type carries ``exit_code``, the status the command line exits with
 when a run ends in it: 1, unless the class sets its own.
+
+An error that carries a form builds its message from it, as ``SourceError``
+does from its fields, and keeps the whole form.  ``_shown`` writes the form,
+or a field's components joined by ", ", each cut after ``MAX_SHOWN_TERMS``
+terms; past the interpreter's digit limit, the widest number's digit count.
 """
 
 from __future__ import annotations
+
+MAX_SHOWN_TERMS = 20  # most terms of one form an error's message shows
 
 
 class InvdelError(Exception):
     """Base class for every error this package raises deliberately."""
     exit_code = 1
+
+    def __reduce__(self):
+        # Copied without __init__, which takes a subclass's fields, not its message.
+        return type(self).__new__, (type(self), *self.args), self.__dict__
 
 
 class UnsupportedExpression(InvdelError):
@@ -40,8 +51,9 @@ class NotIntegrable(InvdelError):
     """A term has no antiderivative inside the supported term class."""
     exit_code = 4
 
-    def __init__(self, message: str, term=None, variable: str | None = None):
-        super().__init__(message)
+    def __init__(self, term, variable: str):
+        super().__init__(f"term {_shown(term)} has no antiderivative in {variable} "
+                         "within the supported class")
         self.term = term
         self.variable = variable
 
@@ -57,26 +69,30 @@ class ValidationError(InvdelError):
 
 
 class _ResidualError(InvdelError):
-    """A failed check that carries its ``residual``, the part that shows it."""
+    """A failed check; its message is the class's ``template`` of its ``residual``."""
 
-    def __init__(self, message: str, residual=None):
-        super().__init__(message)
+    def __init__(self, residual):
+        super().__init__(self.template.format(_shown(residual)))
         self.residual = residual
 
 
 class NotSolenoidal(_ResidualError):
     """Vector potential requested for a field whose divergence is not zero."""
     exit_code = 3
+    template = "divergence residual {}"
 
 
 class NotConservative(_ResidualError):
     """Scalar potential requested for a field whose curl is not zero."""
     exit_code = 3
+    template = "curl residual ({})"
 
 
 class ConstructionFailed(_ResidualError):
     """Internal round-trip check rejected a constructed potential."""
     exit_code = 5
+    template = ("curl of the constructed potential does not reproduce the input; "
+                "residual ({})")
 
 
 class BasePointSingular(InvdelError):
@@ -85,3 +101,34 @@ class BasePointSingular(InvdelError):
 
 class SamplingExhausted(InvdelError):
     """Too many sample points fell outside the domain during verification."""
+
+
+def _digit_count(n: int) -> int:
+    """About how many decimal digits ``n`` has, read from its bit length."""
+    from .expr import _LOG10_2  # expr imports this module
+    return int(abs(n).bit_length() * _LOG10_2) + 1
+
+
+def _widest(form) -> int:
+    """The largest magnitude among the numbers a form renders, at any depth."""
+    numbers = [0]
+    for factors, (numerator, denominator) in form.items():
+        numbers += (abs(numerator), denominator, *(abs(e) for _, e in factors))
+        numbers += (_widest(atom.argument) for atom, _ in factors if atom.__class__ is not str)
+    return max(numbers)
+
+
+def _shown(value) -> str:
+    """The text of a form, or of a field's components joined by ", "."""
+    from .expr import CanonicalForm  # expr and parser import this module
+    from .parser import render
+    forms = getattr(value, "components", (value,))
+    texts = []
+    for form in forms:
+        more = len(form.terms) - MAX_SHOWN_TERMS
+        try:
+            text = render(CanonicalForm(dict(form.terms[:MAX_SHOWN_TERMS])) if more > 0 else form)
+        except UnsupportedExpression:  # a number past the interpreter's digit limit
+            return f"with a number of about {_digit_count(max(map(_widest, forms)))} digits"
+        texts.append(f"{text} ... ({more} more terms)" if more > 0 else text)
+    return ", ".join(texts)

@@ -191,7 +191,8 @@ class FunctionAtom(Frozen):
 
     ``key`` orders atoms inside a term; it is computed once, here, and left
     out of ``==``, hash and repr.  Atoms sit in the factor tuples that key
-    every coefficient map, so those three are spelled out for speed.
+    every coefficient map, so ``==`` and hash are spelled out for speed;
+    repr is ``Frozen``'s, over ``_fields``.
     """
 
     __slots__ = ("tag", "argument", "key")
@@ -209,9 +210,6 @@ class FunctionAtom(Frozen):
 
     def __hash__(self):
         return hash((self.tag, self.argument))
-
-    def __repr__(self):
-        return f"FunctionAtom(tag={self.tag!r}, argument={self.argument!r})"
 
 
 Atom = Union[str, FunctionAtom]

@@ -43,11 +43,11 @@ system's metric table where the forward operators read it; a failed one is
 raised at every call, so a multi-term scale factor fails a gate before the
 construction runs and errors come in the forward operators' order.  No
 product of a reciprocal and a numerator is formed, so none is estimated
-against the coefficient
-budget: ``divergence``, ``curl`` and ``roundtrip_residual``, which form
-them, run only to build the residual of a failure.  The c_i are formed
-once, for the gate and the assembly.  Results are built from the checked
-input, so they are made with ``_built``, unchecked.
+against the coefficient budget: ``divergence``, ``curl`` and
+``roundtrip_residual`` form them only for the residual a failure carries,
+and the error builds its own text from it.  The c_i are formed once, for
+the gate and the assembly.  Results are built from the checked input, so
+they are made with ``_built``, unchecked.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ from .expr import (
     free_variables,
     substitute_all,
 )
-from .parser import render
 from .vecops import (
     CYCLES,
     ScalarField,
@@ -188,26 +187,16 @@ def inverse_curl(B: VectorField) -> VectorField:
     # flux is zero.
     scale = B.system.inverse_jacobian()
     if not numerator.is_zero():
-        residual = scale * numerator
-        raise NotSolenoidal(
-            f"divergence residual {render(residual)}", residual=residual)
+        raise NotSolenoidal(scale * numerator)
     A = curl_potential_formula(B, integrands=c)
-    _check_roundtrip(A, B, c)
-    return A
-
-
-def _check_roundtrip(A: VectorField, B: VectorField, integrands) -> None:
     # curl(A)_i = B_i exactly when the numerator of curl(A)_i is c_i =
     # h_j*h_k*B_i, as 1/(h_j*h_k) is one invertible term.  Every numerator
     # and reciprocal is formed, in the forward curl's order.
-    matched = [numerator == c for (_, numerator), c in zip(curl_numerators(A), integrands)]
+    matched = [got == want for (_, got), want in zip(curl_numerators(A), c)]
     if not all(matched):
-        diffs = roundtrip_residual("inv_curl", B, A)
         raise ConstructionFailed(
-            "curl of the constructed potential does not reproduce the input; "
-            "residual (" + ", ".join(render(d) for d in diffs) + ")",
-            residual=VectorField._built(diffs, A.system),
-        )
+            VectorField._built(roundtrip_residual("inv_curl", B, A), A.system))
+    return A
 
 
 def roundtrip_residual(kind: str, field, result) -> tuple[CanonicalForm, ...]:
@@ -287,12 +276,7 @@ def inverse_gradient(A: VectorField, base: Optional[BasePoint] = None) -> Scalar
     # curl(A) is zero exactly when its numerators are; the curl itself is
     # formed only to report a residual.
     if not all(numerator.is_zero() for _, numerator in curl_numerators(A)):
-        residual = curl(A)
-        raise NotConservative(
-            "curl residual ("
-            + ", ".join(render(p) for p in residual.components) + ")",
-            residual=residual,
-        )
+        raise NotConservative(curl(A))
     return _path_integral(A, base)
 
 

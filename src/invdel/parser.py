@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import re
 
-from .errors import SourceError, UnsupportedExpression
+from .errors import SourceError, UnsupportedExpression, _digit_count
 from .expr import (
-    _LOG10_2,
     _ONE,
     FUNCTION_TAGS,
     CanonicalForm,
@@ -272,8 +271,8 @@ def _digits(n: int) -> str:
         return str(n)
     except ValueError:  # past the interpreter's limit on integer digits
         raise UnsupportedExpression(
-            f"rendering a number of about {int(abs(n).bit_length() * _LOG10_2) + 1} "
-            "digits exceeds the interpreter's digit limit") from None
+            f"rendering a number of about {_digit_count(n)} digits exceeds the "
+            "interpreter's digit limit") from None
 
 
 def _render_atom(atom) -> str:

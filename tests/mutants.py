@@ -69,8 +69,8 @@ MUTANTS = (
     ("inverse.py", "    if not all(matched):", "    if False:",
      "the inverse curl's self-check is dropped"),
     ("inverse.py",
-     "    if not numerator.is_zero():\n        residual = scale * numerator",
-     "    if False:\n        residual = scale * numerator",
+     "    if not numerator.is_zero():\n        raise NotSolenoidal(scale * numerator)",
+     "    if False:\n        raise NotSolenoidal(scale * numerator)",
      "the solenoidal gate is dropped"),
     ("inverse.py",
      "    if not all(numerator.is_zero() for _, numerator in curl_numerators(A)):",
@@ -78,9 +78,9 @@ MUTANTS = (
      "the conservative gate is dropped"),
     ("inverse.py",
      "    scale = B.system.inverse_jacobian()\n    if not numerator.is_zero():\n"
-     "        residual = scale * numerator",
+     "        raise NotSolenoidal(scale * numerator)",
      "    if not numerator.is_zero():\n"
-     "        residual = B.system.inverse_jacobian() * numerator",
+     "        raise NotSolenoidal(B.system.inverse_jacobian() * numerator)",
      "a multi-term scale factor no longer fails the solenoidal gate first"),
     ("calculus.py", "if place is not None or atom.tag", "if atom.tag",
      "a power of the variable times a carrier is integrated"),
@@ -134,9 +134,21 @@ MUTANTS = (
     ("inverse.py", "(*system.base_point, 0) if base is None",
      "(*system.base_point[1:], system.base_point[0], 0) if base is None",
      "the default base point is rotated"),
-    ("calculus.py", "int(_widest(factors, coefficient).bit_length()",
-     "int(abs(coefficient[0]).bit_length()",
-     "a refusal past the digit limit counts the coefficient's numerator only"),
+    ("errors.py", "_digit_count(max(map(_widest, forms)))",
+     "_digit_count(max(abs(term[1][0]) for form in forms for term in form.items()))",
+     "a form past the digit limit counts the coefficient's numerator only"),
+    ("errors.py", "        super().__init__(self.template.format(_shown(residual)))",
+     "        from .parser import render\n"
+     "        forms = getattr(residual, \"components\", (residual,))\n"
+     "        super().__init__(self.template.format(\", \".join(map(render, forms))))",
+     "the residual errors render without the digit fallback"),
+    ("errors.py", "more = len(form.terms) - MAX_SHOWN_TERMS", "more = 0",
+     "the term bound of an error's text is dropped"),
+    ("errors.py", "        return type(self).__new__, (type(self), *self.args), self.__dict__",
+     "        return super().__reduce__()",
+     "an error is copied through its __init__"),
+    ("coords.py", "            if not isinstance(h, CanonicalForm):", "            if False:",
+     "a scale factor of another type reaches the form checks"),
     ("verify.py", "    elif result.system is not system and result.system != system:",
      "    elif False:", "the report accepts a result from another system"),
     ("inverse.py", "    if not isinstance(field, _INPUT[kind]):", "    if False:",

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-import invdel.calculus
 import invdel.expr
+import invdel.parser
 from invdel import (
     NotIntegrable,
     UnsupportedExpression,
@@ -173,13 +173,14 @@ def test_an_argument_with_two_terms_in_the_variable_is_refused():
 
 
 def test_refusal_renders_its_term_once(monkeypatch):
+    # The error builds its text, reading the renderer from invdel.parser.
     calls = []
 
     def counting_render(form):
         calls.append(form)
         return render(form)
 
-    monkeypatch.setattr(invdel.calculus, "render", counting_render)
+    monkeypatch.setattr(invdel.parser, "render", counting_render)
     form = parse("x*sin(x) + sin(x)^2 + y + x^2 + ln(x)")
     with pytest.raises(NotIntegrable) as info:
         antidifferentiate(form, "x")

@@ -62,6 +62,14 @@ PRODUCT = POWER.replace("power", "product")
 EXHAUSTED = "SamplingExhausted: more than 1000 sample points fell outside the domain"
 RESAMPLED = ("verify: symbolic_equal=True within_tolerance=True samples=100 seed=42 "
              "max_abs_error=0.0 max_rel_error=0.0 resamples={}")
+DIGIT_COUNT = "with a number of about 6021 digits"
+CURL_RESIDUAL = f"NotConservative: curl residual ({DIGIT_COUNT})"
+# x^i*y^i for 1 <= i < 8000; its curl residual's third component has 7999
+# terms, of which the message shows the first 20.
+WIDE = " + ".join(f"x^{i}*y^{i}" for i in range(1, 8000))
+WIDE_RESIDUAL = ("NotConservative: curl residual (0, 0, -"
+                 + " - ".join(f"{i}*x^{i}*y^{i - 1}" for i in range(7999, 7979, -1))
+                 + " ... (7979 more terms))")
 WEIGHT = ("ValidationError: divergence weights must sum to 1, got a weight past the "
           "interpreter's digit limit")
 BIG = "1" + "0" * 400
@@ -108,6 +116,22 @@ ROWS = (
     Row("refusal-past-digit-limit-text", ("inv-div", "2^20000*x*sin(x)"), 4, err=REFUSAL),
     Row("refusal-past-digit-limit-json", ("inv-div", "--format", "json", "2^20000*x*sin(x)"),
         4, REFUSAL, view="json error"),
+    # A residual past the digit limit keeps its error type; its text names
+    # the widest number by its digit count.
+    Row("not-conservative-past-digit-limit", ("inv-grad", "--", "2^20000*y", "0", "0"), 3,
+        err=CURL_RESIDUAL),
+    Row("not-conservative-past-digit-limit-json",
+        ("inv-grad", "--format", "json", "--", "2^20000*y", "0", "0"), 3, CURL_RESIDUAL,
+        view="json error"),
+    Row("not-solenoidal-past-digit-limit", ("inv-curl", "--", "2^20000*x", "0", "0"), 3,
+        err=f"NotSolenoidal: divergence residual {DIGIT_COUNT}"),
+    # ln(2*z) is not rewritten as ln(2) + ln(z), so the self-check fails.
+    Row("construction-failed-past-digit-limit",
+        ("inv-curl", "--coords", "cylindrical", "--", "-2^20000*z^-1", "0",
+         "2^20000*ln(2*z)*rho^-1"), 5,
+        err="ConstructionFailed: curl of the constructed potential does not reproduce the "
+            f"input; residual ({DIGIT_COUNT})"),
+    Row("residual-text-bounded", ("inv-grad", "--", WIDE, "0", "0"), 3, err=WIDE_RESIDUAL),
     # A coefficient past the float range has no float value at any point, not
     # even inside exp; exp(700)*exp(701) is inf, and sin(inf) has no value.
     Row("float-range-coefficient", ("verify", "inv-div", "7" * 400 + "*x"), 1, err=EXHAUSTED),

@@ -191,6 +191,25 @@ def test_custom_scale_factor_is_judged_by_its_canonical_form():
                ((0.5, 1), (-1, 1), (-1, 1)))
 
 
+@pytest.mark.parametrize("h,kind", [
+    (1, "int"), (Fraction(1, 2), "Fraction"), (None, "NoneType"), (1.0, "float"),
+])
+@pytest.mark.parametrize("at", [0, 2])
+def test_custom_rejects_a_scale_factor_that_is_not_text_or_a_form(h, kind, at):
+    # Only text and canonical forms are scale factors; the error names the slot.
+    factors = ["1", "1", "1"]
+    factors[at] = h
+    with pytest.raises(ValidationError) as info:
+        custom(("u", "v", "w"), factors, (0, 0, 0), ((-1, 1),) * 3)
+    assert str(info.value) == f"h{at + 1} must be text or a CanonicalForm, not {kind}"
+
+
+def test_custom_takes_a_canonical_form_as_a_scale_factor():
+    s = custom(("u", "v", "w"), (parse("1"), "1", parse("u^2 + 1")), (0, 0, 0),
+               ((-1, 1),) * 3)
+    assert [render(h) for h in s.scale_factors] == ["1", "1", "u^2 + 1"]
+
+
 def test_custom_rejects_bad_base_point():
     with pytest.raises(ValidationError):
         custom(("u", "v", "w"), ("1", "1", "1"), (0, 0),

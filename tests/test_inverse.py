@@ -347,6 +347,58 @@ def test_inverse_gradient_rejects_rotation_field():
     assert [render(c) for c in info.value.residual.components] == ["0", "0", "2"]
 
 
+BIG = "2^20000"  # a number past the interpreter's digit limit
+
+
+def _residual_error(kind, scale):
+    """The error of one of the three failed checks, with every input
+    coefficient scaled by the number ``scale`` spells."""
+    if kind == "not_conservative":
+        error, run, B = NotConservative, inverse_gradient, vec(CARTESIAN, f"{scale}*y", "0", "0")
+    elif kind == "not_solenoidal":
+        error, run, B = NotSolenoidal, inverse_curl, vec(CARTESIAN, f"{scale}*x", "0", "0")
+    else:
+        # ln(2*z) is not rewritten as ln(2) + ln(z), so the self-check fails.
+        error, run = ConstructionFailed, inverse_curl
+        B = vec(CYLINDRICAL, f"-{scale}*z^-1", "0", f"{scale}*ln(2*z)*rho^-1")
+    with pytest.raises(error) as info:
+        run(B)
+    return info.value
+
+
+@pytest.mark.parametrize("kind,text", [
+    ("not_conservative", "curl residual (with a number of about 6021 digits)"),
+    ("not_solenoidal", "divergence residual with a number of about 6021 digits"),
+    ("construction_failed", "curl of the constructed potential does not reproduce the "
+                            "input; residual (with a number of about 6021 digits)"),
+])
+def test_a_residual_past_the_digit_limit_keeps_its_error_and_residual(kind, text):
+    # The residual cannot be rendered, so the message names its widest number
+    # by its digit count; the residual itself is kept whole.
+    small, big = _residual_error(kind, "1"), _residual_error(kind, BIG)
+    assert str(big) == text
+    parts = getattr(small.residual, "components", (small.residual,))
+    assert parts != (ZERO_FORM,) * len(parts)
+    assert getattr(big.residual, "components", (big.residual,)) == tuple(
+        p * parse(BIG) for p in parts)
+
+
+def test_a_residual_of_many_terms_shows_its_first_terms():
+    B = vec(CARTESIAN, " + ".join(f"x^{i}" for i in range(1, 31)), "0", "0")
+    with pytest.raises(NotSolenoidal) as info:
+        inverse_curl(B)
+    assert info.value.residual == divergence(B)
+    shown = " + ".join(f"{i}*x^{i - 1}" for i in range(30, 10, -1))
+    assert str(info.value) == f"divergence residual {shown} ... (10 more terms)"
+
+
+def test_a_residual_of_the_bound_s_size_is_shown_whole():
+    B = vec(CARTESIAN, "0", "0", " + ".join(f"x^{i}*z^{i}" for i in range(1, 21)))
+    with pytest.raises(NotSolenoidal) as info:
+        inverse_curl(B)
+    assert str(info.value) == f"divergence residual {render(info.value.residual)}"
+
+
 def test_construct_runs_the_kind_s_inverse():
     B, f = vec(CYLINDRICAL, "0", "0", "2*rho"), ScalarField(parse("rho*z"), CYLINDRICAL)
     A, base, weights = gradient(f), BasePoint(1, 0, 0, 5), DivergenceWeights(0, 0, 1)

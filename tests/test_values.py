@@ -14,10 +14,15 @@ import pytest
 
 from invdel import (
     BasePoint,
+    ConstructionFailed,
     CurlWeights,
     DivergenceWeights,
+    NotIntegrable,
+    NotSolenoidal,
     ScalarField,
+    SourceError,
     SplitPair,
+    ValidationError,
     VectorField,
     builtin,
     num,
@@ -86,6 +91,20 @@ def test_constructor_values_copy_and_pickle_to_equal_forms():
         assert copy.copy(value) == value
         assert copy.deepcopy(value) == value
         assert pickle.loads(pickle.dumps(value)) == value
+
+
+@pytest.mark.parametrize("error", [
+    NotIntegrable(parse("x*sin(x)"), "x"),
+    NotSolenoidal(parse("1")),
+    ConstructionFailed(VectorField((parse("x"), parse("0"), parse("y")), CARTESIAN)),
+    SourceError(3, "an expression", "')'"),
+    ValidationError("bad weight"),
+])
+def test_errors_copy_and_pickle_with_their_message_and_fields(error):
+    # The errors that carry fields take them, not their message, in __init__.
+    for twin in (copy.copy(error), copy.deepcopy(error), pickle.loads(pickle.dumps(error))):
+        assert type(twin) is type(error)
+        assert (str(twin), twin.args, vars(twin)) == (str(error), error.args, vars(error))
 
 
 def test_pickled_form_is_equal_in_a_process_with_other_string_hashes():
