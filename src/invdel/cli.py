@@ -24,7 +24,7 @@ import sys
 from typing import Optional, Sequence
 
 from .coords import BUILTIN_NAMES, CoordinateSystem, builtin, custom
-from .errors import InvdelError, ValidationError
+from .errors import InvdelError, ValidationError, _echoed
 from .inverse import BasePoint, DivergenceWeights, construct, gauge_shift_curl, gauge_shift_div
 from .parser import parse
 from .vecops import ScalarField, VectorField, curl, divergence, gradient, rendered
@@ -128,7 +128,7 @@ def load_system_file(path: str) -> CoordinateSystem:
                 key, _, value = line.partition("=")
                 entries[key.strip()] = value.strip()
     except OSError as exc:
-        raise ValidationError(f"cannot read coordinate file: {exc}") from None
+        raise ValidationError(f"cannot read coordinate file: {_echoed(str(exc))}") from None
     missing = [k for k in ("names", "h1", "h2", "h3", "base", "box") if k not in entries]
     if missing:
         raise ValidationError(

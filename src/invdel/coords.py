@@ -7,7 +7,8 @@ origin and polar axis), so every sampled point is regular.  Angular
 coordinates are treated as plain real variables: constructed potentials are
 valid on the local chart, not glued across the 2*pi seam.  Scale factors
 are held as canonical forms; the builtin systems are built and validated
-once, when the module loads.
+once, when the module loads.  At the base point a scale factor is judged
+by ``expr.value_at``, as the inverse gradient's integrands are.
 
 A system keeps a metric table, out of its ``==``, hash, repr and pickling:
 h_j*h_k, (h1*h2)*h3 and their reciprocals and those of each h_i, each formed
@@ -19,31 +20,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DomainError, UnknownSystem, UnsupportedExpression, ValidationError
+from .errors import DomainError, UnknownSystem, UnsupportedExpression, ValidationError, _echoed
 from .expr import (
     CanonicalForm,
     Frozen,
-    _eval_function,
     _fraction,
     check_variable_name,
     eval_numeric,
     free_variables,
     reciprocal,
-    substitute_all,
+    value_at,
+    vanishes,
 )
 from .parser import parse
-
-
-def _vanishes(atom, e: int) -> bool:
-    """Whether the constant factor ``atom**e`` reads 0.0, judged alone;
-    DomainError where it has no value.  exp has no root, so only its
-    argument is evaluated."""
-    argument = eval_numeric(atom.argument, {})
-    if atom.tag == "exp" or _eval_function(atom.tag, argument) != 0.0:
-        return False
-    if e < 0:
-        raise DomainError("reciprocal of a vanishing factor")
-    return True
 
 
 class CoordinateSystem(Frozen):
@@ -75,7 +64,7 @@ class CoordinateSystem(Frozen):
             try:
                 check_variable_name(name)
             except ValueError as exc:
-                raise ValidationError(str(exc)) from None
+                raise ValidationError(_echoed(str(exc))) from None
         if len(scale_factors) != 3:
             raise ValidationError("exactly three scale factors required")
         allowed = set(names)
@@ -86,7 +75,7 @@ class CoordinateSystem(Frozen):
             foreign = free_variables(h) - allowed
             if foreign:
                 raise ValidationError(
-                    f"h{i} references unknown variables: {', '.join(sorted(foreign))}")
+                    f"h{i} references unknown variables: {_echoed(', '.join(sorted(foreign)))}")
             if h.is_zero():
                 raise ValidationError(f"h{i} is identically zero")
         if len(base_point) != 3:
@@ -94,7 +83,7 @@ class CoordinateSystem(Frozen):
         try:
             base = tuple(_fraction(v) for v in base_point)
         except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
-            raise ValidationError(f"base point must be rational: {exc}") from None
+            raise ValidationError(f"base point must be rational: {_echoed(str(exc))}") from None
         if len(sampling_box) != 3:
             raise ValidationError("sampling box needs three intervals")
         box = []
@@ -102,7 +91,7 @@ class CoordinateSystem(Frozen):
             try:
                 lo, hi = (float(bound) for bound in interval)
             except (ValueError, TypeError, OverflowError) as exc:
-                raise ValidationError(f"bad sampling interval {i}: {exc}") from None
+                raise ValidationError(f"bad sampling interval {i}: {_echoed(str(exc))}") from None
             if not lo < hi:
                 raise ValidationError(f"empty sampling interval [{lo}, {hi}]")
             if not math.isfinite(hi - lo):
@@ -110,20 +99,18 @@ class CoordinateSystem(Frozen):
             box.append((lo, hi))
         at_base = dict(zip(names, base))
         for i, h in enumerate(scale_factors, start=1):
-            # The base point is substituted exactly, so a rational constant is
-            # decided without floats that could overflow or underflow to 0.
             try:
-                value = substitute_all(h, at_base)
+                value = value_at(h, at_base)
                 if len(value.items()) > 1:
-                    vanishes = eval_numeric(value, {}) == 0.0
+                    zero = eval_numeric(value, {}) == 0.0
                 else:
                     # One term vanishes only where a factor does, and the float
                     # product may overflow or underflow where no factor does.
-                    vanishes = value.is_zero() or any(
-                        _vanishes(atom, e) for factors, _ in value.items() for atom, e in factors)
+                    zero = value.is_zero() or any(
+                        vanishes(atom) for factors, _ in value.items() for atom, _ in factors)
             except (UnsupportedExpression, DomainError):
                 raise ValidationError(f"h{i} undefined at the base point") from None
-            if vanishes:
+            if zero:
                 raise ValidationError(f"h{i} vanishes at the base point")
         self._init(names, scale_factors, base, tuple(box), label, {})
 

@@ -7,11 +7,14 @@ An error that carries a form builds its message from it, as ``SourceError``
 does from its fields, and keeps the whole form.  ``_shown`` writes the form,
 or a field's components joined by ", ", each cut after ``MAX_SHOWN_TERMS``
 terms; past the interpreter's digit limit, the widest number's digit count.
+Text echoed from outside input, such as a token, a name or a value, is cut
+by ``_echoed`` after ``MAX_ECHOED_CHARS`` characters.
 """
 
 from __future__ import annotations
 
 MAX_SHOWN_TERMS = 20  # most terms of one form an error's message shows
+MAX_ECHOED_CHARS = 200  # most characters of one outside text a message echoes
 
 
 class InvdelError(Exception):
@@ -33,7 +36,7 @@ class SourceError(InvdelError):
     exit_code = 2
 
     def __init__(self, offset: int, expected: str, found: str):
-        super().__init__(f"at offset {offset}: expected {expected}, found {found}")
+        super().__init__(f"at offset {offset}: expected {expected}, found {_echoed(found)}")
         self.offset = offset
         self.expected = expected
         self.found = found
@@ -132,3 +135,9 @@ def _shown(value) -> str:
             return f"with a number of about {_digit_count(max(map(_widest, forms)))} digits"
         texts.append(f"{text} ... ({more} more terms)" if more > 0 else text)
     return ", ".join(texts)
+
+
+def _echoed(text: str) -> str:
+    """``text``, cut after ``MAX_ECHOED_CHARS`` characters."""
+    more = len(text) - MAX_ECHOED_CHARS
+    return f"{text[:MAX_ECHOED_CHARS]} ... ({more} more characters)" if more > 0 else text

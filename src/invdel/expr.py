@@ -25,7 +25,9 @@ path builds no ``Fraction``; rationals given from outside (``num``,
 weights, base points) are converted on the way in.  Coefficient
 arithmetic is exact everywhere; floats appear only in numeric evaluation,
 ``run_plan`` over columns of points, which finds a variable by its slot
-alone, and ``eval_numeric``, its one-point case.
+alone, and ``eval_numeric``, its one-point case.  ``value_at``, the one
+judge of a form at a base point for scale factors and the inverse gradient
+alike, substitutes exact values and decides a rational argument exactly.
 """
 
 from __future__ import annotations
@@ -168,8 +170,9 @@ MAX_PRODUCT_PAIRS = 100_000
 MAX_POWER_DIGITS = 10_000
 _LOG10_2 = math.log10(2)
 
-# Decimal text with an exponent, as ``Fraction`` reads it, or looser.
-_DECIMAL_EXPONENT = re.compile(r"\s*[-+]?[\d_]*\.?[\d_]*[eE][-+]?([\d_]+)\s*")
+# Decimal text with an exponent, as ``Fraction`` reads it, or looser; digits
+# split one way only, so text with no exponent fails in linear time.
+_DECIMAL_EXPONENT = re.compile(r"\s*[-+]?[\d_]*(?:\.[\d_]*)?[eE][-+]?([\d_]+)\s*")
 
 
 def _fraction(value) -> Fraction:
@@ -774,3 +777,35 @@ def _eval_function(tag: str, arg: float) -> float:
         raise DomainError(f"{tag} of an infinite value") from None
     except OverflowError:
         raise DomainError("exp overflow") from None
+
+
+# The rational roots: sin(q) vanishes only at q = 0 and ln(q) only at q = 1.
+_RATIONAL_ROOT = {"sin": 0, "ln": 1}
+
+
+def vanishes(atom: FunctionAtom) -> bool:
+    """Whether a function atom with a constant argument is 0; DomainError
+    where it has no value.  A rational argument is decided exactly.  Any
+    other is evaluated, and the function at its value too, except exp, which
+    never vanishes, and sin or cos of inf, which is kept."""
+    constant = dict(atom.argument.items())
+    q = Fraction(*constant[()]) if () in constant else 0
+    if constant.keys() <= {()} and (atom.tag != "ln" or q > 0):
+        return q == _RATIONAL_ROOT.get(atom.tag)
+    value = eval_numeric(atom.argument, {})
+    return (atom.tag != "exp" and (atom.tag == "ln" or math.isfinite(value))
+            and _eval_function(atom.tag, value) == 0.0)
+
+
+def value_at(expression: Expression, values: Mapping) -> CanonicalForm:
+    """``substitute_all`` of a point's exact ``values`` (none: the form as it
+    is), checked: DomainError where a constant function atom, at any depth,
+    has no value or ``vanishes`` under a negative power."""
+    form = substitute_all(expression, values) if values else expression
+    for factors, _ in form.terms:
+        for atom, e in factors:
+            if atom.__class__ is not str:
+                value_at(atom.argument, {})
+                if not free_variables(atom.argument) and vanishes(atom) and e < 0:
+                    raise DomainError("reciprocal of a vanishing factor")
+    return form

@@ -23,10 +23,12 @@ W calls would raise it, in the order (c1,u2), (c2,u1), 1/h0, (c2,u0),
 
 Inverse divergence spreads the integrated source over the components with
 weights summing to one.  Inverse gradient integrates A . dl along the
-three-segment axis-parallel path from a base point.  The value types that
-hold these parameters (``DivergenceWeights``, ``BasePoint``, ``CurlWeights``)
-take ints, Fractions or text, which one reader, ``_rational``, turns into
-Fractions; a value it cannot read is a ValidationError.
+three-segment axis-parallel path from a base point, where ``expr.value_at``
+judges each form as it judges scale factors; an undefined value there is
+BasePointSingular.  The value types that hold these parameters
+(``DivergenceWeights``, ``BasePoint``, ``CurlWeights``) take ints, Fractions
+or text, which one reader, ``_rational``, turns into Fractions; a value it
+cannot read is a ValidationError.
 
 ``construct(kind, field, ...)``, which the command line and ``verify`` call,
 runs the kind's inverse once ``check_kind`` has checked the field's type;
@@ -52,7 +54,6 @@ they are made with ``_built``, unchecked.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional
 
@@ -65,17 +66,14 @@ from .errors import (
     NotSolenoidal,
     UnsupportedExpression,
     ValidationError,
+    _echoed,
 )
 from .expr import (
     ZERO_FORM,
     CanonicalForm,
     Frozen,
-    FunctionAtom,
-    _eval_function,
     _fraction,
-    eval_numeric,
-    free_variables,
-    substitute_all,
+    value_at,
 )
 from .vecops import (
     CYCLES,
@@ -95,7 +93,7 @@ def _rational(value, what: str) -> Fraction:
     try:
         return _fraction(value.strip() if isinstance(value, str) else value)
     except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad {what} {value!r}: {exc}") from None
+        raise ValidationError(f"bad {what} {_echoed(repr(value))}: {_echoed(str(exc))}") from None
 
 
 class CurlWeights(Frozen):
@@ -305,48 +303,13 @@ def _definite(integrand: CanonicalForm, name: str, lower: Fraction) -> Canonical
 
 
 def _at_base(form: CanonicalForm, values: dict) -> CanonicalForm:
-    """The form with the base point's ``values`` substituted; a result
-    undefined there, whether substitution or ``_scan_form`` finds it, is
+    """``value_at`` the base point's ``values``; a result undefined there is
     BasePointSingular.  Several values are substituted at once, so a
     singular term is seen even where another value zeroes it."""
     try:
-        form = substitute_all(form, values)
-        _scan_form(form)
+        return value_at(form, values)
     except (UnsupportedExpression, DomainError) as exc:
         raise BasePointSingular(f"base point substitution: {exc}") from None
-    return form
-
-
-# For a rational q, sin(q) vanishes only at q = 0 and ln(q) only at q = 1;
-# cos and exp have no rational root.
-_RATIONAL_ROOT = {"sin": 0, "ln": 1}
-
-
-def _scan_form(form: CanonicalForm) -> None:
-    """Raise DomainError where a constant function atom, at any depth, has no
-    value or vanishes under a negative power.  A rational argument is decided
-    exactly; any other is evaluated, and ln of its value too."""
-    for factors, _ in form.terms:
-        for atom, e in factors:
-            if not isinstance(atom, FunctionAtom):
-                continue
-            _scan_form(atom.argument)
-            if free_variables(atom.argument):
-                continue
-            constant = dict(atom.argument.items())
-            q = Fraction(*constant[()]) if () in constant else 0
-            if constant.keys() <= {()} and (atom.tag != "ln" or q > 0):
-                # No floats that could underflow to 0 or overflow.
-                vanishes = q == _RATIONAL_ROOT.get(atom.tag)
-            else:
-                value = eval_numeric(atom.argument, {})
-                # ln is evaluated for the DomainError of a non-positive value;
-                # exp never vanishes, and evaluating it could overflow; sin and
-                # cos of inf have no value to test.
-                vanishes = (atom.tag != "exp" and (atom.tag == "ln" or math.isfinite(value))
-                            and _eval_function(atom.tag, value) == 0.0)
-            if vanishes and e < 0:
-                raise DomainError("reciprocal of a vanishing factor")
 
 
 def gauge_shift_curl(A: VectorField, f: ScalarField) -> VectorField:

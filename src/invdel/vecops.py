@@ -21,7 +21,7 @@ UnsupportedExpression.
 from __future__ import annotations
 
 from .coords import CoordinateSystem
-from .errors import ValidationError
+from .errors import ValidationError, _echoed
 from .expr import (
     CanonicalForm,
     Frozen,
@@ -42,7 +42,7 @@ def _check_variables(parts, system: CoordinateSystem):
         if foreign:
             raise ValidationError(
                 "expression references variables outside the coordinate system: "
-                + ", ".join(sorted(foreign)))
+                + _echoed(", ".join(sorted(foreign))))
 
 
 class VectorField(Frozen):

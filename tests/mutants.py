@@ -40,23 +40,31 @@ MUTANTS = (
      "    except UnsupportedExpression as exc:\n"
      "        raise BasePointSingular",
      "_at_base catches only UnsupportedExpression"),
-    ("inverse.py", "if vanishes and e < 0:", "if vanishes:",
-     "_scan_form refuses a vanishing factor whatever its power"),
-    ("inverse.py", '(atom.tag == "ln" or math.isfinite(value))',
+    ("expr.py", "vanishes(atom) and e < 0:", "vanishes(atom):",
+     "the judge refuses a vanishing factor whatever its power"),
+    ("expr.py", '(atom.tag == "ln" or math.isfinite(value))',
      '(atom.tag != "ln" and math.isfinite(value))',
-     "the float branch of _scan_form no longer evaluates ln"),
-    ("inverse.py", "vanishes = q == _RATIONAL_ROOT.get(atom.tag)", "vanishes = False",
-     "the exact branch of _scan_form never finds a root"),
+     "the float branch of the judge no longer evaluates ln"),
+    ("expr.py", "return q == _RATIONAL_ROOT.get(atom.tag)", "return False",
+     "the exact branch of the judge never finds a root"),
     ("expr.py",
      "        except DomainError:\n            if failed is None:",
      "        except ArithmeticError:\n            if failed is None:",
      "_pointwise catches ArithmeticError in place of DomainError"),
     ("verify.py", "    if total != total:", "    if total is None:",
      "the nan screen is dropped"),
-    ("coords.py", 'if atom.tag == "exp" or _eval_function(', "if _eval_function(",
-     "coords evaluates an exp factor itself, not its argument"),
-    ("coords.py", "vanishes = value.is_zero() or any(", "vanishes = eval_numeric(value, {}) == 0.0 or any(",
+    ("expr.py", 'return (atom.tag != "exp" and (', "return ((",
+     "the judge evaluates exp itself, not only its argument"),
+    ("coords.py", "zero = value.is_zero() or any(",
+     "zero = eval_numeric(value, {}) == 0.0 or any(",
      "coords judges a one-term value by its float product"),
+    ("coords.py", "value = value_at(h, at_base)",
+     "from .expr import substitute_all\n                value = substitute_all(h, at_base)",
+     "coords substitutes without the judge's scan"),
+    ("errors.py", "more = len(text) - MAX_ECHOED_CHARS", "more = 0",
+     "the echo bound of an error's text is dropped"),
+    ("expr.py", r"[\d_]*(?:\.[\d_]*)?[eE]", r"[\d_]*\.?[\d_]*[eE]",
+     "digits with no decimal exponent are read in quadratic time"),
     ("verify.py", "if resamples > 10 * samples:", "if resamples > 100 * samples:",
      "the resample bound goes from 10 * samples to 100 * samples"),
     ("verify.py", "RELATIVE_TOLERANCE = 1e-9", "RELATIVE_TOLERANCE = 1e-3",

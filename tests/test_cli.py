@@ -279,6 +279,10 @@ def test_coords_file_that_cannot_be_read_or_has_no_key_exits_2(tmp_path, capsys)
     code, out, err = run(capsys, "div", "u", "v", "w", "--coords-file", str(tmp_path / "none"))
     assert (code, out) == (2, "")
     assert err.startswith("error: ValidationError: cannot read coordinate file: ")
+    # The interpreter's message echoes the path, which is cut after 200 characters.
+    code, _, err = run(capsys, "div", "u", "v", "w", "--coords-file", str(tmp_path / ("x" * 300)))
+    assert (code, err[-18:]) == (2, " more characters)\n")
+    assert len(err) < len("error: ValidationError: cannot read coordinate file: ") + 240
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -488,15 +492,46 @@ def test_rational_function_argument_is_decided_exactly(capsys, argv, expected):
 
 def test_sine_of_an_infinite_value_is_a_domain_error(tmp_path, capsys):
     # exp(700)*exp(701) overflows to inf, and sin(inf) has no value: every
-    # sample point is outside the domain, and so is the base point.
+    # sample point is outside the domain.  At the base point a constant sine
+    # of an infinite value has no value to test, so it is kept, as by inv-grad.
     assert run(capsys, "verify", "inv-div", "sin(exp(700)*exp(701))") == (
         1, "", "error: SamplingExhausted: more than 1000 sample points fell outside "
         "the domain\n")
     path = tmp_path / "infinite.coords"
-    path.write_text("names = u, v, w\nh1 = sin(exp(700)*exp(701))\nh2 = 1\nh3 = 1\n"
-                    "base = 0, 0, 0\nbox = -2:2, -2:2, -2:2\n")
+    path.write_text(COORDS_FILE.format(h1="sin(exp(700)*exp(701))", base="0, 0, 0",
+                                       box="-2:2, -2:2, -2:2"))
     assert run(capsys, "div", "u", "v", "w", "--coords-file", str(path)) == (
-        2, "", "error: ValidationError: h1 undefined at the base point\n")
+        0, "phi: 2 + sin(exp(700)*exp(701))^-1\n", "")
+
+
+@pytest.mark.parametrize("factor,judged", [
+    ("sin(0)", "vanishes"),
+    ("cos(0)", None),
+    ("ln(1)", "vanishes"),
+    ("ln(-1)", "undefined"),
+    ("sin(1/10^400)", None),
+    ("cos(10^400)", None),
+    ("exp(10^400)", None),
+    ("exp(1000)", None),
+    ("ln(exp(1000))", "undefined"),
+    ("sin(exp(700)*exp(701))", None),
+    ("exp(1000*cos(0))", None),
+])
+def test_a_constant_factor_is_judged_alike_at_both_base_points(tmp_path, capsys, factor,
+                                                               judged):
+    # A coordinate system's scale factor and the inverse gradient's integrand
+    # meet the same rule at the base point: h1 = F is undefined there exactly
+    # when F*z is BasePointSingular, and vanishes exactly when F^-1 is refused
+    # as the reciprocal of a vanishing factor.
+    path = tmp_path / "constant.coords"
+    path.write_text(COORDS_FILE.format(h1=factor, base="0, 0, 0", box="-2:2, -2:2, -2:2"))
+    code, _, err = run(capsys, "div", "u", "v", "w", "--coords-file", str(path))
+    assert (code, err) == ((0, "") if judged is None else
+                           (2, f"error: ValidationError: h1 {judged} at the base point\n"))
+    _, _, product = run(capsys, "inv-grad", "--", "0", "0", f"{factor}*z")
+    _, _, inverse = run(capsys, "inv-grad", "--", "0", "0", f"{factor}^-1")
+    assert ("BasePointSingular" in product) == (judged == "undefined")
+    assert ("reciprocal of a vanishing factor" in inverse) == (judged == "vanishes")
 
 
 @pytest.mark.parametrize("argv", [

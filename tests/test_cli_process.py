@@ -10,6 +10,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -73,6 +74,18 @@ WIDE_RESIDUAL = ("NotConservative: curl residual (0, 0, -"
 WEIGHT = ("ValidationError: divergence weights must sum to 1, got a weight past the "
           "interpreter's digit limit")
 BIG = "1" + "0" * 400
+# Inputs of 100 000 characters; each fits in one argument of a Linux exec.
+QS = "q" * 100_000
+ONES = "1" * 100_000
+CUT = " ... ({} more characters)"
+
+
+def _refusal(text):
+    """The interpreter's own message for a Fraction it cannot read."""
+    try:
+        Fraction(text)
+    except ValueError as exc:
+        return str(exc)
 
 ROWS = (
     readme_row("readme-inv-curl", 'invdel inv-curl "x*y*z + y^2" "x*z + y" "-z - y*z^2/2"', 3),
@@ -172,6 +185,20 @@ ROWS = (
     Row("decimal-exponent-past-budget", ("inv-div", "x", "--weights", "1e100000000,0,0"), 2,
         err="ValidationError: bad weight '1e100000000': a decimal exponent past 10000 "
             "exceeds the budget"),
+    # Digits with no exponent are read in linear time, and the echo of an
+    # outside text is cut after 200 characters.
+    Row("long-weight", ("inv-div", "x", "--weights", f"{ONES},0,0"), 2, bound=5,
+        err=f"ValidationError: bad weight '{ONES[:199]}{CUT.format(99_802)}: "
+            f"{_refusal(ONES)}"),
+    Row("long-foreign-variable", ("inv-div", QS), 2,
+        err="ValidationError: expression references variables outside the coordinate "
+            f"system: {QS[:200]}{CUT.format(99_800)}"),
+    Row("long-token", ("inv-div", f"x {QS}"), 2,
+        err=f"SourceError: at offset 2: expected end of input, found '{QS[:199]}"
+            f"{CUT.format(99_802)}"),
+    # sin(1/10^400) is 0.0 in floats, but the rational argument is decided exactly.
+    Row("tiny-sine-scale-factor", ("div", "u", "v", "w", "--coords-file", COORDS_FILE), 0,
+        f"phi: 2 + sin(u + 1/{BIG})^-1\n", coords=coords("sin(u + 1/10^400)")),
 )
 
 

@@ -293,7 +293,6 @@ def test_custom_scale_factor_is_judged_exactly_at_the_base_point(h):
 @pytest.mark.parametrize("h,message", [
     ("u^-1", "h1 undefined at the base point"),
     ("ln(u)", "h1 undefined at the base point"),
-    ("exp(10^400)", "h1 undefined at the base point"),
     ("exp(ln(-1))", "h1 undefined at the base point"),
     ("exp(1000)*sin(u)^-1", "h1 undefined at the base point"),
     ("u + v", "h1 vanishes at the base point"),
@@ -301,6 +300,8 @@ def test_custom_scale_factor_is_judged_exactly_at_the_base_point(h):
     ("exp(-1000)*sin(u)", "h1 vanishes at the base point"),
     ("exp(-500)^2 - exp(-1000)", "h1 vanishes at the base point"),
     ("ln(1 + u)", "h1 vanishes at the base point"),
+    # A factor with no value is found at any depth, before a vanishing one.
+    ("ln(1 + u)*sin(ln(u - 1))", "h1 undefined at the base point"),
 ])
 def test_custom_scale_factor_undefined_or_vanishing_at_the_base_point(h, message):
     with pytest.raises(ValidationError) as info:
@@ -310,14 +311,34 @@ def test_custom_scale_factor_undefined_or_vanishing_at_the_base_point(h, message
 
 
 @pytest.mark.parametrize("h", ["exp(-1000)", "exp(-1000)*exp(-u)/3", "exp(1000)^-1",
-                               "exp(1000)", "exp(-1000)*cos(u)", "exp(1000)^-1*cos(u)"])
+                               "exp(1000)", "exp(-1000)*cos(u)", "exp(1000)^-1*cos(u)",
+                               "exp(10^400)", "exp(1000*cos(u))"])
 def test_custom_scale_factor_of_exp_atoms_never_vanishes(h):
     # Each underflows to 0.0 or overflows at u = 0, but exp has no root: a
-    # one-term value is judged factor by factor, and of exp only the argument
-    # is evaluated.
+    # one-term value is judged factor by factor, and of exp only an argument
+    # that is not rational is evaluated, not the exp itself.
     s = custom(("u", "v", "w"), (h, "1", "1"), (0, 0, 0),
                ((-1, 1), (-1, 1), (-1, 1)))
     assert render(s.scale_factors[0]) == render(parse(h))
+
+
+LONG = "x" * 300
+
+
+@pytest.mark.parametrize("names,h1,base,box,prefix,echoed", [
+    (("_" + LONG, "v", "w"), "1", "0", "-1", "", f"invalid variable name '_{LONG}'"),
+    (("u", "v", "w"), "q" + LONG, "0", "-1", "h1 references unknown variables: ", "q" + LONG),
+    (("u", "v", "w"), "1", LONG, "-1", "base point must be rational: ",
+     f"Invalid literal for Fraction: '{LONG}'"),
+    (("u", "v", "w"), "1", "0", LONG, "bad sampling interval 1: ",
+     f"could not convert string to float: '{LONG}'"),
+], ids=["name", "scale-factor", "base", "box"])
+def test_custom_echoes_at_most_200_characters_of_an_argument(names, h1, base, box, prefix,
+                                                             echoed):
+    with pytest.raises(ValidationError) as info:
+        custom(names, (h1, "1", "1"), (base, 0, 0), ((box, 1), (-1, 1), (-1, 1)))
+    assert str(info.value) == (
+        f"{prefix}{echoed[:200]} ... ({len(echoed) - 200} more characters)")
 
 
 def test_custom_base_point_past_the_float_range_is_substituted_exactly():
