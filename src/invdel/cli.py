@@ -9,8 +9,12 @@ inverse kind's operator is ``inverse.construct``.
 
 The CLI only splits its input: each value type reads its own text
 (``DivergenceWeights``, ``BasePoint``, ``CoordinateSystem``) and raises
-ValidationError for a value it cannot read.  A run exits 0 on success and
-with the error's ``exit_code`` when it ends in an InvdelError.
+ValidationError for a value it cannot read.  A run exits 0 on success, with
+the error's ``exit_code`` when it ends in an InvdelError, and with 2 on a
+usage error, whose echoes of outside text are cut as ``_echoed`` cuts them.
+``main(argv)`` is the in-process API and leaves the garbage collector alone;
+the console script and ``python -m invdel.cli`` run ``run``, which freezes
+it after ``main`` so that the shutdown collections skip the imports' objects.
 
 Text output prints one component per line (``e1:``/``e2:``/``e3:`` for
 vectors, ``phi:`` for scalars).  JSON output always carries the fields
@@ -24,14 +28,32 @@ import sys
 from typing import Optional, Sequence
 
 from .coords import BUILTIN_NAMES, CoordinateSystem, builtin, custom
-from .errors import InvdelError, ValidationError, _echoed
+from .errors import MAX_ECHOED_CHARS, InvdelError, ValidationError, _echoed
 from .inverse import BasePoint, DivergenceWeights, construct, gauge_shift_curl, gauge_shift_div
 from .parser import parse
 from .vecops import ScalarField, VectorField, curl, divergence, gradient, rendered
 from .verify import roundtrip_report
 
+
+class _Parser(argparse.ArgumentParser):
+    """Cuts each outside text a usage error echoes, as ``_echoed`` does."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._texts = list(sys.argv[1:] if args is None else args)
+        return super().parse_known_args(self._texts, namespace)
+
+    def error(self, message):
+        # An echo is an argument, its value after "=" or a short option's tail,
+        # bare or as its repr; a longer text goes first, as it may hold a shorter.
+        texts = {t for s in self._texts for t in (s, s.partition("=")[2], s[2:])
+                 if len(t) > MAX_ECHOED_CHARS}
+        for text in sorted(texts, key=lambda t: (-len(t), t)):
+            message = message.replace(repr(text), _echoed(repr(text))).replace(text, _echoed(text))
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    root = argparse.ArgumentParser(
+    root = _Parser(
         prog="invdel",
         description="Symbolic curl, divergence and gradient and their "
                     "inverses in orthogonal curvilinear coordinates.",
@@ -256,5 +278,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return code
 
 
+def run() -> int:
+    """The process entry: ``main`` on the process's argv, then ``gc.freeze()``,
+    so the interpreter's shutdown collections skip every object left alive."""
+    import gc  # here, so that an import of this module does not load it
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -5,8 +5,8 @@
 Each entry of ``MUTANTS`` is ``(file, old, new, why)``: ``old`` must occur
 exactly once in ``src/invdel/<file>``, and the mutant replaces it by
 ``new``.  The unmutated tests run first and must pass.  Then each mutant
-is applied to a fresh temporary copy of ``src``, ``tests`` and
-``README.md``, where ``python -m pytest -x -q`` runs for at most
+is applied to a fresh temporary copy of ``src``, ``tests``, ``README.md``
+and ``pyproject.toml``, where ``python -m pytest -x -q`` runs for at most
 ``TIMEOUT`` seconds.  A mutant is killed when pytest fails or times out,
 and survives when it passes.  One line is printed per mutant and the last
 line counts the kills.
@@ -32,6 +32,13 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# The process entry between the end of main and its own body.
+ENTRY = (
+    "\n\ndef run() -> int:\n"
+    '    """The process entry: ``main`` on the process\'s argv, then ``gc.freeze()``,\n'
+    "    so the interpreter's shutdown collections skip every object left alive.\"\"\"\n"
+    "    import gc  # here, so that an import of this module does not load it\n")
 
 MUTANTS = (
     ("inverse.py",
@@ -164,6 +171,14 @@ MUTANTS = (
     ("inverse.py", "    if unchecked:\n        residual = curl(field)",
      "    if False:\n        residual = curl(field)",
      "construct ignores unchecked for inv_grad"),
+    ("cli.py",
+     "    _emit(payload, ns.format)\n    return code\n" + ENTRY + "    code = main()\n"
+     "    gc.freeze()\n    return code\n",
+     "    _emit(payload, ns.format)\n    import gc\n    gc.freeze()\n    return code\n"
+     + ENTRY + "    return main()\n",
+     "the freeze moves from the process entry into main"),
+    ("cli.py", "for t in (s, s.partition(\"=\")[2], s[2:])", "for t in (s,)",
+     "a usage error echoes an option's value uncut"),
 )
 
 # Seconds one pytest run may take.
@@ -177,8 +192,10 @@ def _copy(destination: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for part in ("src", "tests"):
         shutil.copytree(ROOT / part, destination / part, ignore=ignore)
-    # A test checks the README's exit-code table against the error types.
-    shutil.copy(ROOT / "README.md", destination / "README.md")
+    # Tests check the README's exit-code table against the error types and
+    # pyproject.toml's console script against the module's entry.
+    for name in ("README.md", "pyproject.toml"):
+        shutil.copy(ROOT / name, destination / name)
 
 
 def _pytest(directory: Path) -> str:

@@ -1,7 +1,9 @@
 """End-to-end command-line tests driven through main()."""
 
+import gc
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -319,6 +321,88 @@ def test_a_decimal_exponent_past_the_budget_exits_2_at_once(capsys, argv):
 @pytest.mark.parametrize("argv,code", [(("--help",), 0), (("inv-div",), 2)])
 def test_argument_parser_exit_is_returned(capsys, argv, code):
     assert run(capsys, *argv)[0] == code
+
+
+INV_DIV_USAGE = """usage: invdel inv-div [-h] [--coords {cartesian,cylindrical,spherical}]
+                      [--coords-file PATH] [--format {text,json}] [--verify]
+                      [--samples SAMPLES] [--seed SEED] [--weights K1,K2,K3]
+                      [--gauge-vector E1,E2,E3]
+                      expression
+invdel inv-div: error: """
+ROOT_USAGE = """usage: invdel [-h] {curl,div,grad,inv-curl,inv-div,inv-grad,verify} ...
+invdel: error: """
+
+
+# Each usage error that echoes an outside argument, by id: the argument's
+# text before its q's, the argv around it (ARG marks the argument), the
+# stderr with ECHO for the echo, and whether argparse quotes the echo.  A
+# quoted echo is the argument's q's, a bare one the whole argument.
+ECHOES = {
+    "coords-choice": ("", ("inv-div", "x", "--coords", "ARG"),
+     INV_DIV_USAGE + "argument --coords: invalid choice: ECHO (choose from 'cartesian', "
+     "'cylindrical', 'spherical')", True),
+    "samples-int": ("", ("inv-div", "x", "--samples", "ARG"),
+     INV_DIV_USAGE + "argument --samples: invalid int value: ECHO", True),
+    "samples-int-after-equals": ("--samples=", ("inv-div", "x", "ARG"),
+     INV_DIV_USAGE + "argument --samples: invalid int value: ECHO", True),
+    "command-choice": ("", ("ARG",),
+     ROOT_USAGE + "argument command: invalid choice: ECHO (choose from 'curl', 'div', "
+     "'grad', 'inv-curl', 'inv-div', 'inv-grad', 'verify')", True),
+    "unrecognized": ("", ("grad", "x", "ARG"), ROOT_USAGE + "unrecognized arguments: ECHO",
+     False),
+    "flag-value": ("--verify=", ("inv-div", "x", "ARG"),
+     INV_DIV_USAGE + "argument --verify: ignored explicit argument ECHO", True),
+    "short-flag-tail": ("-h", ("inv-div", "x", "ARG"),
+     INV_DIV_USAGE + "argument -h/--help: ignored explicit argument ECHO", True),
+    "ambiguous-option": ("--co=", ("inv-div", "x", "ARG"),
+     INV_DIV_USAGE + "ambiguous option: ECHO could match --coords, --coords-file", False),
+}
+
+
+@pytest.mark.parametrize("prefix,argv,stderr,quoted", ECHOES.values(), ids=ECHOES)
+@pytest.mark.parametrize("length", [200, 100_000])
+def test_a_usage_error_cuts_each_echoed_argument(capsys, monkeypatch, prefix, argv, stderr,
+                                                 quoted, length):
+    # The usage lines wrap at the terminal's width.
+    monkeypatch.setenv("COLUMNS", "80")
+    arg = prefix + "q" * (length - len(prefix))
+    echo = repr(arg[len(prefix):]) if quoted else arg
+    if length > 200:
+        echo = f"{echo[:200]} ... ({len(echo) - 200} more characters)"
+    argv = [arg if a == "ARG" else a for a in argv]
+    assert run(capsys, *argv) == (2, "", stderr.replace("ECHO", echo) + "\n")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("grad", "x"), 0),
+    (("inv-curl", "x", "0", "0"), 3),
+    (("inv-div",), 2),
+])
+def test_main_leaves_the_collector_as_it_found_it(capsys, argv, code):
+    # main runs many times in one process; a freeze would keep every run's
+    # garbage for good.
+    before = (gc.get_freeze_count(), gc.isenabled())
+    assert run(capsys, *argv)[0] == code
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_the_process_entry_runs_main_on_the_process_argv_then_freezes(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["invdel", "grad", "x*y"])
+    frozen = gc.get_freeze_count()
+    try:
+        assert invdel.cli.run() == 0
+        assert gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().out == "e1: y\ne2: x\ne3: 0\n"
+
+
+def test_the_console_script_is_the_entry_the_module_runs():
+    # Read as text: Python 3.10 has no tomllib.
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    target = re.search(r'^invdel = "invdel\.cli:(\w+)"$', pyproject, flags=re.M)
+    source = Path(invdel.cli.__file__).read_text()
+    assert source.split('if __name__ == "__main__":\n')[1] == f"    sys.exit({target[1]}())\n"
 
 
 def test_the_readme_exit_table_is_each_error_types_exit_code():
