@@ -43,7 +43,6 @@ from .expr import (
     atom_power,
     canonicalize,
     factors_contain,
-    form_contains,
 )
 
 
@@ -81,7 +80,7 @@ def _derivative(form: CanonicalForm, name: str) -> CanonicalForm:
                 if atom != name:
                     continue
                 chain = None
-            elif form_contains(atom.argument, name):
+            elif name in atom.variables:
                 chain = _outer_derivative(atom) * _derivative(atom.argument, name)
             else:
                 continue
@@ -129,7 +128,7 @@ def _integrate_term(factors: tuple, coefficient: tuple, name: str):
         if atom.__class__ is str:
             if atom == name:
                 place = index
-        elif form_contains(atom.argument, name):
+        elif name in atom.variables:
             if carrier is not None:
                 return None
             carrier = index

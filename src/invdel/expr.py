@@ -192,27 +192,33 @@ def _fraction(value) -> Fraction:
 class FunctionAtom(Frozen):
     """Opaque function occurrence keyed by its canonical argument.
 
-    ``key`` orders atoms inside a term; it is computed once, here, and left
-    out of ``==``, hash and repr.  Atoms sit in the factor tuples that key
-    every coefficient map, so ``==`` and hash are spelled out for speed;
-    repr is ``Frozen``'s, over ``_fields``.
+    Three facts are worked out once, here, and left out of ``==``, hash,
+    repr and pickling, which see ``tag`` and ``argument`` alone: ``key``,
+    which orders atoms inside a term; ``variables``, the frozenset of the
+    argument's variables; and ``_hash``.  A loaded pickle goes through this
+    constructor, so it works them out again in its own process.  Atoms sit
+    in the factor tuples that key every coefficient map, so ``==`` and hash
+    are spelled out for speed; repr is ``Frozen``'s, over ``_fields``.
     """
 
-    __slots__ = ("tag", "argument", "key")
+    __slots__ = ("tag", "argument", "key", "variables", "_hash")
     _fields = ("tag", "argument")
 
     def __init__(self, tag: str, argument: "CanonicalForm"):
         _set(self, "tag", tag)
         _set(self, "argument", argument)
         _set(self, "key", (tag, 1, _form_key(argument)))
+        _set(self, "variables", free_variables(argument))
+        _set(self, "_hash", hash((tag, argument)))
 
     def __eq__(self, other):
         if other.__class__ is not FunctionAtom:
             return NotImplemented
-        return (self.tag, self.argument) == (other.tag, other.argument)
+        return self is other or (self._hash == other._hash and
+                                 (self.tag, self.argument) == (other.tag, other.argument))
 
     def __hash__(self):
-        return hash((self.tag, self.argument))
+        return self._hash
 
 
 Atom = Union[str, FunctionAtom]
@@ -378,9 +384,11 @@ def _atom_key(atom):
 
 def _form_key(form: CanonicalForm):
     # Coefficients compare as rationals here, not as pairs, so that
-    # sin(x/2) sorts before sin(2*x/5).
+    # sin(2*x/5) sorts before sin(x/2).  An integer n/1 stays the int n, which
+    # compares with a Fraction exactly, so only a proper fraction is built.
     return tuple(
-        (Fraction(*c), tuple((_atom_key(a), e) for a, e in f)) for f, c in form.terms)
+        (c[0] if c[1] == 1 else Fraction(*c), tuple((_atom_key(a), e) for a, e in f))
+        for f, c in form.terms)
 
 
 def _merge_factors(f1, f2):
@@ -579,10 +587,7 @@ def factors_contain(factors, name: str) -> bool:
     """True iff the variable occurs among a term's factors, including
     function arguments."""
     for atom, _ in factors:
-        if isinstance(atom, str):
-            if atom == name:
-                return True
-        elif form_contains(atom.argument, name):
+        if atom == name if atom.__class__ is str else name in atom.variables:
             return True
     return False
 
@@ -616,7 +621,7 @@ def _substitute(d: dict, values: dict) -> dict:
                 if atom in values:
                     replaced = _multiply(replaced, _power(values[atom], e))
                     continue
-            elif any(form_contains(atom.argument, name) for name in values):
+            elif not atom.variables.isdisjoint(values):
                 inner = CanonicalForm(_substitute(atom.argument._map, values))
                 replaced = _multiply(
                     replaced, {((FunctionAtom(atom.tag, inner), e),): _ONE})
@@ -630,17 +635,13 @@ def free_variables(expression: Expression) -> frozenset[str]:
     """The variables that occur in the form, including inside function
     arguments; empty for anything that is not a form."""
     names: set[str] = set()
-
-    def walk(form: CanonicalForm) -> None:
-        for factors in form._map:
+    if isinstance(expression, CanonicalForm):
+        for factors in expression._map:
             for atom, _ in factors:
-                if isinstance(atom, str):
+                if atom.__class__ is str:
                     names.add(atom)
                 else:
-                    walk(atom.argument)
-
-    if isinstance(expression, CanonicalForm):
-        walk(expression)
+                    names |= atom.variables
     return frozenset(names)
 
 
@@ -806,6 +807,6 @@ def value_at(expression: Expression, values: Mapping) -> CanonicalForm:
         for atom, e in factors:
             if atom.__class__ is not str:
                 value_at(atom.argument, {})
-                if not free_variables(atom.argument) and vanishes(atom) and e < 0:
+                if not atom.variables and vanishes(atom) and e < 0:
                     raise DomainError("reciprocal of a vanishing factor")
     return form

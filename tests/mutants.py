@@ -179,6 +179,10 @@ MUTANTS = (
      "the freeze moves from the process entry into main"),
     ("cli.py", "for t in (s, s.partition(\"=\")[2], s[2:])", "for t in (s,)",
      "a usage error echoes an option's value uncut"),
+    ("expr.py", "(c[0] if c[1] == 1 else Fraction(*c), ", "(c[0], ",
+     "the atom key drops a coefficient's denominator"),
+    ("expr.py", "else name in atom.variables:", "else False:",
+     "factors_contain reads an atom as holding no variable"),
 )
 
 # Seconds one pytest run may take.
