@@ -665,16 +665,18 @@ def eval_numeric(expression: Expression, point: Mapping[str, float]) -> float:
 
 def numeric_plan(form: CanonicalForm, slots: Mapping[str, int]) -> tuple:
     """The form laid out for ``run_plan``: a (float coefficient, factors) pair
-    per term, in canonical order.  A factor pairs its exponent with a variable's
-    index in ``slots`` (or its name if it has none) or with (tag, argument plan)."""
+    per term, in canonical order.  A factor is (atom, exponent, function): a
+    variable's index in ``slots`` (or its name if it has none) with function
+    None, or the FunctionAtom itself with function (tag, argument plan)."""
     plan = []
     for term_factors, coefficient in form.terms:
         factors = []
         for atom, e in term_factors:
             if atom.__class__ is str:
-                factors.append((slots.get(atom, atom), e))
+                factors.append((slots.get(atom, atom), e, None))
             else:
-                factors.append(((atom.tag, numeric_plan(atom.argument, slots)), e))
+                function = (atom.tag, numeric_plan(atom.argument, slots))
+                factors.append((atom, e, function))
         plan.append((_coefficient_float(coefficient), tuple(factors)))
     return tuple(plan)
 
@@ -682,7 +684,8 @@ def numeric_plan(form: CanonicalForm, slots: Mapping[str, int]) -> tuple:
 _FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log}
 
 
-def run_plan(plan: tuple, columns, n: int, failed: set | None = None) -> list:
+def run_plan(plan: tuple, columns, n: int, failed: set | None = None, *,
+             table: dict | None = None) -> list:
     """Evaluate a plan at n points at once, one pass over the plan: each
     variable is read by its slot from ``columns`` (a list of n values per
     slot), and a variable with no slot raises UnboundVariable where its term
@@ -690,28 +693,24 @@ def run_plan(plan: tuple, columns, n: int, failed: set | None = None) -> list:
     term's product starts from its coefficient, and the sum (fsum, which
     loses -0.0) needs two or more terms.  A point whose value leaves the
     domain raises its DomainError or, when ``failed`` is a set, joins it and
-    reads nan while the other points go on."""
+    reads nan while the other points go on.
+
+    ``table`` maps each exact factor, (atom, exponent) with the atom a slot
+    or a FunctionAtom, to its column, so each distinct factor is formed once
+    however many terms and plans hold it.  It is keyed by the symbolic
+    factor, never by the float plan, under which sin(x/10^400) and
+    sin(-x/10^400) would meet, since 0.0 == -0.0.  Its columns belong to one
+    ``columns`` and ``failed``: give one table to every plan of one block of
+    points and drop it with the block.  The default is a fresh table."""
+    if table is None:
+        table = {}
     terms = []
     for coefficient, factors in plan:
         column = None
-        for atom, e in factors:
-            if atom.__class__ is int:
-                values = columns[atom]
-            elif atom.__class__ is str:
-                raise UnboundVariable(atom)
-            else:
-                tag, argument = atom
-                arguments = run_plan(argument, columns, n, failed)
-                function = _FUNCTIONS[tag]
-                try:
-                    values = list(map(function, arguments))
-                except (ArithmeticError, ValueError):
-                    values = _pointwise(lambda v: _eval_function(tag, v), arguments, failed)
-            if e != 1:
-                try:
-                    values = [v ** e for v in values]
-                except ArithmeticError:
-                    values = _pointwise(lambda v: _eval_power(v, e), values, failed)
+        for atom, e, function in factors:
+            values = table.get((atom, e))
+            if values is None:
+                values = _column(atom, e, function, columns, n, failed, table)
             if column is None:
                 column = [coefficient * v for v in values]
             else:
@@ -724,6 +723,31 @@ def run_plan(plan: tuple, columns, n: int, failed: set | None = None) -> list:
         return list(map(math.fsum, points))
     except (ArithmeticError, ValueError):
         return _pointwise(_eval_sum, points, failed)
+
+
+def _column(atom, e: int, function, columns, n: int, failed, table: dict) -> list:
+    """A factor's column, kept in ``table``; a power's base is kept there too."""
+    if e != 1:
+        values = table.get((atom, 1))
+        if values is None:
+            values = _column(atom, 1, function, columns, n, failed, table)
+        try:
+            values = [v ** e for v in values]
+        except ArithmeticError:
+            values = _pointwise(lambda v: _eval_power(v, e), values, failed)
+    elif function is None:
+        if atom.__class__ is str:
+            raise UnboundVariable(atom)
+        values = columns[atom]
+    else:
+        tag, argument = function
+        arguments = run_plan(argument, columns, n, failed, table=table)
+        try:
+            values = list(map(_FUNCTIONS[tag], arguments))
+        except (ArithmeticError, ValueError):
+            values = _pointwise(lambda v: _eval_function(tag, v), arguments, failed)
+    table[atom, e] = values
+    return values
 
 
 def _pointwise(checked, arguments, failed) -> list:

@@ -6,7 +6,10 @@ lays out each residual and input component once per report as a flat
 numeric plan (``expr.numeric_plan``).  It draws seeded points of the
 system's sampling box in blocks of at most ``BLOCK_POINTS``, one column of
 values per coordinate, and runs each plan over a whole block in one call
-(``expr.run_plan``), so memory stays flat in the sample count.  The input's
+(``expr.run_plan``), so memory stays flat in the sample count.  The plans of
+one block share one table of factor columns, so each distinct factor, such as
+``r^2`` or ``sin(theta)``, is formed once per block; the table is dropped
+with its block.  A report takes from 1 to ``MAX_SAMPLES`` points.  The input's
 magnitude at each point is the relative scale, so a symbolically exact
 result reports an error of exactly zero.
 Points where evaluation leaves the real domain, or where a residual or
@@ -24,7 +27,7 @@ from __future__ import annotations
 import random
 from typing import Optional, Union
 
-from .errors import DomainError, SamplingExhausted, ValidationError
+from .errors import DomainError, SamplingExhausted, ValidationError, _echoed
 from .expr import Frozen, ln, num, numeric_plan, run_plan
 from .inverse import BasePoint, DivergenceWeights, check_kind, construct, roundtrip_residual
 from .vecops import ScalarField, VectorField, curl, divergence, rendered
@@ -34,6 +37,8 @@ ABSOLUTE_FLOOR = 1e-12
 # The most sample points one pass over a report's plans evaluates; the
 # default report of 100 points is one block.
 BLOCK_POINTS = 256
+# The most sample points one report takes, so that it ends in bounded time.
+MAX_SAMPLES = 1_000_000
 
 # The plan of ln(-1), which has no value at any point.  A form with a
 # coefficient past the float range has none either, so it is laid out as
@@ -90,8 +95,12 @@ def roundtrip_report(
     and a ``result`` of another field type or system is a ValidationError.
     """
     check_kind(kind, field)
+    _check_int(samples, "sample count")
     if samples < 1:
         raise ValidationError("sample count must be positive")
+    if samples > MAX_SAMPLES:
+        raise ValidationError(f"sample count must be at most {MAX_SAMPLES}")
+    _check_int(seed, "seed")
 
     system = field.system
     if result is None:
@@ -109,6 +118,7 @@ def roundtrip_report(
 
     draw = random.Random(seed).random
     box = system.sampling_box
+    spans = [(lo, hi - lo) for lo, hi in box]
     slots = {name: i for i, name in enumerate(system.names)}
     plans = [(_layout(res, slots), _layout(ref, slots))
              for res, ref in zip(residual_forms, reference)]
@@ -121,22 +131,24 @@ def roundtrip_report(
         # The missing points, coordinate by coordinate as rng.uniform(lo, hi) draws them.
         n = min(samples - collected, BLOCK_POINTS)
         draws = [draw() for _ in range(len(box) * n)]
-        columns = [[lo + (hi - lo) * u for u in draws[k::len(box)]]
-                   for k, (lo, hi) in enumerate(box)]
-        failed = set()
+        columns = [[lo + width * u for u in draws[k::len(box)]]
+                   for k, (lo, width) in enumerate(spans)]
+        # One block's factor columns, shared by all of its plans.
+        failed, table = set(), {}
         pairs = []
         for res, ref in plans:
             # A zero residual adds nothing, but its reference may leave the domain.
             if res:
-                pairs.append((_screened(run_plan(res, columns, n, failed=failed), failed),
-                              _screened(run_plan(ref, columns, n, failed=failed), failed)))
+                pairs.append((_screened(res, columns, n, failed, table),
+                              _screened(ref, columns, n, failed, table)))
             else:
-                _screened(run_plan(ref, columns, n, failed=failed), failed)
+                _screened(ref, columns, n, failed, table)
         resamples += len(failed)
         if resamples > 10 * samples:
             raise SamplingExhausted(
                 f"more than {10 * samples} sample points fell outside the domain")
-        for i in range(n):
+        # With every residual zero there is no point to scan.
+        for i in range(n) if pairs else ():
             if i in failed:
                 continue
             for errors, scales in pairs:
@@ -162,13 +174,20 @@ def roundtrip_report(
     )
 
 
-def _screened(column: list, failed: set) -> list:
-    """The column; each point where it reads nan, as inf * 0.0 does without
-    raising, joins ``failed``.  Any nan makes the sum nan."""
+def _screened(plan: tuple, columns: list, n: int, failed: set, table: dict) -> list:
+    """The plan's column over one block; each point where it reads nan, as
+    inf * 0.0 does without raising, joins ``failed``.  Any nan makes the sum
+    nan."""
+    column = run_plan(plan, columns, n, failed=failed, table=table)
     total = sum(column)
     if total != total:
         failed.update(i for i, v in enumerate(column) if v != v)
     return column
+
+
+def _check_int(value, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an int, not {_echoed(type(value).__name__)}")
 
 
 def _layout(form, slots: dict) -> tuple:

@@ -183,6 +183,14 @@ MUTANTS = (
      "the atom key drops a coefficient's denominator"),
     ("expr.py", "else name in atom.variables:", "else False:",
      "factors_contain reads an atom as holding no variable"),
+    ("expr.py", "factors.append((atom, e, function))", "factors.append((function, e, function))",
+     "the table is keyed by the float plan"),
+    ("verify.py", "failed, table = set(), {}", "failed, table = set(), (table if collected else {})",
+     "one table serves every block"),
+    ("verify.py", "    if samples > MAX_SAMPLES:\n", "    if False:\n",
+     "the sample bound is dropped"),
+    ("verify.py", "if isinstance(value, bool) or not isinstance(value, int):",
+     "if not isinstance(value, int):", "a bool passes as an int sample count or seed"),
 )
 
 # Seconds one pytest run may take.

@@ -145,6 +145,10 @@ ROWS = (
         err="ConstructionFailed: curl of the constructed potential does not reproduce the "
             f"input; residual ({DIGIT_COUNT})"),
     Row("residual-text-bounded", ("inv-grad", "--", WIDE, "0", "0"), 3, err=WIDE_RESIDUAL),
+    # A report samples at most verify.MAX_SAMPLES points; one past it is
+    # refused before the first draw.
+    Row("samples-past-bound", ("inv-div", "3", "--verify", "--samples", "1000001"), 2,
+        err="ValidationError: sample count must be at most 1000000", bound=1),
     # A coefficient past the float range has no float value at any point, not
     # even inside exp; exp(700)*exp(701) is inf, and sin(inf) has no value.
     Row("float-range-coefficient", ("verify", "inv-div", "7" * 400 + "*x"), 1, err=EXHAUSTED),

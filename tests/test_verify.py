@@ -1,6 +1,8 @@
 """Round-trip verification reports and solenoidal/conservative predicates."""
 
+import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,10 +23,10 @@ from invdel import (
     parse,
     roundtrip_report,
 )
-from invdel import verify
+from invdel import expr, verify
 from invdel.errors import DomainError
 from invdel.expr import eval_numeric
-from invdel.inverse import DivergenceWeights, construct
+from invdel.inverse import DivergenceWeights, construct, roundtrip_residual
 
 from _support import random_scalar, random_vector
 
@@ -193,6 +195,37 @@ def test_unknown_kind_is_rejected():
         roundtrip_report("inv_curl", vec(CARTESIAN, "0", "0", "0"), samples=0)
     with pytest.raises(ValidationError, match="^unknown inverse kind 'inv-curl'$"):
         construct("inv-curl", vec(CARTESIAN, "0", "0", "0"))
+
+
+@pytest.mark.parametrize("keywords,message", [
+    ({"samples": 0}, "sample count must be positive"),
+    ({"samples": -3}, "sample count must be positive"),
+    ({"samples": verify.MAX_SAMPLES + 1}, "sample count must be at most 1000000"),
+    ({"samples": 10**5000}, "sample count must be at most 1000000"),
+    ({"samples": 2.5}, "sample count must be an int, not float"),
+    ({"samples": "100"}, "sample count must be an int, not str"),
+    ({"samples": True}, "sample count must be an int, not bool"),
+    ({"samples": None}, "sample count must be an int, not NoneType"),
+    ({"seed": [1]}, "seed must be an int, not list"),
+    ({"seed": None}, "seed must be an int, not NoneType"),
+    ({"seed": 1.0}, "seed must be an int, not float"),
+    ({"seed": False}, "seed must be an int, not bool"),
+])
+def test_samples_and_seed_are_checked_when_the_report_is_called(monkeypatch, keywords,
+                                                                 message):
+    # No construction or layout runs before the check.
+    monkeypatch.setattr(verify, "construct", None)
+    monkeypatch.setattr(verify, "numeric_plan", None)
+    with pytest.raises(ValidationError) as info:
+        roundtrip_report("inv_curl", vec(CARTESIAN, "y", "z", "x"), **keywords)
+    assert str(info.value) == message
+
+
+def test_the_sample_bound_is_a_million_and_a_large_seed_is_an_int():
+    assert verify.MAX_SAMPLES == 10**6
+    report = roundtrip_report("inv_curl", vec(CARTESIAN, "y", "z", "x"), samples=1,
+                              seed=10**40)
+    assert (report.sample_count, report.rng_seed) == (1, 10**40)
 
 
 def test_a_result_from_another_system_is_rejected():
@@ -407,3 +440,63 @@ def test_the_tolerance_is_relative_to_the_input_above_an_absolute_floor(source, 
     report = roundtrip_report("inv_div", f, result=result, samples=10)
     assert not report.symbolic_equal
     assert report.within_tolerance is within
+
+
+# The per-block table of factor columns.
+
+def test_the_factor_table_keeps_a_signed_zero():
+    # Both arguments are 0.0 in floats, +0.0 and -0.0 at x = -1: the two
+    # atoms have equal float plans, yet sin(-0.0) * sin(0.0) is -0.0.
+    value = eval_numeric(parse("sin(x/10^400)*sin(-x/10^400)"), {"x": -1.0})
+    assert value == 0.0 and math.copysign(1.0, value) == -1.0
+
+
+def _factor_occurrences(forms, slots):
+    """Each (atom, exponent) factor the forms hold, those inside function
+    arguments too, once per occurrence; a variable is named by its slot."""
+    found = []
+    for form in forms:
+        for factors, _ in form.terms:
+            for atom, e in factors:
+                if isinstance(atom, str):
+                    found.append((slots[atom], e))
+                else:
+                    found.append((atom, e))
+                    found.extend(_factor_occurrences([atom.argument], slots))
+    return found
+
+
+def test_a_block_forms_each_distinct_factor_column_once(monkeypatch):
+    """A 100-sample spherical report: each distinct sin atom is evaluated
+    once per point of its block, and each distinct power column is formed
+    once, where the forms hold them several times."""
+    A = vec(SPHERICAL, "sin(theta)^2*r^2", "r*cos(phi)*sin(theta)", "r^2")
+    phi = ScalarField(parse("r^2*sin(theta)*cos(phi)^2"), SPHERICAL)
+    slots = {name: i for i, name in enumerate(SPHERICAL.names)}
+    forms = [f for f in roundtrip_residual("inv_grad", A, phi) if not f.is_zero()]
+    occurrences = _factor_occurrences(forms + list(A.components), slots)
+    sines = [atom for atom, _ in occurrences if getattr(atom, "tag", None) == "sin"]
+    powers = [factor for factor in occurrences if factor[1] != 1]
+    assert (len(sines), len(set(sines)), len(powers), len(set(powers))) == (6, 2, 8, 3)
+
+    calls = Counter()
+    sine = expr._FUNCTIONS["sin"]
+
+    def counting_sine(value):
+        calls["sin"] += 1
+        return sine(value)
+
+    formed = Counter()
+    column = expr._column
+
+    def counting_column(atom, e, *rest):
+        if e != 1:
+            formed[atom, e] += 1
+        return column(atom, e, *rest)
+
+    monkeypatch.setitem(expr._FUNCTIONS, "sin", counting_sine)
+    monkeypatch.setattr(expr, "_column", counting_column)
+    report = roundtrip_report("inv_grad", A, result=phi, samples=100)
+    assert not report.symbolic_equal and report.resample_count == 0
+    assert calls["sin"] == 100 * len(set(sines))
+    assert formed == Counter(set(powers))
