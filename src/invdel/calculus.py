@@ -1,29 +1,14 @@
-"""Single-variable calculus on canonical forms.
+"""Single-variable calculus on canonical forms, term by term.
 
-Every operator here takes and returns canonical forms.
-
-``differentiate`` works term by term: the product rule over a term's atom
-powers, and the chain rule through each function atom whose argument
-contains the variable.  ``ln(u)`` differentiates to ``u'/u``, so it raises
-UnsupportedExpression when ``u`` has more than one term.
-
-``antidifferentiate`` works term by term too and only accepts terms of the
-shape
-
-    coefficient * monomial * (at most one sin/cos/exp factor whose argument
-    is linear in the integration variable with a rational slope)
-
-where the variable appears either in the monomial or in the function
-argument, not both.  Everything else raises NotIntegrable, which carries
-the first such term in canonical order and writes its own message.  The
-zero integration constant is chosen everywhere, so differentiating the
-result gives back the integrand exactly.
+``differentiate`` applies the product rule over a term's atom powers and
+the chain rule through each function atom whose argument holds the
+variable; ``ln(u)`` differentiates to ``u'/u``, so a ``u`` of several
+terms is UnsupportedExpression.  ``antidifferentiate`` accepts the term
+class the README describes, with the zero integration constant, and raises
+NotIntegrable carrying the first other term in canonical order.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from typing import Union
 
 from .errors import NotIntegrable, UnsupportedExpression
 from .expr import (
@@ -32,6 +17,7 @@ from .expr import (
     Expression,
     Frozen,
     FunctionAtom,
+    RationalLike,
     _accumulate,
     _add_term,
     _check_pair_count,
@@ -187,8 +173,8 @@ def weighted_split_integral(
     expression: Expression,
     split_var: str,
     int_var: str,
-    w_plus: Union[int, Fraction],
-    w_minus: Union[int, Fraction],
+    w_plus: RationalLike,
+    w_minus: RationalLike,
 ) -> CanonicalForm:
     """Split by one variable, integrate both parts in another, recombine.
 
@@ -202,14 +188,14 @@ def weighted_split_integral(
     then the rest, the term-pair budget and the coefficient budget.
     """
     acc: dict = {}
-    _weighted_walk(canonicalize(expression), split_var, w_plus, w_minus,
-                   ((int_var, acc, False),))(0)
+    weights = tuple((w.numerator, w.denominator) if w else (0, 1) for w in (w_plus, w_minus))
+    _weighted_walk(canonicalize(expression), split_var, weights, ((int_var, acc, False),))(0)
     return CanonicalForm(acc)
 
 
-def _weighted_walk(form: CanonicalForm, split_var: str, w_plus, w_minus, slots):
+def _weighted_walk(form: CanonicalForm, split_var: str, weights: tuple, slots):
     """Weighted split integrals of ``form`` sharing its split variable and
-    weights, in one walk over its terms.
+    ``weights``, the pairs (w_plus, w_minus), in one walk over its terms.
 
     Each slot (name, acc, negate) adds W(form; split_var, d name), negated
     when ``negate``, into the map ``acc``.  Each term is classified once, by
@@ -221,7 +207,7 @@ def _weighted_walk(form: CanonicalForm, split_var: str, w_plus, w_minus, slots):
     count is its number of terms, since integration in one variable keeps
     distinct terms distinct.
     """
-    weights = tuple((w.numerator, w.denominator) if w else None for w in (w_plus, w_minus))
+    weights = tuple(w if w[0] else None for w in weights)
     counts = [0, 0]
     refused = [False] * len(slots)
     over = [[None, None] for _ in slots]  # a coefficient budget error per part

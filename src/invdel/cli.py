@@ -1,24 +1,13 @@
-"""Command-line interface.
+"""Command-line interface (see the README's "Command line").
 
-Commands: curl, div, grad, inv-curl, inv-div, inv-grad, verify.  Each
-keeps its expressions in one list, ``texts``.  One runner, ``_run``, serves
-them all: it parses the field of the command's kind (``verify KIND`` runs
-as ``KIND --verify``), applies the kind's operator and renders the result
-as parts with ``vecops.rendered``, as the verification report does.  An
-inverse kind's operator is ``inverse.construct``.
-
-The CLI only splits its input: each value type reads its own text
-(``DivergenceWeights``, ``BasePoint``, ``CoordinateSystem``) and raises
-ValidationError for a value it cannot read.  A run exits 0 on success, with
-the error's ``exit_code`` when it ends in an InvdelError, and with 2 on a
-usage error, whose echoes of outside text are cut as ``_echoed`` cuts them.
-``main(argv)`` is the in-process API and leaves the garbage collector alone;
-the console script and ``python -m invdel.cli`` run ``run``, which freezes
-it after ``main`` so that the shutdown collections skip the imports' objects.
-
-Text output prints one component per line (``e1:``/``e2:``/``e3:`` for
-vectors, ``phi:`` for scalars).  JSON output always carries the fields
-command, coords, input, result, verification, error.
+Every command keeps its expressions in one list, ``texts``, and runs
+through one runner, ``_run``: it parses the field of the command's kind
+(``verify KIND`` runs as ``KIND --verify``), applies the kind's operator
+(``inverse.construct`` for an inverse) and renders the result as parts with
+``vecops.rendered``.  The CLI only splits its input: each value type reads
+its own text and raises ValidationError for a value it cannot read.
+``main(argv)`` is the in-process API; ``run``, the process entry, freezes
+the garbage collector after ``main``.
 """
 
 from __future__ import annotations

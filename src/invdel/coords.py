@@ -1,30 +1,28 @@
-"""Orthogonal curvilinear coordinate systems.
+"""Orthogonal curvilinear coordinate systems (see the README's "Coordinate
+systems").
 
-A system is three coordinate names, three symbolic scale factors, a default
-base point for path integrals and a box for numeric sampling.  The builtin
-boxes stay away from the h = 0 surfaces (the cylindrical axis, the spherical
-origin and polar axis), so every sampled point is regular.  Angular
-coordinates are treated as plain real variables: constructed potentials are
-valid on the local chart, not glued across the 2*pi seam.  Scale factors
-are held as canonical forms; the builtin systems are built and validated
-once, when the module loads.  At the base point a scale factor is judged
-by ``expr.value_at``, as the inverse gradient's integrands are.
-
-A system keeps a metric table, out of its ``==``, hash, repr and pickling:
-h_j*h_k, (h1*h2)*h3 and their reciprocals and those of each h_i, each formed
-once, when first asked for.  A failure is not kept but raised at every call.
+A system is three names, three scale factors held as canonical forms, a
+base point held as reduced int pairs (``_base``; ``base_point`` builds its
+Fractions when read) and a sampling box.  The builtin systems are built
+and validated once, when the module loads.  At the base point a scale
+factor is judged by ``expr.value_at``, as the inverse gradient's
+integrands are.  A system keeps a metric table, out of its ``==``, hash,
+repr and pickling: h_j*h_k, (h1*h2)*h3 and the reciprocals of those and
+of each h_i, each formed when first asked for; a failure is raised at
+every call.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import DomainError, UnknownSystem, UnsupportedExpression, ValidationError, _echoed
 from .expr import (
     CanonicalForm,
     Frozen,
+    _constant,
     _fraction,
+    _rational_pair,
     check_variable_name,
     eval_numeric,
     free_variables,
@@ -46,13 +44,13 @@ class CoordinateSystem(Frozen):
     bad argument."""
 
     _fields = ("names", "scale_factors", "base_point", "sampling_box", "label")
-    __slots__ = _fields + ("_table",)
+    __slots__ = ("names", "scale_factors", "_base", "sampling_box", "label", "_table")
 
     def __init__(
         self,
         names: tuple[str, ...],
         scale_factors: tuple[str | CanonicalForm, ...],
-        base_point: tuple[int | Fraction, ...],
+        base_point: tuple,
         sampling_box: tuple[tuple[float, float], ...],
         label: str = "custom",
     ):
@@ -81,7 +79,7 @@ class CoordinateSystem(Frozen):
         if len(base_point) != 3:
             raise ValidationError("base point needs three coordinates")
         try:
-            base = tuple(_fraction(v) for v in base_point)
+            base = tuple(map(_rational_pair, base_point))
         except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
             raise ValidationError(f"base point must be rational: {_echoed(str(exc))}") from None
         if len(sampling_box) != 3:
@@ -97,7 +95,7 @@ class CoordinateSystem(Frozen):
             if not math.isfinite(hi - lo):
                 raise ValidationError(f"sampling interval [{lo}, {hi}] is not finite")
             box.append((lo, hi))
-        at_base = dict(zip(names, base))
+        at_base = dict(zip(names, map(_constant, base)))
         for i, h in enumerate(scale_factors, start=1):
             try:
                 value = value_at(h, at_base)
@@ -113,6 +111,10 @@ class CoordinateSystem(Frozen):
             if zero:
                 raise ValidationError(f"h{i} vanishes at the base point")
         self._init(names, scale_factors, base, tuple(box), label, {})
+
+    @property
+    def base_point(self) -> tuple:
+        return tuple(map(_fraction, self._base))
 
     def _entry(self, key, build):
         table = self._table

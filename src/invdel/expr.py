@@ -1,40 +1,31 @@
 """Exact symbolic expression kernel.
 
-One kind of value lives here.  A ``CanonicalForm`` is a fully distributed
-sum of terms held as a sparse map from factors (ordered powers of variables
-and of sin/cos/exp/ln atoms) to exact coefficient, the distributed
-representation of Monagan and Pearce (CASC 2007); ``Expression`` is its
-other name.  The public constructors (``var``, ``num``, ``sin`` ... and
-``+ - * ** /``) build forms, ``parse`` returns them, and every operator
-passes and returns them.
-
-Forms are closed under ``+ - *``, integer powers (negative ones only of
-single terms), substitution and numeric evaluation; ``calculus`` adds
-differentiation and antidifferentiation.  The parser builds its maps with
-the same kernel helpers the constructors use (``_multiply``, ``_power``,
-``_invert``), so text and constructors give equal maps.  Equal
-forms have equal maps.  A form is its map: ``terms`` lists the map's
-(factors, coefficient) items in one deterministic order, which rendering
-and the sort keys of function atoms use, and ``repr`` spells the map in
-that order.
+A ``CanonicalForm`` (also named ``Expression``) is a fully distributed sum
+of terms held as a sparse map from factors (ordered powers of variables and
+of sin/cos/exp/ln atoms) to exact coefficient, the distributed
+representation of Monagan and Pearce (CASC 2007).  The constructors
+(``var``, ``num``, ``sin`` ... and ``+ - * ** /``) and the parser build
+maps with the same kernel helpers (``_multiply``, ``_power``, ``_invert``),
+so equal forms have equal maps, and every operator passes and returns
+forms.  ``terms`` lists a map's items in one deterministic order, which
+rendering, repr and the sort keys of function atoms use.
 
 A coefficient is a pair ``(n, d)`` of ints in lowest terms with ``d > 0``
-and ``n != 0``: the rational n/d.  Three helpers do all coefficient
-arithmetic (``_coeff_mul``, ``_coeff_add``, ``_coeff_inv``), so the hot
-path builds no ``Fraction``; rationals given from outside (``num``,
-weights, base points) are converted on the way in.  Coefficient
-arithmetic is exact everywhere; floats appear only in numeric evaluation,
-``run_plan`` over columns of points, which finds a variable by its slot
-alone, and ``eval_numeric``, its one-point case.  ``value_at``, the one
-judge of a form at a base point for scale factors and the inverse gradient
-alike, substitutes exact values and decides a rational argument exactly.
+and ``n != 0``, and three helpers do all coefficient arithmetic
+(``_coeff_mul``, ``_coeff_add``, ``_coeff_inv``).  Pairs are the one number
+type inside: ``_rational_pair`` reads a rational from outside into one, and
+``fractions`` is imported only to read text that is not a plain ratio or to
+hand a caller a ``Fraction``.  Floats appear only in numeric evaluation,
+``run_plan`` over columns of points and ``eval_numeric``, its one-point
+case.  ``value_at``, the one judge of a form at a base point, substitutes
+exact values and decides a rational argument exactly.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
+import sys
 from math import gcd
 from typing import Iterable, Mapping, Union
 
@@ -44,7 +35,9 @@ FUNCTION_TAGS = ("sin", "cos", "exp", "ln")
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
-RationalLike = Union[int, Fraction]
+# An int or a fractions.Fraction, named as text so that this module does not
+# import fractions.
+RationalLike = Union[int, "Fraction"]
 
 
 _set = object.__setattr__
@@ -109,8 +102,8 @@ def check_variable_name(name: str) -> None:
 
 
 def _inverse_rational(divisor) -> dict:
-    if not (isinstance(divisor, (int, Fraction))
-            or isinstance(divisor, CanonicalForm) and divisor._map.keys() <= {()}):
+    if _exact_pair(divisor) is None and not (
+            isinstance(divisor, CanonicalForm) and divisor._map.keys() <= {()}):
         raise TypeError("can only divide by a rational constant; "
                         "use reciprocal() for invertible expressions")
     return _invert(_map_of(divisor))
@@ -173,20 +166,58 @@ _LOG10_2 = math.log10(2)
 # Decimal text with an exponent, as ``Fraction`` reads it, or looser; digits
 # split one way only, so text with no exponent fails in linear time.
 _DECIMAL_EXPONENT = re.compile(r"\s*[-+]?[\d_]*(?:\.[\d_]*)?[eE][-+]?([\d_]+)\s*")
+# An integer or a ratio of integers in ASCII digits, which Fraction reads alike.
+_PLAIN_RATIO = re.compile(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
 
 
-def _fraction(value) -> Fraction:
-    """``Fraction(value)`` for a value from outside.  Fraction reads a decimal
-    exponent in time that grows with it, so text whose exponent is past
-    ``MAX_POWER_DIGITS`` is a ValueError before it is read."""
+def _reduced(n: int, d: int) -> tuple:
+    """n/d, d nonzero, as a pair in lowest terms with the sign on n."""
+    g = gcd(n, d)
+    return (n // g, d // g) if d > 0 else (-n // g, -d // g)
+
+
+def _exact_pair(value):
+    """The pair of an int or a Fraction, else None.  A Fraction exists only
+    once ``fractions`` is loaded, so telling one imports nothing."""
+    if isinstance(value, int):
+        return (value.numerator, 1)
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(value, fractions.Fraction):
+        return (value.numerator, value.denominator)
+    return None
+
+
+def _rational_pair(value) -> tuple:
+    """The pair of ``Fraction(value)``, or its error, for a value from
+    outside; only text that is not a plain ratio goes to Fraction.  Fraction
+    reads a decimal exponent in time that grows with it, so text whose
+    exponent is past ``MAX_POWER_DIGITS`` is a ValueError before it is read."""
+    pair = _exact_pair(value)
+    if pair is not None:
+        return pair
     if isinstance(value, str):
+        match = _PLAIN_RATIO.fullmatch(value)
+        if match:
+            try:
+                n, d = int(match[1]), int(match[2] or 1)
+            except ValueError:  # past the digit limit, which Fraction reports
+                n = d = 0
+            if d:
+                return _reduced(n, d)
         match = _DECIMAL_EXPONENT.fullmatch(value)
         if match:
             digits = match[1].replace("_", "").lstrip("0")
             if len(digits) > len(str(MAX_POWER_DIGITS)) or int(digits or 0) > MAX_POWER_DIGITS:
                 raise ValueError(
                     f"a decimal exponent past {MAX_POWER_DIGITS} exceeds the budget")
-    return Fraction(value)
+    from fractions import Fraction
+    return _exact_pair(Fraction(value))
+
+
+def _fraction(pair: tuple):
+    """The ``Fraction`` of a pair, for an attribute a caller reads."""
+    from fractions import Fraction
+    return Fraction(*pair)
 
 
 class FunctionAtom(Frozen):
@@ -342,9 +373,10 @@ def sum_forms(forms: Iterable[CanonicalForm]) -> CanonicalForm:
 def _map_of(value) -> dict:
     if isinstance(value, CanonicalForm):
         return value._map
-    if isinstance(value, (int, Fraction)):
-        return {(): (value.numerator, value.denominator)} if value else {}
-    raise TypeError(f"cannot interpret {value!r} as an expression")
+    pair = _exact_pair(value)
+    if pair is None:
+        raise TypeError(f"cannot interpret {value!r} as an expression")
+    return {(): pair} if pair[0] else {}
 
 
 def var(name: str) -> CanonicalForm:
@@ -353,7 +385,18 @@ def var(name: str) -> CanonicalForm:
 
 
 def num(numerator: RationalLike, denominator: int = 1) -> CanonicalForm:
-    return CanonicalForm(_map_of(Fraction(numerator, denominator)))
+    """The constant ``Fraction(numerator, denominator)``, read without it
+    from ints and Fractions."""
+    top, bottom = _exact_pair(numerator), _exact_pair(denominator)
+    if top is None or bottom is None or not bottom[0]:
+        from fractions import Fraction
+        top, bottom = _exact_pair(Fraction(numerator, denominator)), _ONE
+    return _constant(_reduced(top[0] * bottom[1], top[1] * bottom[0]))
+
+
+def _constant(pair: tuple) -> CanonicalForm:
+    """The constant form of a reduced pair."""
+    return CanonicalForm({(): pair} if pair[0] else {})
 
 
 def _apply(tag: str, argument) -> CanonicalForm:
@@ -382,12 +425,31 @@ def _atom_key(atom):
     return atom.key
 
 
+class _Ratio:
+    """A proper fraction n/d, d > 1, in an atom key: it compares with ints,
+    Fractions and other ratios exactly, as Fraction(n, d) would."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, n: int, d: int):
+        self.numerator, self.denominator = n, d
+
+    def __eq__(self, other):
+        return self.numerator * other.denominator == other.numerator * self.denominator
+
+    def __lt__(self, other):
+        return self.numerator * other.denominator < other.numerator * self.denominator
+
+    def __gt__(self, other):
+        return self.numerator * other.denominator > other.numerator * self.denominator
+
+
 def _form_key(form: CanonicalForm):
     # Coefficients compare as rationals here, not as pairs, so that
     # sin(2*x/5) sorts before sin(x/2).  An integer n/1 stays the int n, which
-    # compares with a Fraction exactly, so only a proper fraction is built.
+    # compares with a _Ratio exactly, so only a proper fraction is wrapped.
     return tuple(
-        (c[0] if c[1] == 1 else Fraction(*c), tuple((_atom_key(a), e) for a, e in f))
+        (c[0] if c[1] == 1 else _Ratio(*c), tuple((_atom_key(a), e) for a, e in f))
         for f, c in form.terms)
 
 
@@ -805,7 +867,7 @@ def _eval_function(tag: str, arg: float) -> float:
 
 
 # The rational roots: sin(q) vanishes only at q = 0 and ln(q) only at q = 1.
-_RATIONAL_ROOT = {"sin": 0, "ln": 1}
+_RATIONAL_ROOT = {"sin": (0, 1), "ln": _ONE}
 
 
 def vanishes(atom: FunctionAtom) -> bool:
@@ -814,8 +876,8 @@ def vanishes(atom: FunctionAtom) -> bool:
     other is evaluated, and the function at its value too, except exp, which
     never vanishes, and sin or cos of inf, which is kept."""
     constant = dict(atom.argument.items())
-    q = Fraction(*constant[()]) if () in constant else 0
-    if constant.keys() <= {()} and (atom.tag != "ln" or q > 0):
+    q = constant.get((), (0, 1))
+    if constant.keys() <= {()} and (atom.tag != "ln" or q[0] > 0):
         return q == _RATIONAL_ROOT.get(atom.tag)
     value = eval_numeric(atom.argument, {})
     return (atom.tag != "exp" and (atom.tag == "ln" or math.isfinite(value))

@@ -6,55 +6,30 @@ c_i = h_j*h_k*B_i, split each by its own coordinate u_i, and assemble
     A_i = (1/h_i) * [ W(c_next, u_next, du_prev) - W(c_prev, u_prev, du_next) ]
 
 where W is the weighted split integral with weight 1/3 on the part
-containing the split variable and 1/2 on the rest.  Those two weights are
-what make the construction land on an exact preimage; the result is checked
-against the numerators of its curl and any mismatch raises
-ConstructionFailed instead of returning a wrong potential.
+containing the split variable and 1/2 on the rest.  Each c_m feeds two
+components, so ``calculus._weighted_walk`` walks it once, in the order c1,
+c2, c0, adding into the maps of A_{m+2} (plus) and A_{m+1} (minus).  The
+walk raises nothing; each W's error is raised where six W calls would
+raise it, in the order (c1,u2), (c2,u1), 1/h0, (c2,u0), (c0,u2), 1/h1,
+(c0,u1), (c1,u0), 1/h2.
 
-Each c_m feeds two components, so it is walked once, in the order c1, c2,
-c0: each term is classified by whether it contains u_m, which picks its
-weight, integrated in u_{m+1} and in u_{m+2}, and its scaled coefficients
-go straight into the maps of A_{m+2} (plus) and A_{m+1} (minus).  Each
-component is then one product 1/h_i times its map.  The walk itself raises
-nothing; each W's error (a refusal, then the pair and coefficient budgets
-of the part with the split variable, then of the rest) is raised where six
-W calls would raise it, in the order (c1,u2), (c2,u1), 1/h0, (c2,u0),
-(c0,u2), 1/h1, (c0,u1), (c1,u0), 1/h2.
+Inverse divergence spreads the integrated source over the components by
+weights summing to one; inverse gradient integrates A . dl along an
+axis-parallel path from a base point, judged there by ``expr.value_at``;
+an undefined value there is BasePointSingular.
+The parameter values (``DivergenceWeights``, ``BasePoint``,
+``CurlWeights``) read ints, Fractions or text through ``_rational`` into
+the reduced int pairs the constructions read; their public attributes are
+Fractions, built when read.
 
-Inverse divergence spreads the integrated source over the components with
-weights summing to one.  Inverse gradient integrates A . dl along the
-three-segment axis-parallel path from a base point, where ``expr.value_at``
-judges each form as it judges scale factors; an undefined value there is
-BasePointSingular.  The value types that hold these parameters
-(``DivergenceWeights``, ``BasePoint``, ``CurlWeights``) take ints, Fractions
-or text, which one reader, ``_rational``, turns into Fractions; a value it
-cannot read is a ValidationError.
-
-``construct(kind, field, ...)``, which the command line and ``verify`` call,
-runs the kind's inverse once ``check_kind`` has checked the field's type;
-with ``unchecked`` it skips the gate and returns the gate's residual.
-
-Every step works on the canonical forms the fields hold and returns forms.
 The gates and the self-check compare numerators (``vecops.flux`` and
-``vecops.curl_numerators``): inverse curl requires the flux
-sum_i d(c_i)/du_i to be zero and checks d(h_k*A_k)/du_j - d(h_j*A_j)/du_k
-== c_i, and inverse gradient requires the curl numerators of A to be zero.
-Each is exact, since the divergence or curl component is its numerator
-times 1/(h1*h2*h3) or 1/(h_j*h_k), a single invertible term, read from the
-system's metric table where the forward operators read it; a failed one is
-raised at every call, so a multi-term scale factor fails a gate before the
-construction runs and errors come in the forward operators' order.  No
-product of a reciprocal and a numerator is formed, so none is estimated
-against the coefficient budget: ``divergence``, ``curl`` and
-``roundtrip_residual`` form them only for the residual a failure carries,
-and the error builds its own text from it.  The c_i are formed once, for
-the gate and the assembly.  Results are built from the checked input, so
-they are made with ``_built``, unchecked.
+``vecops.curl_numerators``), as the README's introduction describes; a
+reciprocal times a numerator is formed only for the residual a failure
+carries.  Results are built from checked input, with ``_built``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from .calculus import _weighted_walk, antidifferentiate
@@ -72,7 +47,12 @@ from .expr import (
     ZERO_FORM,
     CanonicalForm,
     Frozen,
+    RationalLike,
+    _ONE,
+    _coeff_add,
+    _constant,
     _fraction,
+    _rational_pair,
     value_at,
 )
 from .vecops import (
@@ -87,59 +67,75 @@ from .vecops import (
 )
 
 
-def _rational(value, what: str) -> Fraction:
-    """``value``, an int, a Fraction or text, as a Fraction; a value that is
-    none of them, or that names no rational, is a ValidationError."""
+def _rational(value, what: str) -> tuple:
+    """``value``, an int, a Fraction or text, as a reduced int pair; a value
+    that is none of them, or that names no rational, is a ValidationError."""
     try:
-        return _fraction(value.strip() if isinstance(value, str) else value)
+        return _rational_pair(value.strip() if isinstance(value, str) else value)
     except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad {what} {_echoed(repr(value))}: {_echoed(str(exc))}") from None
 
 
-class CurlWeights(Frozen):
+class _Rationals(Frozen):
+    """A value of rationals held as reduced int pairs in its one slot,
+    ``_pairs``; each of its ``_fields`` reads as a Fraction, built then.
+    ``==``, hash, repr and pickling go through those Fractions."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(lambda self, i=i: _fraction(self._pairs[i])))
+
+
+class CurlWeights(_Rationals):
     """Split-integral weights; only (1/3, 1/2) yields an exact preimage."""
 
-    __slots__ = ("w_plus", "w_minus")
+    __slots__ = ("_pairs",)
+    _fields = ("w_plus", "w_minus")
 
-    def __init__(self, w_plus: Fraction | str, w_minus: Fraction | str):
-        self._init(_rational(w_plus, "weight"), _rational(w_minus, "weight"))
-
-
-DEFAULT_CURL_WEIGHTS = CurlWeights(Fraction(1, 3), Fraction(1, 2))
+    def __init__(self, w_plus: RationalLike | str, w_minus: RationalLike | str):
+        self._init((_rational(w_plus, "weight"), _rational(w_minus, "weight")))
 
 
-class DivergenceWeights(Frozen):
+DEFAULT_CURL_WEIGHTS = CurlWeights("1/3", "1/2")
+
+
+class DivergenceWeights(_Rationals):
     """Per-component shares of the integrated source; they must sum to 1."""
 
-    __slots__ = ("k1", "k2", "k3")
+    __slots__ = ("_pairs",)
+    _fields = ("k1", "k2", "k3")
 
-    def __init__(self, k1: Fraction | str, k2: Fraction | str, k3: Fraction | str):
-        self._init(*(_rational(k, "weight") for k in (k1, k2, k3)))
-        if self.k1 + self.k2 + self.k3 != 1:
+    def __init__(self, k1: RationalLike | str, k2: RationalLike | str, k3: RationalLike | str):
+        self._init(tuple(_rational(k, "weight") for k in (k1, k2, k3)))
+        k1, k2, k3 = self._pairs
+        if _coeff_add(_coeff_add(k1, k2), k3) != _ONE:
             try:
-                got = f"{self.k1} + {self.k2} + {self.k3}"
+                got = " + ".join(str(n) if d == 1 else f"{n}/{d}" for n, d in self._pairs)
             except ValueError:  # str() refuses an int past the digit limit
                 got = "a weight past the interpreter's digit limit"
             raise ValidationError(f"divergence weights must sum to 1, got {got}")
 
     @classmethod
     def symmetric(cls) -> "DivergenceWeights":
-        third = Fraction(1, 3)
-        return cls(third, third, third)
+        return cls._built(((1, 3),) * 3)
 
-    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.k1, self.k2, self.k3)
+    def as_tuple(self) -> tuple:
+        return self._values()
 
 
-class BasePoint(Frozen):
+class BasePoint(_Rationals):
     """Lower corner (a, b, c) of the integration path plus the free constant."""
 
-    __slots__ = ("a", "b", "c", "c0")
+    __slots__ = ("_pairs",)
+    _fields = ("a", "b", "c", "c0")
 
-    def __init__(self, a: Fraction | str, b: Fraction | str, c: Fraction | str,
-                 c0: Fraction | str = 0):
-        self._init(*(_rational(v, "base coordinate") for v in (a, b, c)),
-                   _rational(c0, "constant"))
+    def __init__(self, a: RationalLike | str, b: RationalLike | str, c: RationalLike | str,
+                 c0: RationalLike | str = 0):
+        self._init((*(_rational(v, "base coordinate") for v in (a, b, c)),
+                    _rational(c0, "constant")))
 
 
 def curl_integrands(B: VectorField) -> tuple[CanonicalForm, CanonicalForm, CanonicalForm]:
@@ -166,7 +162,7 @@ def curl_potential_formula(
             if checks[m] is None:
                 _, after, before = CYCLES[m]
                 checks[m] = _weighted_walk(
-                    c[m], u[m], weights.w_plus, weights.w_minus,
+                    c[m], u[m], weights._pairs,
                     ((u[after], acc[before], False), (u[before], acc[after], True)))
             checks[m](side)
         comps.append(system.inverse_scale(i) * CanonicalForm(acc[i]))
@@ -250,17 +246,17 @@ def inverse_divergence(
     Component i is (k_i/(h_j*h_k)) * antiderivative of h1*h2*h3*f in u_i.
     Components with weight zero are left at zero without integrating.
     """
-    w = (weights or DivergenceWeights.symmetric()).as_tuple()
+    w = (weights or DivergenceWeights.symmetric())._pairs
     system = f.system
     u = system.names
     source = system.jacobian() * f.value
     comps = []
     for i in range(3):
-        if w[i] == 0:
+        if not w[i][0]:
             comps.append(ZERO_FORM)
             continue
         integral = antidifferentiate(source, u[i])
-        comps.append(system.inverse_pair(i) * integral * w[i])
+        comps.append(system.inverse_pair(i) * integral * _constant(w[i]))
     return VectorField._built(tuple(comps), system)
 
 
@@ -280,7 +276,7 @@ def inverse_gradient(A: VectorField, base: Optional[BasePoint] = None) -> Scalar
 
 def _path_integral(A: VectorField, base: Optional[BasePoint]) -> ScalarField:
     system = A.system
-    a, b, c, c0 = (*system.base_point, 0) if base is None else (base.a, base.b, base.c, base.c0)
+    a, b, c, c0 = map(_constant, (*system._base, (0, 1)) if base is None else base._pairs)
     u1, u2, u3 = system.names
     h = system.scale_factors
     along = [h[i] * A.components[i] for i in range(3)]
@@ -297,7 +293,7 @@ def _path_integral(A: VectorField, base: Optional[BasePoint]) -> ScalarField:
     return ScalarField._built(value, system)
 
 
-def _definite(integrand: CanonicalForm, name: str, lower: Fraction) -> CanonicalForm:
+def _definite(integrand: CanonicalForm, name: str, lower: CanonicalForm) -> CanonicalForm:
     primitive = antidifferentiate(integrand, name)
     return primitive - _at_base(primitive, {name: lower})
 
@@ -324,7 +320,7 @@ def gauge_shift_div(A: VectorField, C: VectorField) -> VectorField:
 
 def _shifted(A: VectorField, gauge, forward, what: str) -> VectorField:
     """A plus ``forward(gauge)``, a gradient or curl, in A's system."""
-    if gauge.system != A.system:
+    if gauge.system is not A.system and gauge.system != A.system:
         raise ValidationError(f"{what} lives in a different coordinate system")
     shift = forward(gauge).components
     return VectorField._built(tuple(a + s for a, s in zip(A.components, shift)), A.system)

@@ -1,22 +1,17 @@
 """Text front-end: tokenizer, recursive-descent parser and renderer.
 
-Grammar (no implicit multiplication, '^' binds tighter than unary minus):
-
-    expr   := term (('+'|'-') term)*
-    term   := factor (('*'|'/') factor)*
-    factor := ('-')* atom ('^' signed-integer)?
-    atom   := integer | identifier | function '(' expr ')' | '(' expr ')'
-
-``parse`` builds the canonical form directly: each production returns the
-sparse coefficient map of what it read, so no tree is built and nothing is
-flattened later.  The text is read once into a list of token strings, and
-token offsets are worked out only when an error is reported.  While a
-term's product is one term it is a coefficient and an exponent per atom,
-and each factor is merged into them in place; a zero or multi-term factor
-makes it a map.  Division is accepted only when the divisor is a nonzero
-constant or a single invertible term.  ``render`` emits deterministic text
-in the same grammar; parsing it back gives an equal form, and distinct
-canonical forms render to distinct strings.
+The grammar is the README's "Expression grammar": no implicit
+multiplication, and '^' binds tighter than unary minus.  ``parse`` builds
+the canonical form directly: each production returns the sparse coefficient
+map of what it read, so no tree is built and nothing is flattened later.
+The text is read once into a list of token strings, and token offsets are
+worked out only when an error is reported.  While a term's product is one
+term it is a coefficient and an exponent per atom, and each factor is
+merged into them in place; a zero or multi-term factor makes it a map.
+Division is accepted only when the divisor is a nonzero constant or a
+single invertible term.  ``render`` emits deterministic text in the same
+grammar; parsing it back gives an equal form, and distinct canonical forms
+render to distinct strings.
 """
 
 from __future__ import annotations

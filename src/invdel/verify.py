@@ -1,25 +1,15 @@
 """Round-trip verification: symbolic residuals plus seeded numeric sampling.
 
-The symbolic channel is ``inverse.roundtrip_residual``: the forward
-operator's form of the inverse result less the input's.  The numeric channel
-lays out each residual and input component once per report as a flat
-numeric plan (``expr.numeric_plan``).  It draws seeded points of the
-system's sampling box in blocks of at most ``BLOCK_POINTS``, one column of
-values per coordinate, and runs each plan over a whole block in one call
-(``expr.run_plan``), so memory stays flat in the sample count.  The plans of
-one block share one table of factor columns, so each distinct factor, such as
-``r^2`` or ``sin(theta)``, is formed once per block; the table is dropped
-with its block.  A report takes from 1 to ``MAX_SAMPLES`` points.  The input's
-magnitude at each point is the relative scale, so a symbolically exact
-result reports an error of exactly zero.
-Points where evaluation leaves the real domain, or where a residual or
-input reads nan (as inf * 0.0 does, without raising), are flagged within
-their block and resampled, up to ten times the requested sample count; a
-form with a coefficient past the float range has no value at any point.  Each
-block draws only the points still missing, so the points, the resample
-count and the report are those of sampling one point at a time.
-A report's ``to_dict`` lists its fields in slot order, which is the JSON
-key order, with the residual rendered as parts by ``vecops.rendered``.
+The symbolic channel is ``inverse.roundtrip_residual``.  The numeric
+channel lays out each residual and input component once as a plan
+(``expr.numeric_plan``) and runs the plans over blocks of at most
+``BLOCK_POINTS`` seeded points (``expr.run_plan``), with one table of
+factor columns per block.  ``MAX_SAMPLES`` bounds a report's points and
+``MAX_REPORT_WORK`` its points times its plans' factors, before a point is
+drawn.  The README's "Library use" describes the error scale, resampling
+and the nan screen; a block draws only the points still missing, so a
+report is that of sampling one point at a time.  ``to_dict`` lists the
+fields in slot order, the JSON key order.
 """
 
 from __future__ import annotations
@@ -27,7 +17,7 @@ from __future__ import annotations
 import random
 from typing import Optional, Union
 
-from .errors import DomainError, SamplingExhausted, ValidationError, _echoed
+from .errors import DomainError, SamplingExhausted, UnsupportedExpression, ValidationError, _echoed
 from .expr import Frozen, ln, num, numeric_plan, run_plan
 from .inverse import BasePoint, DivergenceWeights, check_kind, construct, roundtrip_residual
 from .vecops import ScalarField, VectorField, curl, divergence, rendered
@@ -39,6 +29,9 @@ ABSOLUTE_FLOOR = 1e-12
 BLOCK_POINTS = 256
 # The most sample points one report takes, so that it ends in bounded time.
 MAX_SAMPLES = 1_000_000
+# The most sample points times plan factors one report may evaluate, a term's
+# coefficient and a function's argument plan counted among its factors.
+MAX_REPORT_WORK = 10_000_000
 
 # The plan of ln(-1), which has no value at any point.  A form with a
 # coefficient past the float range has none either, so it is laid out as
@@ -122,6 +115,11 @@ def roundtrip_report(
     slots = {name: i for i, name in enumerate(system.names)}
     plans = [(_layout(res, slots), _layout(ref, slots))
              for res, ref in zip(residual_forms, reference)]
+    factors = _factor_count(plan for pair in plans for plan in pair)
+    if samples * factors > MAX_REPORT_WORK:
+        raise UnsupportedExpression(
+            f"a report of {samples} samples over plans of {factors} factors exceeds "
+            f"the budget of {MAX_REPORT_WORK} sample factors")
     max_abs = 0.0
     max_rel = 0.0
     within = True
@@ -183,6 +181,20 @@ def _screened(plan: tuple, columns: list, n: int, failed: set, table: dict) -> l
     if total != total:
         failed.update(i for i, v in enumerate(column) if v != v)
     return column
+
+
+def _factor_count(plans) -> int:
+    """The factors of the plans' terms, each term's coefficient and the
+    factors of its functions' argument plans included."""
+    count = 0
+    for plan in plans:
+        count += len(plan)
+        for _, factors in plan:
+            count += len(factors)
+            for _, _, function in factors:
+                if function:
+                    count += _factor_count((function[1],))
+    return count
 
 
 def _check_int(value, what: str) -> None:

@@ -78,8 +78,7 @@ MUTANTS = (
      "the relative tolerance goes from 1e-9 to 1e-3"),
     ("verify.py", "ABSOLUTE_FLOOR = 1e-12", "ABSOLUTE_FLOOR = 1e-6",
      "the absolute floor goes from 1e-12 to 1e-6"),
-    ("inverse.py", "CurlWeights(Fraction(1, 3), Fraction(1, 2))",
-     "CurlWeights(Fraction(1, 2), Fraction(1, 2))",
+    ("inverse.py", 'CurlWeights("1/3", "1/2")', 'CurlWeights("1/2", "1/2")',
      "the curl weight goes from 1/3 to 1/2"),
     ("inverse.py", "    if not all(matched):", "    if False:",
      "the inverse curl's self-check is dropped"),
@@ -124,10 +123,10 @@ MUTANTS = (
      "ConstructionFailed exits 1 in place of 5"),
     ("inverse.py",
      "            try:\n"
-     "                got = f\"{self.k1} + {self.k2} + {self.k3}\"\n"
+     "                got = \" + \".join(str(n) if d == 1 else f\"{n}/{d}\" for n, d in self._pairs)\n"
      "            except ValueError:  # str() refuses an int past the digit limit\n"
      "                got = \"a weight past the interpreter's digit limit\"\n",
-     "            got = f\"{self.k1} + {self.k2} + {self.k3}\"\n",
+     "            got = \" + \".join(str(n) if d == 1 else f\"{n}/{d}\" for n, d in self._pairs)\n",
      "the weights message prints a weight past the digit limit"),
     ("calculus.py", "part = 0 if factors_contain(factors, split_var) else 1",
      "part = 0 if factors_contain(factors, slots[0][0]) else 1",
@@ -146,8 +145,8 @@ MUTANTS = (
      "pair(i) takes the cycle of i - 1"),
     ("coords.py", 'self._entry(("1/pair", i)', 'self._entry(("pair", i)',
      "pair(i) and its reciprocal share one table key"),
-    ("inverse.py", "(*system.base_point, 0) if base is None",
-     "(*system.base_point[1:], system.base_point[0], 0) if base is None",
+    ("inverse.py", "(*system._base, (0, 1)) if base is None",
+     "(*system._base[1:], system._base[0], (0, 1)) if base is None",
      "the default base point is rotated"),
     ("errors.py", "_digit_count(max(map(_widest, forms)))",
      "_digit_count(max(abs(term[1][0]) for form in forms for term in form.items()))",
@@ -179,7 +178,7 @@ MUTANTS = (
      "the freeze moves from the process entry into main"),
     ("cli.py", "for t in (s, s.partition(\"=\")[2], s[2:])", "for t in (s,)",
      "a usage error echoes an option's value uncut"),
-    ("expr.py", "(c[0] if c[1] == 1 else Fraction(*c), ", "(c[0], ",
+    ("expr.py", "(c[0] if c[1] == 1 else _Ratio(*c), ", "(c[0], ",
      "the atom key drops a coefficient's denominator"),
     ("expr.py", "else name in atom.variables:", "else False:",
      "factors_contain reads an atom as holding no variable"),
@@ -191,6 +190,13 @@ MUTANTS = (
      "the sample bound is dropped"),
     ("verify.py", "if isinstance(value, bool) or not isinstance(value, int):",
      "if not isinstance(value, int):", "a bool passes as an int sample count or seed"),
+    ("expr.py", "            if d:\n                return _reduced(n, d)",
+     "            if True:\n                return _reduced(n, d)",
+     "a zero denominator takes the fast reader"),
+    ("verify.py", "    if samples * factors > MAX_REPORT_WORK:", "    if False:",
+     "the report-work budget is dropped"),
+    ("verify.py", "count += _factor_count((function[1],))", "count += 0",
+     "a function's argument plan is left out of a report's factor count"),
 )
 
 # Seconds one pytest run may take.

@@ -149,6 +149,12 @@ ROWS = (
     # refused before the first draw.
     Row("samples-past-bound", ("inv-div", "3", "--verify", "--samples", "1000001"), 2,
         err="ValidationError: sample count must be at most 1000000", bound=1),
+    # A report's work, its samples times its plans' factors, is bounded too;
+    # this one would run for minutes.
+    Row("report-work-past-budget",
+        ("inv-div", "(x+y+z+1)^20", "--verify", "--samples", "1000000"), 4, bound=5,
+        err="UnsupportedExpression: a report of 1000000 samples over plans of 6391 factors "
+            "exceeds the budget of 10000000 sample factors"),
     # A coefficient past the float range has no float value at any point, not
     # even inside exp; exp(700)*exp(701) is inf, and sin(inf) has no value.
     Row("float-range-coefficient", ("verify", "inv-div", "7" * 400 + "*x"), 1, err=EXHAUSTED),

@@ -199,3 +199,35 @@ def test_cli_import_leaves_dataclasses_inspect_and_json_unloaded():
                           text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+# The README examples that the cold-start benchmark runs, and a forward one.
+COLD_RUNS = (
+    ("inv-curl", "x*y*z + y^2", "x*z + y", "-z - y*z^2/2"),
+    ("inv-grad", "--base", "0,0,0", "2*x*y", "x^2", "1"),
+    ("inv-div", "4*rho", "--coords", "cylindrical", "--weights", "1,0,0", "--verify"),
+    ("verify", "inv-div", "3"),
+    ("grad", "x*y"),
+)
+# Runs the process entry on the argv after it, then names what it loaded.
+ENTRY_RUN = ("import sys; sys.argv = ['invdel', *sys.argv[1:]]; import invdel.cli; "
+             "code = invdel.cli.run(); "
+             "print(code, sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))")
+
+
+def _entry_run(argv) -> list:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", ENTRY_RUN, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert done.stderr == ""
+    return done.stdout.splitlines()
+
+
+@pytest.mark.parametrize("argv", COLD_RUNS, ids=lambda argv: argv[0])
+def test_a_cold_readme_run_leaves_fractions_decimal_and_numbers_unloaded(argv):
+    assert _entry_run(argv)[-1] == "0 []"
+
+
+def test_a_decimal_weight_is_read_through_fractions_with_the_same_output():
+    assert _entry_run(("inv-div", "x", "--weights", "0.5,0.25,0.25")) == [
+        "e1: x^2/4", "e2: x*y/4", "e3: x*z/4", "0 ['decimal', 'fractions', 'numbers']"]

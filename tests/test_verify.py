@@ -9,6 +9,7 @@ import pytest
 from invdel import (
     SamplingExhausted,
     ScalarField,
+    UnsupportedExpression,
     ValidationError,
     VectorField,
     builtin,
@@ -226,6 +227,30 @@ def test_the_sample_bound_is_a_million_and_a_large_seed_is_an_int():
     report = roundtrip_report("inv_curl", vec(CARTESIAN, "y", "z", "x"), samples=1,
                               seed=10**40)
     assert (report.sample_count, report.rng_seed) == (1, 10**40)
+
+
+def test_a_report_past_the_work_budget_is_refused_before_a_point_is_drawn(monkeypatch):
+    # The reference plan of x*y + sin(z) has 7 factors: each term's
+    # coefficient, x, y, sin and its argument plan's coefficient and z.  The
+    # residual is zero and lays out no plan.
+    field = ScalarField(parse("x*y + sin(z)"), CARTESIAN)
+    assert verify._factor_count([verify.numeric_plan(field.value, {"x": 0, "y": 1, "z": 2})]) == 7
+    monkeypatch.setattr(verify, "MAX_REPORT_WORK", 700)
+    assert roundtrip_report("inv_div", field, samples=100).sample_count == 100
+
+    class Undrawn(random.Random):
+        def random(self):
+            raise AssertionError("a point was drawn")
+
+    monkeypatch.setattr(verify.random, "Random", Undrawn)
+    with pytest.raises(UnsupportedExpression) as info:
+        roundtrip_report("inv_div", field, samples=101)
+    assert str(info.value) == ("a report of 101 samples over plans of 7 factors exceeds the "
+                               "budget of 700 sample factors")
+
+
+def test_the_work_budget_is_ten_million_sample_factors():
+    assert verify.MAX_REPORT_WORK == 10**7
 
 
 def test_a_result_from_another_system_is_rejected():
