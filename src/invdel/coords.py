@@ -116,6 +116,18 @@ class CoordinateSystem(Frozen):
     def base_point(self) -> tuple:
         return tuple(map(_fraction, self._base))
 
+    def _key(self) -> tuple:
+        return self.names, self.scale_factors, self._base, self.sampling_box, self.label
+
+    # Over the slots, so comparing two systems builds no Fraction.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     def _entry(self, key, build):
         table = self._table
         return table[key] if key in table else table.setdefault(key, build())

@@ -18,7 +18,8 @@ type inside: ``_rational_pair`` reads a rational from outside into one, and
 hand a caller a ``Fraction``.  Floats appear only in numeric evaluation,
 ``run_plan`` over columns of points and ``eval_numeric``, its one-point
 case.  ``value_at``, the one judge of a form at a base point, substitutes
-exact values and decides a rational argument exactly.
+exact values, each constant folded into its terms' coefficients by pair
+arithmetic, and decides a rational argument exactly.
 """
 
 from __future__ import annotations
@@ -581,6 +582,21 @@ def _coefficient_bits(d: dict) -> tuple[int, int]:
     return n, e
 
 
+def _coeff_power(coeff: tuple, n: int) -> tuple:
+    """A nonzero coefficient to the nonzero power n, estimated against
+    ``MAX_POWER_DIGITS`` before it is formed."""
+    if n < 0:
+        coeff, n = _coeff_inv(coeff), -n
+    if coeff == _ONE:
+        return coeff
+    numerator, denominator = coeff
+    size = max(abs(numerator), denominator)
+    if size > 1 and n > MAX_POWER_DIGITS / math.log10(size):
+        raise UnsupportedExpression(
+            f"a coefficient power of more than {MAX_POWER_DIGITS} digits exceeds the budget")
+    return (numerator ** n, denominator ** n)
+
+
 def _invert(d: dict) -> dict:
     if not d:
         raise UnsupportedExpression("reciprocal of zero")
@@ -599,15 +615,7 @@ def _power(d: dict, n: int) -> dict:
     if len(d) == 1:
         # A power of one term scales its exponents, none of which is zero.
         (factors, coeff), = d.items()
-        if coeff != _ONE:
-            numerator, denominator = coeff
-            size = max(abs(numerator), denominator)
-            if size > 1 and n > MAX_POWER_DIGITS / math.log10(size):
-                raise UnsupportedExpression(
-                    f"a coefficient power of more than {MAX_POWER_DIGITS} digits "
-                    "exceeds the budget")
-            coeff = (numerator ** n, denominator ** n)
-        return {tuple((a, e * n) for a, e in factors): coeff}
+        return {tuple((a, e * n) for a, e in factors): _coeff_power(coeff, n)}
     result = {(): _ONE}
     base = d
     while n:
@@ -671,25 +679,46 @@ def substitute_all(expression: Expression, values: Mapping) -> CanonicalForm:
 
 
 def _substitute(d: dict, values: dict) -> dict:
+    # While every replaced factor is a constant, a term is its coefficient and
+    # its kept factors, and each constant's power folds into the coefficient,
+    # as ``_multiply`` of two constants would form it.  From its first other
+    # replaced factor on, the product is a map, multiplied out by
+    # ``_multiply``.  Either way each factor raises its budget or reciprocal
+    # error in turn, even after another factor has zeroed the term.
     acc: dict = {}
     for factors, coeff in d.items():
-        if not any(factors_contain(factors, name) for name in values):
-            _add_term(acc, factors, coeff)
-            continue
         kept = []
-        replaced = {(): coeff}
+        replaced = None
         for atom, e in factors:
-            if isinstance(atom, str):
-                if atom in values:
-                    replaced = _multiply(replaced, _power(values[atom], e))
+            if atom.__class__ is str:
+                if atom not in values:
+                    kept.append((atom, e))
                     continue
-            elif not atom.variables.isdisjoint(values):
-                inner = CanonicalForm(_substitute(atom.argument._map, values))
-                replaced = _multiply(
-                    replaced, {((FunctionAtom(atom.tag, inner), e),): _ONE})
+                value = values[atom]
+                if replaced is None and value.keys() <= {()}:
+                    if not value:
+                        if e < 0:
+                            raise UnsupportedExpression("reciprocal of zero")
+                        coeff = (0, 1)
+                    else:
+                        power = _coeff_power(value[()], e)
+                        if coeff[0]:
+                            coeff = _coeff_product(coeff, power)
+                    continue
+                factor = _power(value, e)
+            elif atom.variables.isdisjoint(values):
+                kept.append((atom, e))
                 continue
-            kept.append((atom, e))
-        _accumulate(acc, _multiply(replaced, {tuple(kept): _ONE}))
+            else:
+                inner = CanonicalForm(_substitute(atom.argument._map, values))
+                factor = {((FunctionAtom(atom.tag, inner), e),): _ONE}
+            if replaced is None:
+                replaced = {(): coeff} if coeff[0] else {}
+            replaced = _multiply(replaced, factor)
+        if replaced is not None:
+            _accumulate(acc, _multiply(replaced, {tuple(kept): _ONE}))
+        elif coeff[0]:
+            _add_term(acc, factors if len(kept) == len(factors) else tuple(kept), coeff)
     return acc
 
 
@@ -887,8 +916,13 @@ def vanishes(atom: FunctionAtom) -> bool:
 def value_at(expression: Expression, values: Mapping) -> CanonicalForm:
     """``substitute_all`` of a point's exact ``values`` (none: the form as it
     is), checked: DomainError where a constant function atom, at any depth,
-    has no value or ``vanishes`` under a negative power."""
+    has no value or ``vanishes`` under a negative power.  A constant value
+    folds into each term's coefficient (see ``_substitute``).  The terms are
+    put in canonical order, which decides whose error is raised first, only
+    when a function atom is left to check."""
     form = substitute_all(expression, values) if values else expression
+    if not any(atom.__class__ is not str for factors in form._map for atom, _ in factors):
+        return form
     for factors, _ in form.terms:
         for atom, e in factors:
             if atom.__class__ is not str:

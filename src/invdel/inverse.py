@@ -16,7 +16,9 @@ raise it, in the order (c1,u2), (c2,u1), 1/h0, (c2,u0), (c0,u2), 1/h1,
 Inverse divergence spreads the integrated source over the components by
 weights summing to one; inverse gradient integrates A . dl along an
 axis-parallel path from a base point, judged there by ``expr.value_at``;
-an undefined value there is BasePointSingular.
+an undefined value there is BasePointSingular.  Its conservative gate forms
+each product h_i*A_i once, and the path integrates those same products, so
+every error is raised where forming them at each use would raise it.
 The parameter values (``DivergenceWeights``, ``BasePoint``,
 ``CurlWeights``) read ints, Fractions or text through ``_rational`` into
 the reduced int pairs the constructions read; their public attributes are
@@ -268,18 +270,23 @@ def inverse_gradient(A: VectorField, base: Optional[BasePoint] = None) -> Scalar
     adding the free constant c0.  Gradient of the result reproduces A.
     """
     # curl(A) is zero exactly when its numerators are; the curl itself is
-    # formed only to report a residual.
-    if not all(numerator.is_zero() for _, numerator in curl_numerators(A)):
+    # formed only to report a residual.  A passed gate has formed each
+    # h_i*A_i, and the path integrates those.
+    along = [None, None, None]
+    if not all(numerator.is_zero() for _, numerator in curl_numerators(A, along)):
         raise NotConservative(curl(A))
-    return _path_integral(A, base)
+    return _path_integral(A, base, along)
 
 
-def _path_integral(A: VectorField, base: Optional[BasePoint]) -> ScalarField:
+def _path_integral(A: VectorField, base: Optional[BasePoint], along=None) -> ScalarField:
+    """The path integral of A . dl; ``along`` holds the products h_i*A_i
+    when the caller has them."""
     system = A.system
     a, b, c, c0 = map(_constant, (*system._base, (0, 1)) if base is None else base._pairs)
     u1, u2, u3 = system.names
-    h = system.scale_factors
-    along = [h[i] * A.components[i] for i in range(3)]
+    if along is None:
+        h = system.scale_factors
+        along = [h[i] * A.components[i] for i in range(3)]
 
     g3 = _at_base(along[2], {u1: a, u2: b})
     segment3 = _definite(g3, u3, c)

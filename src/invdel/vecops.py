@@ -105,16 +105,24 @@ def divergence(A: VectorField) -> CanonicalForm:
     return A.system.inverse_jacobian() * numerator
 
 
-def curl_numerators(A: VectorField):
+def curl_numerators(A: VectorField, products: list | None = None):
     """Per component, in cyclic order, the pair (1/(h_j*h_k),
     d(h_k*A_k)/du_j - d(h_j*A_j)/du_k) whose product is curl(A)_i.  A
-    generator: each reciprocal is formed after its numerator and before the
+    generator: each h_m*A_m is formed once, where it is first used, into
+    ``products`` (three slots, None until formed), where a caller may read
+    it after; each reciprocal is formed after its numerator and before the
     next component, so a consumer meets failures where ``curl`` does."""
     h = A.system.scale_factors
     u = A.system.names
+    along = [None, None, None] if products is None else products
+
+    def product(m: int) -> CanonicalForm:
+        if along[m] is None:
+            along[m] = h[m] * A.components[m]
+        return along[m]
+
     for i, j, k in CYCLES:
-        numerator = (differentiate(h[k] * A.components[k], u[j])
-                     - differentiate(h[j] * A.components[j], u[k]))
+        numerator = differentiate(product(k), u[j]) - differentiate(product(j), u[k])
         yield A.system.inverse_pair(i), numerator
 
 

@@ -1,11 +1,11 @@
 """Shared helpers for building random test fields and for evaluating forms
-by reference."""
+by reference, and a counter of scale-factor products."""
 
 from fractions import Fraction
 from math import gcd
 
 from invdel import DomainError, ScalarField, UnboundVariable, VectorField, num, var
-from invdel.expr import _atom_key, _eval_function, _eval_power, _eval_sum
+from invdel.expr import CanonicalForm, _atom_key, _eval_function, _eval_power, _eval_sum
 
 
 def random_polynomial(rng, names, max_terms=3, max_degree=3):
@@ -109,3 +109,19 @@ def reference_term_order(item1, item2) -> int:
             return -1 if f1[len(f2)][1] > 0 else 1
         return 1 if f2[len(f1)][1] > 0 else -1
     return 0
+
+
+def count_scale_products(monkeypatch, A):
+    """The calls h_m * A_m, counted as they are made from now on."""
+    h = A.system.scale_factors
+    products = {(id(h[m]), id(A.components[m])) for m in range(3)}
+    calls = []
+    multiply = CanonicalForm.__mul__
+
+    def counted(self, other):
+        if (id(self), id(other)) in products:
+            calls.append((self, other))
+        return multiply(self, other)
+
+    monkeypatch.setattr(CanonicalForm, "__mul__", counted)
+    return calls

@@ -87,7 +87,7 @@ MUTANTS = (
      "    if False:\n        raise NotSolenoidal(scale * numerator)",
      "the solenoidal gate is dropped"),
     ("inverse.py",
-     "    if not all(numerator.is_zero() for _, numerator in curl_numerators(A)):",
+     "    if not all(numerator.is_zero() for _, numerator in curl_numerators(A, along)):",
      "    if False:",
      "the conservative gate is dropped"),
     ("inverse.py",
@@ -197,6 +197,17 @@ MUTANTS = (
      "the report-work budget is dropped"),
     ("verify.py", "count += _factor_count((function[1],))", "count += 0",
      "a function's argument plan is left out of a report's factor count"),
+    ("expr.py",
+     "                        if e < 0:\n"
+     "                            raise UnsupportedExpression(\"reciprocal of zero\")\n",
+     "", "the fold no longer raises for a zero under a negative power"),
+    ("expr.py", "power = _coeff_power(value[()], e)",
+     "n, d = value[()] if e > 0 else _coeff_inv(value[()])\n"
+     "                        power = (n ** abs(e), d ** abs(e))",
+     "the fold forms a constant's power past the coefficient-power bound"),
+    ("expr.py", "    if not any(atom.__class__ is not str for factors in form._map",
+     "    if any(atom.__class__ is not str for factors in form._map",
+     "value_at's function-atom test is inverted"),
 )
 
 # Seconds one pytest run may take.

@@ -24,7 +24,7 @@ from invdel import (
     var,
 )
 from invdel import expr
-from invdel.expr import CanonicalForm, form_contains, reciprocal
+from invdel.expr import CanonicalForm, form_contains, reciprocal, substitute_all, value_at
 
 from _support import random_polynomial
 
@@ -87,6 +87,33 @@ def test_substitute_with_constant_symbol():
 def test_substitute_inside_function_argument():
     e = sin(x + y)
     assert equals(substitute(e, "x", num(0)), sin(y))
+
+
+def test_a_constant_value_folds_into_the_coefficient():
+    form = parse("3*x^-2*y + x*y^2*z")
+    assert substitute_all(form, {"x": num(2, 3), "y": num(-1)}) == parse("-27/4 + 2/3*z")
+    assert substitute_all(parse("x*y^-1"), {"x": 0, "y": 1}).is_zero()
+
+
+def test_a_zero_under_a_negative_power_raises_after_another_zero():
+    with pytest.raises(UnsupportedExpression, match="^reciprocal of zero$"):
+        substitute_all(parse("x*y^-1"), {"x": 0, "y": 0})
+
+
+def test_a_folded_power_past_the_digit_budget_raises():
+    with pytest.raises(UnsupportedExpression, match="coefficient power of more than 10000"):
+        substitute(x ** 12, "x", num(10 ** 1000))
+    with pytest.raises(UnsupportedExpression, match="coefficient power of more than 10000"):
+        substitute(x ** -12, "x", num(1, 10 ** 1000))
+    # A zeroed term forms no product, but still each power.
+    assert substitute_all(parse("x*y^8*10^3000"), {"x": 0, "y": 10 ** 1000}).is_zero()
+    with pytest.raises(UnsupportedExpression, match="coefficient power of more than 10000"):
+        substitute_all(x * y ** 12, {"x": 0, "y": 10 ** 1000})
+
+
+def test_value_at_of_a_polynomial_leaves_its_terms_unsorted():
+    # Only a function atom's check needs the canonical order.
+    assert value_at(parse("x^2*y + y^3 + z + 1"), {"x": num(2)})._terms is None
 
 
 def test_substitute_then_eval():

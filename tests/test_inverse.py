@@ -45,7 +45,7 @@ from invdel.expr import ZERO_FORM
 from invdel.inverse import construct, roundtrip_residual
 from invdel.vecops import curl_numerators
 
-from _support import random_scalar, random_vector
+from _support import count_scale_products, random_scalar, random_vector
 
 CARTESIAN = builtin("cartesian")
 CYLINDRICAL = builtin("cylindrical")
@@ -442,6 +442,13 @@ def test_inverse_gradient_in_spherical():
     phi = inverse_gradient(vec(SPHERICAL, "2*r", "0", "0"))
     difference = canonicalize(phi.value - parse("r^2"))
     assert not free_variables(difference)
+
+
+def test_inverse_gradient_forms_each_scale_factor_product_once(monkeypatch):
+    A = gradient(ScalarField(parse("r^2*theta + phi*r"), SPHERICAL))
+    calls = count_scale_products(monkeypatch, A)
+    inverse_gradient(A)
+    assert len(calls) == 3
 
 
 def test_inverse_gradient_round_trip_on_random_potentials():

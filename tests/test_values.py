@@ -228,6 +228,27 @@ def test_a_cold_readme_run_leaves_fractions_decimal_and_numbers_unloaded(argv):
     assert _entry_run(argv)[-1] == "0 []"
 
 
+def test_systems_built_apart_compare_equal_without_fractions():
+    # The report and the gauge shift each compare the two systems, which are
+    # equal but not the same object.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys\n"
+        "from invdel import ScalarField, custom, gauge_shift_curl, inverse_divergence, "
+        "parse, roundtrip_report\n"
+        "args = (('u', 'v', 'w'), ('1', 'u', '1'), (1, 0, 0), ((0.5, 2), (-1, 1), (-1, 1)))\n"
+        "s, t = custom(*args), custom(*args)\n"
+        "f = ScalarField(parse('u*v'), s)\n"
+        "A = inverse_divergence(ScalarField(parse('u*v'), t))\n"
+        "report = roundtrip_report('inv_div', f, result=A, samples=5, seed=1)\n"
+        "gauge_shift_curl(A, f)\n"
+        "print(s is not t, s == t, hash(s) == hash(t), report.symbolic_equal, "
+        "sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (done.stdout, done.stderr) == ("True True True True []\n", "")
+
+
 def test_a_decimal_weight_is_read_through_fractions_with_the_same_output():
     assert _entry_run(("inv-div", "x", "--weights", "0.5,0.25,0.25")) == [
         "e1: x^2/4", "e2: x*y/4", "e3: x*z/4", "0 ['decimal', 'fractions', 'numbers']"]

@@ -19,7 +19,7 @@ from invdel import (
     var,
 )
 
-from _support import random_scalar, random_vector
+from _support import count_scale_products, random_scalar, random_vector
 
 CARTESIAN = builtin("cartesian")
 CYLINDRICAL = builtin("cylindrical")
@@ -124,3 +124,10 @@ def test_operators_are_linear():
 def test_a_vector_field_needs_three_components():
     with pytest.raises(ValidationError, match="a vector field needs exactly three components"):
         VectorField((parse("x"), parse("y")), CARTESIAN)
+
+
+def test_curl_forms_each_scale_factor_product_once(monkeypatch):
+    A = vec(SPHERICAL, "r*theta", "phi^2", "r*sin(theta)")
+    calls = count_scale_products(monkeypatch, A)
+    curl(A)
+    assert len(calls) == 3
