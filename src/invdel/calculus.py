@@ -26,6 +26,7 @@ from .expr import (
     _coeff_product,
     _merge_factors,
     _multiply,
+    _subtract,
     atom_power,
     canonicalize,
     factors_contain,
@@ -55,11 +56,14 @@ def split_by_variable(expression: Expression, name: str) -> SplitPair:
 
 def differentiate(expression: Expression, name: str) -> CanonicalForm:
     """Partial derivative with respect to the named variable."""
-    return _derivative(canonicalize(expression), name)
+    return _derivative(canonicalize(expression), name, {})
 
 
-def _derivative(form: CanonicalForm, name: str) -> CanonicalForm:
-    acc: dict = {}
+def _derivative(form: CanonicalForm, name: str, acc: dict, negate: bool = False) -> CanonicalForm:
+    """d form/d name, each term added straight into the caller's map
+    ``acc``, negated when ``negate``; returns the form of ``acc``.  A chain
+    rule of one term adds its one product, and a sign is applied after the
+    product, so every budget is checked as without it."""
     for factors, coefficient in form.items():
         for i, (atom, e) in enumerate(factors):
             if isinstance(atom, str):
@@ -67,13 +71,19 @@ def _derivative(form: CanonicalForm, name: str) -> CanonicalForm:
                     continue
                 chain = None
             elif name in atom.variables:
-                chain = _outer_derivative(atom) * _derivative(atom.argument, name)
+                chain = (_outer_derivative(atom) * _derivative(atom.argument, name, {}))._map
             else:
                 continue
             lowered = ((atom, e - 1),) if e != 1 else ()
-            piece = {factors[:i] + lowered + factors[i + 1:]:
-                     coefficient if e == 1 else _coeff_mul(coefficient, (e, 1))}
-            _accumulate(acc, piece if chain is None else _multiply(piece, chain._map))
+            factors_out = factors[:i] + lowered + factors[i + 1:]
+            c = coefficient if e == 1 else _coeff_mul(coefficient, (e, 1))
+            if chain is not None:
+                if len(chain) != 1:
+                    (_subtract if negate else _accumulate)(acc, _multiply({factors_out: c}, chain))
+                    continue
+                (g, k), = chain.items()
+                factors_out, c = _merge_factors(factors_out, g), _coeff_product(c, k)
+            _add_term(acc, factors_out, (-c[0], c[1]) if negate else c)
     return CanonicalForm(acc)
 
 

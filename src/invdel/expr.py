@@ -28,7 +28,7 @@ import math
 import re
 import sys
 from math import gcd
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import DomainError, UnboundVariable, UnsupportedExpression
 
@@ -327,12 +327,12 @@ class CanonicalForm:
 
     def __sub__(self, other):
         acc = dict(self._map)
-        _accumulate(acc, _negate(_map_of(other)))
+        _subtract(acc, _map_of(other))
         return CanonicalForm(acc)
 
     def __rsub__(self, other):
         acc = dict(_map_of(other))
-        _accumulate(acc, _negate(self._map))
+        _subtract(acc, self._map)
         return CanonicalForm(acc)
 
     def __mul__(self, other):
@@ -361,14 +361,6 @@ def atom_power(atom: Atom, exponent: int = 1) -> CanonicalForm:
     """The single-term form atom**exponent with coefficient one; a variable
     atom is its name."""
     return CanonicalForm({((atom, exponent),): _ONE})
-
-
-def sum_forms(forms: Iterable[CanonicalForm]) -> CanonicalForm:
-    """Sum of any number of forms, accumulated in one map."""
-    acc: dict = {}
-    for form in forms:
-        _accumulate(acc, form._map)
-    return CanonicalForm(acc)
 
 
 def _map_of(value) -> dict:
@@ -497,6 +489,11 @@ def _add_term(acc: dict, factors, coeff) -> None:
 def _accumulate(acc: dict, extra: dict) -> None:
     for factors, coeff in extra.items():
         _add_term(acc, factors, coeff)
+
+
+def _subtract(acc: dict, extra: dict) -> None:
+    for factors, (n, d) in extra.items():
+        _add_term(acc, factors, (-n, d))
 
 
 def _negate(d: dict) -> dict:

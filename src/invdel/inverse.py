@@ -16,9 +16,10 @@ raise it, in the order (c1,u2), (c2,u1), 1/h0, (c2,u0), (c0,u2), 1/h1,
 Inverse divergence spreads the integrated source over the components by
 weights summing to one; inverse gradient integrates A . dl along an
 axis-parallel path from a base point, judged there by ``expr.value_at``;
-an undefined value there is BasePointSingular.  Its conservative gate forms
-each product h_i*A_i once, and the path integrates those same products, so
-every error is raised where forming them at each use would raise it.
+an undefined value there is BasePointSingular.  Its conservative gate (or,
+unchecked, the residual's curl) forms each product h_i*A_i once, and the
+path integrates those same products, so every error is raised where
+forming them at each use would raise it.
 The parameter values (``DivergenceWeights``, ``BasePoint``,
 ``CurlWeights``) read ints, Fractions or text through ``_rational`` into
 the reduced int pairs the constructions read; their public attributes are
@@ -235,8 +236,9 @@ def construct(kind: str, field, *, weights: Optional[DivergenceWeights] = None,
             return curl_potential_formula(field), divergence(field)
         return inverse_curl(field), None
     if unchecked:
-        residual = curl(field)
-        return _path_integral(field, base), residual
+        along = [None, None, None]
+        residual = curl(field, along)
+        return _path_integral(field, base, along), residual
     return inverse_gradient(field, base), None
 
 

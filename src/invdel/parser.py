@@ -8,8 +8,11 @@ The text is read once into a list of token strings, and token offsets are
 worked out only when an error is reported.  While a term's product is one
 term it is a coefficient and an exponent per atom, and each factor is
 merged into them in place; a zero or multi-term factor makes it a map.
-Division is accepted only when the divisor is a nonzero constant or a
-single invertible term.  ``render`` emits deterministic text in the same
+A function call whose argument holds no parenthesis is read once per
+``parse``: a table that lives for that call alone, keyed by the tag and
+the argument's tokens, hands a repeat the first call's atom.  Division is
+accepted only when the divisor is a nonzero constant or a single
+invertible term.  ``render`` emits deterministic text in the same
 grammar; parsing it back gives an equal form, and distinct canonical forms
 render to distinct strings.
 """
@@ -33,6 +36,7 @@ from .expr import (
     _multiply,
     _negate,
     _power,
+    _subtract,
     canonicalize,
 )
 
@@ -99,6 +103,7 @@ class _Parser:
         # Index of the innermost '/' whose divisor is being read; an
         # UnsupportedExpression raised inside it is reported as that division's.
         self.division = None
+        self.calls = {}  # tag and argument tokens -> atom; see ``call``
 
     def error(self, index: int, expected: str) -> SourceError:
         token = self.tokens[index]
@@ -120,7 +125,7 @@ class _Parser:
         while operator == "+" or operator == "-":
             self.pos += 1
             term = self.term()
-            _accumulate(acc, term if operator == "+" else _negate(term))
+            (_accumulate if operator == "+" else _subtract)(acc, term)
             operator = self.tokens[self.pos]
         return acc
 
@@ -156,7 +161,7 @@ class _Parser:
                     if tokens[self.pos] != "(":
                         raise self.error(self.pos, "'(' after function name")
                     self.pos += 1
-                    atom = FunctionAtom(token, CanonicalForm(self.group(self.pos - 1)))
+                    atom = self.call(token)
             elif token.isdigit():
                 value = self.integer(self.pos - 1)
                 c = (value, 1)
@@ -206,6 +211,27 @@ class _Parser:
             if operator != "*" and operator != "/":
                 return _term_map(coefficient, exponents) if product is None else product
             self.pos += 1
+
+    def call(self, tag: str) -> FunctionAtom:
+        """The atom of the call of ``tag`` whose '(' was just read.  A call
+        whose argument holds no parenthesis is read once per parse: a
+        repeat of its tag and argument tokens takes the first one's atom and
+        jumps past its ')'.  Only below ``MAX_NESTING``, so that a repeat
+        skips no depth error."""
+        tokens, start = self.tokens, self.pos
+        try:
+            key = (tag, *tokens[start:tokens.index(")", start)])
+        except ValueError:  # no ')' follows, so reading the argument raises
+            key = (tag,)
+        flat = self.depth < MAX_NESTING and "(" not in key
+        atom = self.calls.get(key) if flat else None
+        if atom is None:
+            atom = FunctionAtom(tag, CanonicalForm(self.group(start - 1)))
+            if flat:
+                self.calls[key] = atom
+        else:
+            self.pos = start + len(key)
+        return atom
 
     def group(self, index: int) -> dict:
         """The expression inside the parenthesis at token ``index`` up to its ')'."""

@@ -8,6 +8,7 @@ With coordinates u1,u2,u3 and scale factors h1,h2,h3:
 
 ``flux`` and ``curl_numerators`` give the sums before the reciprocal
 factor, which is all the inverse operators' gates and self-check test.
+Each sum is one map that its derivatives add into as they are taken.
 
 A field is its canonical forms plus its system; the public constructors
 alone check it, and a variable outside the system is a ValidationError.
@@ -27,9 +28,8 @@ from .expr import (
     Frozen,
     canonicalize,
     free_variables,
-    sum_forms,
 )
-from .calculus import differentiate
+from .calculus import _derivative, differentiate
 from .parser import render
 
 CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -88,15 +88,15 @@ def gradient(f: ScalarField) -> VectorField:
 def flux(A: VectorField) -> tuple[tuple[CanonicalForm, ...], CanonicalForm]:
     """The cyclic products c_i = h_j*h_k*A_i and their flux
     sum_i dc_i/du_i, which is h1*h2*h3 times div(A).  Each product is
-    differentiated as soon as it is formed, so a failure is the first one
-    ``divergence`` meets."""
+    differentiated as soon as it is formed, into the flux's one map, so a
+    failure is the first one ``divergence`` meets."""
     system = A.system
     products = []
-    derivatives = []
+    acc: dict = {}
     for i, u in enumerate(system.names):
         products.append(system.pair(i) * A.components[i])
-        derivatives.append(differentiate(products[-1], u))
-    return tuple(products), sum_forms(derivatives)
+        _derivative(products[-1], u, acc)
+    return tuple(products), CanonicalForm(acc)
 
 
 def divergence(A: VectorField) -> CanonicalForm:
@@ -122,11 +122,14 @@ def curl_numerators(A: VectorField, products: list | None = None):
         return along[m]
 
     for i, j, k in CYCLES:
-        numerator = differentiate(product(k), u[j]) - differentiate(product(j), u[k])
+        acc: dict = {}
+        _derivative(product(k), u[j], acc)
+        numerator = _derivative(product(j), u[k], acc, True)
         yield A.system.inverse_pair(i), numerator
 
 
-def curl(A: VectorField) -> VectorField:
-    """Curl of the field, one cyclic determinant row per component."""
-    comps = tuple(scale * numerator for scale, numerator in curl_numerators(A))
+def curl(A: VectorField, products: list | None = None) -> VectorField:
+    """Curl of the field, one cyclic determinant row per component;
+    ``products`` is as for ``curl_numerators``."""
+    comps = tuple(scale * numerator for scale, numerator in curl_numerators(A, products))
     return VectorField._built(comps, A.system)

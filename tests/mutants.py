@@ -167,8 +167,8 @@ MUTANTS = (
      "    elif False:", "the report accepts a result from another system"),
     ("inverse.py", "    if not isinstance(field, _INPUT[kind]):", "    if False:",
      "construct takes a field of any type for its kind"),
-    ("inverse.py", "    if unchecked:\n        residual = curl(field)",
-     "    if False:\n        residual = curl(field)",
+    ("inverse.py", "    if unchecked:\n        along = [None, None, None]",
+     "    if False:\n        along = [None, None, None]",
      "construct ignores unchecked for inv_grad"),
     ("cli.py",
      "    _emit(payload, ns.format)\n    return code\n" + ENTRY + "    code = main()\n"
@@ -208,6 +208,16 @@ MUTANTS = (
     ("expr.py", "    if not any(atom.__class__ is not str for factors in form._map",
      "    if any(atom.__class__ is not str for factors in form._map",
      "value_at's function-atom test is inverted"),
+    ("parser.py", "key = (tag, *tokens[start:", 'key = ("", *tokens[start:',
+     "the tag is dropped from the call table's key"),
+    ("parser.py", "flat = self.depth < MAX_NESTING and ", "flat = ",
+     "the call table's depth guard is dropped"),
+    ("vecops.py", "numerator = _derivative(product(j), u[k], acc, True)",
+     "numerator = _derivative(product(j), u[k], acc)",
+     "curl_numerators adds its second derivative instead of subtracting it"),
+    ("vecops.py", "        _derivative(products[-1], u, acc)",
+     "        acc = {}\n        _derivative(products[-1], u, acc)",
+     "flux keeps only its last derivative"),
 )
 
 # Seconds one pytest run may take.

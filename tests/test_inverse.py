@@ -42,7 +42,7 @@ from invdel import (
     split_by_variable,
 )
 from invdel.expr import ZERO_FORM
-from invdel.inverse import construct, roundtrip_residual
+from invdel.inverse import _path_integral, construct, roundtrip_residual
 from invdel.vecops import curl_numerators
 
 from _support import count_scale_products, random_scalar, random_vector
@@ -449,6 +449,17 @@ def test_inverse_gradient_forms_each_scale_factor_product_once(monkeypatch):
     calls = count_scale_products(monkeypatch, A)
     inverse_gradient(A)
     assert len(calls) == 3
+
+
+def test_unchecked_inverse_gradient_forms_each_scale_factor_product_once(monkeypatch):
+    A = vec(SPHERICAL, "r*theta", "phi^2*r", "sin(theta)*r^2")
+    base = BasePoint(1, 1, 1)
+    want = (_path_integral(A, base), curl(A))
+    assert not all(c.is_zero() for c in want[1].components)
+    calls = count_scale_products(monkeypatch, A)
+    got, residual = construct("inv_grad", A, base=base, unchecked=True)
+    assert len(calls) == 3
+    assert (got, residual) == want
 
 
 def test_inverse_gradient_round_trip_on_random_potentials():

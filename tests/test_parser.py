@@ -22,6 +22,7 @@ from invdel import (
 from invdel.expr import CanonicalForm, canonicalize
 from invdel.parser import MAX_NESTING
 
+import _reference_parser
 from _support import random_polynomial
 
 
@@ -132,6 +133,47 @@ def test_nesting_up_to_the_limit_parses():
     assert parse("(" * 100 + "x" + ")" * 100) == parse("x")
     assert render(parse("sin(" * 50 + "(" * 50 + "x" + ")" * 100)) == (
         "sin(" * 50 + "x" + ")" * 50)
+
+
+def _function_atoms(form):
+    return [atom for factors in form._map for atom, _ in factors if not isinstance(atom, str)]
+
+
+@pytest.mark.parametrize("text", ["sin(x)*y + sin(x)^2", "sin( x )*y + sin(x)"])
+def test_a_repeated_flat_call_shares_its_first_atom(text):
+    first, second = _function_atoms(parse(text))
+    assert first is second
+
+
+@pytest.mark.parametrize("text,want", [
+    ("sin(x)*y + cos(x)", sin(var("x")) * var("y") + cos(var("x"))),
+    ("sin(x)*y + sin(x+1)", sin(var("x")) * var("y") + sin(var("x") + 1)),
+    ("sin(00)*y + sin(0)", sin(num(0)) * var("y") + sin(num(0))),
+])
+def test_calls_with_other_tags_or_argument_tokens_share_no_atom(text, want):
+    form = parse(text)
+    assert form == want
+    first, second = _function_atoms(form)
+    assert first is not second
+
+
+def test_the_call_table_lasts_one_parse():
+    (first,), (second,) = _function_atoms(parse("sin(x)")), _function_atoms(parse("sin(x)"))
+    assert first == second and first is not second
+
+
+@pytest.mark.parametrize("depth", [99, 100])
+def test_a_repeated_call_at_the_nesting_limit_agrees_with_the_reference(depth):
+    text = "sin(x)*" + "(" * depth + "sin(x)" + ")" * depth
+    if depth < MAX_NESTING:
+        assert list(parse(text).items()) == list(_reference_parser.parse(text).items())
+        return
+    with pytest.raises(SourceError) as info:
+        parse(text)
+    with pytest.raises(SourceError) as reference:
+        _reference_parser.parse(text)
+    assert info.value.offset == reference.value.offset == 7 + depth + 3
+    assert str(info.value) == str(reference.value)
 
 
 def test_nesting_past_the_limit_is_a_source_error_at_the_first_paren_beyond():

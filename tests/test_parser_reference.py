@@ -57,5 +57,11 @@ def outcome(parser, text):
 @example("x*-y^-2*(7/3)^4000*(7/3)^4000/(7/3)^-4000/0")
 @example("2^3000*x/(y - y)")
 @example("sin(x_1 + 00)^-1/-rho*\v$")
+@example("sin(x)*y + sin(x)^2 - sin( x )")
+@example("sin(x) + cos(x) + sin(x+1) + sin(00)*sin(0)")
+@example("sin(x)*" + "(" * 99 + "sin(x)" + ")" * 99)
+@example("sin(x)*" + "(" * 100 + "sin(x)" + ")" * 100)
+@example("sin(x) + sin(x")
+@example("sin(x) + sin()")
 def test_parse_agrees_with_the_reference_parser(text):
     assert outcome(parse, text) == outcome(_reference_parser.parse, text)
