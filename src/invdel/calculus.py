@@ -6,6 +6,9 @@ variable; ``ln(u)`` differentiates to ``u'/u``, so a ``u`` of several
 terms is UnsupportedExpression.  ``antidifferentiate`` accepts the term
 class the README describes, with the zero integration constant, and raises
 NotIntegrable carrying the first other term in canonical order.
+``weighted_split_integral`` is one W of the inverse curl; ``_weighted``
+adds one W into a caller's map, and the inverse curl makes its six such
+calls one at a time, in the order of its formula.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .expr import (
     _coeff_inv,
     _coeff_mul,
     _coeff_product,
+    _exact_pair,
     _merge_factors,
     _multiply,
     _subtract,
@@ -190,62 +194,49 @@ def weighted_split_integral(
 
     Returns w_plus * antiderivative(part containing split_var)
           + w_minus * antiderivative(part without split_var),
-    both antiderivatives taken with respect to int_var: one slot of
-    ``_weighted_walk``, which the inverse curl runs with two slots per
-    integrand.  It raises what forming the two weighted products would: a
+    both antiderivatives taken with respect to int_var; the weights are ints
+    or Fractions.  It raises what forming the two weighted products would: a
     refusal first, naming the term that ``antidifferentiate`` names on the
     part containing split_var, else the rest; then, for the plus part and
     then the rest, the term-pair budget and the coefficient budget.
     """
+    weights = tuple(map(_exact_pair, (w_plus, w_minus)))
+    if None in weights:
+        raise TypeError("weights must be ints or Fractions")
     acc: dict = {}
-    weights = tuple((w.numerator, w.denominator) if w else (0, 1) for w in (w_plus, w_minus))
-    _weighted_walk(canonicalize(expression), split_var, weights, ((int_var, acc, False),))(0)
+    _weighted(canonicalize(expression), split_var, int_var, weights, acc)
     return CanonicalForm(acc)
 
 
-def _weighted_walk(form: CanonicalForm, split_var: str, weights: tuple, slots):
-    """Weighted split integrals of ``form`` sharing its split variable and
-    ``weights``, the pairs (w_plus, w_minus), in one walk over its terms.
+def _weighted(form: CanonicalForm, split_var: str, name: str, weights: tuple, acc: dict,
+              negate: bool = False) -> None:
+    """Add W(form; split_var, d name), negated when ``negate``, into the map
+    ``acc``, with ``weights`` the int pairs (w_plus, w_minus); it raises what
+    ``weighted_split_integral`` does, in that order, and may have added some
+    terms when it raises.
 
-    Each slot (name, acc, negate) adds W(form; split_var, d name), negated
-    when ``negate``, into the map ``acc``.  Each term is classified once, by
-    whether it contains split_var, which picks its weight, integrated once
-    per slot and scaled by ``_coeff_product``, whose estimates over a part's
-    terms come to the estimate of the part's product.  The walk raises
-    nothing: the returned ``check(s)`` raises what slot s's W would, and a
-    slot with an error may have added some of its terms.  A part's pair
-    count is its number of terms, since integration in one variable keeps
-    distinct terms distinct.
+    Each term is integrated and scaled by ``_coeff_product``, whose estimates
+    over a part's terms come to the estimate of the part's product.  A
+    part's pair count is its number of terms, since integration in one
+    variable keeps distinct terms distinct.
     """
-    weights = tuple(w if w[0] else None for w in weights)
     counts = [0, 0]
-    refused = [False] * len(slots)
-    over = [[None, None] for _ in slots]  # a coefficient budget error per part
+    over = [None, None]  # a coefficient budget error per part
     for factors, coefficient in form.items():
         part = 0 if factors_contain(factors, split_var) else 1
         counts[part] += 1
-        weight = weights[part]
-        for s, (name, acc, negate) in enumerate(slots):
-            if refused[s]:
+        term = _integrate_term(factors, coefficient, name)
+        if term is None:
+            raise _not_integrable(form, name, split_var)
+        if weights[part][0]:
+            try:
+                scaled = _coeff_product(term[1], weights[part])
+            except UnsupportedExpression as exc:
+                over[part] = exc
                 continue
-            term = _integrate_term(factors, coefficient, name)
-            if term is None:
-                refused[s] = True
-            elif weight is not None:
-                try:
-                    scaled = _coeff_product(term[1], weight)
-                except UnsupportedExpression as exc:
-                    over[s][part] = exc
-                    continue
-                _add_term(acc, term[0], (-scaled[0], scaled[1]) if negate else scaled)
-
-    def check(s: int) -> None:
-        if refused[s]:
-            raise _not_integrable(form, slots[s][0], split_var)
-        for part in (0, 1):
-            if weights[part] not in (None, _ONE):  # 0 and 1 form no product
-                _check_pair_count(counts[part], 1)
-            if over[s][part] is not None:
-                raise over[s][part]
-
-    return check
+            _add_term(acc, term[0], (-scaled[0], scaled[1]) if negate else scaled)
+    for part, weight in enumerate(weights):
+        if weight[0] and weight != _ONE:  # 0 and 1 form no product
+            _check_pair_count(counts[part], 1)
+        if over[part] is not None:
+            raise over[part]

@@ -645,11 +645,6 @@ def reciprocal(expression: Expression) -> CanonicalForm:
     return CanonicalForm(_invert(canonicalize(expression)._map))
 
 
-def form_contains(form: CanonicalForm, name: str) -> bool:
-    """True iff the variable occurs in any term, including function arguments."""
-    return any(factors_contain(f, name) for f in form._map)
-
-
 def factors_contain(factors, name: str) -> bool:
     """True iff the variable occurs among a term's factors, including
     function arguments."""

@@ -6,12 +6,10 @@ c_i = h_j*h_k*B_i, split each by its own coordinate u_i, and assemble
     A_i = (1/h_i) * [ W(c_next, u_next, du_prev) - W(c_prev, u_prev, du_next) ]
 
 where W is the weighted split integral with weight 1/3 on the part
-containing the split variable and 1/2 on the rest.  Each c_m feeds two
-components, so ``calculus._weighted_walk`` walks it once, in the order c1,
-c2, c0, adding into the maps of A_{m+2} (plus) and A_{m+1} (minus).  The
-walk raises nothing; each W's error is raised where six W calls would
-raise it, in the order (c1,u2), (c2,u1), 1/h0, (c2,u0), (c0,u2), 1/h1,
-(c0,u1), (c1,u0), 1/h2.
+containing the split variable and 1/2 on the rest.  The terms are taken as
+the formula reads, for i = 0, 1, 2: W(c_next), W(c_prev), then 1/h_i, each
+W added by ``calculus._weighted`` straight into the map of A_i, so the
+first error met is raised.
 
 Inverse divergence spreads the integrated source over the components by
 weights summing to one; inverse gradient integrates A . dl along an
@@ -35,7 +33,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .calculus import _weighted_walk, antidifferentiate
+from .calculus import _weighted, antidifferentiate
 from .errors import (
     BasePointSingular,
     ConstructionFailed,
@@ -154,21 +152,12 @@ def curl_potential_formula(
     system = B.system
     u = system.names
     c = curl_integrands(B) if integrands is None else integrands
-    acc = ({}, {}, {})
-    checks = [None, None, None]
     comps = []
     for i, j, k in CYCLES:
-        # A_i takes +W(c_j; u_j, du_k), the first slot of c_j's walk, and
-        # -W(c_k; u_k, du_j), the second of c_k's.  A walk runs when one of
-        # its slots is first needed; the other is checked when its turn comes.
-        for m, side in ((j, 0), (k, 1)):
-            if checks[m] is None:
-                _, after, before = CYCLES[m]
-                checks[m] = _weighted_walk(
-                    c[m], u[m], weights._pairs,
-                    ((u[after], acc[before], False), (u[before], acc[after], True)))
-            checks[m](side)
-        comps.append(system.inverse_scale(i) * CanonicalForm(acc[i]))
+        acc: dict = {}
+        _weighted(c[j], u[j], u[k], weights._pairs, acc)
+        _weighted(c[k], u[k], u[j], weights._pairs, acc, True)
+        comps.append(system.inverse_scale(i) * CanonicalForm(acc))
     return VectorField._built(tuple(comps), system)
 
 
@@ -280,15 +269,11 @@ def inverse_gradient(A: VectorField, base: Optional[BasePoint] = None) -> Scalar
     return _path_integral(A, base, along)
 
 
-def _path_integral(A: VectorField, base: Optional[BasePoint], along=None) -> ScalarField:
-    """The path integral of A . dl; ``along`` holds the products h_i*A_i
-    when the caller has them."""
+def _path_integral(A: VectorField, base: Optional[BasePoint], along) -> ScalarField:
+    """The path integral of A . dl; ``along`` holds the products h_i*A_i."""
     system = A.system
     a, b, c, c0 = map(_constant, (*system._base, (0, 1)) if base is None else base._pairs)
     u1, u2, u3 = system.names
-    if along is None:
-        h = system.scale_factors
-        along = [h[i] * A.components[i] for i in range(3)]
 
     g3 = _at_base(along[2], {u1: a, u2: b})
     segment3 = _definite(g3, u3, c)

@@ -40,6 +40,21 @@ ENTRY = (
     "    so the interpreter's shutdown collections skip every object left alive.\"\"\"\n"
     "    import gc  # here, so that an import of this module does not load it\n")
 
+# The rest of one weighted split integral after a refused term.
+WEIGHTED_TAIL = (
+    "        if weights[part][0]:\n"
+    "            try:\n"
+    "                scaled = _coeff_product(term[1], weights[part])\n"
+    "            except UnsupportedExpression as exc:\n"
+    "                over[part] = exc\n"
+    "                continue\n"
+    "            _add_term(acc, term[0], (-scaled[0], scaled[1]) if negate else scaled)\n"
+    "    for part, weight in enumerate(weights):\n"
+    "        if weight[0] and weight != _ONE:  # 0 and 1 form no product\n"
+    "            _check_pair_count(counts[part], 1)\n"
+    "        if over[part] is not None:\n"
+    "            raise over[part]\n")
+
 MUTANTS = (
     ("inverse.py",
      "    except (UnsupportedExpression, DomainError) as exc:\n"
@@ -129,16 +144,21 @@ MUTANTS = (
      "            got = \" + \".join(str(n) if d == 1 else f\"{n}/{d}\" for n, d in self._pairs)\n",
      "the weights message prints a weight past the digit limit"),
     ("calculus.py", "part = 0 if factors_contain(factors, split_var) else 1",
-     "part = 0 if factors_contain(factors, slots[0][0]) else 1",
+     "part = 0 if factors_contain(factors, name) else 1",
      "the weight side is chosen by the integration variable, not the split variable"),
-    ("inverse.py", "(u[before], acc[after], True)", "(u[before], acc[after], False)",
-     "the sign of each integrand's u_{m+2} contribution is flipped"),
+    ("inverse.py", "_weighted(c[k], u[k], u[j], weights._pairs, acc, True)",
+     "_weighted(c[k], u[k], u[j], weights._pairs, acc)",
+     "the second W of each component is added, not subtracted"),
     ("inverse.py",
-     "                    ((u[after], acc[before], False), (u[before], acc[after], True)))\n",
-     "                    ((u[after], acc[before], False), (u[before], acc[after], True)))\n"
-     "                if m == 1:\n"
-     "                    checks[m](1)\n",
-     "the deferred (c1, u0) slot is checked first"),
+     "        _weighted(c[j], u[j], u[k], weights._pairs, acc)\n"
+     "        _weighted(c[k], u[k], u[j], weights._pairs, acc, True)\n",
+     "        _weighted(c[k], u[k], u[j], weights._pairs, acc, True)\n"
+     "        _weighted(c[j], u[j], u[k], weights._pairs, acc)\n",
+     "the two W of a component are taken in swapped order"),
+    ("calculus.py", "            raise _not_integrable(form, name, split_var)\n" + WEIGHTED_TAIL,
+     "            counts.append(part)\n            continue\n" + WEIGHTED_TAIL
+     + "    if len(counts) > 2:\n        raise _not_integrable(form, name, split_var)\n",
+     "the refusal is raised after the part budgets"),
     ("expr.py", "int(digits or 0) > MAX_POWER_DIGITS", "int(digits or 0) > 10 * MAX_POWER_DIGITS",
      "the decimal-exponent bound grows tenfold"),
     ("coords.py", "lambda: h[(i + 1) % 3] * h[(i + 2) % 3]", "lambda: h[i] * h[(i + 1) % 3]",

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import invdel.calculus
 import invdel.expr
 import invdel.parser
 from invdel import (
@@ -13,8 +14,10 @@ from invdel import (
     VectorField,
     antidifferentiate,
     builtin,
+    curl_potential_formula,
     differentiate,
     equals,
+    free_variables,
     inverse_curl,
     parse,
     render,
@@ -22,7 +25,7 @@ from invdel import (
     weighted_split_integral,
 )
 
-from invdel.expr import CanonicalForm, form_contains
+from invdel.expr import CanonicalForm
 
 from _support import random_polynomial
 
@@ -49,9 +52,9 @@ def test_split_of_free_expression_is_all_minus():
 
 
 def test_contains_variable():
-    assert form_contains(parse("sin(x*y)"), "x")
-    assert not form_contains(parse("y + z"), "x")
-    assert not form_contains(parse("x - x"), "x")
+    assert "x" in free_variables(parse("sin(x*y)"))
+    assert "x" not in free_variables(parse("y + z"))
+    assert "x" not in free_variables(parse("x - x"))
 
 
 def test_derivative_of_polynomial():
@@ -278,6 +281,31 @@ def test_weighted_refusal_comes_before_the_scaling_budget():
         weighted_split_integral(parse("2^33218*x + y*sin(z^2)"), "y", "z",
                                 W_PLUS, W_MINUS)
     assert render(info.value.term) == "sin(z^2)*y"
+
+
+@pytest.mark.parametrize("weight", [0.5, "1/2", None])
+def test_a_weight_that_is_not_an_int_or_a_fraction_is_a_type_error(weight):
+    with pytest.raises(TypeError, match="weights must be ints or Fractions"):
+        weighted_split_integral(parse("x*z + y"), "y", "z", W_PLUS, weight)
+
+
+def test_a_weighted_integral_stops_at_its_refused_term(monkeypatch):
+    # The first W, of c1 = B_1 split by y in z, meets sin(z^2) first and
+    # integrates nothing more; the refusal integrates it once again to name it.
+    B = VectorField(tuple(parse(t) for t in ("0", "sin(z^2) + x + x^2 + x^3 + x^4", "0")),
+                    builtin("cartesian"))
+    calls = []
+
+    def counting(factors, coefficient, name):
+        calls.append(name)
+        return integrate_term(factors, coefficient, name)
+
+    integrate_term = invdel.calculus._integrate_term
+    monkeypatch.setattr(invdel.calculus, "_integrate_term", counting)
+    with pytest.raises(NotIntegrable) as info:
+        curl_potential_formula(B)
+    assert render(info.value.term) == "sin(z^2)"
+    assert calls == ["z", "z"]
 
 
 def test_weighted_split_integral_second_component_piece():

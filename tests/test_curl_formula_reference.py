@@ -101,3 +101,28 @@ def test_curl_potential_formula_agrees_with_the_reference(monkeypatch):
     # a refusal in each of the six (integrand, variable) slots.
     assert {"field", "expanding a product", "a coefficient product", "reciprocal"} <= seen
     assert {(m, v) for m in range(3) for v in range(3) if v != m} <= slots
+
+
+# Cartesian fields whose first component meets two errors; the message the
+# reference raises, and the budget of term pairs.
+FIRST_ERROR_CASES = (
+    # W(c1; y, dz) scales 2^33218*x*z past the coefficient budget before it
+    # meets y*sin(z^2), which it cannot integrate: the refusal wins.
+    (("0", "2^33218*x + y*sin(z^2)", "0"), "term sin(z^2)*y has no antiderivative", 100_000),
+    # The two W of A_0 each refuse a term: W(c1; y, dz) is taken first.
+    (("0", "y*sin(z^2)", "z*sin(y^2)"), "term sin(z^2)*y has no antiderivative", 100_000),
+    # The plus part of W(c1; y, dz) is past the coefficient budget and the
+    # rest past the pair budget, and the other way round: the plus part wins.
+    (("0", "2^33218*y + x + x^2 + x^3", "0"), "a coefficient product", 2),
+    (("0", "y + y^2 + y^3 + 2^33218*x", "0"), "expanding a product", 2),
+)
+
+
+def test_the_first_error_of_a_component_is_the_references(monkeypatch):
+    for texts, message, budget in FIRST_ERROR_CASES:
+        monkeypatch.setattr(invdel.expr, "MAX_PRODUCT_PAIRS", budget)
+        B = VectorField(tuple(map(parse, texts)), builtin("cartesian"))
+        case = (B, CurlWeights("1/3", "1/2"))
+        want = outcome(_reference_curl_formula.curl_potential_formula, case)
+        assert outcome(curl_potential_formula, case) == want, texts
+        assert want[1].startswith(message), (texts, want)

@@ -454,7 +454,8 @@ def test_inverse_gradient_forms_each_scale_factor_product_once(monkeypatch):
 def test_unchecked_inverse_gradient_forms_each_scale_factor_product_once(monkeypatch):
     A = vec(SPHERICAL, "r*theta", "phi^2*r", "sin(theta)*r^2")
     base = BasePoint(1, 1, 1)
-    want = (_path_integral(A, base), curl(A))
+    h = SPHERICAL.scale_factors
+    want = (_path_integral(A, base, [h[i] * A.components[i] for i in range(3)]), curl(A))
     assert not all(c.is_zero() for c in want[1].components)
     calls = count_scale_products(monkeypatch, A)
     got, residual = construct("inv_grad", A, base=base, unchecked=True)
