@@ -16,10 +16,11 @@ and ``n != 0``, and three helpers do all coefficient arithmetic
 type inside: ``_rational_pair`` reads a rational from outside into one, and
 ``fractions`` is imported only to read text that is not a plain ratio or to
 hand a caller a ``Fraction``.  Floats appear only in numeric evaluation,
-``run_plan`` over columns of points and ``eval_numeric``, its one-point
-case.  ``value_at``, the one judge of a form at a base point, substitutes
-exact values, each constant folded into its terms' coefficients by pair
-arithmetic, and decides a rational argument exactly.
+``evaluate``, one walk of a form's terms over columns of points, and
+``eval_numeric``, its one-point case.  ``value_at``, the one judge of a
+form at a base point, substitutes exact values, each constant folded into
+its terms' coefficients by pair arithmetic, and decides a rational
+argument exactly.
 """
 
 from __future__ import annotations
@@ -733,67 +734,59 @@ def eval_numeric(expression: Expression, point: Mapping[str, float]) -> float:
 
     Bit for bit the value of the reference evaluation in the tests'
     ``_support.reference_eval``, which spells each term as a product and the
-    form as their sum.  Raises UnboundVariable for missing names and
-    DomainError when the value leaves the real domain: ln of a non-positive
-    number, 0**-n, sin or cos of an infinite value, overflow of a
-    coefficient, a power, exp or the sum, and a sum of opposite infinities.
-    Each variable of the form that has a value in ``point`` gets a slot and
-    a one-value column; other entries of ``point`` are not read.
+    form as their sum, and the same first error in canonical term order.
+    Raises UnboundVariable for missing names and DomainError when the value
+    leaves the real domain: ln of a non-positive number, 0**-n, sin or cos
+    of an infinite value, overflow of a coefficient, a power, exp or the
+    sum, and a sum of opposite infinities.  Each variable of the form that
+    has a value in ``point`` gets a slot and a one-value column; other
+    entries of ``point`` are not read.
     """
     form = canonicalize(expression)
     names = [name for name in free_variables(form) if name in point]
-    plan = numeric_plan(form, {name: i for i, name in enumerate(names)})
-    return run_plan(plan, [[float(point[name])] for name in names], 1)[0]
-
-
-def numeric_plan(form: CanonicalForm, slots: Mapping[str, int]) -> tuple:
-    """The form laid out for ``run_plan``: a (float coefficient, factors) pair
-    per term, in canonical order.  A factor is (atom, exponent, function): a
-    variable's index in ``slots`` (or its name if it has none) with function
-    None, or the FunctionAtom itself with function (tag, argument plan)."""
-    plan = []
-    for term_factors, coefficient in form.terms:
-        factors = []
-        for atom, e in term_factors:
-            if atom.__class__ is str:
-                factors.append((slots.get(atom, atom), e, None))
-            else:
-                function = (atom.tag, numeric_plan(atom.argument, slots))
-                factors.append((atom, e, function))
-        plan.append((_coefficient_float(coefficient), tuple(factors)))
-    return tuple(plan)
+    slots = {name: i for i, name in enumerate(names)}
+    return evaluate(form, slots, [[float(point[name])] for name in names], 1)[0]
 
 
 _FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log}
 
 
-def run_plan(plan: tuple, columns, n: int, failed: set | None = None, *,
-             table: dict | None = None) -> list:
-    """Evaluate a plan at n points at once, one pass over the plan: each
-    variable is read by its slot from ``columns`` (a list of n values per
-    slot), and a variable with no slot raises UnboundVariable where its term
-    is reached.  Each point's value is bit for bit ``eval_numeric``'s: a
-    term's product starts from its coefficient, and the sum (fsum, which
-    loses -0.0) needs two or more terms.  A point whose value leaves the
-    domain raises its DomainError or, when ``failed`` is a set, joins it and
-    reads nan while the other points go on.
+def evaluate(form: CanonicalForm, slots: Mapping[str, int], columns, n: int,
+             failed: set | None = None, *, table: dict | None = None) -> list:
+    """Evaluate a form at n points at once, one walk over its terms in
+    canonical order: each variable is read by its index in ``slots`` from
+    ``columns`` (a list of n values per slot), and a variable with no slot
+    raises UnboundVariable where its term is reached.  Each point's value is
+    bit for bit ``eval_numeric``'s: a term's product starts from its
+    coefficient, and the sum (fsum, which loses -0.0) needs two or more
+    terms.  A point whose value leaves the domain raises its DomainError
+    or, when ``failed`` is a set, joins it and reads nan while the other
+    points go on; a coefficient past the float range has no value at any
+    point, so there it fails every point.
 
-    ``table`` maps each exact factor, (atom, exponent) with the atom a slot
-    or a FunctionAtom, to its column, so each distinct factor is formed once
-    however many terms and plans hold it.  It is keyed by the symbolic
-    factor, never by the float plan, under which sin(x/10^400) and
-    sin(-x/10^400) would meet, since 0.0 == -0.0.  Its columns belong to one
-    ``columns`` and ``failed``: give one table to every plan of one block of
-    points and drop it with the block.  The default is a fresh table."""
+    ``table`` maps each exact factor, (atom, exponent) with the atom a
+    variable's name or a FunctionAtom, to its column, so each distinct
+    factor is formed once however many terms and forms hold it.  Its
+    columns belong to one ``slots``, ``columns`` and ``failed``: give one
+    table to every form of one block of points and drop it with the block.
+    The default is a fresh table."""
     if table is None:
         table = {}
     terms = []
-    for coefficient, factors in plan:
+    for factors, (p, q) in form.terms:
+        try:
+            # Int true division rounds correctly, as float(Fraction(p, q)) does.
+            coefficient = p / q
+        except OverflowError:
+            if failed is None:
+                raise DomainError("coefficient overflow") from None
+            failed.update(range(n))
+            coefficient = math.nan
         column = None
-        for atom, e, function in factors:
+        for atom, e in factors:
             values = table.get((atom, e))
             if values is None:
-                values = _column(atom, e, function, columns, n, failed, table)
+                values = _column(atom, e, slots, columns, n, failed, table)
             if column is None:
                 column = [coefficient * v for v in values]
             else:
@@ -808,27 +801,26 @@ def run_plan(plan: tuple, columns, n: int, failed: set | None = None, *,
         return _pointwise(_eval_sum, points, failed)
 
 
-def _column(atom, e: int, function, columns, n: int, failed, table: dict) -> list:
+def _column(atom, e: int, slots, columns, n: int, failed, table: dict) -> list:
     """A factor's column, kept in ``table``; a power's base is kept there too."""
     if e != 1:
         values = table.get((atom, 1))
         if values is None:
-            values = _column(atom, 1, function, columns, n, failed, table)
+            values = _column(atom, 1, slots, columns, n, failed, table)
         try:
             values = [v ** e for v in values]
         except ArithmeticError:
             values = _pointwise(lambda v: _eval_power(v, e), values, failed)
-    elif function is None:
-        if atom.__class__ is str:
+    elif atom.__class__ is str:
+        if atom not in slots:
             raise UnboundVariable(atom)
-        values = columns[atom]
+        values = columns[slots[atom]]
     else:
-        tag, argument = function
-        arguments = run_plan(argument, columns, n, failed, table=table)
+        arguments = evaluate(atom.argument, slots, columns, n, failed, table=table)
         try:
-            values = list(map(_FUNCTIONS[tag], arguments))
+            values = list(map(_FUNCTIONS[atom.tag], arguments))
         except (ArithmeticError, ValueError):
-            values = _pointwise(lambda v: _eval_function(tag, v), arguments, failed)
+            values = _pointwise(lambda v: _eval_function(atom.tag, v), arguments, failed)
     table[atom, e] = values
     return values
 
@@ -848,14 +840,6 @@ def _pointwise(checked, arguments, failed) -> list:
             failed.add(i)
             out.append(math.nan)
     return out
-
-
-def _coefficient_float(value: tuple) -> float:
-    # Int true division rounds correctly, as float(Fraction(n, d)) does.
-    try:
-        return value[0] / value[1]
-    except OverflowError:
-        raise DomainError("coefficient overflow") from None
 
 
 def _eval_power(base: float, exponent: int) -> float:

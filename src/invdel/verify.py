@@ -1,15 +1,14 @@
 """Round-trip verification: symbolic residuals plus seeded numeric sampling.
 
 The symbolic channel is ``inverse.roundtrip_residual``.  The numeric
-channel lays out each residual and input component once as a plan
-(``expr.numeric_plan``) and runs the plans over blocks of at most
-``BLOCK_POINTS`` seeded points (``expr.run_plan``), with one table of
-factor columns per block.  ``MAX_SAMPLES`` bounds a report's points and
-``MAX_REPORT_WORK`` its points times its plans' factors, before a point is
-drawn.  The README's "Library use" describes the error scale, resampling
-and the nan screen; a block draws only the points still missing, so a
-report is that of sampling one point at a time.  ``to_dict`` lists the
-fields in slot order, the JSON key order.
+channel evaluates each residual and input component's canonical form over
+blocks of at most ``BLOCK_POINTS`` seeded points (``expr.evaluate``), with
+one table of factor columns per block.  ``MAX_SAMPLES`` bounds a report's
+points and ``MAX_REPORT_WORK`` its points times its forms' factors, before
+a point is drawn.  The README's "Library use" describes the error scale,
+resampling and the nan screen; a block draws only the points still
+missing, so a report is that of sampling one point at a time.
+``to_dict`` lists the fields in slot order, the JSON key order.
 """
 
 from __future__ import annotations
@@ -17,26 +16,21 @@ from __future__ import annotations
 import random
 from typing import Optional, Union
 
-from .errors import DomainError, SamplingExhausted, UnsupportedExpression, ValidationError, _echoed
-from .expr import Frozen, ln, num, numeric_plan, run_plan
+from .errors import SamplingExhausted, UnsupportedExpression, ValidationError, _echoed
+from .expr import Frozen, evaluate
 from .inverse import BasePoint, DivergenceWeights, check_kind, construct, roundtrip_residual
 from .vecops import ScalarField, VectorField, curl, divergence, rendered
 
 RELATIVE_TOLERANCE = 1e-9
 ABSOLUTE_FLOOR = 1e-12
-# The most sample points one pass over a report's plans evaluates; the
+# The most sample points one pass over a report's forms evaluates; the
 # default report of 100 points is one block.
 BLOCK_POINTS = 256
 # The most sample points one report takes, so that it ends in bounded time.
 MAX_SAMPLES = 1_000_000
-# The most sample points times plan factors one report may evaluate, a term's
-# coefficient and a function's argument plan counted among its factors.
+# The most sample points times form factors one report may evaluate, a term's
+# coefficient and a function's argument form counted among its factors.
 MAX_REPORT_WORK = 10_000_000
-
-# The plan of ln(-1), which has no value at any point.  A form with a
-# coefficient past the float range has none either, so it is laid out as
-# this plan, and each point drawn for it is resampled.
-_NOWHERE = numeric_plan(ln(num(-1)), {})
 
 
 class VerificationReport(Frozen):
@@ -113,9 +107,8 @@ def roundtrip_report(
     box = system.sampling_box
     spans = [(lo, hi - lo) for lo, hi in box]
     slots = {name: i for i, name in enumerate(system.names)}
-    plans = [(_layout(res, slots), _layout(ref, slots))
-             for res, ref in zip(residual_forms, reference)]
-    factors = _factor_count(plan for pair in plans for plan in pair)
+    forms = list(zip(residual_forms, reference))
+    factors = _factor_count(form for pair in forms for form in pair)
     if samples * factors > MAX_REPORT_WORK:
         raise UnsupportedExpression(
             f"a report of {samples} samples over plans of {factors} factors exceeds "
@@ -131,16 +124,16 @@ def roundtrip_report(
         draws = [draw() for _ in range(len(box) * n)]
         columns = [[lo + width * u for u in draws[k::len(box)]]
                    for k, (lo, width) in enumerate(spans)]
-        # One block's factor columns, shared by all of its plans.
+        # One block's factor columns, shared by all of its forms.
         failed, table = set(), {}
         pairs = []
-        for res, ref in plans:
+        for res, ref in forms:
             # A zero residual adds nothing, but its reference may leave the domain.
-            if res:
-                pairs.append((_screened(res, columns, n, failed, table),
-                              _screened(ref, columns, n, failed, table)))
+            if res.is_zero():
+                _screened(ref, slots, columns, n, failed, table)
             else:
-                _screened(ref, columns, n, failed, table)
+                pairs.append((_screened(res, slots, columns, n, failed, table),
+                              _screened(ref, slots, columns, n, failed, table)))
         resamples += len(failed)
         if resamples > 10 * samples:
             raise SamplingExhausted(
@@ -172,38 +165,31 @@ def roundtrip_report(
     )
 
 
-def _screened(plan: tuple, columns: list, n: int, failed: set, table: dict) -> list:
-    """The plan's column over one block; each point where it reads nan, as
+def _screened(form, slots: dict, columns: list, n: int, failed: set, table: dict) -> list:
+    """The form's column over one block; each point where it reads nan, as
     inf * 0.0 does without raising, joins ``failed``.  Any nan makes the sum
     nan."""
-    column = run_plan(plan, columns, n, failed=failed, table=table)
+    column = evaluate(form, slots, columns, n, failed=failed, table=table)
     total = sum(column)
     if total != total:
         failed.update(i for i, v in enumerate(column) if v != v)
     return column
 
 
-def _factor_count(plans) -> int:
-    """The factors of the plans' terms, each term's coefficient and the
-    factors of its functions' argument plans included."""
+def _factor_count(forms) -> int:
+    """The factors of the forms' terms, each term's coefficient and the
+    factors of its functions' argument forms included."""
     count = 0
-    for plan in plans:
-        count += len(plan)
-        for _, factors in plan:
+    for form in forms:
+        count += len(form._map)
+        for factors in form._map:
             count += len(factors)
-            for _, _, function in factors:
-                if function:
-                    count += _factor_count((function[1],))
+            for atom, _ in factors:
+                if atom.__class__ is not str:
+                    count += _factor_count((atom.argument,))
     return count
 
 
 def _check_int(value, what: str) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{what} must be an int, not {_echoed(type(value).__name__)}")
-
-
-def _layout(form, slots: dict) -> tuple:
-    try:
-        return numeric_plan(form, slots)
-    except DomainError:  # a coefficient overflow
-        return _NOWHERE

@@ -183,6 +183,16 @@ def run(main, argv: list) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
+def transcript(main, seed: int, count: int):
+    """The JSON lines of ``count`` invocations drawn from ``seed``, each run
+    through ``main``."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        argv = invocation(rng)
+        code, out, err = run(main, argv)
+        yield json.dumps({"argv": argv, "code": code, "stdout": out, "stderr": err})
+
+
 def main(args: list) -> int:
     if len(args) != 3:
         print(__doc__, file=sys.stderr)
@@ -193,11 +203,8 @@ def main(args: list) -> int:
     sys.path.insert(0, src)
     from invdel.cli import main as cli_main
 
-    rng = random.Random(seed)
-    for _ in range(count):
-        argv = invocation(rng)
-        code, out, err = run(cli_main, argv)
-        print(json.dumps({"argv": argv, "code": code, "stdout": out, "stderr": err}))
+    for line in transcript(cli_main, seed, count):
+        print(line)
     return 0
 
 

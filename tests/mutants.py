@@ -119,10 +119,12 @@ MUTANTS = (
      "a power of a carrier is integrated"),
     ("calculus.py", "if factors != ((name, 1),):", "if False:",
      "a carrier whose argument is not linear is integrated"),
-    ("expr.py", "    except OverflowError:\n        raise DomainError(\"coefficient overflow\")",
-     "    except ZeroDivisionError:\n        raise DomainError(\"coefficient overflow\")",
-     "a coefficient past the float range escapes the plan as OverflowError"),
-    ("verify.py", "        return _NOWHERE", "        raise",
+    ("expr.py", "        except OverflowError:\n            if failed is None:",
+     "        except ZeroDivisionError:\n            if failed is None:",
+     "a coefficient past the float range escapes evaluate as OverflowError"),
+    ("expr.py",
+     "            if failed is None:\n                raise DomainError(\"coefficient overflow\")",
+     "            if True:\n                raise DomainError(\"coefficient overflow\")",
      "a form with a coefficient past the float range is not resampled"),
     ("expr.py", "MAX_PRODUCT_PAIRS = 100_000", "MAX_PRODUCT_PAIRS = 1_000_000",
      "the term-pair budget grows tenfold"),
@@ -202,8 +204,8 @@ MUTANTS = (
      "the atom key drops a coefficient's denominator"),
     ("expr.py", "else name in atom.variables:", "else False:",
      "factors_contain reads an atom as holding no variable"),
-    ("expr.py", "factors.append((atom, e, function))", "factors.append((function, e, function))",
-     "the table is keyed by the float plan"),
+    ("expr.py", "    table[atom, e] = values", "    table[atom, 1] = values",
+     "a power's column is stored under its base's key"),
     ("verify.py", "failed, table = set(), {}", "failed, table = set(), (table if collected else {})",
      "one table serves every block"),
     ("verify.py", "    if samples > MAX_SAMPLES:\n", "    if False:\n",
@@ -215,8 +217,8 @@ MUTANTS = (
      "a zero denominator takes the fast reader"),
     ("verify.py", "    if samples * factors > MAX_REPORT_WORK:", "    if False:",
      "the report-work budget is dropped"),
-    ("verify.py", "count += _factor_count((function[1],))", "count += 0",
-     "a function's argument plan is left out of a report's factor count"),
+    ("verify.py", "count += _factor_count((atom.argument,))", "count += 0",
+     "a function's argument form is left out of a report's factor count"),
     ("expr.py",
      "                        if e < 0:\n"
      "                            raise UnsupportedExpression(\"reciprocal of zero\")\n",

@@ -3,6 +3,7 @@
 import gc
 import json
 import re
+import runpy
 import sys
 from pathlib import Path
 
@@ -403,6 +404,20 @@ def test_the_console_script_is_the_entry_the_module_runs():
     target = re.search(r'^invdel = "invdel\.cli:(\w+)"$', pyproject, flags=re.M)
     source = Path(invdel.cli.__file__).read_text()
     assert source.split('if __name__ == "__main__":\n')[1] == f"    sys.exit({target[1]}())\n"
+
+
+def test_the_module_run_as_main_exits_with_the_entry_code(capsys, monkeypatch):
+    # As python -m runs it: the module's code afresh under the name __main__.
+    # The imported module is set aside, so that runpy does not warn of it.
+    monkeypatch.setattr(sys, "argv", ["invdel", "inv-curl", "x", "0", "0"])
+    monkeypatch.delitem(sys.modules, "invdel.cli")
+    try:
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("invdel.cli", run_name="__main__")
+    finally:
+        gc.unfreeze()
+    assert info.value.code == 3
+    assert capsys.readouterr() == ("", "error: NotSolenoidal: divergence residual 1\n")
 
 
 def test_the_readme_exit_table_is_each_error_types_exit_code():

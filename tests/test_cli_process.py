@@ -149,7 +149,7 @@ ROWS = (
     # refused before the first draw.
     Row("samples-past-bound", ("inv-div", "3", "--verify", "--samples", "1000001"), 2,
         err="ValidationError: sample count must be at most 1000000", bound=1),
-    # A report's work, its samples times its plans' factors, is bounded too;
+    # A report's work, its samples times its forms' factors, is bounded too;
     # this one would run for minutes.
     Row("report-work-past-budget",
         ("inv-div", "(x+y+z+1)^20", "--verify", "--samples", "1000000"), 4, bound=5,
@@ -176,6 +176,10 @@ ROWS = (
     # A float would read 10^400 as an overflow; the rational is decided exactly.
     Row("rational-function-argument", ("inv-grad", "--", "0", "0", "ln(10^400)*z"), 0,
         f"phi: ln({BIG})*z^2/2\n"),
+    # The first failure in canonical term order: exp(1000) before the coefficient 10^400.
+    Row("first-failure-in-term-order",
+        ("inv-grad", "--", "0", "0", "sin(exp(1000) + 10^400)*z"), 1,
+        err="BasePointSingular: base point substitution: exp overflow"),
     Row("multi-term-scale-factor", ("inv-grad", "--coords-file", COORDS_FILE, "--", "0", "0",
                                     "w"), 4, coords=coords("1 + u^2"),
         err="UnsupportedExpression: reciprocal of a multi-term expression is outside the "

@@ -2,8 +2,8 @@
 
 The kernel's three coefficient helpers must agree with ``Fraction``
 arithmetic on every rational, and what depends on a coefficient's value
-rather than on its pair, the order of function atoms and the float a plan
-multiplies by, must stay as it was when coefficients were Fractions.
+rather than on its pair, the order of function atoms and the float a term's
+product starts from, must stay as it was when coefficients were Fractions.
 """
 
 from fractions import Fraction
@@ -22,7 +22,7 @@ from invdel.expr import (  # noqa: E402
     _coeff_add,
     _coeff_inv,
     _coeff_mul,
-    numeric_plan,
+    evaluate,
 )
 
 BIG = 2 ** 1000
@@ -125,9 +125,9 @@ NEAR_THE_FLOAT_LIMITS = [
 
 
 def plan_coefficient(c: tuple):
-    """The float a plan multiplies by, or the overflow message."""
+    """The float a term's product starts from, or the overflow message."""
     try:
-        (coefficient, _), = numeric_plan(CanonicalForm({(): c}), {})
+        coefficient, = evaluate(CanonicalForm({(): c}), {}, [], 1)
     except DomainError as error:
         return str(error)
     return coefficient

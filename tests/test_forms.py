@@ -93,12 +93,11 @@ SLOTS = {name: i for i, name in enumerate(NAMES)}
 
 
 def run_block(form, points):
-    """``run_plan`` over the points as columns: their values and the indices
+    """``evaluate`` over the points as columns: their values and the indices
     of the points that left the domain."""
     columns = [[point[name] for point in points] for name in NAMES]
     failed = set()
-    values = expr.run_plan(expr.numeric_plan(form, SLOTS), columns, len(points),
-                           failed=failed)
+    values = expr.evaluate(form, SLOTS, columns, len(points), failed=failed)
     assert len(values) == len(points)
     return values, failed
 
@@ -147,6 +146,9 @@ MIXED_BLOCK = [
     "exp(300*y)*exp(301*y) - exp(300*y)*exp(302*y)",
     "10^308*y + 10^308*z",
     "ln(x)*z + y^-2 + exp(800*x) + cos(exp(700*z)*exp(701*z)) + 10^308*x + 10^308*y",
+    # A coefficient past the float range: every point is flagged.
+    "10^400*x + y",
+    "sin(10^400*x)*y",
 ])
 def test_a_mixed_block_flags_exactly_the_points_that_raise(source):
     flagged = assert_block_matches_each_point(parse(source), MIXED_BLOCK, eval_numeric)
@@ -275,6 +277,9 @@ ERROR_PATH = [
     ("exp(300*y)*exp(301*y) - exp(300*y)*exp(302*y)", {"y": 2.0},
      "DomainError: sum of opposite infinities"),
     ("10^308*y + 10^308*z", {"y": 1.0, "z": 1.0}, "DomainError: sum overflow"),
+    # The first failure in canonical term order, a coefficient's overflow among them.
+    ("ln(-1) + 10^400", {}, "DomainError: ln of non-positive value -1.0"),
+    ("sin(exp(1000) + 10^400)", {}, "DomainError: exp overflow"),
 ]
 
 

@@ -214,9 +214,9 @@ def test_unknown_kind_is_rejected():
 ])
 def test_samples_and_seed_are_checked_when_the_report_is_called(monkeypatch, keywords,
                                                                  message):
-    # No construction or layout runs before the check.
+    # No construction or evaluation runs before the check.
     monkeypatch.setattr(verify, "construct", None)
-    monkeypatch.setattr(verify, "numeric_plan", None)
+    monkeypatch.setattr(verify, "evaluate", None)
     with pytest.raises(ValidationError) as info:
         roundtrip_report("inv_curl", vec(CARTESIAN, "y", "z", "x"), **keywords)
     assert str(info.value) == message
@@ -230,11 +230,11 @@ def test_the_sample_bound_is_a_million_and_a_large_seed_is_an_int():
 
 
 def test_a_report_past_the_work_budget_is_refused_before_a_point_is_drawn(monkeypatch):
-    # The reference plan of x*y + sin(z) has 7 factors: each term's
-    # coefficient, x, y, sin and its argument plan's coefficient and z.  The
-    # residual is zero and lays out no plan.
+    # The reference form x*y + sin(z) has 7 factors: each term's
+    # coefficient, x, y, sin and its argument form's coefficient and z.  The
+    # residual is zero and has none.
     field = ScalarField(parse("x*y + sin(z)"), CARTESIAN)
-    assert verify._factor_count([verify.numeric_plan(field.value, {"x": 0, "y": 1, "z": 2})]) == 7
+    assert verify._factor_count([field.value]) == 7
     monkeypatch.setattr(verify, "MAX_REPORT_WORK", 700)
     assert roundtrip_report("inv_div", field, samples=100).sample_count == 100
 
@@ -371,17 +371,17 @@ def test_zero_residual_still_resamples_where_the_input_leaves_the_domain():
 
 
 def _counting_run(monkeypatch, counts):
-    """Counts outermost plan runs into ``counts`` (recursion into function
-    arguments stays inside expr): the points each run evaluates, and the
-    most points one run saw."""
-    run = verify.run_plan
+    """Counts outermost evaluations into ``counts`` (recursion into function
+    arguments stays inside expr): the points each one evaluates, and the
+    most points one saw."""
+    run = verify.evaluate
 
-    def counting_run(plan, columns, n, **keywords):
+    def counting_run(form, slots, columns, n, **keywords):
         counts["points"] += n
         counts["largest"] = max(counts["largest"], n)
-        return run(plan, columns, n, **keywords)
+        return run(form, slots, columns, n, **keywords)
 
-    monkeypatch.setattr(verify, "run_plan", counting_run)
+    monkeypatch.setattr(verify, "evaluate", counting_run)
 
 
 def _counting_draws(monkeypatch, counts):
@@ -397,17 +397,10 @@ def _counting_draws(monkeypatch, counts):
 
 @pytest.mark.parametrize("perturb", [False, True])
 def test_each_form_is_laid_out_once_per_report(monkeypatch, perturb):
-    """While a 100-sample inverse-curl report runs: one outermost layout per
-    residual and reference component, each component evaluated at each
-    point once, with zero residuals not evaluated, and three draws a point."""
-    counts = {"layout": 0, "points": 0, "largest": 0, "draws": 0}
-    layout = verify.numeric_plan
-
-    def counting_layout(form, slots):
-        counts["layout"] += 1
-        return layout(form, slots)
-
-    monkeypatch.setattr(verify, "numeric_plan", counting_layout)
+    """While a 100-sample inverse-curl report runs: each component evaluated
+    at each point once, with zero residuals not evaluated, and three draws a
+    point."""
+    counts = {"points": 0, "largest": 0, "draws": 0}
     _counting_run(monkeypatch, counts)
     _counting_draws(monkeypatch, counts)
     B, result = _curl_cartesian()
@@ -417,8 +410,7 @@ def test_each_form_is_laid_out_once_per_report(monkeypatch, perturb):
     nonzero = sum(not c.is_zero() for c in report.residual.components)
     assert nonzero == (2 if perturb else 0)
     assert report.resample_count == 0
-    assert counts == {"layout": 6, "points": 100 * (3 + nonzero), "largest": 100,
-                      "draws": 300}
+    assert counts == {"points": 100 * (3 + nonzero), "largest": 100, "draws": 300}
 
 
 @pytest.mark.parametrize("build", [_ln_against_filler, _ln_exact])
@@ -471,23 +463,21 @@ def test_the_tolerance_is_relative_to_the_input_above_an_absolute_floor(source, 
 
 def test_the_factor_table_keeps_a_signed_zero():
     # Both arguments are 0.0 in floats, +0.0 and -0.0 at x = -1: the two
-    # atoms have equal float plans, yet sin(-0.0) * sin(0.0) is -0.0.
+    # atoms have equal float coefficients, yet sin(-0.0) * sin(0.0) is -0.0.
     value = eval_numeric(parse("sin(x/10^400)*sin(-x/10^400)"), {"x": -1.0})
     assert value == 0.0 and math.copysign(1.0, value) == -1.0
 
 
-def _factor_occurrences(forms, slots):
+def _factor_occurrences(forms):
     """Each (atom, exponent) factor the forms hold, those inside function
-    arguments too, once per occurrence; a variable is named by its slot."""
+    arguments too, once per occurrence; a variable is named by its name."""
     found = []
     for form in forms:
         for factors, _ in form.terms:
             for atom, e in factors:
-                if isinstance(atom, str):
-                    found.append((slots[atom], e))
-                else:
-                    found.append((atom, e))
-                    found.extend(_factor_occurrences([atom.argument], slots))
+                found.append((atom, e))
+                if not isinstance(atom, str):
+                    found.extend(_factor_occurrences([atom.argument]))
     return found
 
 
@@ -497,9 +487,8 @@ def test_a_block_forms_each_distinct_factor_column_once(monkeypatch):
     once, where the forms hold them several times."""
     A = vec(SPHERICAL, "sin(theta)^2*r^2", "r*cos(phi)*sin(theta)", "r^2")
     phi = ScalarField(parse("r^2*sin(theta)*cos(phi)^2"), SPHERICAL)
-    slots = {name: i for i, name in enumerate(SPHERICAL.names)}
     forms = [f for f in roundtrip_residual("inv_grad", A, phi) if not f.is_zero()]
-    occurrences = _factor_occurrences(forms + list(A.components), slots)
+    occurrences = _factor_occurrences(forms + list(A.components))
     sines = [atom for atom, _ in occurrences if getattr(atom, "tag", None) == "sin"]
     powers = [factor for factor in occurrences if factor[1] != 1]
     assert (len(sines), len(set(sines)), len(powers), len(set(powers))) == (6, 2, 8, 3)
