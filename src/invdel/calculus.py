@@ -8,12 +8,14 @@ class the README describes, with the zero integration constant, and raises
 NotIntegrable carrying the first other term in canonical order.
 ``weighted_split_integral`` is one W of the inverse curl; ``_weighted``
 adds one W into a caller's map, and the inverse curl makes its six such
-calls one at a time, in the order of its formula.
+calls one at a time, in the order of its formula.  Both integrals take
+their terms through one walk, ``_integrated``, and a W's budgets are those
+of each integrated part's product with its weight.
 """
 
 from __future__ import annotations
 
-from .errors import NotIntegrable, UnsupportedExpression
+from .errors import NotIntegrable
 from .expr import (
     _ONE,
     CanonicalForm,
@@ -23,10 +25,9 @@ from .expr import (
     RationalLike,
     _accumulate,
     _add_term,
-    _check_pair_count,
+    _check_pairs,
     _coeff_inv,
     _coeff_mul,
-    _coeff_product,
     _exact_pair,
     _merge_factors,
     _multiply,
@@ -65,9 +66,9 @@ def differentiate(expression: Expression, name: str) -> CanonicalForm:
 
 def _derivative(form: CanonicalForm, name: str, acc: dict, negate: bool = False) -> CanonicalForm:
     """d form/d name, each term added straight into the caller's map
-    ``acc``, negated when ``negate``; returns the form of ``acc``.  A chain
-    rule of one term adds its one product, and a sign is applied after the
-    product, so every budget is checked as without it."""
+    ``acc``, negated when ``negate``; returns the form of ``acc``.  A sign
+    is applied after a chain rule's product, so every budget is checked as
+    without it."""
     for factors, coefficient in form.items():
         for i, (atom, e) in enumerate(factors):
             if isinstance(atom, str):
@@ -82,11 +83,8 @@ def _derivative(form: CanonicalForm, name: str, acc: dict, negate: bool = False)
             factors_out = factors[:i] + lowered + factors[i + 1:]
             c = coefficient if e == 1 else _coeff_mul(coefficient, (e, 1))
             if chain is not None:
-                if len(chain) != 1:
-                    (_subtract if negate else _accumulate)(acc, _multiply({factors_out: c}, chain))
-                    continue
-                (g, k), = chain.items()
-                factors_out, c = _merge_factors(factors_out, g), _coeff_product(c, k)
+                (_subtract if negate else _accumulate)(acc, _multiply({factors_out: c}, chain))
+                continue
             _add_term(acc, factors_out, (-c[0], c[1]) if negate else c)
     return CanonicalForm(acc)
 
@@ -106,18 +104,26 @@ def antidifferentiate(expression: Expression, name: str) -> CanonicalForm:
     """Antiderivative with zero integration constant.
 
     Raises NotIntegrable (carrying the offending term) when any canonical
-    term falls outside the supported class.  The terms are integrated in map
-    order; only a refusal sorts them, to name the first offender in
-    canonical order.
+    term falls outside the supported class.
     """
-    form = canonicalize(expression)
-    acc: dict = {}
+    return CanonicalForm(_integrated(canonicalize(expression), name)[1])
+
+
+def _integrated(form: CanonicalForm, name: str, split_var: str | None = None) -> tuple:
+    """The antiderivatives in ``name`` of the terms of ``form`` that contain
+    ``split_var`` and of the rest, as two maps; integration in one variable
+    keeps distinct terms distinct.  The terms are integrated in map order;
+    only a refusal sorts them, to name the first offender as
+    ``_not_integrable`` does."""
+    plus: dict = {}
+    rest: dict = {}
     for factors, coefficient in form.items():
         term = _integrate_term(factors, coefficient, name)
         if term is None:
-            raise _not_integrable(form, name)
-        _add_term(acc, *term)
-    return CanonicalForm(acc)
+            raise _not_integrable(form, name, split_var)
+        side = plus if split_var is not None and factors_contain(factors, split_var) else rest
+        side[term[0]] = term[1]
+    return plus, rest
 
 
 def _integrate_term(factors: tuple, coefficient: tuple, name: str):
@@ -198,7 +204,8 @@ def weighted_split_integral(
     or Fractions.  It raises what forming the two weighted products would: a
     refusal first, naming the term that ``antidifferentiate`` names on the
     part containing split_var, else the rest; then, for the plus part and
-    then the rest, the term-pair budget and the coefficient budget.
+    then the rest, the term-pair and coefficient budgets of the part's
+    product with its weight.
     """
     weights = tuple(map(_exact_pair, (w_plus, w_minus)))
     if None in weights:
@@ -215,28 +222,14 @@ def _weighted(form: CanonicalForm, split_var: str, name: str, weights: tuple, ac
     ``weighted_split_integral`` does, in that order, and may have added some
     terms when it raises.
 
-    Each term is integrated and scaled by ``_coeff_product``, whose estimates
-    over a part's terms come to the estimate of the part's product.  A
-    part's pair count is its number of terms, since integration in one
-    variable keeps distinct terms distinct.
+    Each integrated part is scaled by its weight, with the budgets of their
+    product, which a weight of 0 or 1 does not form.
     """
-    counts = [0, 0]
-    over = [None, None]  # a coefficient budget error per part
-    for factors, coefficient in form.items():
-        part = 0 if factors_contain(factors, split_var) else 1
-        counts[part] += 1
-        term = _integrate_term(factors, coefficient, name)
-        if term is None:
-            raise _not_integrable(form, name, split_var)
-        if weights[part][0]:
-            try:
-                scaled = _coeff_product(term[1], weights[part])
-            except UnsupportedExpression as exc:
-                over[part] = exc
-                continue
-            _add_term(acc, term[0], (-scaled[0], scaled[1]) if negate else scaled)
-    for part, weight in enumerate(weights):
-        if weight[0] and weight != _ONE:  # 0 and 1 form no product
-            _check_pair_count(counts[part], 1)
-        if over[part] is not None:
-            raise over[part]
+    for part, weight in zip(_integrated(form, name, split_var), weights):
+        if not part or not weight[0]:
+            continue
+        if weight != _ONE:
+            _check_pairs(part, {(): weight})
+        for factors, c in part.items():
+            c = _coeff_mul(c, weight)
+            _add_term(acc, factors, (-c[0], c[1]) if negate else c)

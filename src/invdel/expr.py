@@ -528,23 +528,19 @@ def _multiply(d1: dict, d2: dict) -> dict:
 
 
 def _check_pairs(d1: dict, d2: dict) -> None:
-    """The budgets of a product of two maps, neither zero nor one."""
-    _check_pair_count(len(d1), len(d2))
+    """The budgets of a product of two maps, neither zero nor one: it raises
+    UnsupportedExpression before expanding a product past
+    ``MAX_PRODUCT_PAIRS`` term pairs."""
+    if len(d1) * len(d2) > MAX_PRODUCT_PAIRS:
+        raise UnsupportedExpression(
+            f"expanding a product of {len(d1)} by {len(d2)} terms exceeds "
+            f"the budget of {MAX_PRODUCT_PAIRS} term pairs")
     # A term with coefficient 1 grows no coefficient.  Any other factor adds
     # its size, once per link of a chain and at every squaring of a sum.
     if not (len(d1) == 1 and _ONE in d1.values()
             or len(d2) == 1 and _ONE in d2.values()):
         (n1, e1), (n2, e2) = _coefficient_bits(d1), _coefficient_bits(d2)
         _check_coefficient_product(n1 + n2, e1 + e2)
-
-
-def _check_pair_count(n1: int, n2: int) -> None:
-    """Raise UnsupportedExpression before expanding a product of n1 by n2
-    terms past ``MAX_PRODUCT_PAIRS``."""
-    if n1 * n2 > MAX_PRODUCT_PAIRS:
-        raise UnsupportedExpression(
-            f"expanding a product of {n1} by {n2} terms exceeds "
-            f"the budget of {MAX_PRODUCT_PAIRS} term pairs")
 
 
 def _check_coefficient_product(numerator_bits: int, denominator_bits: int) -> None:

@@ -111,7 +111,7 @@ def roundtrip_report(
     factors = _factor_count(form for pair in forms for form in pair)
     if samples * factors > MAX_REPORT_WORK:
         raise UnsupportedExpression(
-            f"a report of {samples} samples over plans of {factors} factors exceeds "
+            f"a report of {samples} samples over forms of {factors} factors exceeds "
             f"the budget of {MAX_REPORT_WORK} sample factors")
     max_abs = 0.0
     max_rel = 0.0

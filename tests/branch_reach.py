@@ -11,8 +11,9 @@ before its body.  A statement with no code, such as a docstring, is not
 counted.  A test that starts a CLI process of its own is not followed into
 it.  It takes about four times as long as the tests.
 
-It is a development aid, not a gate: it exits 0 whatever it finds.  It
-uses the standard library and pytest only, and pytest does not collect it.
+It exits 0 whatever it finds; the CI job on Python 3.11 fails unless its
+last line reads ``unreached statements: 0``.  It uses the standard library
+and pytest only, and pytest does not collect it.
 """
 
 from __future__ import annotations

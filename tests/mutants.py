@@ -40,20 +40,17 @@ ENTRY = (
     "    so the interpreter's shutdown collections skip every object left alive.\"\"\"\n"
     "    import gc  # here, so that an import of this module does not load it\n")
 
-# The rest of one weighted split integral after a refused term.
-WEIGHTED_TAIL = (
-    "        if weights[part][0]:\n"
-    "            try:\n"
-    "                scaled = _coeff_product(term[1], weights[part])\n"
-    "            except UnsupportedExpression as exc:\n"
-    "                over[part] = exc\n"
-    "                continue\n"
-    "            _add_term(acc, term[0], (-scaled[0], scaled[1]) if negate else scaled)\n"
-    "    for part, weight in enumerate(weights):\n"
-    "        if weight[0] and weight != _ONE:  # 0 and 1 form no product\n"
-    "            _check_pair_count(counts[part], 1)\n"
-    "        if over[part] is not None:\n"
-    "            raise over[part]\n")
+# The body of one weighted split integral: its walk of its two integrated
+# parts, each scaled by its weight.
+WEIGHTED_BODY = (
+    "    for part, weight in zip(_integrated(form, name, split_var), weights):\n"
+    "        if not part or not weight[0]:\n"
+    "            continue\n"
+    "        if weight != _ONE:\n"
+    "            _check_pairs(part, {(): weight})\n"
+    "        for factors, c in part.items():\n"
+    "            c = _coeff_mul(c, weight)\n"
+    "            _add_term(acc, factors, (-c[0], c[1]) if negate else c)\n")
 
 MUTANTS = (
     ("inverse.py",
@@ -145,8 +142,8 @@ MUTANTS = (
      "                got = \"a weight past the interpreter's digit limit\"\n",
      "            got = \" + \".join(str(n) if d == 1 else f\"{n}/{d}\" for n, d in self._pairs)\n",
      "the weights message prints a weight past the digit limit"),
-    ("calculus.py", "part = 0 if factors_contain(factors, split_var) else 1",
-     "part = 0 if factors_contain(factors, name) else 1",
+    ("calculus.py", "factors_contain(factors, split_var) else rest",
+     "factors_contain(factors, name) else rest",
      "the weight side is chosen by the integration variable, not the split variable"),
     ("inverse.py", "_weighted(c[k], u[k], u[j], weights._pairs, acc, True)",
      "_weighted(c[k], u[k], u[j], weights._pairs, acc)",
@@ -157,10 +154,13 @@ MUTANTS = (
      "        _weighted(c[k], u[k], u[j], weights._pairs, acc, True)\n"
      "        _weighted(c[j], u[j], u[k], weights._pairs, acc)\n",
      "the two W of a component are taken in swapped order"),
-    ("calculus.py", "            raise _not_integrable(form, name, split_var)\n" + WEIGHTED_TAIL,
-     "            counts.append(part)\n            continue\n" + WEIGHTED_TAIL
-     + "    if len(counts) > 2:\n        raise _not_integrable(form, name, split_var)\n",
+    ("calculus.py", WEIGHTED_BODY,
+     "    kept = {f: c for f, c in form.items() if _integrate_term(f, c, name)}\n"
+     + WEIGHTED_BODY.replace("_integrated(form,", "_integrated(CanonicalForm(kept),")
+     + "    if len(kept) < len(form._map):\n        raise _not_integrable(form, name, split_var)\n",
      "the refusal is raised after the part budgets"),
+    ("calculus.py", "        if weight != _ONE:\n            _check_pairs(part, {(): weight})\n", "",
+     "a part is scaled without _check_pairs"),
     ("expr.py", "int(digits or 0) > MAX_POWER_DIGITS", "int(digits or 0) > 10 * MAX_POWER_DIGITS",
      "the decimal-exponent bound grows tenfold"),
     ("coords.py", "lambda: h[(i + 1) % 3] * h[(i + 2) % 3]", "lambda: h[i] * h[(i + 1) % 3]",

@@ -220,16 +220,21 @@ def test_zero_weight_part_is_still_integrated(text, w_plus, w_minus):
 
 
 def test_weighted_scaling_keeps_the_coefficient_budget():
-    # 2^33218 is within the budget, but one third of it, times z, is
-    # estimated past it: the weighted parts are scaled with the product's
-    # estimate, as when they were multiplied by their weights.
-    expression = parse("2^33218*x")
-    assert equals(weighted_split_integral(expression, "y", "z", 1, 1),
-                  parse("2^33218*x*z"))
-    with pytest.raises(UnsupportedExpression) as info:
-        weighted_split_integral(expression, "y", "z", W_PLUS, W_MINUS)
-    assert str(info.value) == ("a coefficient product of more than 10000 digits "
-                               "exceeds the budget")
+    for text, weights in (
+            # 2^33218 is within the budget, but one third of it, times z, is
+            # estimated past it: the weighted parts are scaled with the
+            # product's estimate, as when they were multiplied by their weights.
+            ("2^33218*x", (W_PLUS, W_MINUS)),
+            # Two terms of coefficient 1 times the weight 2^33218: the product
+            # of the part and its weight is estimated past the budget too.
+            ("x + x^2", (1, 2 ** 33218))):
+        expression = parse(text)
+        assert equals(weighted_split_integral(expression, "y", "z", 1, 1),
+                      expression * parse("z"))
+        with pytest.raises(UnsupportedExpression) as info:
+            weighted_split_integral(expression, "y", "z", *weights)
+        assert str(info.value) == ("a coefficient product of more than 10000 digits "
+                                   "exceeds the budget")
 
 
 PAIRS_PAST_TWO = "expanding a product of 3 by 1 terms exceeds the budget of 2 term pairs"

@@ -153,7 +153,7 @@ ROWS = (
     # this one would run for minutes.
     Row("report-work-past-budget",
         ("inv-div", "(x+y+z+1)^20", "--verify", "--samples", "1000000"), 4, bound=5,
-        err="UnsupportedExpression: a report of 1000000 samples over plans of 6391 factors "
+        err="UnsupportedExpression: a report of 1000000 samples over forms of 6391 factors "
             "exceeds the budget of 10000000 sample factors"),
     # A coefficient past the float range has no float value at any point, not
     # even inside exp; exp(700)*exp(701) is inf, and sin(inf) has no value.

@@ -245,7 +245,7 @@ def test_a_report_past_the_work_budget_is_refused_before_a_point_is_drawn(monkey
     monkeypatch.setattr(verify.random, "Random", Undrawn)
     with pytest.raises(UnsupportedExpression) as info:
         roundtrip_report("inv_div", field, samples=101)
-    assert str(info.value) == ("a report of 101 samples over plans of 7 factors exceeds the "
+    assert str(info.value) == ("a report of 101 samples over forms of 7 factors exceeds the "
                                "budget of 700 sample factors")
 
 
