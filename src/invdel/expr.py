@@ -813,6 +813,11 @@ def _column(atom, e: int, slots, columns, n: int, failed, table: dict) -> list:
         values = columns[slots[atom]]
     else:
         arguments = evaluate(atom.argument, slots, columns, n, failed, table=table)
+        # math's functions read a nan argument as nan without raising.
+        if failed is not None:
+            total = sum(arguments)
+            if total != total:
+                failed.update(i for i, v in enumerate(arguments) if v != v)
         try:
             values = list(map(_FUNCTIONS[atom.tag], arguments))
         except (ArithmeticError, ValueError):

@@ -1,23 +1,27 @@
 """Round-trip verification: symbolic residuals plus seeded numeric sampling.
 
 The symbolic channel is ``inverse.roundtrip_residual``.  The numeric
-channel evaluates each residual and input component's canonical form over
-blocks of at most ``BLOCK_POINTS`` seeded points (``expr.evaluate``), with
-one table of factor columns per block.  ``MAX_SAMPLES`` bounds a report's
-points and ``MAX_REPORT_WORK`` its points times its forms' factors, before
-a point is drawn.  The README's "Library use" describes the error scale,
-resampling and the nan screen; a block draws only the points still
-missing, so a report is that of sampling one point at a time.
+channel evaluates each nonzero residual component and its input component
+over blocks of at most ``BLOCK_POINTS`` seeded points (``expr.evaluate``),
+with one table of factor columns per block.  A zero residual's input is
+only screened for the points where it has no value: through its factor
+columns and a magnitude bound, multiplied out only where the bound cannot
+rule out overflow (``_screened_by_bound``).  ``MAX_SAMPLES`` bounds a
+report's points and ``MAX_REPORT_WORK`` its points times its forms'
+factors, before a point is drawn.  The README's "Library use" describes
+the error scale, resampling and the nan screen; a block draws only the
+points still missing, so a report is that of sampling one point at a time.
 ``to_dict`` lists the fields in slot order, the JSON key order.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Optional, Union
 
 from .errors import SamplingExhausted, UnsupportedExpression, ValidationError, _echoed
-from .expr import Frozen, evaluate
+from .expr import Frozen, _column, evaluate
 from .inverse import BasePoint, DivergenceWeights, check_kind, construct, roundtrip_residual
 from .vecops import ScalarField, VectorField, curl, divergence, rendered
 
@@ -31,6 +35,9 @@ MAX_SAMPLES = 1_000_000
 # The most sample points times form factors one report may evaluate, a term's
 # coefficient and a function's argument form counted among its factors.
 MAX_REPORT_WORK = 10_000_000
+# Below the float range by far more than any rounding of a sum of bounds: a
+# form whose magnitude bound stays below it reads inf, and so nan, nowhere.
+_MAGNITUDE_BOUND = 1e300
 
 
 class VerificationReport(Frozen):
@@ -121,16 +128,16 @@ def roundtrip_report(
     while collected < samples:
         # The missing points, coordinate by coordinate as rng.uniform(lo, hi) draws them.
         n = min(samples - collected, BLOCK_POINTS)
-        draws = [draw() for _ in range(len(box) * n)]
+        draws = list(itertools.starmap(draw, itertools.repeat((), len(box) * n)))
         columns = [[lo + width * u for u in draws[k::len(box)]]
                    for k, (lo, width) in enumerate(spans)]
         # One block's factor columns, shared by all of its forms.
-        failed, table = set(), {}
+        failed, table, peaks = set(), {}, {}
         pairs = []
         for res, ref in forms:
             # A zero residual adds nothing, but its reference may leave the domain.
             if res.is_zero():
-                _screened(ref, slots, columns, n, failed, table)
+                _screened_by_bound(ref, slots, columns, n, failed, table, peaks)
             else:
                 pairs.append((_screened(res, slots, columns, n, failed, table),
                               _screened(ref, slots, columns, n, failed, table)))
@@ -168,12 +175,50 @@ def roundtrip_report(
 def _screened(form, slots: dict, columns: list, n: int, failed: set, table: dict) -> list:
     """The form's column over one block; each point where it reads nan, as
     inf * 0.0 does without raising, joins ``failed``.  Any nan makes the sum
-    nan."""
+    nan.  A zero residual's input, whose column is not used, is screened by
+    ``_screened_by_bound`` first."""
     column = evaluate(form, slots, columns, n, failed=failed, table=table)
     total = sum(column)
     if total != total:
         failed.update(i for i, v in enumerate(column) if v != v)
     return column
+
+
+def _screened_by_bound(form, slots: dict, columns: list, n: int, failed: set,
+                       table: dict, peaks: dict) -> None:
+    """``_screened`` for a form whose column is not used, without its term
+    products and sum where a magnitude bound rules out nan.
+
+    The form's factor columns join ``table`` in canonical term order, as
+    ``evaluate`` forms them, so the same points fail; ``peaks`` keeps each
+    column's largest magnitude for the block.  With no failed point in the
+    block, no column holds nan (``expr._column`` flags a nan argument).  The
+    bound sums, over the terms, |coefficient| times each factor's peak,
+    multiplied in ``evaluate``'s order; float rounding is monotone, so each
+    partial product bounds that of every point.  Below ``_MAGNITUDE_BOUND``
+    no product or sum reaches inf, so none reads inf * 0.0 or inf - inf and
+    the form reads nan nowhere.  A coefficient past the float range, a
+    failed point or a bound not below ``_MAGNITUDE_BOUND`` (inf, or nan from
+    inf * 0.0) leaves the form to ``_screened``.
+    """
+    total = 0.0
+    for factors, (p, q) in form.terms:
+        try:
+            bound = abs(p) / q
+        except OverflowError:
+            _screened(form, slots, columns, n, failed, table)
+            return
+        for factor in factors:
+            peak = peaks.get(factor)
+            if peak is None:
+                values = table.get(factor)
+                if values is None:
+                    values = _column(*factor, slots, columns, n, failed, table)
+                peak = peaks[factor] = max(map(abs, values))
+            bound *= peak
+        total += bound
+    if failed or not total < _MAGNITUDE_BOUND:
+        _screened(form, slots, columns, n, failed, table)
 
 
 def _factor_count(forms) -> int:

@@ -72,6 +72,16 @@ MUTANTS = (
      "_pointwise catches ArithmeticError in place of DomainError"),
     ("verify.py", "    if total != total:", "    if total is None:",
      "the nan screen is dropped"),
+    ("expr.py", "                failed.update(i for i, v in enumerate(arguments) if v != v)",
+     "                pass", "a function's column leaves a nan argument's points unflagged"),
+    ("verify.py", "    if failed or not total < _MAGNITUDE_BOUND:",
+     "    if failed or total < _MAGNITUDE_BOUND:", "the magnitude bound's comparison is inverted"),
+    ("verify.py", "peak = peaks[factor] = max(map(abs, values))",
+     "peak = peaks[factor] = min(map(abs, values))",
+     "the magnitude bound takes each column's smallest value"),
+    ("verify.py", "    if failed or not total < _MAGNITUDE_BOUND:",
+     "    if not total < _MAGNITUDE_BOUND:",
+     "the magnitude bound is read over a block with failed points"),
     ("expr.py", 'return (atom.tag != "exp" and (', "return ((",
      "the judge evaluates exp itself, not only its argument"),
     ("coords.py", "zero = value.is_zero() or any(",
@@ -206,7 +216,8 @@ MUTANTS = (
      "factors_contain reads an atom as holding no variable"),
     ("expr.py", "    table[atom, e] = values", "    table[atom, 1] = values",
      "a power's column is stored under its base's key"),
-    ("verify.py", "failed, table = set(), {}", "failed, table = set(), (table if collected else {})",
+    ("verify.py", "failed, table, peaks = set(), {}, {}",
+     "failed, table, peaks = set(), (table if collected else {}), {}",
      "one table serves every block"),
     ("verify.py", "    if samples > MAX_SAMPLES:\n", "    if False:\n",
      "the sample bound is dropped"),

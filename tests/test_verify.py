@@ -169,6 +169,23 @@ def test_points_where_the_input_reads_nan_are_resampled_like_domain_errors():
     assert report.symbolic_equal and report.within_tolerance
 
 
+NAN_ARGUMENT = "sin(exp(700*x)*exp(701*x)*sin(1/10^400))"
+
+
+def test_a_function_of_an_argument_that_reads_nan_is_outside_the_domain():
+    # sin(nan) is nan without raising, like exp and ln; the report screens a
+    # zero residual's input by its factor columns, so the sin column itself
+    # must flag the points where its argument reads nan.
+    failed = set()
+    column = expr.evaluate(parse(NAN_ARGUMENT), {"x": 0}, [[0.25, 0.75]], 2, failed)
+    assert failed == {1} and column[0] == math.sin(math.exp(175) * math.exp(175.25) * 0.0)
+    f = ScalarField(parse(NAN_ARGUMENT), CARTESIAN)
+    report = roundtrip_report("inv_div", f, weights=DivergenceWeights(0, 1, 0),
+                              samples=40, seed=3)
+    assert report.symbolic_equal and not report.residual._map
+    assert (report.resample_count, report.max_abs_error) == (20, 0.0)
+
+
 SCALAR = ScalarField(parse("x"), CARTESIAN)
 VECTOR = vec(CARTESIAN, "y", "z", "x")
 
@@ -371,17 +388,31 @@ def test_zero_residual_still_resamples_where_the_input_leaves_the_domain():
 
 
 def _counting_run(monkeypatch, counts):
-    """Counts outermost evaluations into ``counts`` (recursion into function
-    arguments stays inside expr): the points each one evaluates, and the
-    most points one saw."""
+    """Counts the report's screenings of a form into ``counts``: the points
+    of each outermost evaluation (recursion into function arguments stays
+    inside expr) and of each zero residual's input that the magnitude bound
+    screens without one, and the most points one saw."""
     run = verify.evaluate
+    by_bound = verify._screened_by_bound
 
-    def counting_run(form, slots, columns, n, **keywords):
+    def count(n):
         counts["points"] += n
         counts["largest"] = max(counts["largest"], n)
+
+    def counting_run(form, slots, columns, n, **keywords):
+        count(n)
         return run(form, slots, columns, n, **keywords)
 
+    def counting_bound(form, slots, columns, n, failed, table, peaks):
+        before = counts["points"]
+        by_bound(form, slots, columns, n, failed, table, peaks)
+        if counts["points"] == before:
+            # Screened by the bound, which is read only where no point failed.
+            assert not failed
+            count(n)
+
     monkeypatch.setattr(verify, "evaluate", counting_run)
+    monkeypatch.setattr(verify, "_screened_by_bound", counting_bound)
 
 
 def _counting_draws(monkeypatch, counts):
@@ -397,8 +428,8 @@ def _counting_draws(monkeypatch, counts):
 
 @pytest.mark.parametrize("perturb", [False, True])
 def test_each_form_is_laid_out_once_per_report(monkeypatch, perturb):
-    """While a 100-sample inverse-curl report runs: each component evaluated
-    at each point once, with zero residuals not evaluated, and three draws a
+    """While a 100-sample inverse-curl report runs: each component screened
+    at each point once, with zero residuals not screened, and three draws a
     point."""
     counts = {"points": 0, "largest": 0, "draws": 0}
     _counting_run(monkeypatch, counts)
@@ -422,7 +453,7 @@ def test_a_resampling_report_draws_each_point_once(monkeypatch, build):
     report = roundtrip_report("inv_div", field, result=result, samples=100, seed=3)
     assert report.resample_count == 89
     assert counts["draws"] == 3 * (100 + 89)
-    # Each drawn point is evaluated once per evaluated component.
+    # Each drawn point is screened once per input or nonzero residual component.
     components = 1 if report.symbolic_equal else 2
     assert counts["points"] == components * (100 + 89)
 
@@ -514,3 +545,109 @@ def test_a_block_forms_each_distinct_factor_column_once(monkeypatch):
     assert not report.symbolic_equal and report.resample_count == 0
     assert calls["sin"] == 100 * len(set(sines))
     assert formed == Counter(set(powers))
+
+
+# The magnitude bound that screens a zero residual's input.
+
+# Factors whose columns reach the float range's edges over the cartesian box
+# [-2, 2]^3: products that overflow at some points only, an argument that
+# reads nan at some points only, negative powers and functions that raise.
+BOUND_FACTORS = ("x", "y^2", "z^-1", "x^-3", "exp(350*x)", "exp(350*y)", "exp(-800*z)",
+                 "exp(700*x)", NAN_ARGUMENT, "ln(x)", "cos(exp(354*y)*exp(354*z))",
+                 "exp(x)^-2", "sin(1/y)", "exp(-x)^3", "z", "sin(x*y)", "cos(z)^2",
+                 "exp(y - z)", "ln(x^2 + 1)", "sin(1/10^400)")
+# Coefficients near 1e300 and either side of the float range.
+BOUND_COEFFICIENTS = ("1", "-3", "5/7", "10^300", "-10^299/7", "2^1000", "10^-320",
+                      "10^310")
+
+
+def _bound_form(rng):
+    """A sum of one to three terms, each a coefficient times up to four factors."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = rng.sample(BOUND_FACTORS, rng.randint(0, 4))
+        terms.append("*".join([rng.choice(BOUND_COEFFICIENTS)] + factors))
+    return parse(" + ".join(terms))
+
+
+def _screen_block(by_bound, forms, columns, n):
+    """The failed points of one block whose forms are screened in turn, by
+    the bound or by evaluation."""
+    failed, table, peaks = set(), {}, {}
+    for form in forms:
+        if by_bound:
+            verify._screened_by_bound(form, {"x": 0, "y": 1, "z": 2}, columns, n, failed,
+                                      table, peaks)
+        else:
+            screened(form, {"x": 0, "y": 1, "z": 2}, columns, n, failed, table)
+    return failed
+
+
+screened = verify._screened
+
+
+def test_the_magnitude_bound_fails_the_points_that_evaluation_fails(monkeypatch):
+    rng = random.Random(38)
+    fallbacks = []
+    monkeypatch.setattr(verify, "_screened",
+                        lambda form, *rest: fallbacks.append(form) or screened(form, *rest))
+    # Products at the overflow edge first: the second is inf times 0.0, nan
+    # where x + y > 2.03 though no point fails, and the third is its sine.
+    edges = [[parse("exp(350*x)*exp(350*y)*exp(-800*z)")],
+             [parse("exp(350*x)*exp(350*y)*sin(1/10^400)")],
+             [parse("cos(z) + sin(exp(350*x)*exp(350*y)*sin(1/10^400))")]]
+    forms = edges.pop(0)
+    blocks = bounded = 0
+    while blocks < 300:
+        n = 100 if blocks < 3 else rng.choice((1, 9, 100))
+        columns = [[rng.uniform(lo, hi) for _ in range(n)] for lo, hi in CARTESIAN.sampling_box]
+        before = len(fallbacks)
+        failed = _screen_block(True, forms, columns, n)
+        bounded += len(forms) - (len(fallbacks) - before)
+        # A block's earlier forms may have failed points that a later one meets.
+        assert failed == _screen_block(False, forms, columns, n), forms
+        blocks += 1
+        forms = edges.pop(0) if edges else [_bound_form(rng) for _ in range(rng.randint(1, 3))]
+    # Both ways are taken many times.
+    assert min(bounded, len(fallbacks)) > 100, (bounded, len(fallbacks))
+
+
+def test_the_bound_and_evaluation_fail_the_same_points_in_every_block_of_a_report(
+        monkeypatch):
+    by_bound = verify._screened_by_bound
+    checked = Counter()
+
+    def both(form, slots, columns, n, failed, table, peaks):
+        expected = set(failed)
+        verify._screened(form, slots, columns, n, expected, dict(table))
+        by_bound(form, slots, columns, n, failed, table, peaks)
+        assert failed == expected
+        checked[bool(failed)] += 1
+
+    monkeypatch.setattr(verify, "_screened_by_bound", both)
+    rng = random.Random(3800)
+    reports = 0
+    while reports < 12:
+        phi = ScalarField(_bound_form(rng), CARTESIAN)
+        try:
+            field = gradient(phi)
+        except UnsupportedExpression:  # the derivative of ln(x^2 + 1)
+            continue
+        reports += 1
+        try:
+            roundtrip_report("inv_grad", field, result=phi, samples=300,
+                             seed=rng.randint(0, 10**6))
+        except SamplingExhausted:
+            pass
+    assert checked[True] > 10 and checked[False] > 10, checked
+
+
+def test_the_bound_is_not_read_over_a_block_with_a_failed_point(monkeypatch):
+    # There a column may hold nan, which max skips unless it comes first.
+    fallbacks = []
+    monkeypatch.setattr(verify, "_screened", lambda form, *rest: fallbacks.append(form))
+    form = parse("2*x")
+    verify._screened_by_bound(form, {"x": 0}, [[1.0, 2.0]], 2, set(), {}, {})
+    assert fallbacks == []
+    verify._screened_by_bound(form, {"x": 0}, [[1.0, 2.0]], 2, {0}, {}, {})
+    assert fallbacks == [form]
