@@ -733,15 +733,19 @@ def eval_numeric(expression: Expression, point: Mapping[str, float]) -> float:
     form as their sum, and the same first error in canonical term order.
     Raises UnboundVariable for missing names and DomainError when the value
     leaves the real domain: ln of a non-positive number, 0**-n, sin or cos
-    of an infinite value, overflow of a coefficient, a power, exp or the
-    sum, and a sum of opposite infinities.  Each variable of the form that
-    has a value in ``point`` gets a slot and a one-value column; other
-    entries of ``point`` are not read.
+    of an infinite value, overflow of a coordinate, a coefficient, a power,
+    exp or the sum, and a sum of opposite infinities.  Each variable of the
+    form that has a value in ``point`` gets a slot and a one-value column;
+    other entries of ``point`` are not read.
     """
     form = canonicalize(expression)
     names = [name for name in free_variables(form) if name in point]
     slots = {name: i for i, name in enumerate(names)}
-    return evaluate(form, slots, [[float(point[name])] for name in names], 1)[0]
+    try:
+        columns = [[float(point[name])] for name in names]
+    except OverflowError:
+        raise DomainError("coordinate overflow") from None
+    return evaluate(form, slots, columns, 1)[0]
 
 
 _FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log}
@@ -756,9 +760,9 @@ def evaluate(form: CanonicalForm, slots: Mapping[str, int], columns, n: int,
     bit for bit ``eval_numeric``'s: a term's product starts from its
     coefficient, and the sum (fsum, which loses -0.0) needs two or more
     terms.  A point whose value leaves the domain raises its DomainError
-    or, when ``failed`` is a set, joins it and reads nan while the other
-    points go on; a coefficient past the float range has no value at any
-    point, so there it fails every point.
+    or, when ``failed`` is a set, reads nan, as a coefficient past the float
+    range does at every point; each point where the result reads nan, also
+    without raising (inf * 0.0, a function of nan), joins ``failed``.
 
     ``table`` maps each exact factor, (atom, exponent) with the atom a
     variable's name or a FunctionAtom, to its column, so each distinct
@@ -776,7 +780,6 @@ def evaluate(form: CanonicalForm, slots: Mapping[str, int], columns, n: int,
         except OverflowError:
             if failed is None:
                 raise DomainError("coefficient overflow") from None
-            failed.update(range(n))
             coefficient = math.nan
         column = None
         for atom, e in factors:
@@ -789,12 +792,16 @@ def evaluate(form: CanonicalForm, slots: Mapping[str, int], columns, n: int,
                 column = [r * v for r, v in zip(column, values)]
         terms.append([coefficient] * n if column is None else column)
     if len(terms) == 1:
-        return terms[0]
-    points = list(zip(*terms)) if terms else [()] * n
-    try:
-        return list(map(math.fsum, points))
-    except (ArithmeticError, ValueError):
-        return _pointwise(_eval_sum, points, failed)
+        values = terms[0]
+    else:
+        points = list(zip(*terms)) if terms else [()] * n
+        try:
+            values = list(map(math.fsum, points))
+        except (ArithmeticError, ValueError):
+            values = _pointwise(_eval_sum, points, failed)
+    if failed is not None and (total := sum(values)) != total:
+        failed.update(i for i, v in enumerate(values) if v != v)
+    return values
 
 
 def _column(atom, e: int, slots, columns, n: int, failed, table: dict) -> list:
@@ -813,11 +820,6 @@ def _column(atom, e: int, slots, columns, n: int, failed, table: dict) -> list:
         values = columns[slots[atom]]
     else:
         arguments = evaluate(atom.argument, slots, columns, n, failed, table=table)
-        # math's functions read a nan argument as nan without raising.
-        if failed is not None:
-            total = sum(arguments)
-            if total != total:
-                failed.update(i for i, v in enumerate(arguments) if v != v)
         try:
             values = list(map(_FUNCTIONS[atom.tag], arguments))
         except (ArithmeticError, ValueError):

@@ -3,13 +3,13 @@
 The symbolic channel is ``inverse.roundtrip_residual``.  The numeric
 channel evaluates each nonzero residual component and its input component
 over blocks of at most ``BLOCK_POINTS`` seeded points (``expr.evaluate``),
-with one table of factor columns per block.  A zero residual's input is
-only screened for the points where it has no value: through its factor
-columns and a magnitude bound, multiplied out only where the bound cannot
-rule out overflow (``_screened_by_bound``).  ``MAX_SAMPLES`` bounds a
-report's points and ``MAX_REPORT_WORK`` its points times its forms'
-factors, before a point is drawn.  The README's "Library use" describes
-the error scale, resampling and the nan screen; a block draws only the
+with one table of factor columns per block; a point where a form reads
+nan fails.  A zero residual's input is only screened for points without a
+value: by its factor columns and a magnitude bound, multiplied out only
+where the bound cannot rule out overflow (``_screened_by_bound``).
+``MAX_SAMPLES`` bounds a report's points and ``MAX_REPORT_WORK`` its points
+times its forms' factors, before a point is drawn.  The README's "Library
+use" describes the error scale and resampling; a block draws only the
 points still missing, so a report is that of sampling one point at a time.
 ``to_dict`` lists the fields in slot order, the JSON key order.
 """
@@ -17,6 +17,7 @@ points still missing, so a report is that of sampling one point at a time.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Optional, Union
 
@@ -139,8 +140,8 @@ def roundtrip_report(
             if res.is_zero():
                 _screened_by_bound(ref, slots, columns, n, failed, table, peaks)
             else:
-                pairs.append((_screened(res, slots, columns, n, failed, table),
-                              _screened(ref, slots, columns, n, failed, table)))
+                pairs.append((evaluate(res, slots, columns, n, failed=failed, table=table),
+                              evaluate(ref, slots, columns, n, failed=failed, table=table)))
         resamples += len(failed)
         if resamples > 10 * samples:
             raise SamplingExhausted(
@@ -172,42 +173,28 @@ def roundtrip_report(
     )
 
 
-def _screened(form, slots: dict, columns: list, n: int, failed: set, table: dict) -> list:
-    """The form's column over one block; each point where it reads nan, as
-    inf * 0.0 does without raising, joins ``failed``.  Any nan makes the sum
-    nan.  A zero residual's input, whose column is not used, is screened by
-    ``_screened_by_bound`` first."""
-    column = evaluate(form, slots, columns, n, failed=failed, table=table)
-    total = sum(column)
-    if total != total:
-        failed.update(i for i, v in enumerate(column) if v != v)
-    return column
-
-
 def _screened_by_bound(form, slots: dict, columns: list, n: int, failed: set,
                        table: dict, peaks: dict) -> None:
-    """``_screened`` for a form whose column is not used, without its term
-    products and sum where a magnitude bound rules out nan.
+    """Fails the points where a form whose column is not used reads nan,
+    without its term products and sum where a magnitude bound rules it out.
 
     The form's factor columns join ``table`` in canonical term order, as
     ``evaluate`` forms them, so the same points fail; ``peaks`` keeps each
-    column's largest magnitude for the block.  With no failed point in the
-    block, no column holds nan (``expr._column`` flags a nan argument).  The
-    bound sums, over the terms, |coefficient| times each factor's peak,
-    multiplied in ``evaluate``'s order; float rounding is monotone, so each
-    partial product bounds that of every point.  Below ``_MAGNITUDE_BOUND``
-    no product or sum reaches inf, so none reads inf * 0.0 or inf - inf and
-    the form reads nan nowhere.  A coefficient past the float range, a
-    failed point or a bound not below ``_MAGNITUDE_BOUND`` (inf, or nan from
-    inf * 0.0) leaves the form to ``_screened``.
+    column's largest magnitude for the block.  A column holds nan only at a
+    failed point, which ``max`` skips unless it comes first.  The bound
+    sums, over the terms, |coefficient| times each factor's peak, multiplied
+    in ``evaluate``'s order; float rounding is monotone, so each partial
+    product bounds that of every other point.  Below ``_MAGNITUDE_BOUND`` no
+    product or sum reaches inf, so none reads inf * 0.0 or inf - inf.  A
+    bound not below it, as inf (a coefficient past the float range) and nan
+    (inf * 0.0, a nan peak) are not, leaves the form to ``evaluate``.
     """
     total = 0.0
     for factors, (p, q) in form.terms:
         try:
             bound = abs(p) / q
         except OverflowError:
-            _screened(form, slots, columns, n, failed, table)
-            return
+            bound = math.inf
         for factor in factors:
             peak = peaks.get(factor)
             if peak is None:
@@ -217,8 +204,8 @@ def _screened_by_bound(form, slots: dict, columns: list, n: int, failed: set,
                 peak = peaks[factor] = max(map(abs, values))
             bound *= peak
         total += bound
-    if failed or not total < _MAGNITUDE_BOUND:
-        _screened(form, slots, columns, n, failed, table)
+    if not total < _MAGNITUDE_BOUND:
+        evaluate(form, slots, columns, n, failed=failed, table=table)
 
 
 def _factor_count(forms) -> int:

@@ -70,18 +70,18 @@ MUTANTS = (
      "        except DomainError:\n            if failed is None:",
      "        except ArithmeticError:\n            if failed is None:",
      "_pointwise catches ArithmeticError in place of DomainError"),
-    ("verify.py", "    if total != total:", "    if total is None:",
+    ("expr.py", "(total := sum(values)) != total:", "(total := sum(values)) is None:",
      "the nan screen is dropped"),
-    ("expr.py", "                failed.update(i for i, v in enumerate(arguments) if v != v)",
-     "                pass", "a function's column leaves a nan argument's points unflagged"),
-    ("verify.py", "    if failed or not total < _MAGNITUDE_BOUND:",
-     "    if failed or total < _MAGNITUDE_BOUND:", "the magnitude bound's comparison is inverted"),
+    ("expr.py", "    if failed is not None and (total",
+     "    if failed is not None and len(terms) > 1 and (total",
+     "the nan screen skips a single-term column, as a function's argument may be"),
+    ("verify.py", "    if not total < _MAGNITUDE_BOUND:",
+     "    if total < _MAGNITUDE_BOUND:", "the magnitude bound's comparison is inverted"),
     ("verify.py", "peak = peaks[factor] = max(map(abs, values))",
      "peak = peaks[factor] = min(map(abs, values))",
      "the magnitude bound takes each column's smallest value"),
-    ("verify.py", "    if failed or not total < _MAGNITUDE_BOUND:",
-     "    if not total < _MAGNITUDE_BOUND:",
-     "the magnitude bound is read over a block with failed points"),
+    ("verify.py", "            bound = math.inf", "            bound = 0.0",
+     "a coefficient past the float range reads as a bound of 0.0"),
     ("expr.py", 'return (atom.tag != "exp" and (', "return ((",
      "the judge evaluates exp itself, not only its argument"),
     ("coords.py", "zero = value.is_zero() or any(",

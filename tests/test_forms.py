@@ -104,16 +104,16 @@ def run_block(form, points):
 
 def assert_block_matches_each_point(form, points, evaluate):
     """Every point of one block reads ``evaluate``'s bits there, or is
-    flagged exactly where ``evaluate`` raises DomainError; returns the
-    number of flagged points."""
+    flagged exactly where ``evaluate`` raises DomainError or reads nan;
+    returns the number of flagged points."""
     values, failed = run_block(form, points)
     for i, point in enumerate(points):
         expected = outcome(form, point, evaluate)
         if i in failed:
-            assert expected.startswith("DomainError: ") and math.isnan(values[i]), (
-                render(form), point, expected)
+            flagged = expected.startswith("DomainError: ") or expected == "nan"
+            assert flagged and math.isnan(values[i]), (render(form), point, expected)
         else:
-            assert values[i].hex() == expected, (render(form), point)
+            assert values[i].hex() == expected != "nan", (render(form), point)
     return len(failed)
 
 
@@ -149,6 +149,8 @@ MIXED_BLOCK = [
     # A coefficient past the float range: every point is flagged.
     "10^400*x + y",
     "sin(10^400*x)*y",
+    # inf * 0.0 where x + y is large enough: nan without raising.
+    "exp(350*x)*exp(350*y)*sin(1/10^400)",
 ])
 def test_a_mixed_block_flags_exactly_the_points_that_raise(source):
     flagged = assert_block_matches_each_point(parse(source), MIXED_BLOCK, eval_numeric)
@@ -382,6 +384,13 @@ def test_coefficient_beyond_the_float_range_is_a_domain_error():
     form = parse("7" * 400 + "*x")
     for evaluate in (eval_numeric, reference_eval):
         assert outcome(form, {"x": 1.0}, evaluate) == "DomainError: coefficient overflow"
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400, Fraction(10**400, 3)],
+                         ids=["10^400", "-10^400", "10^400/3"])
+@pytest.mark.parametrize("source", ["x", "sin(x) + y"])
+def test_coordinate_beyond_the_float_range_is_a_domain_error(source, value):
+    assert outcome(parse(source), {"x": value, "y": 1.0}) == "DomainError: coordinate overflow"
 
 
 @pytest.mark.parametrize("build", [

@@ -407,8 +407,7 @@ def _counting_run(monkeypatch, counts):
         before = counts["points"]
         by_bound(form, slots, columns, n, failed, table, peaks)
         if counts["points"] == before:
-            # Screened by the bound, which is read only where no point failed.
-            assert not failed
+            # Screened by the bound, without an evaluation.
             count(n)
 
     monkeypatch.setattr(verify, "evaluate", counting_run)
@@ -583,14 +582,18 @@ def _screen_block(by_bound, forms, columns, n):
     return failed
 
 
-screened = verify._screened
+def screened(form, slots, columns, n, failed, table):
+    """The form's column over one block, each point where it reads nan
+    joining ``failed``: the evaluation the bound falls back to."""
+    return expr.evaluate(form, slots, columns, n, failed=failed, table=table)
 
 
 def test_the_magnitude_bound_fails_the_points_that_evaluation_fails(monkeypatch):
     rng = random.Random(38)
     fallbacks = []
-    monkeypatch.setattr(verify, "_screened",
-                        lambda form, *rest: fallbacks.append(form) or screened(form, *rest))
+    monkeypatch.setattr(verify, "evaluate",
+                        lambda form, *rest, **keywords: fallbacks.append(form)
+                        or screened(form, *rest, **keywords))
     # Products at the overflow edge first: the second is inf times 0.0, nan
     # where x + y > 2.03 though no point fails, and the third is its sine.
     edges = [[parse("exp(350*x)*exp(350*y)*exp(-800*z)")],
@@ -619,7 +622,7 @@ def test_the_bound_and_evaluation_fail_the_same_points_in_every_block_of_a_repor
 
     def both(form, slots, columns, n, failed, table, peaks):
         expected = set(failed)
-        verify._screened(form, slots, columns, n, expected, dict(table))
+        screened(form, slots, columns, n, expected, dict(table))
         by_bound(form, slots, columns, n, failed, table, peaks)
         assert failed == expected
         checked[bool(failed)] += 1
@@ -642,12 +645,18 @@ def test_the_bound_and_evaluation_fail_the_same_points_in_every_block_of_a_repor
     assert checked[True] > 10 and checked[False] > 10, checked
 
 
-def test_the_bound_is_not_read_over_a_block_with_a_failed_point(monkeypatch):
-    # There a column may hold nan, which max skips unless it comes first.
+def test_the_bound_is_read_over_a_block_with_a_failed_point(monkeypatch):
+    # A column holds nan only at a failed point, which max skips unless it
+    # comes first, and then the bound reads nan and falls back.
     fallbacks = []
-    monkeypatch.setattr(verify, "_screened", lambda form, *rest: fallbacks.append(form))
+    monkeypatch.setattr(verify, "evaluate",
+                        lambda form, *rest, **keywords: fallbacks.append(form))
     form = parse("2*x")
-    verify._screened_by_bound(form, {"x": 0}, [[1.0, 2.0]], 2, set(), {}, {})
-    assert fallbacks == []
-    verify._screened_by_bound(form, {"x": 0}, [[1.0, 2.0]], 2, {0}, {}, {})
+    failed = {0}
+    verify._screened_by_bound(form, {"x": 0}, [[1.0, 2.0]], 2, failed, {}, {})
+    assert fallbacks == [] and failed == {0}
+    form = parse("ln(x)")
+    failed, peaks = set(), {}
+    verify._screened_by_bound(form, {"x": 0}, [[-1.0, 2.0]], 2, failed, {}, peaks)
+    assert failed == {0} and math.isnan(*peaks.values())
     assert fallbacks == [form]
