@@ -9,6 +9,8 @@ whose numeric channel samples the canonical residual and so reads 0 whenever
 the symbolic check passes.
 """
 
+from types import ModuleType as _ModuleType
+
 from .calculus import (
     SplitPair,
     antidifferentiate,
@@ -72,63 +74,6 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN_NAMES",
-    "BasePoint",
-    "BasePointSingular",
-    "ConstructionFailed",
-    "CoordinateSystem",
-    "CurlWeights",
-    "DEFAULT_CURL_WEIGHTS",
-    "DivergenceWeights",
-    "DomainError",
-    "Expression",
-    "InvdelError",
-    "NotConservative",
-    "NotIntegrable",
-    "NotSolenoidal",
-    "SamplingExhausted",
-    "ScalarField",
-    "SourceError",
-    "SplitPair",
-    "UnboundVariable",
-    "UnknownSystem",
-    "UnsupportedExpression",
-    "ValidationError",
-    "VectorField",
-    "VerificationReport",
-    "antidifferentiate",
-    "builtin",
-    "canonicalize",
-    "construct",
-    "cos",
-    "curl",
-    "curl_integrands",
-    "curl_potential_formula",
-    "custom",
-    "differentiate",
-    "divergence",
-    "equals",
-    "eval_numeric",
-    "exp",
-    "free_variables",
-    "gauge_shift_curl",
-    "gauge_shift_div",
-    "gradient",
-    "inverse_curl",
-    "inverse_divergence",
-    "inverse_gradient",
-    "is_conservative",
-    "is_solenoidal",
-    "is_zero",
-    "ln",
-    "num",
-    "parse",
-    "render",
-    "roundtrip_report",
-    "sin",
-    "split_by_variable",
-    "substitute",
-    "var",
-    "weighted_split_integral",
-]
+# The public names are those the imports above bind, less the submodules.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

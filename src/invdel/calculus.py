@@ -10,7 +10,9 @@ NotIntegrable carrying the first other term in canonical order.
 adds one W into a caller's map, and the inverse curl makes its six such
 calls one at a time, in the order of its formula.  Both integrals take
 their terms through one walk, ``_integrated``, and a W's budgets are those
-of each integrated part's product with its weight.
+of each integrated part's product with its weight.  The public functions
+check each variable name, a ValueError as for ``var``; the package calls the
+bodies behind them.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .expr import (
     _subtract,
     atom_power,
     canonicalize,
+    check_variable_name,
     factors_contain,
 )
 
@@ -52,6 +55,7 @@ def split_by_variable(expression: Expression, name: str) -> SplitPair:
 
     The two parts add back to the input canonically.
     """
+    check_variable_name(name)
     plus: dict = {}
     minus: dict = {}
     for factors, coefficient in canonicalize(expression).items():
@@ -61,6 +65,7 @@ def split_by_variable(expression: Expression, name: str) -> SplitPair:
 
 def differentiate(expression: Expression, name: str) -> CanonicalForm:
     """Partial derivative with respect to the named variable."""
+    check_variable_name(name)
     return _derivative(canonicalize(expression), name, {})
 
 
@@ -106,6 +111,7 @@ def antidifferentiate(expression: Expression, name: str) -> CanonicalForm:
     Raises NotIntegrable (carrying the offending term) when any canonical
     term falls outside the supported class.
     """
+    check_variable_name(name)
     return CanonicalForm(_integrated(canonicalize(expression), name)[1])
 
 
@@ -207,6 +213,8 @@ def weighted_split_integral(
     then the rest, the term-pair and coefficient budgets of the part's
     product with its weight.
     """
+    check_variable_name(split_var)
+    check_variable_name(int_var)
     weights = tuple(map(_exact_pair, (w_plus, w_minus)))
     if None in weights:
         raise TypeError("weights must be ints or Fractions")

@@ -31,7 +31,7 @@ import sys
 from math import gcd
 from typing import Mapping, Union
 
-from .errors import DomainError, UnboundVariable, UnsupportedExpression
+from .errors import DomainError, UnboundVariable, UnsupportedExpression, ValidationError, _echoed
 
 FUNCTION_TAGS = ("sin", "cos", "exp", "ln")
 
@@ -654,6 +654,7 @@ def factors_contain(factors, name: str) -> bool:
 def substitute(expression: Expression, name: str, value) -> CanonicalForm:
     """Replace every occurrence of the variable, including inside function
     arguments.  The replacement may itself be any expression."""
+    check_variable_name(name)
     return substitute_all(expression, {name: value})
 
 
@@ -734,17 +735,27 @@ def eval_numeric(expression: Expression, point: Mapping[str, float]) -> float:
     Raises UnboundVariable for missing names and DomainError when the value
     leaves the real domain: ln of a non-positive number, 0**-n, sin or cos
     of an infinite value, overflow of a coordinate, a coefficient, a power,
-    exp or the sum, and a sum of opposite infinities.  Each variable of the
+    exp or the sum, and a sum of opposite infinities.  A value is a number
+    that ``float`` reads, not text; any other is a ValidationError naming
+    its variable, the variables taken in sorted order.  Each variable of the
     form that has a value in ``point`` gets a slot and a one-value column;
     other entries of ``point`` are not read.
     """
     form = canonicalize(expression)
-    names = [name for name in free_variables(form) if name in point]
+    names = [name for name in sorted(free_variables(form)) if name in point]
     slots = {name: i for i, name in enumerate(names)}
-    try:
-        columns = [[float(point[name])] for name in names]
-    except OverflowError:
-        raise DomainError("coordinate overflow") from None
+    columns = []
+    for name in names:
+        value = point[name]
+        try:
+            if isinstance(value, (str, bytes, bytearray, memoryview)):  # float() parses text
+                raise TypeError
+            columns.append([float(value)])
+        except OverflowError:
+            raise DomainError("coordinate overflow") from None
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"the value of {name} is not a number: {_echoed(repr(value))}") from None
     return evaluate(form, slots, columns, 1)[0]
 
 

@@ -21,7 +21,8 @@ forming them at each use would raise it.
 The parameter values (``DivergenceWeights``, ``BasePoint``,
 ``CurlWeights``) read ints, Fractions or text through ``_rational`` into
 the reduced int pairs the constructions read; their public attributes are
-Fractions, built when read.
+Fractions, built when read.  A parameter of another type is a
+ValidationError (``_checked``).
 
 The gates and the self-check compare numerators (``vecops.flux`` and
 ``vecops.curl_numerators``), as the README's introduction describes; a
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .calculus import _weighted, antidifferentiate
+from .calculus import _integrated, _weighted
 from .errors import (
     BasePointSingular,
     ConstructionFailed,
@@ -75,6 +76,13 @@ def _rational(value, what: str) -> tuple:
         return _rational_pair(value.strip() if isinstance(value, str) else value)
     except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad {what} {_echoed(repr(value))}: {_echoed(str(exc))}") from None
+
+
+def _checked(value, cls, what: str):
+    """``value``, which must be a ``cls``, as ``check_kind`` checks a field."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{what} must be a {cls.__name__}, not a {type(value).__name__}")
+    return value
 
 
 class _Rationals(Frozen):
@@ -149,6 +157,7 @@ def curl_potential_formula(
 ) -> VectorField:
     """Raw assembly of the candidate potential; no gates, no verification.
     ``integrands`` are B's ``curl_integrands`` when the caller has them."""
+    _checked(weights, CurlWeights, "weights")
     system = B.system
     u = system.names
     c = curl_integrands(B) if integrands is None else integrands
@@ -239,7 +248,8 @@ def inverse_divergence(
     Component i is (k_i/(h_j*h_k)) * antiderivative of h1*h2*h3*f in u_i.
     Components with weight zero are left at zero without integrating.
     """
-    w = (weights or DivergenceWeights.symmetric())._pairs
+    w = (DivergenceWeights.symmetric() if weights is None
+         else _checked(weights, DivergenceWeights, "weights"))._pairs
     system = f.system
     u = system.names
     source = system.jacobian() * f.value
@@ -248,7 +258,7 @@ def inverse_divergence(
         if not w[i][0]:
             comps.append(ZERO_FORM)
             continue
-        integral = antidifferentiate(source, u[i])
+        integral = CanonicalForm(_integrated(source, u[i])[1])
         comps.append(system.inverse_pair(i) * integral * _constant(w[i]))
     return VectorField._built(tuple(comps), system)
 
@@ -272,7 +282,8 @@ def inverse_gradient(A: VectorField, base: Optional[BasePoint] = None) -> Scalar
 def _path_integral(A: VectorField, base: Optional[BasePoint], along) -> ScalarField:
     """The path integral of A . dl; ``along`` holds the products h_i*A_i."""
     system = A.system
-    a, b, c, c0 = map(_constant, (*system._base, (0, 1)) if base is None else base._pairs)
+    a, b, c, c0 = map(_constant, (*system._base, (0, 1)) if base is None
+                      else _checked(base, BasePoint, "base")._pairs)
     u1, u2, u3 = system.names
 
     g3 = _at_base(along[2], {u1: a, u2: b})
@@ -288,7 +299,7 @@ def _path_integral(A: VectorField, base: Optional[BasePoint], along) -> ScalarFi
 
 
 def _definite(integrand: CanonicalForm, name: str, lower: CanonicalForm) -> CanonicalForm:
-    primitive = antidifferentiate(integrand, name)
+    primitive = CanonicalForm(_integrated(integrand, name)[1])
     return primitive - _at_base(primitive, {name: lower})
 
 
@@ -304,16 +315,18 @@ def _at_base(form: CanonicalForm, values: dict) -> CanonicalForm:
 
 def gauge_shift_curl(A: VectorField, f: ScalarField) -> VectorField:
     """A + grad(f); leaves the curl unchanged."""
-    return _shifted(A, f, gradient, "gauge scalar")
+    return _shifted(A, f, ScalarField, gradient, "gauge scalar")
 
 
 def gauge_shift_div(A: VectorField, C: VectorField) -> VectorField:
     """A + curl(C); leaves the divergence unchanged."""
-    return _shifted(A, C, curl, "gauge vector")
+    return _shifted(A, C, VectorField, curl, "gauge vector")
 
 
-def _shifted(A: VectorField, gauge, forward, what: str) -> VectorField:
-    """A plus ``forward(gauge)``, a gradient or curl, in A's system."""
+def _shifted(A: VectorField, gauge, cls, forward, what: str) -> VectorField:
+    """A plus ``forward(gauge)``, a gradient or curl of a ``cls``, in A's system."""
+    _checked(A, VectorField, "the shifted field")
+    _checked(gauge, cls, what)
     if gauge.system is not A.system and gauge.system != A.system:
         raise ValidationError(f"{what} lives in a different coordinate system")
     shift = forward(gauge).components

@@ -12,11 +12,11 @@ Each sum is one map that its derivatives add into as they are taken.
 
 A field is its canonical forms plus its system; the public constructors
 alone check it, and a variable outside the system is a ValidationError.
-The operators combine the forms with form arithmetic and ``differentiate``
-and return fields made with ``_built``, unchecked.  Division by scale
-factors is multiplication by a reciprocal from the system's metric table,
-which exists only for single-term factors; anything else raises
-UnsupportedExpression.
+The operators combine forms by form arithmetic and ``_derivative``, the body
+of ``differentiate``, and return fields made with ``_built``, unchecked.
+Division by scale factors is multiplication by a reciprocal from the
+system's metric table, which exists only for single-term factors; anything
+else raises UnsupportedExpression.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .expr import (
     canonicalize,
     free_variables,
 )
-from .calculus import _derivative, differentiate
+from .calculus import _derivative
 from .parser import render
 
 CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -80,7 +80,7 @@ def rendered(value) -> list[str]:
 def gradient(f: ScalarField) -> VectorField:
     """Component-wise (1/h_i) * df/du_i."""
     system = f.system
-    comps = tuple(system.inverse_scale(i) * differentiate(f.value, name)
+    comps = tuple(system.inverse_scale(i) * _derivative(f.value, name, {})
                   for i, name in enumerate(system.names))
     return VectorField._built(comps, system)
 

@@ -251,6 +251,38 @@ MUTANTS = (
     ("vecops.py", "        _derivative(products[-1], u, acc)",
      "        acc = {}\n        _derivative(products[-1], u, acc)",
      "flux keeps only its last derivative"),
+    ("__init__.py", " and not isinstance(value, _ModuleType)", "",
+     "the public names take in the submodules"),
+    ("calculus.py", "    check_variable_name(name)\n    return _derivative(",
+     "    return _derivative(", "differentiate takes any variable name"),
+    ("calculus.py", "    check_variable_name(name)\n    return CanonicalForm(_integrated(",
+     "    return CanonicalForm(_integrated(", "antidifferentiate takes any variable name"),
+    ("calculus.py", "    check_variable_name(name)\n    plus: dict = {}", "    plus: dict = {}",
+     "split_by_variable takes any variable name"),
+    ("calculus.py", "    check_variable_name(split_var)\n", "",
+     "weighted_split_integral takes any split variable name"),
+    ("calculus.py", "    check_variable_name(int_var)\n", "",
+     "weighted_split_integral takes any integration variable name"),
+    ("expr.py", "    check_variable_name(name)\n    return substitute_all(",
+     "    return substitute_all(", "substitute takes any variable name"),
+    ("inverse.py", '    _checked(weights, CurlWeights, "weights")\n', "",
+     "curl_potential_formula takes weights of any type"),
+    ("inverse.py", 'else _checked(weights, DivergenceWeights, "weights"))._pairs',
+     "else weights)._pairs", "inverse_divergence takes weights of any type"),
+    ("inverse.py", "(DivergenceWeights.symmetric() if weights is None",
+     "(DivergenceWeights.symmetric() if not weights",
+     "empty or zero divergence weights mean the symmetric ones"),
+    ("inverse.py", 'else _checked(base, BasePoint, "base")._pairs)', "else base._pairs)",
+     "the path integral takes a base point of any type"),
+    ("inverse.py", "    _checked(gauge, cls, what)\n", "",
+     "a gauge shift takes a gauge of any type"),
+    ("inverse.py", '    _checked(A, VectorField, "the shifted field")\n', "",
+     "a gauge shift takes a shifted field of any type"),
+    ("expr.py", "if isinstance(value, (str, bytes, bytearray, memoryview)):  # float() parses text",
+     "if False:", "eval_numeric reads text as a number"),
+    ("expr.py", "        except (TypeError, ValueError):\n            raise ValidationError(",
+     "        except TypeError:\n            raise ValidationError(",
+     "eval_numeric lets float()'s ValueError through"),
 )
 
 # Seconds one pytest run may take.

@@ -22,6 +22,7 @@ from invdel import (
     parse,
     render,
     split_by_variable,
+    substitute,
     weighted_split_integral,
 )
 
@@ -339,3 +340,31 @@ def test_antiderivative_is_linear():
         left = antidifferentiate(p + q, "x")
         right = antidifferentiate(p, "x") + antidifferentiate(q, "x")
         assert equals(left, right)
+
+
+# Each door of a variable name, with the input it takes.  Unchecked, a
+# function name became a factor: antidifferentiate(x, "sin") rendered
+# "sin*x", which parse refuses.
+NAME_DOORS = {
+    "differentiate": lambda name: differentiate(parse("x"), name),
+    "antidifferentiate": lambda name: antidifferentiate(parse("x"), name),
+    "split_by_variable": lambda name: split_by_variable(parse("x"), name),
+    "weighted_split_integral-split": lambda name: weighted_split_integral(
+        parse("y"), name, "x", 1, 1),
+    "weighted_split_integral-int": lambda name: weighted_split_integral(
+        parse("y"), "x", name, 1, 1),
+    "substitute": lambda name: substitute(parse("x"), name, 1),
+}
+
+
+@pytest.mark.parametrize("name, message", [
+    ("sin", "'sin' is a reserved function name"),
+    ("", "invalid variable name ''"),
+    ("a b", "invalid variable name 'a b'"),
+    ("2x", "invalid variable name '2x'"),
+])
+@pytest.mark.parametrize("door", NAME_DOORS)
+def test_a_public_function_refuses_a_name_that_is_no_variable(door, name, message):
+    with pytest.raises(ValueError) as info:
+        NAME_DOORS[door](name)
+    assert str(info.value) == message

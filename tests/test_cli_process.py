@@ -230,3 +230,38 @@ def test_process(tmp_path, row):
     assert "Traceback" not in done.stderr
     assert (done.returncode, VIEWS[row.view](done.stdout), done.stderr) == (
         row.code, row.out, f"error: {row.err}\n" if row.err else "")
+
+
+
+# Reports of several blocks, each block's table of factor columns keyed
+# through string hashes, so each must print the same under two hash seeds.
+# The last two have a zero residual.  The input ln(x) fails points in every
+# block but the last, and the magnitude bound is read over those blocks too;
+# it falls back to evaluation where a block's first point fails.  The bound
+# of the last input reads nan (inf * 0.0) wherever a product overflows, and
+# there evaluation fails the points that read nan.  Each is (options, inputs).
+REPORTS = {
+    "spherical-inv-grad": (("inv-grad", "--coords", "spherical", "--unchecked"),
+                           ("r*sin(theta)^2", "cos(theta)*r^2", "sin(theta)")),
+    "cylindrical-inv-grad": (("inv-grad", "--coords", "cylindrical", "--unchecked"),
+                             ("rho*sin(phi)^2", "cos(phi)*z", "rho^2*cos(phi)")),
+    "ln-inv-div": (("inv-div", "--weights", "0,1,0"), ("ln(x)",)),
+    "overflow-inv-div": (("inv-div", "--weights", "0,1,0"),
+                         ("exp(350*x)*exp(350*y)*sin(1/10^400)",)),
+}
+
+
+@pytest.mark.parametrize("report", REPORTS)
+def test_a_report_is_the_same_under_two_hash_seeds(report):
+    options, inputs = REPORTS[report]
+    argv = [sys.executable, "-m", "invdel.cli", *options, "--format", "json", "--verify",
+            "--samples", "1000", "--", *inputs]
+    outs = []
+    for seed in ("0", "1"):
+        done = subprocess.run(argv, capture_output=True, timeout=10, env=dict(
+            os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed))
+        assert (done.returncode, done.stderr) == (0, b"")
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    if report == "overflow-inv-div":
+        assert json.loads(outs[0])["verification"]["resample_count"] == 131

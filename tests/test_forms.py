@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -391,6 +392,31 @@ def test_coefficient_beyond_the_float_range_is_a_domain_error():
 @pytest.mark.parametrize("source", ["x", "sin(x) + y"])
 def test_coordinate_beyond_the_float_range_is_a_domain_error(source, value):
     assert outcome(parse(source), {"x": value, "y": 1.0}) == "DomainError: coordinate overflow"
+
+
+@pytest.mark.parametrize("value", [
+    "1e5", "1", "abc", b"1", bytearray(b"1"), memoryview(b"1"), None, 1j, [1.0],
+    Decimal("sNaN")], ids=["text-1e5", "text-1", "text-abc", "bytes", "bytearray",
+                           "memoryview", "None", "complex", "list", "signaling-nan"])
+@pytest.mark.parametrize("source", ["x", "sin(x) + y"])
+def test_a_point_value_that_is_no_number_is_a_validation_error(source, value):
+    # "1e5" was read as 100000.0, "abc" and Decimal("sNaN") ended in a bare
+    # ValueError, None and 1j in a bare TypeError.
+    assert outcome(parse(source), {"x": value, "y": 1.0}) == (
+        f"ValidationError: the value of x is not a number: {value!r}")
+
+
+def test_the_first_value_that_is_no_number_is_named_in_sorted_order():
+    names = [chr(c) for c in range(ord("a"), ord("z") + 1)]
+    form = parse(" + ".join(names))
+    assert outcome(form, dict.fromkeys(names, "1")) == (
+        "ValidationError: the value of a is not a number: '1'")
+
+
+@pytest.mark.parametrize("value", [3, -2, 0.1, 2.5e300, Fraction(1, 3), Fraction(-7, 10**30),
+                                   True])
+def test_a_number_value_reads_as_its_float(value):
+    assert eval_numeric(parse("x"), {"x": value}).hex() == float(value).hex()
 
 
 @pytest.mark.parametrize("build", [

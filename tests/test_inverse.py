@@ -499,3 +499,49 @@ def test_gauge_shift_requires_matching_systems():
     with pytest.raises(ValidationError,
                        match="^gauge scalar lives in a different coordinate system$"):
         gauge_shift_curl(A, ScalarField(parse("rho"), CYLINDRICAL))
+
+
+F = ScalarField(parse("x"), CARTESIAN)
+GRAD = vec(CARTESIAN, "y", "x", "0")
+# Each parameter of another type, with the ValidationError it raises; each
+# ended in a bare AttributeError, or for () and 0 meant the symmetric weights.
+WRONG_PARAMETERS = {
+    "construct-weights": (lambda: construct("inv_div", F, weights=(1, 0, 0)),
+                          "weights must be a DivergenceWeights, not a tuple"),
+    "inverse_divergence-text": (lambda: inverse_divergence(F, weights="1,0,0"),
+                                "weights must be a DivergenceWeights, not a str"),
+    "inverse_divergence-empty": (lambda: inverse_divergence(F, weights=()),
+                                 "weights must be a DivergenceWeights, not a tuple"),
+    "inverse_divergence-zero": (lambda: inverse_divergence(F, weights=0),
+                                "weights must be a DivergenceWeights, not a int"),
+    "construct-base": (lambda: construct("inv_grad", GRAD, base=(0, 0, 0)),
+                       "base must be a BasePoint, not a tuple"),
+    "construct-base-unchecked": (
+        lambda: construct("inv_grad", GRAD, base=(0, 0, 0), unchecked=True),
+        "base must be a BasePoint, not a tuple"),
+    "inverse_gradient": (lambda: inverse_gradient(GRAD, base="0,0,0"),
+                         "base must be a BasePoint, not a str"),
+    "curl_potential_formula": (lambda: curl_potential_formula(GRAD, (1, 2)),
+                               "weights must be a CurlWeights, not a tuple"),
+    "gauge_shift_curl": (lambda: gauge_shift_curl(GRAD, parse("x")),
+                         "gauge scalar must be a ScalarField, not a CanonicalForm"),
+    "gauge_shift_div": (lambda: gauge_shift_div(GRAD, F),
+                        "gauge vector must be a VectorField, not a ScalarField"),
+    "gauge_shift-field": (lambda: gauge_shift_curl(parse("x"), F),
+                          "the shifted field must be a VectorField, not a CanonicalForm"),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_PARAMETERS)
+def test_a_parameter_of_another_type_is_a_validation_error(case):
+    call, message = WRONG_PARAMETERS[case]
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_weights_and_base_are_read_by_their_own_kind_only():
+    assert construct("inv_grad", GRAD, weights=(1, 0, 0)) == construct("inv_grad", GRAD)
+    assert construct("inv_div", F, base="0,0,0") == construct("inv_div", F)
+    assert construct("inv_div", F, weights=None) == (
+        inverse_divergence(F, DivergenceWeights.symmetric()), None)
