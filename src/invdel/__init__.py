@@ -6,7 +6,8 @@ scalar fields; ``construct(kind, ...)`` runs any of the three by kind.
 Only the inverse curl checks its result against the forward
 operator; the others are checked by ``roundtrip_report`` (``--verify``),
 whose numeric channel samples the canonical residual and so reads 0 whenever
-the symbolic check passes.
+the symbolic check passes.  Each public operator and field constructor
+checks its argument's type, most with ``errors._checked``: README, "Library use".
 """
 
 from types import ModuleType as _ModuleType
@@ -65,12 +66,7 @@ from .inverse import (
 )
 from .parser import parse, render
 from .vecops import ScalarField, VectorField, curl, divergence, gradient
-from .verify import (
-    VerificationReport,
-    is_conservative,
-    is_solenoidal,
-    roundtrip_report,
-)
+from .verify import VerificationReport, roundtrip_report
 
 __version__ = "0.1.0"
 

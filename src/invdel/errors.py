@@ -141,3 +141,10 @@ def _echoed(text: str) -> str:
     """``text``, cut after ``MAX_ECHOED_CHARS`` characters."""
     more = len(text) - MAX_ECHOED_CHARS
     return f"{text[:MAX_ECHOED_CHARS]} ... ({more} more characters)" if more > 0 else text
+
+
+def _checked(value, cls, what: str):
+    """``value``, which must be a ``cls``; else a ValidationError naming both types."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{what} must be a {cls.__name__}, not a {type(value).__name__}")
+    return value

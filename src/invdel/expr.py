@@ -95,9 +95,9 @@ class Frozen:
 
 
 def check_variable_name(name: str) -> None:
-    """Raise ValueError unless ``name`` is an identifier other than a
+    """Raise ValueError unless ``name`` is text, an identifier other than a
     function tag."""
-    if not _IDENT_RE.match(name):
+    if not (isinstance(name, str) and _IDENT_RE.match(name)):
         raise ValueError(f"invalid variable name {name!r}")
     if name in FUNCTION_TAGS:
         raise ValueError(f"{name!r} is a reserved function name")

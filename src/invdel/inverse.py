@@ -21,8 +21,8 @@ forming them at each use would raise it.
 The parameter values (``DivergenceWeights``, ``BasePoint``,
 ``CurlWeights``) read ints, Fractions or text through ``_rational`` into
 the reduced int pairs the constructions read; their public attributes are
-Fractions, built when read.  A parameter of another type is a
-ValidationError (``_checked``).
+Fractions, built when read.  A field or parameter of another type is a
+ValidationError, raised by ``errors._checked`` (README, "Library use").
 
 The gates and the self-check compare numerators (``vecops.flux`` and
 ``vecops.curl_numerators``), as the README's introduction describes; a
@@ -43,6 +43,7 @@ from .errors import (
     NotSolenoidal,
     UnsupportedExpression,
     ValidationError,
+    _checked,
     _echoed,
 )
 from .expr import (
@@ -76,13 +77,6 @@ def _rational(value, what: str) -> tuple:
         return _rational_pair(value.strip() if isinstance(value, str) else value)
     except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad {what} {_echoed(repr(value))}: {_echoed(str(exc))}") from None
-
-
-def _checked(value, cls, what: str):
-    """``value``, which must be a ``cls``, as ``check_kind`` checks a field."""
-    if not isinstance(value, cls):
-        raise ValidationError(f"{what} must be a {cls.__name__}, not a {type(value).__name__}")
-    return value
 
 
 class _Rationals(Frozen):
@@ -149,6 +143,7 @@ class BasePoint(_Rationals):
 
 def curl_integrands(B: VectorField) -> tuple[CanonicalForm, CanonicalForm, CanonicalForm]:
     """The cyclic products c_i = h_j * h_k * B_i."""
+    _checked(B, VectorField, "the field")
     return tuple(B.system.pair(i) * c for i, c in enumerate(B.components))
 
 
@@ -157,6 +152,7 @@ def curl_potential_formula(
 ) -> VectorField:
     """Raw assembly of the candidate potential; no gates, no verification.
     ``integrands`` are B's ``curl_integrands`` when the caller has them."""
+    _checked(B, VectorField, "the field")
     _checked(weights, CurlWeights, "weights")
     system = B.system
     u = system.names
@@ -177,6 +173,7 @@ def inverse_curl(B: VectorField) -> VectorField:
     falls outside the term class, and ConstructionFailed if the curl of the
     result does not match the input.
     """
+    _checked(B, VectorField, "the field")
     c, numerator = flux(B)
     # div(B) is this reciprocal times the flux; it must exist even where the
     # flux is zero.
@@ -248,6 +245,7 @@ def inverse_divergence(
     Component i is (k_i/(h_j*h_k)) * antiderivative of h1*h2*h3*f in u_i.
     Components with weight zero are left at zero without integrating.
     """
+    _checked(f, ScalarField, "the field")
     w = (DivergenceWeights.symmetric() if weights is None
          else _checked(weights, DivergenceWeights, "weights"))._pairs
     system = f.system
@@ -270,6 +268,7 @@ def inverse_gradient(A: VectorField, base: Optional[BasePoint] = None) -> Scalar
     u3 with u1 = a and u2 = b held, then in u2 with u1 = a held, then in u1,
     adding the free constant c0.  Gradient of the result reproduces A.
     """
+    _checked(A, VectorField, "the field")
     # curl(A) is zero exactly when its numerators are; the curl itself is
     # formed only to report a residual.  A passed gate has formed each
     # h_i*A_i, and the path integrates those.

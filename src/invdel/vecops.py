@@ -12,6 +12,8 @@ Each sum is one map that its derivatives add into as they are taken.
 
 A field is its canonical forms plus its system; the public constructors
 alone check it, and a variable outside the system is a ValidationError.
+A field or system of another type is one too, raised by ``errors._checked``
+(README, "Library use").
 The operators combine forms by form arithmetic and ``_derivative``, the body
 of ``differentiate``, and return fields made with ``_built``, unchecked.
 Division by scale factors is multiplication by a reciprocal from the
@@ -22,7 +24,7 @@ else raises UnsupportedExpression.
 from __future__ import annotations
 
 from .coords import CoordinateSystem
-from .errors import ValidationError, _echoed
+from .errors import ValidationError, _checked, _echoed
 from .expr import (
     CanonicalForm,
     Frozen,
@@ -36,7 +38,7 @@ CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 def _check_variables(parts, system: CoordinateSystem):
-    allowed = set(system.names)
+    allowed = set(_checked(system, CoordinateSystem, "the system").names)
     for e in parts:
         foreign = free_variables(e) - allowed
         if foreign:
@@ -79,6 +81,7 @@ def rendered(value) -> list[str]:
 
 def gradient(f: ScalarField) -> VectorField:
     """Component-wise (1/h_i) * df/du_i."""
+    _checked(f, ScalarField, "the field")
     system = f.system
     comps = tuple(system.inverse_scale(i) * _derivative(f.value, name, {})
                   for i, name in enumerate(system.names))
@@ -101,6 +104,7 @@ def flux(A: VectorField) -> tuple[tuple[CanonicalForm, ...], CanonicalForm]:
 
 def divergence(A: VectorField) -> CanonicalForm:
     """Scalar divergence; exact, with the 1/(h1*h2*h3) factor expanded."""
+    _checked(A, VectorField, "the field")
     numerator = flux(A)[1]  # before the reciprocal, whose failure comes second
     return A.system.inverse_jacobian() * numerator
 
@@ -131,5 +135,6 @@ def curl_numerators(A: VectorField, products: list | None = None):
 def curl(A: VectorField, products: list | None = None) -> VectorField:
     """Curl of the field, one cyclic determinant row per component;
     ``products`` is as for ``curl_numerators``."""
+    _checked(A, VectorField, "the field")
     comps = tuple(scale * numerator for scale, numerator in curl_numerators(A, products))
     return VectorField._built(comps, A.system)

@@ -24,7 +24,7 @@ from typing import Optional, Union
 from .errors import SamplingExhausted, UnsupportedExpression, ValidationError, _echoed
 from .expr import Frozen, _column, evaluate
 from .inverse import BasePoint, DivergenceWeights, check_kind, construct, roundtrip_residual
-from .vecops import ScalarField, VectorField, curl, divergence, rendered
+from .vecops import ScalarField, VectorField, rendered
 
 RELATIVE_TOLERANCE = 1e-9
 ABSOLUTE_FLOOR = 1e-12
@@ -61,14 +61,6 @@ class VerificationReport(Frozen):
         payload["residual"] = rendered(self.residual)
         payload["sampling_box"] = [list(iv) for iv in self.sampling_box]
         return payload
-
-
-def is_solenoidal(B: VectorField) -> bool:
-    return divergence(B).is_zero()
-
-
-def is_conservative(A: VectorField) -> bool:
-    return all(c.is_zero() for c in curl(A).components)
 
 
 def roundtrip_report(

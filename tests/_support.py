@@ -1,10 +1,29 @@
-"""Shared helpers for building random test fields and for evaluating forms
-by reference, and a counter of scale-factor products."""
+"""Shared helpers for building random test fields, among them a corpus
+periodic in the angles, for evaluating forms by reference, and a counter of
+scale-factor products."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
-from invdel import DomainError, ScalarField, UnboundVariable, VectorField, num, var
+from invdel import (
+    DivergenceWeights,
+    DomainError,
+    InvdelError,
+    ScalarField,
+    UnboundVariable,
+    VectorField,
+    builtin,
+    cos,
+    curl,
+    gradient,
+    inverse_curl,
+    inverse_divergence,
+    inverse_gradient,
+    num,
+    sin,
+    var,
+)
 from invdel.expr import CanonicalForm, _atom_key, _eval_function, _eval_power, _eval_sum
 
 
@@ -36,6 +55,70 @@ def random_vector(rng, system, max_terms=3, max_degree=3):
 def random_scalar(rng, system, max_terms=3, max_degree=3):
     value = random_polynomial(rng, system.names, max_terms, max_degree)
     return ScalarField(value, system)
+
+
+# The builtin systems' angle coordinates.
+ANGLES = ("theta", "phi")
+
+
+def random_periodic(rng, names, max_terms=3, max_power=2):
+    """Random form single-valued in the angles of ``names``: each term is a
+    small Fraction times powers 0..``max_power`` of each length coordinate
+    and, per angle, one of 1, sin(k*angle) or cos(k*angle) with k in 1..2."""
+    total = num(0)
+    for _ in range(rng.randint(1, max_terms)):
+        term = num(Fraction(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 9)))
+        for name in names:
+            if name in ANGLES:
+                function = rng.choice((None, sin, cos))
+                k = rng.randint(1, 2)
+                if function is not None:
+                    term = term * function(k * var(name))
+            else:
+                term = term * var(name) ** rng.randint(0, max_power)
+        total = total + term
+    return total
+
+
+# The inverses the periodic corpus builds, by name: each is the pair (the
+# input made from a draw's random vector A and scalar s, the inverse of it).
+PERIODIC_OPERATORS = {
+    "inverse_curl": (lambda A, s: curl(A), inverse_curl),
+    "inverse_divergence": (lambda A, s: s, inverse_divergence),
+    "inverse_divergence-1-0-0": (
+        lambda A, s: s, lambda f: inverse_divergence(f, DivergenceWeights(1, 0, 0))),
+    "inverse_gradient": (lambda A, s: gradient(s), inverse_gradient),
+}
+
+
+def periodic_corpus(seed=7, count=100):
+    """(operator, system label) -> ``count`` pairs (input field, result, or
+    the InvdelError that refused it), for the cylindrical and spherical
+    systems; each draw is a random vector and scalar of ``random_periodic``."""
+    rng = random.Random(seed)
+    corpus = {}
+    for label in ("cylindrical", "spherical"):
+        system = builtin(label)
+        draws = []
+        for _ in range(count):
+            A = VectorField(tuple(random_periodic(rng, system.names) for _ in range(3)), system)
+            draws.append((A, ScalarField(random_periodic(rng, system.names), system)))
+        for operator, (made, inverse) in PERIODIC_OPERATORS.items():
+            rows = corpus[operator, label] = []
+            for A, s in draws:
+                field = made(A, s)
+                try:
+                    rows.append((field, inverse(field)))
+                except InvdelError as err:
+                    rows.append((field, err))
+    return corpus
+
+
+def bare_variables(field):
+    """The variables a field's forms hold as factors, outside any function."""
+    forms = getattr(field, "components", None) or (field.value,)
+    return {atom for form in forms for factors, _ in form.terms
+            for atom, _ in factors if isinstance(atom, str)}
 
 
 def fractions_of(coefficients):

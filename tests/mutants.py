@@ -283,6 +283,26 @@ MUTANTS = (
     ("expr.py", "        except (TypeError, ValueError):\n            raise ValidationError(",
      "        except TypeError:\n            raise ValidationError(",
      "eval_numeric lets float()'s ValueError through"),
+    ("inverse.py", '    _checked(B, VectorField, "the field")\n    return tuple(',
+     "    return tuple(", "curl_integrands takes a field of any type"),
+    ("inverse.py", '    _checked(B, VectorField, "the field")\n    _checked(weights',
+     "    _checked(weights", "curl_potential_formula takes a field of any type"),
+    ("inverse.py", '    _checked(B, VectorField, "the field")\n    c, numerator',
+     "    c, numerator", "inverse_curl takes a field of any type"),
+    ("inverse.py", '    _checked(f, ScalarField, "the field")\n', "",
+     "inverse_divergence takes a field of any type"),
+    ("inverse.py", '    _checked(A, VectorField, "the field")\n', "",
+     "inverse_gradient takes a field of any type"),
+    ("vecops.py", '    _checked(f, ScalarField, "the field")\n', "",
+     "gradient takes a field of any type"),
+    ("vecops.py", '    _checked(A, VectorField, "the field")\n    numerator',
+     "    numerator", "divergence takes a field of any type"),
+    ("vecops.py", '    _checked(A, VectorField, "the field")\n    comps',
+     "    comps", "curl takes a field of any type"),
+    ("vecops.py", 'set(_checked(system, CoordinateSystem, "the system").names)',
+     "set(system.names)", "a field constructor takes a system of any type"),
+    ("expr.py", "if not (isinstance(name, str) and _IDENT_RE.match(name)):",
+     "if not _IDENT_RE.match(name):", "a variable name need not be text"),
 )
 
 # Seconds one pytest run may take.

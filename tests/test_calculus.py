@@ -344,7 +344,8 @@ def test_antiderivative_is_linear():
 
 # Each door of a variable name, with the input it takes.  Unchecked, a
 # function name became a factor: antidifferentiate(x, "sin") rendered
-# "sin*x", which parse refuses.
+# "sin*x", which parse refuses; a name that is not text ended in the
+# regex's bare TypeError.
 NAME_DOORS = {
     "differentiate": lambda name: differentiate(parse("x"), name),
     "antidifferentiate": lambda name: antidifferentiate(parse("x"), name),
@@ -362,6 +363,8 @@ NAME_DOORS = {
     ("", "invalid variable name ''"),
     ("a b", "invalid variable name 'a b'"),
     ("2x", "invalid variable name '2x'"),
+    (1, "invalid variable name 1"),
+    (None, "invalid variable name None"),
 ])
 @pytest.mark.parametrize("door", NAME_DOORS)
 def test_a_public_function_refuses_a_name_that_is_no_variable(door, name, message):

@@ -154,6 +154,7 @@ def test_custom_rejects_function_tag_as_name():
 @pytest.mark.parametrize("name,message", [
     ("sin", "'sin' is a reserved function name"),
     ("1x", "invalid variable name '1x'"),
+    (1, "invalid variable name 1"),
 ])
 def test_custom_rejects_an_invalid_name_with_the_name_check_message(name, message):
     with pytest.raises(ValidationError) as info:

@@ -225,6 +225,9 @@ def test_division_by_zero_is_the_reciprocal_of_zero(divisor):
     ("sin", "'sin' is a reserved function name"),
     ("1x", "invalid variable name '1x'"),
     ("x y", "invalid variable name 'x y'"),
+    (None, "invalid variable name None"),
+    (1, "invalid variable name 1"),
+    (b"x", "invalid variable name b'x'"),
 ])
 def test_invalid_variable_name_is_a_value_error(name, message):
     with pytest.raises(ValueError) as info:

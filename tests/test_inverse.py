@@ -503,9 +503,28 @@ def test_gauge_shift_requires_matching_systems():
 
 F = ScalarField(parse("x"), CARTESIAN)
 GRAD = vec(CARTESIAN, "y", "x", "0")
-# Each parameter of another type, with the ValidationError it raises; each
-# ended in a bare AttributeError, or for () and 0 meant the symmetric weights.
+# Each field, system or parameter of another type, with the ValidationError
+# it raises; each ended in a bare AttributeError, or for () and 0 meant the
+# symmetric weights.
 WRONG_PARAMETERS = {
+    "curl": (lambda: curl(parse("x")), "the field must be a VectorField, not a CanonicalForm"),
+    "divergence": (lambda: divergence(parse("x")),
+                   "the field must be a VectorField, not a CanonicalForm"),
+    "gradient": (lambda: gradient(GRAD), "the field must be a ScalarField, not a VectorField"),
+    "inverse_curl": (lambda: inverse_curl(parse("x")),
+                     "the field must be a VectorField, not a CanonicalForm"),
+    "inverse_divergence": (lambda: inverse_divergence(parse("x")),
+                           "the field must be a ScalarField, not a CanonicalForm"),
+    "inverse_gradient-field": (lambda: inverse_gradient(F),
+                               "the field must be a VectorField, not a ScalarField"),
+    "curl_potential_formula-field": (lambda: curl_potential_formula(parse("x")),
+                                     "the field must be a VectorField, not a CanonicalForm"),
+    "curl_integrands": (lambda: curl_integrands(parse("x")),
+                        "the field must be a VectorField, not a CanonicalForm"),
+    "VectorField-system": (lambda: VectorField((parse("x"),) * 3, "cartesian"),
+                           "the system must be a CoordinateSystem, not a str"),
+    "ScalarField-system": (lambda: ScalarField(parse("x"), None),
+                           "the system must be a CoordinateSystem, not a NoneType"),
     "construct-weights": (lambda: construct("inv_div", F, weights=(1, 0, 0)),
                           "weights must be a DivergenceWeights, not a tuple"),
     "inverse_divergence-text": (lambda: inverse_divergence(F, weights="1,0,0"),

@@ -3,8 +3,11 @@
 The forward operators are compared with their Lamé-coefficient formulas,
 and each inverse result is put through SymPy's forward operator and
 compared with the field it was built from.  ``tests/oracle_corpus.py``
-runs the same checks over the acceptance corpora.
+runs the same checks over the acceptance corpora; a seeded slice of the
+corpus periodic in the angles is checked here.
 """
+
+import random
 
 import pytest
 
@@ -13,6 +16,7 @@ pytest.importorskip("sympy")
 from invdel import (  # noqa: E402
     CoordinateSystem,
     DivergenceWeights,
+    InvdelError,
     ScalarField,
     VectorField,
     builtin,
@@ -27,6 +31,7 @@ from _oracle import (  # noqa: E402
     inverse_divergence_check,
     inverse_gradient_check,
 )
+from _support import periodic_corpus  # noqa: E402
 
 CUSTOM = CoordinateSystem(("u", "v", "w"), ("2", "3*u", "u*v"), (1, 1, 0),
                           ((0.5, 2), (0.5, 2), (-2, 2)))
@@ -68,3 +73,20 @@ def test_inverse_divergence(system, potential, scalar, weights):
 @pytest.mark.parametrize("system,potential,scalar", CASES, ids=IDS)
 def test_inverse_gradient_of_a_gradient(system, potential, scalar):
     assert inverse_gradient_check(gradient(ScalarField(parse(scalar), system)))
+
+
+# The oracle's check of each inverse of the angle-periodic corpus.
+PERIODIC_CHECKS = {
+    "inverse_curl": inverse_curl_check,
+    "inverse_divergence": lambda f: inverse_divergence_check(f, DivergenceWeights.symmetric()),
+    "inverse_divergence-1-0-0": lambda f: inverse_divergence_check(f, DivergenceWeights(1, 0, 0)),
+    "inverse_gradient": inverse_gradient_check,
+}
+
+
+def test_a_seeded_slice_of_the_angle_periodic_corpus():
+    rng = random.Random(7)
+    for (operator, label), rows in periodic_corpus().items():
+        built = [field for field, result in rows if not isinstance(result, InvdelError)]
+        for field in rng.sample(built, 5):
+            assert PERIODIC_CHECKS[operator](field), (operator, label)

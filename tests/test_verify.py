@@ -1,4 +1,4 @@
-"""Round-trip verification reports and solenoidal/conservative predicates."""
+"""Round-trip verification reports."""
 
 import math
 import random
@@ -19,8 +19,6 @@ from invdel import (
     inverse_curl,
     inverse_divergence,
     inverse_gradient,
-    is_conservative,
-    is_solenoidal,
     parse,
     roundtrip_report,
 )
@@ -37,16 +35,6 @@ SPHERICAL = builtin("spherical")
 
 def vec(system, *texts):
     return VectorField(tuple(parse(t) for t in texts), system)
-
-
-def test_solenoidal_predicate():
-    assert is_solenoidal(vec(CARTESIAN, "y", "z", "x"))
-    assert not is_solenoidal(vec(CARTESIAN, "x", "0", "0"))
-
-
-def test_conservative_predicate():
-    assert is_conservative(vec(CARTESIAN, "2*x*y", "x^2", "1"))
-    assert not is_conservative(vec(CARTESIAN, "0 - y", "x", "0"))
 
 
 def test_report_for_known_solenoidal_field():
