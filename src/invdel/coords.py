@@ -62,7 +62,7 @@ class CoordinateSystem(Frozen):
             try:
                 check_variable_name(name)
             except ValueError as exc:
-                raise ValidationError(_echoed(str(exc))) from None
+                raise ValidationError(str(exc)) from None
         if len(scale_factors) != 3:
             raise ValidationError("exactly three scale factors required")
         allowed = set(names)

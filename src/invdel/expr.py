@@ -98,7 +98,7 @@ def check_variable_name(name: str) -> None:
     """Raise ValueError unless ``name`` is text, an identifier other than a
     function tag."""
     if not (isinstance(name, str) and _IDENT_RE.match(name)):
-        raise ValueError(f"invalid variable name {name!r}")
+        raise ValueError(_echoed(f"invalid variable name {name!r}"))
     if name in FUNCTION_TAGS:
         raise ValueError(f"{name!r} is a reserved function name")
 

@@ -147,21 +147,19 @@ def curl_integrands(B: VectorField) -> tuple[CanonicalForm, CanonicalForm, Canon
     return tuple(B.system.pair(i) * c for i, c in enumerate(B.components))
 
 
-def curl_potential_formula(
-    B: VectorField, weights: CurlWeights = DEFAULT_CURL_WEIGHTS, *, integrands=None
-) -> VectorField:
+def curl_potential_formula(B: VectorField, *, integrands=None) -> VectorField:
     """Raw assembly of the candidate potential; no gates, no verification.
     ``integrands`` are B's ``curl_integrands`` when the caller has them."""
     _checked(B, VectorField, "the field")
-    _checked(weights, CurlWeights, "weights")
     system = B.system
     u = system.names
     c = curl_integrands(B) if integrands is None else integrands
+    weights = DEFAULT_CURL_WEIGHTS._pairs
     comps = []
     for i, j, k in CYCLES:
         acc: dict = {}
-        _weighted(c[j], u[j], u[k], weights._pairs, acc)
-        _weighted(c[k], u[k], u[j], weights._pairs, acc, True)
+        _weighted(c[j], u[j], u[k], weights, acc)
+        _weighted(c[k], u[k], u[j], weights, acc, True)
         comps.append(system.inverse_scale(i) * CanonicalForm(acc))
     return VectorField._built(tuple(comps), system)
 
@@ -201,19 +199,13 @@ def roundtrip_residual(kind: str, field, result) -> tuple[CanonicalForm, ...]:
     return tuple(got - expected for got, expected in zip(forward.components, field.components))
 
 
-# The field type each inverse kind takes.
-_INPUT = {"inv_curl": VectorField, "inv_div": ScalarField, "inv_grad": VectorField}
-KINDS = tuple(_INPUT)
+KINDS = ("inv_curl", "inv_div", "inv_grad")
 
 
-def check_kind(kind: str, field) -> None:
-    """Raise ValidationError unless ``kind`` is one of KINDS and ``field``
-    has the type its inverse takes."""
+def check_kind(kind: str) -> None:
+    """Raise ValidationError unless ``kind`` is one of KINDS."""
     if kind not in KINDS:
         raise ValidationError(f"unknown inverse kind {kind!r}")
-    if not isinstance(field, _INPUT[kind]):
-        raise ValidationError(
-            f"{kind} takes a {_INPUT[kind].__name__}, not a {type(field).__name__}")
 
 
 def construct(kind: str, field, *, weights: Optional[DivergenceWeights] = None,
@@ -223,7 +215,7 @@ def construct(kind: str, field, *, weights: Optional[DivergenceWeights] = None,
     the gate (and inv_curl's self-check); ``residual`` is then the gate's,
     ``divergence(B)`` or ``curl(A)``, else None.  The operators are looked up
     in this module's globals at each call, so a tracer's rebinding is seen."""
-    check_kind(kind, field)
+    check_kind(kind)
     if kind == "inv_div":
         return inverse_divergence(field, weights), None
     if kind == "inv_curl":

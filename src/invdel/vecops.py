@@ -12,8 +12,8 @@ Each sum is one map that its derivatives add into as they are taken.
 
 A field is its canonical forms plus its system; the public constructors
 alone check it, and a variable outside the system is a ValidationError.
-A field or system of another type is one too, raised by ``errors._checked``
-(README, "Library use").
+A field, system or component of another type is one too, raised by
+``errors._checked`` (README, "Library use").
 The operators combine forms by form arithmetic and ``_derivative``, the body
 of ``differentiate``, and return fields made with ``_built``, unchecked.
 Division by scale factors is multiplication by a reciprocal from the
@@ -23,14 +23,11 @@ else raises UnsupportedExpression.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .coords import CoordinateSystem
 from .errors import ValidationError, _checked, _echoed
-from .expr import (
-    CanonicalForm,
-    Frozen,
-    canonicalize,
-    free_variables,
-)
+from .expr import CanonicalForm, Frozen, free_variables
 from .calculus import _derivative
 from .parser import render
 
@@ -40,7 +37,7 @@ CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 def _check_variables(parts, system: CoordinateSystem):
     allowed = set(_checked(system, CoordinateSystem, "the system").names)
     for e in parts:
-        foreign = free_variables(e) - allowed
+        foreign = free_variables(_checked(e, CanonicalForm, "each component")) - allowed
         if foreign:
             raise ValidationError(
                 "expression references variables outside the coordinate system: "
@@ -55,10 +52,10 @@ class VectorField(Frozen):
 
     def __init__(self, components: tuple[CanonicalForm, CanonicalForm, CanonicalForm],
                  system: CoordinateSystem):
-        if len(components) != 3:
+        if len(_checked(components, Sequence, "the components")) != 3:
             raise ValidationError("a vector field needs exactly three components")
         _check_variables(components, system)
-        self._init(tuple(canonicalize(c) for c in components), system)
+        self._init(tuple(components), system)
 
 
 class ScalarField(Frozen):
@@ -68,7 +65,7 @@ class ScalarField(Frozen):
 
     def __init__(self, value: CanonicalForm, system: CoordinateSystem):
         _check_variables((value,), system)
-        self._init(canonicalize(value), system)
+        self._init(value, system)
 
 
 def rendered(value) -> list[str]:

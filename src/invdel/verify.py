@@ -21,7 +21,7 @@ import math
 import random
 from typing import Optional, Union
 
-from .errors import SamplingExhausted, UnsupportedExpression, ValidationError, _echoed
+from .errors import SamplingExhausted, UnsupportedExpression, ValidationError, _checked, _echoed
 from .expr import Frozen, _column, evaluate
 from .inverse import BasePoint, DivergenceWeights, check_kind, construct, roundtrip_residual
 from .vecops import ScalarField, VectorField, rendered
@@ -78,10 +78,11 @@ def roundtrip_report(
     ``result`` may carry an already-computed (possibly gauge-shifted)
     inverse, and then ``weights`` and ``base`` are not used; otherwise
     ``inverse.construct`` runs here and its errors propagate unchanged.  An
-    unknown kind, a ``field`` its kind does not take (``inverse.check_kind``)
-    and a ``result`` of another field type or system is a ValidationError.
+    unknown kind, a ``field`` its kind does not take and a ``result`` of
+    another field type or system is a ValidationError.
     """
-    check_kind(kind, field)
+    check_kind(kind)
+    _checked(field, ScalarField if kind == "inv_div" else VectorField, "the field")
     _check_int(samples, "sample count")
     if samples < 1:
         raise ValidationError("sample count must be positive")
@@ -92,10 +93,10 @@ def roundtrip_report(
     system = field.system
     if result is None:
         result, _ = construct(kind, field, weights=weights, base=base)
-    elif not isinstance(result, ScalarField if kind == "inv_grad" else VectorField):
-        raise ValidationError(f"{type(result).__name__} is not an {kind} result")
-    elif result.system is not system and result.system != system:
-        raise ValidationError("result lives in a different coordinate system")
+    else:
+        _checked(result, ScalarField if kind == "inv_grad" else VectorField, "the result")
+        if result.system is not system and result.system != system:
+            raise ValidationError("result lives in a different coordinate system")
     residual_forms = roundtrip_residual(kind, field, result)
     symbolic_equal = all(form.is_zero() for form in residual_forms)
     if kind == "inv_div":

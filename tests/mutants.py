@@ -155,14 +155,14 @@ MUTANTS = (
     ("calculus.py", "factors_contain(factors, split_var) else rest",
      "factors_contain(factors, name) else rest",
      "the weight side is chosen by the integration variable, not the split variable"),
-    ("inverse.py", "_weighted(c[k], u[k], u[j], weights._pairs, acc, True)",
-     "_weighted(c[k], u[k], u[j], weights._pairs, acc)",
+    ("inverse.py", "_weighted(c[k], u[k], u[j], weights, acc, True)",
+     "_weighted(c[k], u[k], u[j], weights, acc)",
      "the second W of each component is added, not subtracted"),
     ("inverse.py",
-     "        _weighted(c[j], u[j], u[k], weights._pairs, acc)\n"
-     "        _weighted(c[k], u[k], u[j], weights._pairs, acc, True)\n",
-     "        _weighted(c[k], u[k], u[j], weights._pairs, acc, True)\n"
-     "        _weighted(c[j], u[j], u[k], weights._pairs, acc)\n",
+     "        _weighted(c[j], u[j], u[k], weights, acc)\n"
+     "        _weighted(c[k], u[k], u[j], weights, acc, True)\n",
+     "        _weighted(c[k], u[k], u[j], weights, acc, True)\n"
+     "        _weighted(c[j], u[j], u[k], weights, acc)\n",
      "the two W of a component are taken in swapped order"),
     ("calculus.py", WEIGHTED_BODY,
      "    kept = {f: c for f, c in form.items() if _integrate_term(f, c, name)}\n"
@@ -195,10 +195,13 @@ MUTANTS = (
      "an error is copied through its __init__"),
     ("coords.py", "            if not isinstance(h, CanonicalForm):", "            if False:",
      "a scale factor of another type reaches the form checks"),
-    ("verify.py", "    elif result.system is not system and result.system != system:",
-     "    elif False:", "the report accepts a result from another system"),
-    ("inverse.py", "    if not isinstance(field, _INPUT[kind]):", "    if False:",
-     "construct takes a field of any type for its kind"),
+    ("verify.py", "        if result.system is not system and result.system != system:",
+     "        if False:", "the report accepts a result from another system"),
+    # A tuple of the door's arguments is built and dropped.
+    ("verify.py", "    _checked(field, ", "    (field, ",
+     "the report takes a field of any type for its kind"),
+    ("verify.py", "        _checked(result, ", "        (result, ",
+     "the report takes a result of any type for its kind"),
     ("inverse.py", "    if unchecked:\n        along = [None, None, None]",
      "    if False:\n        along = [None, None, None]",
      "construct ignores unchecked for inv_grad"),
@@ -265,8 +268,6 @@ MUTANTS = (
      "weighted_split_integral takes any integration variable name"),
     ("expr.py", "    check_variable_name(name)\n    return substitute_all(",
      "    return substitute_all(", "substitute takes any variable name"),
-    ("inverse.py", '    _checked(weights, CurlWeights, "weights")\n', "",
-     "curl_potential_formula takes weights of any type"),
     ("inverse.py", 'else _checked(weights, DivergenceWeights, "weights"))._pairs',
      "else weights)._pairs", "inverse_divergence takes weights of any type"),
     ("inverse.py", "(DivergenceWeights.symmetric() if weights is None",
@@ -285,8 +286,8 @@ MUTANTS = (
      "eval_numeric lets float()'s ValueError through"),
     ("inverse.py", '    _checked(B, VectorField, "the field")\n    return tuple(',
      "    return tuple(", "curl_integrands takes a field of any type"),
-    ("inverse.py", '    _checked(B, VectorField, "the field")\n    _checked(weights',
-     "    _checked(weights", "curl_potential_formula takes a field of any type"),
+    ("inverse.py", '    _checked(B, VectorField, "the field")\n    system',
+     "    system", "curl_potential_formula takes a field of any type"),
     ("inverse.py", '    _checked(B, VectorField, "the field")\n    c, numerator',
      "    c, numerator", "inverse_curl takes a field of any type"),
     ("inverse.py", '    _checked(f, ScalarField, "the field")\n', "",
@@ -303,6 +304,12 @@ MUTANTS = (
      "set(system.names)", "a field constructor takes a system of any type"),
     ("expr.py", "if not (isinstance(name, str) and _IDENT_RE.match(name)):",
      "if not _IDENT_RE.match(name):", "a variable name need not be text"),
+    ("expr.py", 'raise ValueError(_echoed(f"invalid variable name {name!r}"))',
+     'raise ValueError(f"invalid variable name {name!r}")', "a bad variable name is echoed whole"),
+    ("vecops.py", 'free_variables(_checked(e, CanonicalForm, "each component"))',
+     "free_variables(e)", "a field constructor takes components of any type"),
+    ("vecops.py", 'if len(_checked(components, Sequence, "the components")) != 3:',
+     "if len(components) != 3:", "a vector field takes components that are not a sequence"),
 )
 
 # Seconds one pytest run may take.

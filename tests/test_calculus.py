@@ -365,6 +365,10 @@ NAME_DOORS = {
     ("2x", "invalid variable name '2x'"),
     (1, "invalid variable name 1"),
     (None, "invalid variable name None"),
+    # The message echoes at most 200 characters of the 300024 it would read.
+    pytest.param("a b" * 100_000,
+                 "invalid variable name '" + "a b" * 59 + " ... (299824 more characters)",
+                 id="long"),
 ])
 @pytest.mark.parametrize("door", NAME_DOORS)
 def test_a_public_function_refuses_a_name_that_is_no_variable(door, name, message):
